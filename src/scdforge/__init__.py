@@ -54,9 +54,7 @@ from .groups import (
     QuotientPoset,
     apply_perm,
     burnside_count,
-    composite_perm,
     factorize,
-    normalize_cycle_power,
     orbit,
     orbit_rep,
     parse_group_spec,
@@ -76,7 +74,6 @@ from .reflect import (
     PBlock,
     build_blocks,
     involution_group,
-    precedes,
     reflection_scd,
     scd_of_diagonal_block,
     standard_reflection,

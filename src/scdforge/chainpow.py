@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 
 from .core import (
     Chain,
@@ -21,9 +22,8 @@ from .core import (
     QUOTIENT_LIMIT,
     ResourceLimitError,
     check_enum,
+    fold_products,
     make_decomposition,
-    map_elements,
-    product_scd,
 )
 from .gk import gk_scd
 from .prune import _pruned_family
@@ -35,6 +35,19 @@ def _check_shape(k: int, m: int) -> int:
     if m < 1:
         raise ValueError(f"multiplicity must be at least 1, got {m}")
     return (k - 1) * m
+
+
+def _check_element_count(triples) -> None:
+    """Refuse a product of chain powers with more than 2^QUOTIENT_LIMIT
+    level tuples, multiplying one level count at a time so that a huge
+    multiplicity is refused without computing k**m."""
+    limit = 1 << QUOTIENT_LIMIT
+    count = 1
+    for k, m, _ in triples:
+        for _ in range(m):
+            count *= k
+            if count > limit:
+                raise ResourceLimitError(f"chain powers are capped at 2^{QUOTIENT_LIMIT} elements")
 
 
 def level_mask(levels, k: int) -> int:
@@ -105,6 +118,7 @@ class ChainPowerTarget:
 
     def __init__(self, k: int, m: int, r: int):
         _check_shape(k, m)
+        _check_element_count([(k, m, r)])
         self.k = k
         self.m = m
         self.step = math.gcd(r, m)
@@ -194,16 +208,9 @@ def chainproduct_scd(factors) -> Decomposition:
     with the hook product and elements are the concatenated level tuples.
     """
     triples = _normalize_factors(factors)
-    total_elements = 1
-    for k, m, _ in triples:
-        total_elements *= k ** m
-        if total_elements > 1 << QUOTIENT_LIMIT:
-            raise ResourceLimitError(f"product has more than 2^{QUOTIENT_LIMIT} elements")
+    _check_element_count(triples)
     parts = [chainpower_scd(k, m, r) for k, m, r in triples]
-    combined = parts[0]
-    for part in parts[1:]:
-        paired = product_scd(combined, part)
-        combined = map_elements(paired, lambda e: e[0] + e[1], paired.context)
+    combined = fold_products(parts, operator.add)
     total = sum((k - 1) * m for k, m, _ in triples)
     context = Context(kind="product", total_rank=total, factors=triples)
     return make_decomposition(combined.chains, context)
@@ -214,6 +221,7 @@ class ChainProductTarget:
 
     def __init__(self, factors):
         self.triples = _normalize_factors(factors)
+        _check_element_count(self.triples)
         self.parts = [ChainPowerTarget(k, m, r) for k, m, r in self.triples]
         self.total_rank = sum(t.total_rank for t in self.parts)
 

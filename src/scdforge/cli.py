@@ -13,8 +13,6 @@ import argparse
 import json
 import sys
 
-import jsonschema
-
 from .chainpow import ChainPowerTarget, ChainProductTarget, chainpower_scd
 from .core import (
     Chain,
@@ -34,62 +32,13 @@ from .verify import VerificationError, rank_profile, verify_decomposition
 
 SCHEMA_ID = "scdforge/1"
 
-_DOCUMENT_SCHEMA = {
-    "type": "object",
-    "required": ["schema", "context", "chains", "stats"],
-    "additionalProperties": False,
-    "properties": {
-        "schema": {"const": SCHEMA_ID},
-        "context": {
-            "type": "object",
-            "required": ["kind"],
-            "additionalProperties": False,
-            "properties": {
-                "kind": {"enum": ["boolean", "quotient", "reflection", "chainpower", "product"]},
-                "n": {"type": "integer", "minimum": 1},
-                "group": {"type": "string"},
-                "k": {"type": "integer", "minimum": 2},
-                "m": {"type": "integer", "minimum": 1},
-                "r": {"type": "integer", "minimum": 1},
-                "factors": {
-                    "type": "array",
-                    "minItems": 1,
-                    "items": {
-                        "type": "array",
-                        "items": {"type": "integer"},
-                        "minItems": 3,
-                        "maxItems": 3,
-                    },
-                },
-            },
-        },
-        "chains": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "type": "array",
-                "minItems": 1,
-                "items": {"type": "array", "items": {"type": "integer"}},
-            },
-        },
-        "stats": {
-            "type": "object",
-            "required": ["chain_count", "element_count", "rank_profile"],
-            "additionalProperties": False,
-            "properties": {
-                "chain_count": {"type": "integer", "minimum": 1},
-                "element_count": {"type": "integer", "minimum": 1},
-                "rank_profile": {"type": "array", "items": {"type": "integer"}},
-            },
-        },
-    },
-}
-
 
 class DecodeError(ValueError):
     """Document rejected; the message carries a JSON pointer."""
 
 
+_DOCUMENT_KEYS = ("schema", "context", "chains", "stats")
+_STATS_KEYS = ("chain_count", "element_count", "rank_profile")
 _REQUIRED_CONTEXT = {
     "boolean": ("n",),
     "quotient": ("n", "group"),
@@ -97,6 +46,9 @@ _REQUIRED_CONTEXT = {
     "chainpower": ("k", "m", "r"),
     "product": ("factors",),
 }
+_CONTEXT_MINIMUM = {"n": 1, "k": 2, "m": 1, "r": 1}
+_CONTEXT_KEYS = ("kind", "group", "factors", *_CONTEXT_MINIMUM)
+_SUBSET_KINDS = ("boolean", "quotient", "reflection")
 
 
 def build_document(decomp: Decomposition) -> dict:
@@ -109,7 +61,7 @@ def build_document(decomp: Decomposition) -> dict:
             context[key] = value
     if ctx.factors is not None:
         context["factors"] = [list(t) for t in ctx.factors]
-    if ctx.kind in ("boolean", "quotient", "reflection"):
+    if ctx.kind in _SUBSET_KINDS:
         chains = [[list(elements_of(e)) for e in c.elements] for c in decomp.chains]
     else:
         chains = [[list(e) for e in c.elements] for c in decomp.chains]
@@ -126,67 +78,130 @@ def encode(doc: dict) -> bytes:
     return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
 
 
-def _subset_error(pointer: str, message: str):
+def _fail(pointer: str, message: str):
     raise DecodeError(f"{pointer}: {message}")
 
 
+def _check_object(value, pointer: str, required, allowed) -> dict:
+    if type(value) is not dict:
+        _fail(pointer, "must be an object")
+    for key in required:
+        if key not in value:
+            _fail(pointer, f"missing required key {key!r}")
+    for key in value:
+        if key not in allowed:
+            _fail(pointer, f"unexpected key {key!r}")
+    return value
+
+
+def _check_array(value, pointer: str, min_items: int = 0) -> list:
+    if type(value) is not list:
+        _fail(pointer, "must be an array")
+    if len(value) < min_items:
+        _fail(pointer, f"must have at least {min_items} item(s)")
+    return value
+
+
+def _check_int(value, pointer: str, minimum: int | None = None) -> None:
+    # type() rather than isinstance(): bool is an int subclass, and floats
+    # such as 1.0 are not integers here either
+    if type(value) is not int:
+        _fail(pointer, "must be an integer")
+    if minimum is not None and value < minimum:
+        _fail(pointer, f"must be >= {minimum}")
+
+
+def _subset_problem(elems, n: int) -> str | None:
+    if type(elems) is not list or not all(type(e) is int for e in elems):
+        return "subset must be an array of integers"
+    if elems and (min(elems) < 1 or max(elems) > n):
+        return f"element out of range 1..{n}"
+    if any(a >= b for a, b in zip(elems, elems[1:])):
+        return "subset must be a sorted list of distinct elements"
+    return None
+
+
+def _levels_problem(elems, blocks) -> str | None:
+    if type(elems) is not list or not all(type(e) is int for e in elems):
+        return "level tuple must be an array of integers"
+    width = sum(m for _, m in blocks)
+    if len(elems) != width:
+        return f"level tuple must have {width} entries"
+    i = 0
+    for k, m in blocks:
+        if any(lv < 0 or lv > k - 1 for lv in elems[i : i + m]):
+            return f"levels must lie in 0..{k - 1}"
+        i += m
+    return None
+
+
 def decode(data: bytes | str) -> dict:
-    """Parse and validate a document; raises DecodeError with a JSON pointer."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
+    """Parse and validate a document in one strict pass.
+
+    Raises DecodeError whose message starts with the JSON pointer of the
+    offending value.  Integers must be JSON integers: booleans and floats,
+    1.0 included, are rejected.
+    """
     try:
+        if isinstance(data, bytes):
+            data = data.decode("utf-8")
         doc = json.loads(data)
     except json.JSONDecodeError as e:
         raise DecodeError(f"/: not valid JSON ({e.msg} at line {e.lineno})") from None
-    validator = jsonschema.Draft202012Validator(_DOCUMENT_SCHEMA)
-    errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
-    if errors:
-        err = errors[0]
-        pointer = "/" + "/".join(str(p) for p in err.absolute_path)
-        raise DecodeError(f"{pointer}: {err.message}")
-    ctx = doc["context"]
+    except UnicodeDecodeError:
+        raise DecodeError("/: not valid UTF-8") from None
+    except RecursionError:
+        raise DecodeError("/: nesting too deep") from None
+    except ValueError as e:  # an integer literal beyond the interpreter's digit limit
+        raise DecodeError(f"/: not valid JSON ({e})") from None
+    _check_object(doc, "/", _DOCUMENT_KEYS, _DOCUMENT_KEYS)
+    if doc["schema"] != SCHEMA_ID:
+        _fail("/schema", f"must be {SCHEMA_ID!r}")
+
+    ctx = _check_object(doc["context"], "/context", ("kind",), _CONTEXT_KEYS)
     kind = ctx["kind"]
+    if type(kind) is not str or kind not in _REQUIRED_CONTEXT:
+        _fail("/context/kind", "must be one of " + ", ".join(_REQUIRED_CONTEXT))
+    for key, minimum in _CONTEXT_MINIMUM.items():
+        if key in ctx:
+            _check_int(ctx[key], f"/context/{key}", minimum)
+    if "group" in ctx and type(ctx["group"]) is not str:
+        _fail("/context/group", "must be a string")
+    if "factors" in ctx:
+        for i, triple in enumerate(_check_array(ctx["factors"], "/context/factors", 1)):
+            pointer = f"/context/factors/{i}"
+            if len(_check_array(triple, pointer)) != 3:
+                _fail(pointer, "must be a [k, m, r] triple")
+            for j, minimum in enumerate((2, 1, 1)):
+                _check_int(triple[j], f"{pointer}/{j}", minimum)
     for key in _REQUIRED_CONTEXT[kind]:
         if key not in ctx:
-            _subset_error("/context", f"kind {kind!r} requires {key!r}")
-    if kind in ("boolean", "quotient", "reflection"):
-        n = ctx["n"]
-        for ci, chain in enumerate(doc["chains"]):
-            for ei, elems in enumerate(chain):
-                pointer = f"/chains/{ci}/{ei}"
-                if any(e < 1 or e > n for e in elems):
-                    _subset_error(pointer, f"element out of range 1..{n}")
-                if sorted(set(elems)) != elems:
-                    _subset_error(pointer, "subset must be a sorted list of distinct elements")
+            _fail("/context", f"kind {kind!r} requires {key!r}")
+
+    stats = _check_object(doc["stats"], "/stats", _STATS_KEYS, _STATS_KEYS)
+    _check_int(stats["chain_count"], "/stats/chain_count", 1)
+    _check_int(stats["element_count"], "/stats/element_count", 1)
+    for i, count in enumerate(_check_array(stats["rank_profile"], "/stats/rank_profile")):
+        _check_int(count, f"/stats/rank_profile/{i}")
+
+    if kind in _SUBSET_KINDS:
+        problem, shape = _subset_problem, ctx["n"]
     elif kind == "chainpower":
-        k, m = ctx["k"], ctx["m"]
-        _check_level_chains(doc["chains"], [(k, m)])
+        problem, shape = _levels_problem, [(ctx["k"], ctx["m"])]
     else:
-        triples = [tuple(t) for t in ctx["factors"]]
-        if any(k < 2 or m < 1 or r < 1 for k, m, r in triples):
-            _subset_error("/context/factors", "factor entries must satisfy k>=2, m>=1, r>=1")
-        _check_level_chains(doc["chains"], [(k, m) for k, m, _ in triples])
+        problem, shape = _levels_problem, [(k, m) for k, m, _ in ctx["factors"]]
+    for ci, chain in enumerate(_check_array(doc["chains"], "/chains", 1)):
+        for ei, elems in enumerate(_check_array(chain, f"/chains/{ci}", 1)):
+            message = problem(elems, shape)
+            if message is not None:
+                _fail(f"/chains/{ci}/{ei}", message)
     return doc
-
-
-def _check_level_chains(chains, blocks):
-    width = sum(m for _, m in blocks)
-    for ci, chain in enumerate(chains):
-        for ei, elems in enumerate(chain):
-            pointer = f"/chains/{ci}/{ei}"
-            if len(elems) != width:
-                _subset_error(pointer, f"level tuple must have {width} entries")
-            i = 0
-            for k, m in blocks:
-                if any(lv < 0 or lv > k - 1 for lv in elems[i : i + m]):
-                    _subset_error(pointer, f"levels must lie in 0..{k - 1}")
-                i += m
 
 
 def decomposition_from_document(doc: dict) -> Decomposition:
     ctx = doc["context"]
     kind = ctx["kind"]
-    if kind in ("boolean", "quotient", "reflection"):
+    if kind in _SUBSET_KINDS:
         chains = tuple(Chain.from_masks(mask_of(e) for e in chain) for chain in doc["chains"])
         total = ctx["n"]
     else:
@@ -302,8 +317,9 @@ def _cmd_profile(args) -> int:
 def _cmd_verify(args) -> int:
     with open(args.input, "rb") as fh:
         doc = decode(fh.read())
-    decomp = decomposition_from_document(doc)
+    # the target guards the poset size before any element is turned into a mask
     target = target_for_context(doc["context"])
+    decomp = decomposition_from_document(doc)
     report = verify_decomposition(target, decomp)
     stats = doc["stats"]
     stats_ok = (

@@ -203,6 +203,20 @@ def map_elements(decomp: Decomposition, fn, context: Context | None = None) -> D
     return Decomposition(chains, context if context is not None else decomp.context)
 
 
+def relabel(decomp: Decomposition, targets) -> Decomposition:
+    """Move local bit i of every mask element to ambient bit targets[i]."""
+
+    def move(mask: int) -> int:
+        out = 0
+        while mask:
+            low = mask & -mask
+            out |= 1 << targets[low.bit_length() - 1]
+            mask ^= low
+        return out
+
+    return map_elements(decomp, move)
+
+
 def structural_problems(decomp: Decomposition) -> list[str]:
     """Cheap intrinsic checks: saturation, symmetry, no repeated elements.
 
@@ -245,6 +259,16 @@ def product_scd(dp: Decomposition, dq: Decomposition) -> Decomposition:
     return make_decomposition(chains, Context(kind="product", total_rank=total))
 
 
+def fold_products(parts, join) -> Decomposition:
+    """Fold decompositions left to right with the hook product, merging each
+    (p, q) element pair into one element with join(p, q)."""
+    combined = parts[0]
+    for part in parts[1:]:
+        paired = product_scd(combined, part)
+        combined = map_elements(paired, lambda e: join(e[0], e[1]), paired.context)
+    return combined
+
+
 __all__ = [
     "Chain",
     "Context",
@@ -253,6 +277,7 @@ __all__ = [
     "ResourceLimitError",
     "bit_string",
     "elements_of",
+    "fold_products",
     "full_mask",
     "hook_chains",
     "is_symmetric_chain",
@@ -261,6 +286,7 @@ __all__ = [
     "mask_of",
     "product_scd",
     "rank",
+    "relabel",
     "set_string",
     "structural_problems",
 ]

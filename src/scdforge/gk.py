@@ -21,9 +21,10 @@ from .core import (
     ENUM_LIMIT,
     check_enum,
     check_ground,
+    elements_of,
     full_mask,
     make_decomposition,
-    map_elements,
+    relabel,
 )
 
 
@@ -187,22 +188,8 @@ def gk_decomposition(n: int) -> Decomposition:
 def boolean_scd_on_support(support: int) -> Decomposition:
     """The Greene-Kleitman SCD of the Boolean lattice over an arbitrary
     support mask, with elements written in the ambient ground set."""
-    positions = []
-    m = support
-    while m:
-        low = m & -m
-        positions.append(low.bit_length() - 1)
-        m ^= low
-    base = gk_decomposition(len(positions))
-
-    def relabel(mask: int) -> int:
-        out = 0
-        for i, p in enumerate(positions):
-            if mask >> i & 1:
-                out |= 1 << p
-        return out
-
-    return map_elements(base, relabel)
+    positions = [e - 1 for e in elements_of(support)]
+    return relabel(gk_decomposition(len(positions)), positions)
 
 
 def partner(x: int, chain: Chain) -> int:

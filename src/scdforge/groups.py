@@ -175,19 +175,6 @@ def apply_perm(perm: tuple[int, ...], mask: int) -> int:
     return out
 
 
-def composite_perm(group: GroupSpec) -> tuple[int, ...]:
-    """The product of the group's factors as a single permutation.
-
-    Well defined without an order because the supports are disjoint.  Note
-    this is one element of the generated group, not the group itself.
-    """
-    img = list(range(1, group.n + 1))
-    for f in group.factors:
-        for idx, x in enumerate(f.cycle):
-            img[x - 1] = f.cycle[(idx + f.exponent) % f.length]
-    return tuple(img)
-
-
 @dataclass(frozen=True)
 class Orbit:
     """Equivalence class of subsets; rep is the numerically smallest mask."""
@@ -326,35 +313,17 @@ def quotient_poset(n: int, group: GroupSpec) -> QuotientPoset:
 
 
 @dataclass(frozen=True)
-class NormalizedCycle:
-    """A cycle power relabeled onto [length] with a gcd-normalized step."""
-
-    relabel: dict[int, int]   # support element -> position in 1..length
-    power: int                # divisor of length; == length means identity
-    length: int
-
-
-def normalize_cycle_power(factor: CycleFactor) -> NormalizedCycle:
-    """Relabel a cycle onto [L] as (1 2 ... L) and normalize its power by gcd.
-
-    The generated subgroup of a cycle power depends only on gcd(exponent, L),
-    so downstream constructions may assume the step divides the length.
-    """
-    length = factor.length
-    power = math.gcd(factor.exponent, length)
-    relabel = {x: i + 1 for i, x in enumerate(factor.cycle)}
-    return NormalizedCycle(relabel, power, length)
-
-
-@dataclass(frozen=True)
 class SplitFactor:
-    """One moved block of the ground set with its local rotation step."""
+    """One moved block of the ground set with its local rotation step.
+
+    The block's local quotient lives on [length], where position i + 1 stands
+    for the element cycle[i], so the cycle order is the relabeling.
+    """
 
     cycle: tuple[int, ...]
     length: int
     power: int
     support: int
-    relabel: dict[int, int]
 
 
 @dataclass(frozen=True)
@@ -378,11 +347,12 @@ def factorize(n: int, group: GroupSpec) -> Factorization:
     fixed = full_mask(n)
     split = []
     for f in group.factors:
-        norm = normalize_cycle_power(f)
-        if norm.power == norm.length:
+        # the subgroup generated by a cycle power depends only on gcd(exponent, length)
+        power = math.gcd(f.exponent, f.length)
+        if power == f.length:
             continue
         support = f.support_mask()
-        split.append(SplitFactor(f.cycle, norm.length, norm.power, support, norm.relabel))
+        split.append(SplitFactor(f.cycle, f.length, power, support))
         fixed &= ~support
     return Factorization(fixed, tuple(split))
 
@@ -392,16 +362,13 @@ __all__ = [
     "CycleFactor",
     "Factorization",
     "GroupSpec",
-    "NormalizedCycle",
     "Orbit",
     "ParseError",
     "QuotientPoset",
     "SplitFactor",
     "apply_perm",
     "burnside_count",
-    "composite_perm",
     "factorize",
-    "normalize_cycle_power",
     "orbit",
     "orbit_rep",
     "parse_group_spec",

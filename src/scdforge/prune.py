@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 from .core import (
@@ -22,10 +23,11 @@ from .core import (
     QUOTIENT_LIMIT,
     ResourceLimitError,
     check_enum,
+    fold_products,
     full_mask,
     make_decomposition,
     map_elements,
-    product_scd,
+    relabel,
 )
 from .gk import GkScd, boolean_scd_on_support, gk_scd, predecessor
 from .groups import CycleFactor, GroupSpec, factorize, orbit_rep, parse_group_spec, quotient_poset
@@ -86,19 +88,16 @@ class PrunedFamily:
         return tuple(pc.orbits for pc in self.chains)
 
 
-def prune_chains(scd: GkScd, step: int, *, selection: str = "full") -> PrunedFamily:
+def prune_chains(scd: GkScd, step: int) -> PrunedFamily:
     """Greedily select and prune chains into an SCD of B_n modulo rotation.
 
-    selection="full" admits a chain when some member's orbit misses every
-    previously selected chain in full; selection="pruned" tests against the
-    kept pieces instead (a weaker gate, retained for comparison runs).  Either
-    way the kept piece consists of the members whose orbits miss the pieces
-    kept so far.  The result is self-checked: every kept piece must be a
-    symmetric chain, pieces must cover pairwise disjoint orbit sets, and the
-    number of orbits covered must equal the Burnside count.
+    A chain is selected when some member's orbit misses every previously
+    selected chain in full; its kept piece consists of the members whose
+    orbits miss the pieces kept so far.  The result is self-checked: every
+    kept piece must be a symmetric chain, pieces must cover pairwise disjoint
+    orbit sets, and the number of orbits covered must equal the Burnside
+    count.
     """
-    if selection not in ("full", "pruned"):
-        raise ValueError("selection must be 'full' or 'pruned'")
     n = scd.n
     if step < 1 or n % step:
         raise ValueError(f"rotation step must divide the ground size, got {step} for n={n}")
@@ -107,8 +106,7 @@ def prune_chains(scd: GkScd, step: int, *, selection: str = "full") -> PrunedFam
     picked = []
     for ci, chain in enumerate(scd.chains):
         reps = [cyclic_rep(a, n, step) for a in chain.elements]
-        gate = touched_full if selection == "full" else touched_kept
-        if all(rep in gate for rep in reps):
+        if all(rep in touched_full for rep in reps):
             continue
         kept = [(a, rep) for a, rep in zip(chain.elements, reps) if rep not in touched_kept]
         if not kept:
@@ -160,20 +158,6 @@ def quotient_scd_cyclic(n: int, step: int) -> Decomposition:
     return make_decomposition(family.quotient_chains, context)
 
 
-def _relabeled_cyclic_part(factor) -> Decomposition:
-    local = quotient_scd_cyclic(factor.length, factor.power)
-    inverse = {pos - 1: element - 1 for element, pos in factor.relabel.items()}
-
-    def relabel(mask: int) -> int:
-        out = 0
-        for i in range(factor.length):
-            if mask >> i & 1:
-                out |= 1 << inverse[i]
-        return out
-
-    return map_elements(local, relabel)
-
-
 def quotient_scd(n: int, group: GroupSpec | str) -> Decomposition:
     """SCD of B_n modulo a group generated by powers of disjoint cycles.
 
@@ -191,12 +175,9 @@ def quotient_scd(n: int, group: GroupSpec | str) -> Decomposition:
     parts = []
     if split.fixed:
         parts.append(boolean_scd_on_support(split.fixed))
-    for factor in split.factors:
-        parts.append(_relabeled_cyclic_part(factor))
-    combined = parts[0]
-    for part in parts[1:]:
-        paired = product_scd(combined, part)
-        combined = map_elements(paired, lambda e: e[0] | e[1], paired.context)
+    for f in split.factors:
+        parts.append(relabel(quotient_scd_cyclic(f.length, f.power), [e - 1 for e in f.cycle]))
+    combined = fold_products(parts, operator.or_)
     canonical = map_elements(combined, lambda a: orbit_rep(a, group))
     context = Context(kind="quotient", total_rank=n, n=n, group=group.text())
     decomp = make_decomposition(canonical.chains, context)

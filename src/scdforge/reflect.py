@@ -11,6 +11,7 @@ staircase triangle, which peels into symmetric border chains.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .core import (
@@ -20,42 +21,22 @@ from .core import (
     GridChain,
     QUOTIENT_LIMIT,
     check_enum,
+    fold_products,
+    full_mask,
     hook_chains,
     make_decomposition,
     map_elements,
-    product_scd,
+    relabel,
 )
 from .gk import GkScd, boolean_scd_on_support, gk_decomposition, gk_scd
 from .groups import (
     CycleFactor,
     GroupSpec,
     apply_perm,
-    composite_perm,
     parse_group_spec,
     quotient_poset,
 )
 from .verify import VerificationError, verify_decomposition
-
-
-@dataclass(frozen=True)
-class HalfString:
-    """A half-cube subset located inside a fixed SCD of B_k."""
-
-    bits: int
-    chain: int
-    position: int
-
-
-def half_string(scd: GkScd, mask: int) -> HalfString:
-    ci, pos = scd.locate(mask)
-    return HalfString(mask, ci, pos)
-
-
-def precedes(x: HalfString, y: HalfString) -> bool:
-    """Total order on half-words: earlier chain wins, then position in chain."""
-    if x.chain != y.chain:
-        return x.chain < y.chain
-    return x.position <= y.position
 
 
 def word_reverse(mask: int, width: int) -> int:
@@ -196,33 +177,14 @@ def reflection_scd(n: int, rho: GroupSpec | str) -> Decomposition:
     if not pairs:
         decomp = make_decomposition(gk_decomposition(n).chains, context)
         return _certified(decomp, n, two_element)
-    k = len(pairs)
-    # relabel so pair t becomes (t, 2k+1-t): the involution reverses the word
-    from_local = {}
-    for t, (a, b) in enumerate(pairs, start=1):
-        from_local[t] = a
-        from_local[2 * k + 1 - t] = b
-    core = _core_quotient_part(k)
-
-    def relabel(mask: int) -> int:
-        out = 0
-        for q in range(1, 2 * k + 1):
-            if mask >> (q - 1) & 1:
-                out |= 1 << (from_local[q] - 1)
-        return out
-
-    parts = [map_elements(core, relabel)]
-    moved = 0
-    for a, b in pairs:
-        moved |= 1 << (a - 1) | 1 << (b - 1)
-    fixed = ((1 << n) - 1) & ~moved
+    # local pair t (1-based) is (t, 2k+1-t), so the involution reverses the word
+    targets = [a - 1 for a, _ in pairs] + [b - 1 for _, b in reversed(pairs)]
+    parts = [relabel(_core_quotient_part(len(pairs)), targets)]
+    fixed = full_mask(n) & ~sum(1 << t for t in targets)
     if fixed:
         parts.append(boolean_scd_on_support(fixed))
-    combined = parts[0]
-    for part in parts[1:]:
-        paired = product_scd(combined, part)
-        combined = map_elements(paired, lambda e: e[0] | e[1], paired.context)
-    flip = composite_perm(rho)
+    combined = fold_products(parts, operator.or_)
+    (flip,) = two_element.generators()
     canonical = map_elements(combined, lambda a: min(a, apply_perm(flip, a)))
     decomp = make_decomposition(canonical.chains, context)
     return _certified(decomp, n, two_element)
@@ -236,13 +198,10 @@ def _certified(decomp: Decomposition, n: int, group: GroupSpec) -> Decomposition
 
 
 __all__ = [
-    "HalfString",
     "PBlock",
     "build_blocks",
-    "half_string",
     "involution_group",
     "pair_mask",
-    "precedes",
     "reflection_scd",
     "scd_of_diagonal_block",
     "standard_reflection",

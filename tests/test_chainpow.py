@@ -192,6 +192,14 @@ def test_chainpower_input_errors():
 def test_chainproduct_size_guard():
     with pytest.raises(ResourceLimitError):
         chainproduct_scd([(2, 12, 1), (2, 12, 1)])
+    # the verifier's targets are guarded by element count before enumerating
+    with pytest.raises(ResourceLimitError):
+        ChainProductTarget([(2, 12, 1), (2, 12, 1)])
+    with pytest.raises(ResourceLimitError):
+        ChainPowerTarget(2, 23, 1)
+    with pytest.raises(ResourceLimitError):
+        ChainPowerTarget(2, 10**18, 1)
+    assert ChainPowerTarget(2, 22, 1).expected_size() == tuple_orbit_count(2, 22, 1)
 
 
 def test_restriction_matches_ambient_orbits():

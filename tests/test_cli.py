@@ -158,6 +158,68 @@ def test_decode_rejects_wrong_schema():
         decode(encode_raw(doc))
 
 
+def write_doc(tmp_path, data: bytes) -> str:
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
+    return str(path)
+
+
+@pytest.mark.parametrize("subset", [[1.0], [True], [1, 2.5]])
+def test_verify_rejects_non_integer_subset(tmp_path, capsysbinary, subset):
+    doc = build_document(quotient_scd_cyclic(4, 1))
+    doc["chains"][0][1] = subset
+    code, _, err = run_bytes(capsysbinary, ["verify", "--input", write_doc(tmp_path, encode_raw(doc))])
+    assert code == 2
+    assert err.startswith(b"error: /chains/0/1: ")
+
+
+def test_verify_rejects_deep_nesting(tmp_path, capsysbinary):
+    depth = 100_000
+    path = write_doc(tmp_path, b"[" * depth + b"]" * depth)
+    code, _, err = run_bytes(capsysbinary, ["verify", "--input", path])
+    assert code == 2
+    assert err.startswith(b"error: /: ")
+
+
+def test_verify_checks_ground_size_before_elements(tmp_path, capsysbinary):
+    huge = 10**30
+    doc = {
+        "schema": "scdforge/1",
+        "context": {"kind": "boolean", "n": huge},
+        "chains": [[[huge]]],
+        "stats": {"chain_count": 1, "element_count": 1, "rank_profile": [1]},
+    }
+    code, _, err = run_bytes(capsysbinary, ["verify", "--input", write_doc(tmp_path, encode(doc))])
+    assert code == 2
+    assert b"capped at 64" in err
+
+
+def test_decode_rejects_float_stats():
+    doc = build_document(quotient_scd_cyclic(4, 1))
+    doc["stats"]["chain_count"] = float(doc["stats"]["chain_count"])
+    with pytest.raises(DecodeError, match="^/stats/chain_count: "):
+        decode(encode_raw(doc))
+
+
+@pytest.mark.parametrize(
+    "context, width",
+    [
+        ({"kind": "chainpower", "k": 2, "m": 60, "r": 1}, 60),
+        ({"kind": "product", "factors": [[2, 12, 1], [2, 12, 1]]}, 24),
+    ],
+)
+def test_verify_guards_chain_power_targets(tmp_path, capsysbinary, context, width):
+    doc = {
+        "schema": "scdforge/1",
+        "context": context,
+        "chains": [[[0] * width]],
+        "stats": {"chain_count": 1, "element_count": 1, "rank_profile": [1]},
+    }
+    code, _, err = run_bytes(capsysbinary, ["verify", "--input", write_doc(tmp_path, encode(doc))])
+    assert code == 3
+    assert b"capped" in err
+
+
 def test_encode_decode_round_trip():
     for decomp in (quotient_scd_cyclic(4, 2), chainpower_scd(3, 2, 1)):
         doc = build_document(decomp)

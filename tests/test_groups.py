@@ -10,9 +10,7 @@ from scdforge.groups import (
     ParseError,
     apply_perm,
     burnside_count,
-    composite_perm,
     factorize,
-    normalize_cycle_power,
     orbit,
     orbit_rep,
     parse_group_spec,
@@ -66,12 +64,6 @@ def test_apply_perm_examples():
     assert apply_perm(shift, mask_of([4])) == mask_of([1])
     identity = tuple(range(1, 5))
     assert apply_perm(identity, mask_of([2, 4])) == mask_of([2, 4])
-
-
-def test_composite_perm_is_the_product():
-    spec = parse_group_spec("(1 4)(2 3)", 4)
-    flip = composite_perm(spec)
-    assert flip == (4, 3, 2, 1)
 
 
 def test_orbit_examples():
@@ -213,18 +205,6 @@ def test_quotient_guard():
         quotient_poset(23, GroupSpec.trivial(23))
 
 
-def test_normalize_examples():
-    norm = normalize_cycle_power(CycleFactor((3, 7, 5), 1))
-    assert norm.relabel == {3: 1, 7: 2, 5: 3}
-    assert (norm.power, norm.length) == (1, 3)
-
-    norm = normalize_cycle_power(CycleFactor((1, 2, 3, 4, 5, 6), 4))
-    assert norm.power == 2
-
-    norm = normalize_cycle_power(CycleFactor((1, 2), 2))
-    assert norm.power == norm.length == 2
-
-
 def test_normalized_power_generates_same_subgroup():
     gen = perm_from_cycle_power((1, 2, 3, 4, 5, 6), 4, 6)
     norm = perm_from_cycle_power((1, 2, 3, 4, 5, 6), 2, 6)
@@ -244,6 +224,13 @@ def test_factorize_examples():
     split = factorize(4, parse_group_spec("(1 2)^2", 4))
     assert split.fixed == mask_of([1, 2, 3, 4])
     assert split.factors == ()
+
+    # the step is normalized to gcd(exponent, length); the cycle order is kept
+    split = factorize(7, parse_group_spec("(3 7 5)(1 2 4 6)^6", 7))
+    assert [(f.cycle, f.length, f.power) for f in split.factors] == [
+        ((3, 7, 5), 3, 1),
+        ((1, 2, 4, 6), 4, 2),
+    ]
 
 
 @pytest.mark.parametrize(
@@ -268,9 +255,9 @@ def test_block_split_is_an_order_isomorphism(n, text):
         parts = [rep & split.fixed]
         for f in split.factors:
             local = 0
-            for element, pos in f.relabel.items():
+            for pos, element in enumerate(f.cycle):
                 if rep >> (element - 1) & 1:
-                    local |= 1 << (pos - 1)
+                    local |= 1 << pos
             parts.append(cyclic_rep(local, f.length, f.power))
         return tuple(parts)
 

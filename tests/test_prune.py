@@ -171,29 +171,3 @@ def test_shadow_closure_small(n):
     scd = gk_scd(n)
     for step in divisors(n):
         assert check_shadow_closure(scd, step), (n, step)
-
-
-def test_selection_gate_variants_recorded(capsys):
-    """The selection step can gate on full chains (the default) or on the
-    already-pruned pieces.  Nothing is asserted about which is canonical;
-    this records whether the outputs ever differ at small sizes."""
-    differed = []
-    for n in range(1, 11):
-        scd = gk_scd(n)
-        for step in divisors(n):
-            full = prune_chains(scd, step, selection="full")
-            primed = prune_chains(scd, step, selection="pruned")
-            if full != primed:
-                differed.append((n, step))
-    print(f"selection gate variants differ on: {differed or 'nothing (n <= 10)'}")
-    for n, step in differed:
-        poset = quotient_poset(n, rotation_group(n, step))
-        primed = prune_chains(gk_scd(n), step, selection="pruned")
-        chains = [pc.orbits for pc in primed.chains]
-        from scdforge.core import Context, make_decomposition
-
-        decomp = make_decomposition(
-            chains, Context(kind="quotient", total_rank=n, n=n)
-        )
-        report = verify_decomposition(poset, decomp)
-        print(f"primed variant at {(n, step)}: {'ok' if report.ok else 'FAILS'}")

@@ -7,27 +7,14 @@ from scdforge.prune import quotient_scd
 from scdforge.reflect import (
     PBlock,
     build_blocks,
-    half_string,
     involution_group,
     pair_mask,
-    precedes,
     reflection_scd,
     scd_of_diagonal_block,
     standard_reflection,
     word_reverse,
 )
 from scdforge.verify import verify_decomposition
-
-
-def test_precedes_examples():
-    scd = gk_scd(2)
-    b00 = half_string(scd, 0)
-    b11 = half_string(scd, 3)
-    b01 = half_string(scd, 2)  # the word 01 is the subset {2}
-    assert precedes(b00, b11)       # same chain, contained
-    assert precedes(b11, b01)       # chain 0 before chain 1
-    assert precedes(b01, b01)       # reflexive
-    assert not precedes(b11, b00)
 
 
 def test_build_blocks_counts():
