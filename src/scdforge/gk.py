@@ -5,8 +5,9 @@ brackets, non-members like opening ones, and each member is matched to the
 nearest unmatched non-member on its left.  The matched members and their
 partners are frozen along a chain; the free positions drive it: the successor
 map adds the smallest free non-member, the predecessor map removes the largest
-free member.  Iterating both ways from any subset yields its chain, and the
-chains partition B_n into symmetric chains.
+free member.  Each chain is grown from its bottom, the subset whose members
+are all matched, by adding the free positions left to right; the chains
+partition B_n into symmetric chains.
 """
 
 from __future__ import annotations
@@ -26,22 +27,6 @@ from .core import (
     make_decomposition,
     relabel,
 )
-
-
-def _matched_masks(a: int, n: int) -> tuple[int, int]:
-    # single left-to-right scan; the stack holds unmatched non-member bits
-    matched_in = 0
-    matched_out = 0
-    stack = []
-    for i in range(n):
-        bit = 1 << i
-        if a & bit:
-            if stack:
-                matched_out |= stack.pop()
-                matched_in |= bit
-        else:
-            stack.append(bit)
-    return matched_in, matched_out
 
 
 @dataclass(frozen=True)
@@ -90,8 +75,7 @@ def successor(a: int, n: int) -> int | None:
 
     Returns None at the top of the chain (every non-member is matched).
     """
-    _, matched_out = _matched_masks(a, n)
-    free = full_mask(n) & ~(a | matched_out)
+    free = full_mask(n) & ~(a | pairing(a, n).paired_nonmembers)
     if not free:
         return None
     return a | (free & -free)
@@ -99,29 +83,46 @@ def successor(a: int, n: int) -> int | None:
 
 def predecessor(b: int, n: int) -> int | None:
     """Remove the largest unmatched member; None at the bottom of the chain."""
-    matched_in, _ = _matched_masks(b, n)
-    free = b & ~matched_in
+    free = b & ~pairing(b, n).paired_members
     if not free:
         return None
     return b & ~(1 << (free.bit_length() - 1))
 
 
-def chain_of(a: int, n: int) -> Chain:
-    """The full chain through a subset, by iterating predecessor then successor."""
-    check_ground(n)
-    if a & ~full_mask(n):
-        raise ValueError("subset has bits outside the ground set")
-    down = []
-    cur = a
-    while (prev := predecessor(cur, n)) is not None:
-        down.append(prev)
-        cur = prev
-    elems = down[::-1] + [a]
-    cur = a
-    while (nxt := successor(cur, n)) is not None:
-        elems.append(nxt)
-        cur = nxt
+def _grow(bottom: int, free: int) -> Chain:
+    # the chain from its bottom: add the free positions left to right
+    elems = [bottom]
+    while free:
+        low = free & -free
+        bottom |= low
+        elems.append(bottom)
+        free ^= low
     return Chain.from_masks(elems)
+
+
+def chain_of(a: int, n: int) -> Chain:
+    """The full chain through a subset: its matched members grown by its free positions."""
+    p = pairing(a, n)
+    return _grow(p.paired_members, full_mask(n) & ~p.paired)
+
+
+def _bottoms(n: int):
+    """Yield (bottom, free) for every subset of [n] whose members are all matched.
+
+    Words are built left to right; a member may only close the nearest open
+    non-member, and the non-members still open at the end are the free positions.
+    """
+    stack = [(0, 0, 0)]  # (next position, members so far, unclosed non-members)
+    while stack:
+        i, members, unclosed = stack.pop()
+        if i == n:
+            yield members, unclosed
+            continue
+        bit = 1 << i
+        stack.append((i + 1, members, unclosed | bit))
+        if unclosed:
+            nearest = 1 << (unclosed.bit_length() - 1)
+            stack.append((i + 1, members | bit, unclosed ^ nearest))
 
 
 @dataclass(frozen=True)
@@ -129,16 +130,24 @@ class GkScd:
     """The Greene-Kleitman SCD of B_n with a subset -> (chain, position) index.
 
     Chains are ordered by decreasing length; equal lengths are ordered by
-    ascending bottom mask so the whole structure is reproducible.
+    ascending bottom mask so the whole structure is reproducible.  The index
+    has 2^n entries and is built on the first lookup, not with the chains.
     """
 
     n: int
     chains: tuple[Chain, ...]
-    index: dict[int, tuple[int, int]]
 
     @property
     def chain_count(self) -> int:
         return len(self.chains)
+
+    @functools.cached_property
+    def index(self) -> dict[int, tuple[int, int]]:
+        return {
+            mask: (ci, pos)
+            for ci, chain in enumerate(self.chains)
+            for pos, mask in enumerate(chain.elements)
+        }
 
     def locate(self, mask: int) -> tuple[int, int]:
         try:
@@ -157,25 +166,17 @@ class GkScd:
 def gk_scd(n: int) -> GkScd:
     """Build the Greene-Kleitman SCD of B_n by growing chains from their bottoms."""
     check_enum(n, ENUM_LIMIT, "gk_scd")
-    chains = []
-    for a in range(1 << n):
-        matched_in, _ = _matched_masks(a, n)
-        if a & ~matched_in:
-            continue  # has a free member, so it is not a chain bottom
-        elems = [a]
-        cur = a
-        while (nxt := successor(cur, n)) is not None:
-            elems.append(nxt)
-            cur = nxt
-        chains.append(Chain.from_masks(elems))
-    chains.sort(key=lambda c: (c.ranks[0], c.elements[0]))
-    index = {}
-    for ci, chain in enumerate(chains):
-        for pos, mask in enumerate(chain.elements):
-            index[mask] = (ci, pos)
-    if len(index) != 1 << n:
+    chains = sorted(
+        (_grow(bottom, free) for bottom, free in _bottoms(n)),
+        key=lambda c: (c.ranks[0], c.elements[0]),
+    )
+    covered = bytearray(1 << n)
+    for chain in chains:
+        for mask in chain.elements:
+            covered[mask] = 1
+    if sum(map(len, chains)) != 1 << n or 0 in covered:
         raise AssertionError("chains do not partition the subset lattice")
-    return GkScd(n, tuple(chains), index)
+    return GkScd(n, tuple(chains))
 
 
 def gk_decomposition(n: int) -> Decomposition:

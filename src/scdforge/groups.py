@@ -279,9 +279,11 @@ class QuotientPoset:
         """Comparable pairs at adjacent ranks (the Hasse diagram edges)."""
         for r in range(self.n):
             for lower in self.orbits_by_rank[r]:
-                for upper in self.orbits_by_rank[r + 1]:
-                    if self.leq(lower.rep, upper.rep):
-                        yield lower.rep, upper.rep
+                # the group acts by automorphisms: the orbits above are those of rep plus one element
+                a = lower.rep
+                uppers = {orbit_rep(a | 1 << i, self.group) for i in range(self.n) if not a >> i & 1}
+                for upper in sorted(uppers):
+                    yield a, upper
 
 
 def quotient_poset(n: int, group: GroupSpec) -> QuotientPoset:

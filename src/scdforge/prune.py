@@ -30,7 +30,7 @@ from .core import (
     relabel,
 )
 from .gk import GkScd, boolean_scd_on_support, gk_scd, predecessor
-from .groups import CycleFactor, GroupSpec, factorize, orbit_rep, parse_group_spec, quotient_poset
+from .groups import CycleFactor, GroupSpec, burnside_count, factorize, orbit_rep, parse_group_spec, quotient_poset
 from .verify import VerificationError, verify_decomposition
 
 
@@ -60,12 +60,6 @@ def cyclic_rep(mask: int, n: int, step: int) -> int:
 def rotation_group(n: int, step: int) -> GroupSpec:
     """The subgroup of S_n generated by the step-th power of the full rotation."""
     return GroupSpec(n, (CycleFactor(tuple(range(1, n + 1)), step),))
-
-
-def _rotation_orbit_count(n: int, step: int) -> int:
-    # Burnside for the rotation-by-step group, inlined as a self-check oracle
-    order = n // step
-    return sum(1 << math.gcd(step * e, n) for e in range(order)) // order
 
 
 @dataclass(frozen=True)
@@ -133,7 +127,7 @@ def _check_family(family: PrunedFamily, touched_kept: set[int]) -> None:
         kept_total += len(ranks)
     if kept_total != len(touched_kept):
         raise ConsistencyError("kept pieces cover an orbit twice")
-    expected = _rotation_orbit_count(n, family.step)
+    expected = burnside_count(n, rotation_group(n, family.step))
     if kept_total != expected:
         raise ConsistencyError(f"covered {kept_total} orbits but the quotient has {expected}")
 

@@ -139,7 +139,8 @@ def involution_group(n: int, pairs) -> GroupSpec:
 
 
 def _core_quotient_part(k: int) -> Decomposition:
-    """SCD of B_2k modulo word reversal, on the local ground set [2k]."""
+    """SCD of B_2k modulo word reversal, on the local ground set [2k]; each orbit
+    is written as its cell's pair mask, and the caller picks the representative."""
     scd = gk_scd(k)
     chains = []
     for i, ci in enumerate(scd.chains):
@@ -150,10 +151,7 @@ def _core_quotient_part(k: int) -> Decomposition:
             else:
                 grids = scd_of_diagonal_block(_block(i, i, ci.elements, ci.elements))
             for grid in grids:
-                masks = []
-                for x, y in grid.cells:
-                    word = pair_mask(ci.elements[x], cj.elements[y], k)
-                    masks.append(min(word, word_reverse(word, 2 * k)))
+                masks = (pair_mask(ci.elements[x], cj.elements[y], k) for x, y in grid.cells)
                 chains.append(Chain.from_masks(masks))
     context = Context(kind="quotient", total_rank=2 * k, n=2 * k)
     return make_decomposition(chains, context)

@@ -87,6 +87,22 @@ def test_chain_of_examples():
     assert chain_of(mask_of([2, 4]), 4).elements == (mask_of([2, 4]),)
 
 
+@pytest.mark.parametrize("n", range(1, 11))
+def test_chain_of_matches_gk_scd(n):
+    scd = gk_scd(n)
+    for a in range(1 << n):
+        assert chain_of(a, n) == scd.chain_containing(a), (n, a)
+
+
+def test_index_is_built_on_first_lookup():
+    scd = gk_scd.__wrapped__(12)  # a fresh instance, not the cached one
+    assert "index" not in vars(scd)
+    chain = scd.chains[5]
+    assert scd.locate(chain.elements[1]) == (5, 1)
+    assert "index" in vars(scd)
+    assert len(scd.index) == 1 << 12
+
+
 def test_gk_scd_b2():
     scd = gk_scd(2)
     assert [c.elements for c in scd.chains] == [(0, 1, 3), (2,)]

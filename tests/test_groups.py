@@ -198,6 +198,32 @@ def test_quotient_covers_are_adjacent_comparables():
     for lower, upper in covers:
         assert poset.rank(upper) == poset.rank(lower) + 1
         assert poset.leq(lower, upper)
+    for n, text in [
+        (5, None),
+        (6, "(1 2 3 4 5 6)"),
+        (6, "(1 2 3 4 5 6)^2"),
+        (7, "(1 2 3)(4 5 6 7)^2"),
+        (8, "(1 8)(2 7)(3 6)(4 5)"),
+        (9, "(1 2 3 4 5)(6 7 8)"),
+        (9, "(2 5 7)(1 9)"),
+    ]:
+        group = parse_group_spec(text, n) if text else GroupSpec.trivial(n)
+        poset = quotient_poset(n, group)
+        pairwise = [
+            (lower.rep, upper.rep)
+            for r in range(n)
+            for lower in poset.orbits_by_rank[r]
+            for upper in poset.orbits_by_rank[r + 1]
+            if poset.leq(lower.rep, upper.rep)
+        ]
+        assert list(poset.covers()) == pairwise, (n, text)
+
+
+def test_trivial_quotient_covers_at_16():
+    # every subset has 16 - |A| upper covers: n * 2^(n-1) edges in all
+    n = 16
+    edges = sum(1 for _ in quotient_poset(n, GroupSpec.trivial(n)).covers())
+    assert edges == n << (n - 1)
 
 
 def test_quotient_guard():

@@ -1,6 +1,8 @@
-"""Package hygiene: every export resolves, and the CLI needs no third-party code."""
+"""Package hygiene: every export resolves, the CLI needs no third-party code, and
+every function the benchmark trace binds onto still exists."""
 
 import importlib
+import importlib.util
 import os
 import pkgutil
 import subprocess
@@ -35,3 +37,20 @@ def test_cli_imports_no_jsonschema():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "False"
+
+
+def test_trace_targets_resolve():
+    # perfbench/tracing.py rebinds these names on the scdforge modules; a missing
+    # one would break the traced benchmark run, not any test of the package
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", os.path.join(root, "perfbench", "tracing.py")
+    )
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for table in (tracing.SPANS, tracing.COUNTED):
+        for layer, names in table.items():
+            module = importlib.import_module(f"scdforge.{layer}")
+            missing += [f"{layer}.{n}" for n in names if not callable(getattr(module, n, None))]
+    assert missing == []
