@@ -2,7 +2,7 @@
 
 Level tuples embed into the subset lattice as blockwise monotone words, one
 block per coordinate.  Every ambient chain lies inside the embedded power or
-misses it entirely, so the pruned ambient decomposition restricts cleanly.
+misses it entirely, so only the chains inside the power need to be pruned.
 """
 
 from scdforge import (

@@ -5,6 +5,7 @@ list and returns the exit code, printing where the real CLI would.
 """
 
 import json
+import os
 import tempfile
 
 from scdforge.cli import build_document, decode, encode, run
@@ -46,3 +47,5 @@ run(["chainpower", "--k", "3", "--m", "2", "--text"])
 
 print("\n$ scdforge orbits --n 4 --group '(1 2 3 4)' --dot")
 run(["orbits", "--n", "4", "--group", "(1 2 3 4)", "--dot"])
+
+os.unlink(path)

@@ -4,13 +4,14 @@ The m-th power of a k-level chain embeds in B_((k-1)m) as the blockwise
 monotone words: the i-th block of k-1 bits holds the i-th coordinate's level
 as ones followed by zeros.  Rotating coordinates by r steps agrees with
 rotating the whole word by (k-1)r, and every Greene-Kleitman chain of the
-ambient lattice either stays inside the embedded power or misses it, so the
-pruned decomposition of the ambient quotient restricts to one of the chain
-power's quotient.
+ambient lattice either stays inside the embedded power or misses it, so
+pruning only the chains inside the power against that rotation gives the
+ambient quotient's pruned decomposition restricted to the chain power.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -26,7 +27,7 @@ from .core import (
     make_decomposition,
 )
 from .gk import gk_scd
-from .prune import _pruned_family
+from .prune import _prune
 
 
 def _check_shape(k: int, m: int) -> int:
@@ -147,27 +148,26 @@ class ChainPowerTarget:
 def chainpower_scd(k: int, m: int, r: int = 1) -> Decomposition:
     """SCD of the rotation quotient of a chain power.
 
-    Prune the ambient B_n against rotation by (k-1)r, keep the pieces that
-    lie inside the embedded power, and report elements as canonical level
-    tuples.  Pieces that miss the power entirely are dropped.
+    Prune only the ambient Greene-Kleitman chains that lie inside the
+    embedded power, against rotation by (k-1)r, and report elements as
+    canonical level tuples.
     """
     n = _check_shape(k, m)
     check_enum(n, QUOTIENT_LIMIT, "chainpower_scd")
     if r < 1:
         raise ValueError("rotation step must be positive")
-    step = math.gcd(r, m)
-    family = _pruned_family(n, (k - 1) * step)
+    return _chainpower(k, m, math.gcd(r, m))
+
+
+@functools.lru_cache(maxsize=None)
+def _chainpower(k: int, m: int, step: int) -> Decomposition:
+    n = (k - 1) * m
+    # by the dichotomy a chain lies inside the power exactly when its bottom does
+    inside = [c for c in gk_scd(n).chains if in_chain_power(c.bottom, k, m)]
     chains = []
-    for pc in family.chains:
-        kept = [
-            (a, rk)
-            for a, rk in zip(pc.kept.elements, pc.kept.ranks)
-            if in_chain_power(a, k, m)
-        ]
-        if not kept:
-            continue
-        elems = tuple(canonical_levels(mask_levels(a, k, m), step) for a, _ in kept)
-        chains.append(Chain(elems, tuple(rk for _, rk in kept)))
+    for pc in _prune(inside, n, (k - 1) * step, tuple_orbit_count(k, m, step)):
+        elems = tuple(canonical_levels(mask_levels(a, k, m), step) for a in pc.kept.elements)
+        chains.append(Chain(elems, pc.kept.ranks))
     context = Context(kind="chainpower", total_rank=n, k=k, m=m, r=step)
     return make_decomposition(chains, context)
 

@@ -263,8 +263,9 @@ def _verified_emit(decomp: Decomposition, target, args) -> int:
 
 
 def _cmd_gk(args) -> int:
-    decomp = gk_decomposition(args.n)
+    # the target guards the ground size before any chain is built
     target = quotient_poset(args.n, GroupSpec.trivial(args.n))
+    decomp = gk_decomposition(args.n)
     return _verified_emit(decomp, target, args)
 
 
@@ -281,8 +282,8 @@ def _cmd_reflect(args) -> int:
 
 
 def _cmd_chainpower(args) -> int:
-    decomp = chainpower_scd(args.k, args.m, args.r)
     target = ChainPowerTarget(args.k, args.m, args.r)
+    decomp = chainpower_scd(args.k, args.m, args.r)
     return _verified_emit(decomp, target, args)
 
 
@@ -292,10 +293,11 @@ def _cmd_orbits(args) -> int:
     if args.dot:
         print("digraph quotient {")
         print("  rankdir=BT;")
+        label = {o.rep: set_string(o.rep) for o in poset.orbits}
         for o in poset.orbits:
-            print(f'  "{set_string(o.rep)}" [label="{set_string(o.rep)} x{o.size}"];')
+            print(f'  "{label[o.rep]}" [label="{label[o.rep]} x{o.size}"];')
         for lower, upper in poset.covers():
-            print(f'  "{set_string(lower)}" -> "{set_string(upper)}";')
+            print(f'  "{label[lower]}" -> "{label[upper]}";')
         print("}")
         return 0
     print(f"orbits={poset.size()}")

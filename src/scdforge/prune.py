@@ -66,7 +66,7 @@ def rotation_group(n: int, step: int) -> GroupSpec:
 class PrunedChain:
     """A selected Greene-Kleitman chain, its kept piece, and the projection."""
 
-    source: int      # index into the GkScd chain list
+    source: int      # index into the list of chains that was pruned
     kept: Chain      # surviving subsets, still a symmetric chain in B_n
     orbits: Chain    # the same piece written as canonical orbit representatives
 
@@ -83,22 +83,26 @@ class PrunedFamily:
 
 
 def prune_chains(scd: GkScd, step: int) -> PrunedFamily:
-    """Greedily select and prune chains into an SCD of B_n modulo rotation.
-
-    A chain is selected when some member's orbit misses every previously
-    selected chain in full; its kept piece consists of the members whose
-    orbits miss the pieces kept so far.  The result is self-checked: every
-    kept piece must be a symmetric chain, pieces must cover pairwise disjoint
-    orbit sets, and the number of orbits covered must equal the Burnside
-    count.
-    """
+    """Greedily prune the chains into an SCD of B_n modulo rotation by step."""
     n = scd.n
     if step < 1 or n % step:
         raise ValueError(f"rotation step must divide the ground size, got {step} for n={n}")
+    return PrunedFamily(n, step, _prune(scd.chains, n, step, burnside_count(n, rotation_group(n, step))))
+
+
+def _prune(chains, n: int, step: int, expected: int) -> tuple[PrunedChain, ...]:
+    """The greedy pass over Greene-Kleitman chains of B_n, in the given order.
+
+    A chain is selected when some member's orbit under rotation by step misses
+    every previously selected chain in full; its kept piece consists of the
+    members whose orbits miss the pieces kept so far.  Self-check: every kept
+    piece is a symmetric chain, no orbit is covered twice, and the pieces
+    cover `expected` orbits, all those of the chains' union.
+    """
     touched_full: set[int] = set()
     touched_kept: set[int] = set()
     picked = []
-    for ci, chain in enumerate(scd.chains):
+    for ci, chain in enumerate(chains):
         reps = [cyclic_rep(a, n, step) for a in chain.elements]
         if all(rep in touched_full for rep in reps):
             continue
@@ -110,15 +114,8 @@ def prune_chains(scd: GkScd, step: int) -> PrunedFamily:
         kept_chain = Chain.from_masks(a for a, _ in kept)
         orbit_chain = Chain(tuple(rep for _, rep in kept), kept_chain.ranks)
         picked.append(PrunedChain(ci, kept_chain, orbit_chain))
-    family = PrunedFamily(n, step, tuple(picked))
-    _check_family(family, touched_kept)
-    return family
-
-
-def _check_family(family: PrunedFamily, touched_kept: set[int]) -> None:
-    n = family.n
     kept_total = 0
-    for pc in family.chains:
+    for pc in picked:
         ranks = pc.kept.ranks
         if any(b != a + 1 for a, b in zip(ranks, ranks[1:])):
             raise ConsistencyError(f"kept piece of chain {pc.source} is not saturated")
@@ -127,9 +124,9 @@ def _check_family(family: PrunedFamily, touched_kept: set[int]) -> None:
         kept_total += len(ranks)
     if kept_total != len(touched_kept):
         raise ConsistencyError("kept pieces cover an orbit twice")
-    expected = burnside_count(n, rotation_group(n, family.step))
     if kept_total != expected:
         raise ConsistencyError(f"covered {kept_total} orbits but the quotient has {expected}")
+    return tuple(picked)
 
 
 @functools.lru_cache(maxsize=None)

@@ -3,12 +3,20 @@
 Everything here is deliberately dumb and independent of the package's fast
 paths: interval scans instead of the matching stack, generic permutation
 closure instead of the disjoint-factor shortcuts, and exhaustive set algebra
-instead of canonical representatives.
+instead of canonical representatives.  The exception is
+`ambient_chainpower`, which runs the package's own pruning over all of B_n
+and restricts afterwards, to pin the chain-power construction that prunes
+only the chains inside the power.
 """
 
 from __future__ import annotations
 
 import itertools
+
+from scdforge.chainpow import canonical_levels, in_chain_power, mask_levels
+from scdforge.core import Chain
+from scdforge.gk import gk_scd
+from scdforge.prune import prune_chains
 
 
 def interval_pairing(a: int, n: int) -> dict[int, int]:
@@ -123,3 +131,17 @@ def naive_tuple_orbits(k: int, m: int, step: int) -> list[frozenset]:
         seen |= orb
         orbits.append(orb)
     return orbits
+
+
+def ambient_chainpower(k: int, m: int, step: int) -> list[Chain]:
+    """Chains of the chain-power quotient the long way round: prune all of
+    B_n against rotation by (k-1)*step, then keep the members inside the
+    power, written as canonical level tuples."""
+    n = (k - 1) * m
+    chains = []
+    for pc in prune_chains(gk_scd(n), (k - 1) * step).chains:
+        kept = [(a, r) for a, r in zip(pc.kept.elements, pc.kept.ranks) if in_chain_power(a, k, m)]
+        if kept:
+            levels = tuple(canonical_levels(mask_levels(a, k, m), step) for a, _ in kept)
+            chains.append(Chain(levels, tuple(r for _, r in kept)))
+    return chains

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from oracles import naive_tuple_orbits
+from oracles import ambient_chainpower, naive_tuple_orbits
 from scdforge.chainpow import (
     ChainPowerTarget,
     ChainProductTarget,
@@ -17,9 +17,9 @@ from scdforge.chainpow import (
     tuple_orbit_count,
     tuple_rotate,
 )
-from scdforge.core import ResourceLimitError, mask_of
+from scdforge.core import Context, ResourceLimitError, make_decomposition, mask_of
 from scdforge.gk import gk_scd
-from scdforge.prune import cyclic_rep, quotient_scd_cyclic
+from scdforge.prune import ConsistencyError, _prune, cyclic_rep, quotient_scd_cyclic
 from scdforge.verify import verify_decomposition
 
 
@@ -218,3 +218,24 @@ def test_restriction_matches_ambient_orbits():
             assert cyclic_rep(level_mask(u, k), n, (k - 1) * r) == min(
                 level_mask(tuple_rotate(u, j * r), k) for j in range(m)
             )
+
+
+@pytest.mark.parametrize(
+    "k, m",
+    [(d + 1, n // d) for n in range(1, 13) for d in range(1, n + 1) if n % d == 0],
+)
+def test_restricted_pruning_matches_ambient(k, m):
+    """Pruning only the chains inside the power gives what pruning all of B_n
+    and restricting afterwards gives."""
+    for step in [d for d in range(1, m + 1) if m % d == 0]:
+        context = Context(kind="chainpower", total_rank=(k - 1) * m, k=k, m=m, r=step)
+        assert chainpower_scd(k, m, step) == make_decomposition(ambient_chainpower(k, m, step), context)
+
+
+def test_prune_checks_the_orbit_count():
+    inside = [c for c in gk_scd(6).chains if in_chain_power(c.bottom, 3, 3)]
+    expected = tuple_orbit_count(3, 3, 1)
+    assert sum(len(pc.kept) for pc in _prune(inside, 6, 2, expected)) == expected
+    for wrong in (expected - 1, expected + 1):
+        with pytest.raises(ConsistencyError, match="orbits"):
+            _prune(inside, 6, 2, wrong)

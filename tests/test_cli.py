@@ -238,6 +238,16 @@ def test_resource_guard_exit_code(capsysbinary):
     assert b"capped" in err
 
 
+def test_gk_guard_runs_before_any_chain_is_built(capsysbinary, monkeypatch):
+    def refuse(n):
+        raise AssertionError("gk_decomposition ran before the size guard")
+
+    monkeypatch.setattr("scdforge.cli.gk_decomposition", refuse)
+    code, _, err = run_bytes(capsysbinary, ["gk", "--n", "23"])
+    assert code == 3
+    assert b"capped" in err
+
+
 def test_parse_error_exit_code(capsysbinary):
     code, _, err = run_bytes(capsysbinary, ["quotient", "--n", "4", "--group", "(1 2)(2 3)"])
     assert code == 2

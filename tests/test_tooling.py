@@ -1,5 +1,5 @@
-"""Package hygiene: every export resolves, the CLI needs no third-party code, and
-every function the benchmark trace binds onto still exists."""
+"""Package hygiene: every export resolves, the CLI needs no third-party code,
+every function the benchmark trace binds onto still exists, and the demos run."""
 
 import importlib
 import importlib.util
@@ -14,6 +14,8 @@ import pytest
 import scdforge
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(scdforge.__path__))
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DEMOS = sorted(f for f in os.listdir(os.path.join(ROOT, "demos")) if f.endswith(".py"))
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -42,9 +44,8 @@ def test_cli_imports_no_jsonschema():
 def test_trace_targets_resolve():
     # perfbench/tracing.py rebinds these names on the scdforge modules; a missing
     # one would break the traced benchmark run, not any test of the package
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     spec = importlib.util.spec_from_file_location(
-        "perfbench_tracing", os.path.join(root, "perfbench", "tracing.py")
+        "perfbench_tracing", os.path.join(ROOT, "perfbench", "tracing.py")
     )
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
@@ -54,3 +55,12 @@ def test_trace_targets_resolve():
             module = importlib.import_module(f"scdforge.{layer}")
             missing += [f"{layer}.{n}" for n in names if not callable(getattr(module, n, None))]
     assert missing == []
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demos_run(demo):
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    result = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "demos", demo)], env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
