@@ -13,6 +13,7 @@ from dataclasses import dataclass
 MASK_WIDTH_LIMIT = 64   # subsets stay machine-word sized
 ENUM_LIMIT = 28         # operations that walk all of B_n refuse beyond this
 QUOTIENT_LIMIT = 22     # operations that also build orbit structure
+CHUNK_BITS = 11         # two chunks cover QUOTIENT_LIMIT; a table has at most 2048 entries
 
 
 class ResourceLimitError(RuntimeError):
@@ -203,17 +204,37 @@ def map_elements(decomp: Decomposition, fn, context: Context | None = None) -> D
     return Decomposition(chains, context if context is not None else decomp.context)
 
 
-def relabel(decomp: Decomposition, targets) -> Decomposition:
-    """Move local bit i of every mask element to ambient bit targets[i]."""
+def bit_map(fn, n: int):
+    """Table-driven form of a union-preserving map on masks of [n].
 
-    def move(mask: int) -> int:
+    fn(a | b) must equal fn(a) | fn(b).  fn is evaluated once on every value
+    of each CHUNK_BITS-wide chunk of [n]; the returned function ORs one table
+    lookup per chunk, so at most two for n <= QUOTIENT_LIMIT.
+    """
+    tables = [
+        tuple(fn(v << lo) for v in range(1 << min(CHUNK_BITS, n - lo)))
+        for lo in range(0, n, CHUNK_BITS)
+    ]
+    low, shift = (1 << CHUNK_BITS) - 1, CHUNK_BITS
+    if len(tables) == 1:
+        return tables[0].__getitem__
+    if len(tables) == 2:
+        t0, t1 = tables
+        return lambda mask: t0[mask & low] | t1[mask >> shift]
+
+    def apply(mask: int) -> int:
         out = 0
-        while mask:
-            low = mask & -mask
-            out |= 1 << targets[low.bit_length() - 1]
-            mask ^= low
+        for table in tables:
+            out |= table[mask & low]
+            mask >>= shift
         return out
 
+    return apply
+
+
+def relabel(decomp: Decomposition, targets) -> Decomposition:
+    """Move local bit i of every mask element to ambient bit targets[i]."""
+    move = bit_map(lambda a: sum(1 << t for i, t in enumerate(targets) if a >> i & 1), len(targets))
     return map_elements(decomp, move)
 
 
@@ -275,6 +296,7 @@ __all__ = [
     "Decomposition",
     "GridChain",
     "ResourceLimitError",
+    "bit_map",
     "bit_string",
     "elements_of",
     "fold_products",

@@ -8,6 +8,7 @@ counting (Burnside) and factorization cheap and exact.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 from .core import (
     QUOTIENT_LIMIT,
     ResourceLimitError,
+    bit_map,
     check_enum,
     check_ground,
     full_mask,
@@ -103,6 +105,11 @@ class GroupSpec:
             if f.order() > 1
         )
 
+    @functools.cached_property
+    def _actions(self):
+        # one mask action per generator, built on first use; not a field, so == and hash ignore it
+        return tuple(bit_map(lambda a, g=g: apply_perm(g, a), self.n) for g in self.generators())
+
 
 def parse_group_spec(text: str, n: int) -> GroupSpec:
     """Parse cycle notation like "(1 2 3 4)^2 (5 6)" into a GroupSpec.
@@ -123,11 +130,14 @@ def parse_group_spec(text: str, n: int) -> GroupSpec:
     def read_uint() -> int:
         nonlocal i
         start = i
-        while i < size and text[i].isdigit():
+        while i < size and text[i].isdecimal():
             i += 1
         if i == start:
             raise ParseError("expected an integer", start)
-        return int(text[start:i])
+        try:
+            return int(text[start:i])
+        except ValueError:  # more digits than the interpreter converts
+            raise ParseError("integer too long", start) from None
 
     skip_ws()
     if i == size:
@@ -184,25 +194,34 @@ class Orbit:
     members: tuple[int, ...]
 
 
+def _members(s: int, actions) -> list[int]:
+    """The orbit of a subset, each member once.
+
+    The generators have disjoint supports, so the group is the direct product
+    of their cyclic groups: walking each generator's cycle from every member
+    found so far reaches the whole orbit, and two members found before a
+    generator never lie on one of its cycles.
+    """
+    members = [s]
+    for act in actions:
+        for i in range(len(members)):
+            x = members[i]
+            y = act(x)
+            while y != x:
+                members.append(y)
+                y = act(y)
+    return members
+
+
 def orbit(s: int, group: GroupSpec) -> Orbit:
     """Closure of a subset under the group generators."""
-    gens = group.generators()
-    members = {s}
-    stack = [s]
-    while stack:
-        x = stack.pop()
-        for g in gens:
-            y = apply_perm(g, x)
-            if y not in members:
-                members.add(y)
-                stack.append(y)
-    ordered = tuple(sorted(members))
+    ordered = tuple(sorted(_members(s, group._actions)))
     return Orbit(ordered[0], len(ordered), ordered)
 
 
 def orbit_rep(s: int, group: GroupSpec) -> int:
     """Smallest mask in the orbit of a subset."""
-    return orbit(s, group).rep
+    return min(_members(s, group._actions))
 
 
 def burnside_count(n: int, group: GroupSpec) -> int:
@@ -291,23 +310,15 @@ def quotient_poset(n: int, group: GroupSpec) -> QuotientPoset:
     check_enum(n, QUOTIENT_LIMIT, "quotient_poset")
     if group.n != n:
         raise ValueError("group is over a different ground set")
-    gens = group.generators()
+    actions = group._actions
     seen = bytearray(1 << n)
     orbits = []
     for a in range(1 << n):
         if seen[a]:
             continue
-        members = [a]
-        seen[a] = 1
-        stack = [a]
-        while stack:
-            x = stack.pop()
-            for g in gens:
-                y = apply_perm(g, x)
-                if not seen[y]:
-                    seen[y] = 1
-                    members.append(y)
-                    stack.append(y)
+        members = _members(a, actions)
+        for x in members:
+            seen[x] = 1
         members.sort()
         orbits.append(Orbit(members[0], len(members), tuple(members)))
     orbits.sort(key=lambda o: (o.rep.bit_count(), o.rep))

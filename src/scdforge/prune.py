@@ -48,15 +48,10 @@ def rotate(mask: int, steps: int, n: int) -> int:
 
 def cyclic_rep(mask: int, n: int, step: int) -> int:
     """Smallest mask among rotations of the subset by multiples of step."""
-    best = mask
-    x = mask
-    for _ in range(n // step - 1):
-        x = rotate(x, step, n)
-        if x < best:
-            best = x
-    return best
+    return orbit_rep(mask, rotation_group(n, step))
 
 
+@functools.lru_cache(maxsize=None)  # every caller shares one GroupSpec and its action tables
 def rotation_group(n: int, step: int) -> GroupSpec:
     """The subgroup of S_n generated by the step-th power of the full rotation."""
     return GroupSpec(n, (CycleFactor(tuple(range(1, n + 1)), step),))
@@ -99,11 +94,12 @@ def _prune(chains, n: int, step: int, expected: int) -> tuple[PrunedChain, ...]:
     piece is a symmetric chain, no orbit is covered twice, and the pieces
     cover `expected` orbits, all those of the chains' union.
     """
+    group = rotation_group(n, step)
     touched_full: set[int] = set()
     touched_kept: set[int] = set()
     picked = []
     for ci, chain in enumerate(chains):
-        reps = [cyclic_rep(a, n, step) for a in chain.elements]
+        reps = [orbit_rep(a, group) for a in chain.elements]
         if all(rep in touched_full for rep in reps):
             continue
         kept = [(a, rep) for a, rep in zip(chain.elements, reps) if rep not in touched_kept]

@@ -32,7 +32,7 @@ from .gk import GkScd, boolean_scd_on_support, gk_decomposition, gk_scd
 from .groups import (
     CycleFactor,
     GroupSpec,
-    apply_perm,
+    orbit_rep,
     parse_group_spec,
     quotient_poset,
 )
@@ -182,8 +182,7 @@ def reflection_scd(n: int, rho: GroupSpec | str) -> Decomposition:
     if fixed:
         parts.append(boolean_scd_on_support(fixed))
     combined = fold_products(parts, operator.or_)
-    (flip,) = two_element.generators()
-    canonical = map_elements(combined, lambda a: min(a, apply_perm(flip, a)))
+    canonical = map_elements(combined, lambda a: orbit_rep(a, two_element))
     decomp = make_decomposition(canonical.chains, context)
     return _certified(decomp, n, two_element)
 

@@ -254,6 +254,16 @@ def test_parse_error_exit_code(capsysbinary):
     assert b"disjoint" in err
 
 
+@pytest.mark.parametrize("group, message", [
+    ("(1 2)^" + "9" * 5000, b"integer too long"),  # beyond the interpreter's int() digit limit
+    ("(1 \u00b2)", b"expected an integer"),  # a digit that int() rejects
+], ids=["long-integer", "non-decimal-digit"])
+def test_group_integer_errors_name_a_position(capsysbinary, group, message):
+    code, _, err = run_bytes(capsysbinary, ["quotient", "--n", "4", "--group", group])
+    assert code == 2
+    assert message in err and b"at position" in err
+
+
 def test_usage_error_exit_code(capsysbinary):
     assert run([]) == 2
     capsysbinary.readouterr()

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -6,6 +8,7 @@ from scdforge.core import (
     Chain,
     Context,
     Decomposition,
+    bit_map,
     bit_string,
     elements_of,
     hook_chains,
@@ -13,6 +16,7 @@ from scdforge.core import (
     mask_of,
     product_scd,
     rank,
+    relabel,
     set_string,
 )
 from scdforge.gk import gk_decomposition
@@ -138,3 +142,35 @@ def test_hook_chain_ranks_symmetric(a, b):
     for i, c in enumerate(hook_chains(a, b)):
         assert sum(c.cells[0]) == i
         assert sum(c.cells[-1]) == a + b - i
+
+
+def _moved(mask: int, targets) -> int:
+    """Bit-by-bit reference: local bit i goes to bit targets[i]."""
+    return sum(1 << t for i, t in enumerate(targets) if mask >> i & 1)
+
+
+@pytest.mark.parametrize("n", [1, 8, 11, 12, 22, 23, 64])
+def test_bit_map_matches_the_bit_loop(n):
+    # one chunk up to n = 11, two up to 22, the chunk loop beyond
+    rng = random.Random(n)
+    targets = rng.sample(range(64), n)
+    calls = []
+
+    def fn(mask):
+        calls.append(mask)
+        return _moved(mask, targets)
+
+    move = bit_map(fn, n)
+    assert len(calls) == sum(1 << min(11, n - lo) for lo in range(0, n, 11))
+    masks = [0, (1 << n) - 1] + [1 << i for i in range(n)] + [rng.getrandbits(n) for _ in range(500)]
+    assert [move(a) for a in masks] == [_moved(a, targets) for a in masks]
+
+
+def test_relabel_moves_each_bit_to_its_target():
+    targets = random.Random(0).sample(range(30), 13)
+    local = gk_decomposition(13)
+    moved = relabel(local, targets)
+    assert moved.context == local.context
+    for c, d in zip(local.chains, moved.chains):
+        assert d.elements == tuple(_moved(a, targets) for a in c.elements)
+        assert d.ranks == c.ranks

@@ -1,13 +1,16 @@
 import math
+import random
 
 import pytest
 
 from oracles import cycle_count, group_elements, naive_orbits
+from scdforge import groups
 from scdforge.core import ResourceLimitError, mask_of
 from scdforge.groups import (
     CycleFactor,
     GroupSpec,
     ParseError,
+    _members,
     apply_perm,
     burnside_count,
     factorize,
@@ -304,3 +307,98 @@ def test_block_split_is_an_order_isomorphism(n, text):
                 lp.leq(xa, xb) for lp, xa, xb in zip(locals_posets, ia[1:], ib[1:])
             )
             assert whole.leq(ra, rb) == componentwise, (ra, rb)
+
+
+def _crossing_groups(n):
+    """Groups on [n] whose cycles cross the 11-bit chunk boundary when n > 11:
+    several factors, an involution as one cycle power, an exponent-0 factor."""
+    from scdforge.reflect import involution_group
+
+    return [
+        parse_group_spec(f"(1 2 3)(4 5 6 7)^2 (9 10 {n})", n),
+        involution_group(n, [(1, n), (2, n - 1), (3, n - 2)]),
+        parse_group_spec(f"(1 2 3 4)^0 (5 6 7 8 9 10 {n})^2", n),
+    ]
+
+
+@pytest.mark.parametrize("n", [11, 12, 13])
+def test_quotient_orbits_against_naive_across_chunks(n):
+    for spec in _crossing_groups(n):
+        naive = naive_orbits(n, spec.generators())
+        poset = quotient_poset(n, spec)
+        assert {o.members for o in poset.orbits} == {tuple(sorted(s)) for s in naive}
+        assert all(o.rep == o.members[0] and o.size == len(o.members) for o in poset.orbits)
+        assert poset.size() == burnside_count(n, spec)
+
+
+def test_members_lists_each_member_once():
+    for spec in _crossing_groups(13):
+        for a in range(1 << 13):
+            members = _members(a, spec._actions)
+            assert len(set(members)) == len(members)
+
+
+def _closure(s, gens):
+    members, stack = {s}, [s]
+    while stack:
+        x = stack.pop()
+        for g in gens:
+            y = apply_perm(g, x)
+            if y not in members:
+                members.add(y)
+                stack.append(y)
+    return members
+
+
+def test_orbit_at_30_matches_set_closure():
+    # three chunks: elements 1-11, 12-22 and 23-30
+    spec = parse_group_spec("(3 5 9 12 14)(10 11 13 21 23 24 30)^3 (1 22 29)(2 27)", 30)
+    gens = spec.generators()
+    rng = random.Random(30)
+    for _ in range(200):
+        a = rng.getrandbits(30) | 1 << rng.randrange(11) | 1 << rng.randrange(11, 22) | 1 << rng.randrange(22, 30)
+        members = tuple(sorted(_closure(a, gens)))
+        assert orbit(a, spec) == groups.Orbit(members[0], len(members), members)
+        assert orbit_rep(a, spec) == members[0]
+        assert len(_members(a, spec._actions)) == len(members)
+
+
+def _count_apply_perm(monkeypatch):
+    calls = []
+    original = groups.apply_perm
+
+    def counted(perm, mask):
+        calls.append(mask)
+        return original(perm, mask)
+
+    monkeypatch.setattr(groups, "apply_perm", counted)
+    return calls
+
+
+def test_action_tables_are_built_once_per_group(monkeypatch):
+    calls = _count_apply_perm(monkeypatch)
+    spec = parse_group_spec("(1 2 3)(4 5 6 7)^2 (9 10 12)", 12)
+    assert calls == []  # nothing is built before the first orbit
+    orbit_rep(5, spec)
+    # one evaluation per chunk value of each generator: 2^11 + 2^1 values, three generators
+    assert len(calls) == 3 * (2048 + 2)
+    calls.clear()
+    orbit_rep(6, spec)
+    orbit(7, spec)
+    quotient_poset(12, spec)
+    assert calls == []
+
+
+def test_rotation_group_is_shared():
+    from scdforge.prune import rotation_group
+
+    assert rotation_group(12, 3) is rotation_group(12, 3)
+
+
+def test_action_tables_leave_equality_and_hash_alone():
+    a = parse_group_spec("(1 2 3)(4 5 6 7)^2", 8)
+    b = parse_group_spec("(1 2 3)(4 5 6 7)^2", 8)
+    orbit_rep(3, a)
+    assert a == b and hash(a) == hash(b)
+    assert {a: 1}[b] == 1
+    assert repr(a) == repr(b)

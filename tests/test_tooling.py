@@ -1,8 +1,10 @@
 """Package hygiene: every export resolves, the CLI needs no third-party code,
-every function the benchmark trace binds onto still exists, and the demos run."""
+every function the benchmark trace binds onto still exists and is still called
+on a traced run, and the demos run."""
 
 import importlib
 import importlib.util
+import json
 import os
 import pkgutil
 import subprocess
@@ -55,6 +57,26 @@ def test_trace_targets_resolve():
             module = importlib.import_module(f"scdforge.{layer}")
             missing += [f"{layer}.{n}" for n in names if not callable(getattr(module, n, None))]
     assert missing == []
+
+
+def test_traced_quotient_counts_apply_perm_and_orbit_rep(tmp_path):
+    # the benchmark's own tests (not in this suite) need both on a traced run
+    trace_out = tmp_path / "trace.json"
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    subprocess.run(
+        [sys.executable, os.path.join(ROOT, "perfbench", "tracing.py"), str(trace_out),
+         "quotient", "--n", "8", "--group", "(1 2 3)(4 5 6 7)^2"],
+        env=env, capture_output=True, check=True,
+    )
+    trace = json.loads(trace_out.read_text())
+
+    def names(spans):
+        for span in spans:
+            yield span["name"]
+            yield from names(span["children"])
+
+    assert trace["counters"]["groups.apply_perm.calls"] > 0
+    assert "groups.orbit_rep" in set(names(trace["spans"]))
 
 
 @pytest.mark.parametrize("demo", DEMOS)
