@@ -4,9 +4,10 @@ The m-th power of a k-level chain embeds in B_((k-1)m) as the blockwise
 monotone words: the i-th block of k-1 bits holds the i-th coordinate's level
 as ones followed by zeros.  Rotating coordinates by r steps agrees with
 rotating the whole word by (k-1)r, and every Greene-Kleitman chain of the
-ambient lattice either stays inside the embedded power or misses it, so
-pruning only the chains inside the power against that rotation gives the
-ambient quotient's pruned decomposition restricted to the chain power.
+ambient lattice stays inside the embedded power or misses it, as its bottom
+does, so pruning only the chains grown from bottoms inside the power against
+that rotation gives the ambient quotient's pruned decomposition restricted to
+the chain power, without building the ambient lattice.
 """
 
 from __future__ import annotations
@@ -22,11 +23,11 @@ from .core import (
     Decomposition,
     QUOTIENT_LIMIT,
     ResourceLimitError,
-    check_enum,
+    check_ground,
     fold_products,
     make_decomposition,
 )
-from .gk import gk_scd
+from .gk import _chains, gk_scd
 from .prune import _prune
 
 
@@ -148,12 +149,13 @@ class ChainPowerTarget:
 def chainpower_scd(k: int, m: int, r: int = 1) -> Decomposition:
     """SCD of the rotation quotient of a chain power.
 
-    Prune only the ambient Greene-Kleitman chains that lie inside the
-    embedded power, against rotation by (k-1)r, and report elements as
-    canonical level tuples.
+    Grow only the Greene-Kleitman chains that lie inside the embedded power,
+    prune them against rotation by (k-1)r, and report elements as canonical
+    level tuples.  The power is capped at 2^QUOTIENT_LIMIT elements and its
+    ambient ground at the mask width, not by the size of the ambient lattice.
     """
-    n = _check_shape(k, m)
-    check_enum(n, QUOTIENT_LIMIT, "chainpower_scd")
+    check_ground(_check_shape(k, m))
+    _check_element_count([(k, m, r)])
     if r < 1:
         raise ValueError("rotation step must be positive")
     return _chainpower(k, m, math.gcd(r, m))
@@ -162,10 +164,9 @@ def chainpower_scd(k: int, m: int, r: int = 1) -> Decomposition:
 @functools.lru_cache(maxsize=None)
 def _chainpower(k: int, m: int, step: int) -> Decomposition:
     n = (k - 1) * m
-    # by the dichotomy a chain lies inside the power exactly when its bottom does
-    inside = [c for c in gk_scd(n).chains if in_chain_power(c.bottom, k, m)]
     chains = []
-    for pc in _prune(inside, n, (k - 1) * step, tuple_orbit_count(k, m, step)):
+    # by the dichotomy these are exactly the Greene-Kleitman chains inside the power
+    for pc in _prune(_chains(n, k - 1), n, (k - 1) * step, tuple_orbit_count(k, m, step)):
         elems = tuple(canonical_levels(mask_levels(a, k, m), step) for a in pc.kept.elements)
         chains.append(Chain(elems, pc.kept.ranks))
     context = Context(kind="chainpower", total_rank=n, k=k, m=m, r=step)

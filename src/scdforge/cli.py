@@ -28,7 +28,7 @@ from .gk import gk_decomposition
 from .groups import GroupSpec, ParseError, parse_group_spec, quotient_poset
 from .prune import quotient_scd
 from .reflect import _transpositions, involution_group, reflection_scd
-from .verify import VerificationError, rank_profile, verify_decomposition
+from .verify import VerificationError, certify, rank_profile, verify_decomposition
 
 SCHEMA_ID = "scdforge/1"
 
@@ -253,20 +253,11 @@ def _emit(decomp: Decomposition, args) -> None:
         sys.stdout.buffer.flush()
 
 
-def _verified_emit(decomp: Decomposition, target, args) -> int:
-    report = verify_decomposition(target, decomp)
-    if not report.ok:
-        print(report.summary(), file=sys.stderr)
-        return 1
-    _emit(decomp, args)
-    return 0
-
-
 def _cmd_gk(args) -> int:
     # the target guards the ground size before any chain is built
     target = quotient_poset(args.n, GroupSpec.trivial(args.n))
-    decomp = gk_decomposition(args.n)
-    return _verified_emit(decomp, target, args)
+    _emit(certify(target, gk_decomposition(args.n)), args)
+    return 0
 
 
 def _cmd_quotient(args) -> int:
@@ -283,8 +274,8 @@ def _cmd_reflect(args) -> int:
 
 def _cmd_chainpower(args) -> int:
     target = ChainPowerTarget(args.k, args.m, args.r)
-    decomp = chainpower_scd(args.k, args.m, args.r)
-    return _verified_emit(decomp, target, args)
+    _emit(certify(target, chainpower_scd(args.k, args.m, args.r)), args)
+    return 0
 
 
 def _cmd_orbits(args) -> int:

@@ -106,11 +106,14 @@ def chain_of(a: int, n: int) -> Chain:
     return _grow(p.paired_members, full_mask(n) & ~p.paired)
 
 
-def _bottoms(n: int):
-    """Yield (bottom, free) for every subset of [n] whose members are all matched.
+def _bottoms(n: int, width: int):
+    """Yield (bottom, free) for every subset of [n] whose members are all
+    matched and whose blocks of width bits are each ones followed by zeros.
 
     Words are built left to right; a member may only close the nearest open
-    non-member, and the non-members still open at the end are the free positions.
+    non-member, and one at a position that does not start a block may only
+    follow a member.  The non-members still open at the end are the free
+    positions.  Width 1 puts no block constraint: every bottom of B_n.
     """
     stack = [(0, 0, 0)]  # (next position, members so far, unclosed non-members)
     while stack:
@@ -120,9 +123,15 @@ def _bottoms(n: int):
             continue
         bit = 1 << i
         stack.append((i + 1, members, unclosed | bit))
-        if unclosed:
+        if unclosed and (i % width == 0 or members >> (i - 1) & 1):
             nearest = 1 << (unclosed.bit_length() - 1)
             stack.append((i + 1, members | bit, unclosed ^ nearest))
+
+
+def _chains(n: int, width: int) -> list[Chain]:
+    """The chains grown from the bottoms of _bottoms(n, width), by (rank, bottom)."""
+    chains = (_grow(bottom, free) for bottom, free in _bottoms(n, width))
+    return sorted(chains, key=lambda c: (c.ranks[0], c.elements[0]))
 
 
 @dataclass(frozen=True)
@@ -166,10 +175,7 @@ class GkScd:
 def gk_scd(n: int) -> GkScd:
     """Build the Greene-Kleitman SCD of B_n by growing chains from their bottoms."""
     check_enum(n, ENUM_LIMIT, "gk_scd")
-    chains = sorted(
-        (_grow(bottom, free) for bottom, free in _bottoms(n)),
-        key=lambda c: (c.ranks[0], c.elements[0]),
-    )
+    chains = _chains(n, 1)
     covered = bytearray(1 << n)
     for chain in chains:
         for mask in chain.elements:

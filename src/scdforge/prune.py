@@ -31,7 +31,7 @@ from .core import (
 )
 from .gk import GkScd, boolean_scd_on_support, gk_scd, predecessor
 from .groups import CycleFactor, GroupSpec, burnside_count, factorize, orbit_rep, parse_group_spec, quotient_poset
-from .verify import VerificationError, verify_decomposition
+from .verify import certify
 
 
 class ConsistencyError(RuntimeError):
@@ -167,11 +167,7 @@ def quotient_scd(n: int, group: GroupSpec | str) -> Decomposition:
     combined = fold_products(parts, operator.or_)
     canonical = map_elements(combined, lambda a: orbit_rep(a, group))
     context = Context(kind="quotient", total_rank=n, n=n, group=group.text())
-    decomp = make_decomposition(canonical.chains, context)
-    report = verify_decomposition(quotient_poset(n, group), decomp)
-    if not report.ok:
-        raise VerificationError(report)
-    return decomp
+    return certify(quotient_poset(n, group), make_decomposition(canonical.chains, context))
 
 
 def shadow_closure_failures(scd: GkScd, step: int) -> list[dict]:

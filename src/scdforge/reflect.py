@@ -20,6 +20,7 @@ from .core import (
     Decomposition,
     GridChain,
     QUOTIENT_LIMIT,
+    bit_map,
     check_enum,
     fold_products,
     full_mask,
@@ -36,7 +37,7 @@ from .groups import (
     parse_group_spec,
     quotient_poset,
 )
-from .verify import VerificationError, verify_decomposition
+from .verify import certify
 
 
 def word_reverse(mask: int, width: int) -> int:
@@ -142,6 +143,7 @@ def _core_quotient_part(k: int) -> Decomposition:
     """SCD of B_2k modulo word reversal, on the local ground set [2k]; each orbit
     is written as its cell's pair mask, and the caller picks the representative."""
     scd = gk_scd(k)
+    back = bit_map(lambda v: word_reverse(v, k) << k, k)  # pair_mask's second half-word
     chains = []
     for i, ci in enumerate(scd.chains):
         for j in range(i, len(scd.chains)):
@@ -151,7 +153,7 @@ def _core_quotient_part(k: int) -> Decomposition:
             else:
                 grids = scd_of_diagonal_block(_block(i, i, ci.elements, ci.elements))
             for grid in grids:
-                masks = (pair_mask(ci.elements[x], cj.elements[y], k) for x, y in grid.cells)
+                masks = (ci.elements[x] | back(cj.elements[y]) for x, y in grid.cells)
                 chains.append(Chain.from_masks(masks))
     context = Context(kind="quotient", total_rank=2 * k, n=2 * k)
     return make_decomposition(chains, context)
@@ -174,7 +176,7 @@ def reflection_scd(n: int, rho: GroupSpec | str) -> Decomposition:
     context = Context(kind="reflection", total_rank=n, n=n, group=rho.text())
     if not pairs:
         decomp = make_decomposition(gk_decomposition(n).chains, context)
-        return _certified(decomp, n, two_element)
+        return certify(quotient_poset(n, two_element), decomp)
     # local pair t (1-based) is (t, 2k+1-t), so the involution reverses the word
     targets = [a - 1 for a, _ in pairs] + [b - 1 for _, b in reversed(pairs)]
     parts = [relabel(_core_quotient_part(len(pairs)), targets)]
@@ -184,14 +186,7 @@ def reflection_scd(n: int, rho: GroupSpec | str) -> Decomposition:
     combined = fold_products(parts, operator.or_)
     canonical = map_elements(combined, lambda a: orbit_rep(a, two_element))
     decomp = make_decomposition(canonical.chains, context)
-    return _certified(decomp, n, two_element)
-
-
-def _certified(decomp: Decomposition, n: int, group: GroupSpec) -> Decomposition:
-    report = verify_decomposition(quotient_poset(n, group), decomp)
-    if not report.ok:
-        raise VerificationError(report)
-    return decomp
+    return certify(quotient_poset(n, two_element), decomp)
 
 
 __all__ = [

@@ -107,6 +107,15 @@ def verify_decomposition(target, decomp: Decomposition) -> VerifyReport:
     return VerifyReport(ok, element_count, expected, tuple(failures))
 
 
+def certify(target, decomp: Decomposition) -> Decomposition:
+    """Return the decomposition if it verifies against the target; raise
+    VerificationError with the report otherwise."""
+    report = verify_decomposition(target, decomp)
+    if not report.ok:
+        raise VerificationError(report)
+    return decomp
+
+
 @dataclass(frozen=True)
 class RankProfile:
     counts: tuple[int, ...]
@@ -159,6 +168,7 @@ __all__ = [
     "RankProfile",
     "VerificationError",
     "VerifyReport",
+    "certify",
     "rank_profile",
     "verify_decomposition",
 ]

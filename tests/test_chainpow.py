@@ -18,7 +18,7 @@ from scdforge.chainpow import (
     tuple_rotate,
 )
 from scdforge.core import Context, ResourceLimitError, make_decomposition, mask_of
-from scdforge.gk import gk_scd
+from scdforge.gk import _chains, gk_scd
 from scdforge.prune import ConsistencyError, _prune, cyclic_rep, quotient_scd_cyclic
 from scdforge.verify import verify_decomposition
 
@@ -150,6 +150,25 @@ def test_dichotomy_guard():
         check_dichotomy(2, 19)
 
 
+@pytest.mark.parametrize(
+    "k, m",
+    [(d + 1, n // d) for n in range(1, 17) for d in range(1, n + 1) if n % d == 0],
+)
+def test_bottom_search_finds_the_chains_inside_the_power(k, m):
+    """The width-(k-1) search grows exactly the ambient chains whose bottom
+    is inside the power, in the ambient order."""
+    n = (k - 1) * m
+    assert _chains(n, k - 1) == [c for c in gk_scd(n).chains if in_chain_power(c.bottom, k, m)]
+
+
+def test_chainpower_beyond_the_ambient_lattice_guard():
+    # n = 24 is past QUOTIENT_LIMIT, but the power has only 4^8 elements
+    decomp = chainpower_scd(4, 8, 1)
+    report = verify_decomposition(ChainPowerTarget(4, 8, 1), decomp)
+    assert report.ok, report.summary()
+    assert report.element_count == tuple_orbit_count(4, 8, 1)
+
+
 def test_chainproduct_single_factor():
     assert chainproduct_scd([(3, 2, 1)]).chains == chainpower_scd(3, 2, 1).chains
 
@@ -183,6 +202,8 @@ def test_chainpower_input_errors():
         chainpower_scd(3, 0)
     with pytest.raises(ValueError):
         chainpower_scd(3, 2, 0)
+    with pytest.raises(ValueError, match="capped at 64"):
+        chainpower_scd(66, 1)  # 66 elements, but a 65-bit ground
     with pytest.raises(ValueError):
         chainproduct_scd([])
     with pytest.raises(ValueError):
@@ -192,6 +213,8 @@ def test_chainpower_input_errors():
 def test_chainproduct_size_guard():
     with pytest.raises(ResourceLimitError):
         chainproduct_scd([(2, 12, 1), (2, 12, 1)])
+    with pytest.raises(ResourceLimitError, match=r"2\^22 elements"):
+        chainpower_scd(2, 23)
     # the verifier's targets are guarded by element count before enumerating
     with pytest.raises(ResourceLimitError):
         ChainProductTarget([(2, 12, 1), (2, 12, 1)])

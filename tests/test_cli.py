@@ -3,6 +3,7 @@ import json
 import pytest
 
 from scdforge.chainpow import chainpower_scd
+from scdforge.core import Decomposition
 from scdforge.cli import (
     DecodeError,
     build_document,
@@ -246,6 +247,18 @@ def test_gk_guard_runs_before_any_chain_is_built(capsysbinary, monkeypatch):
     code, _, err = run_bytes(capsysbinary, ["gk", "--n", "23"])
     assert code == 3
     assert b"capped" in err
+
+
+def test_construct_that_fails_its_check_exits_1(capsysbinary, monkeypatch):
+    def drop_a_chain(k, m, r):
+        decomp = chainpower_scd(k, m, r)
+        return Decomposition(decomp.chains[1:], decomp.context)
+
+    monkeypatch.setattr("scdforge.cli.chainpower_scd", drop_a_chain)
+    code, out, err = run_bytes(capsysbinary, ["chainpower", "--k", "3", "--m", "2"])
+    assert code == 1
+    assert out == b""
+    assert err.startswith(b"error: failed:")
 
 
 def test_parse_error_exit_code(capsysbinary):

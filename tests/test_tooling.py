@@ -1,7 +1,9 @@
 """Package hygiene: every export resolves, the CLI needs no third-party code,
 every function the benchmark trace binds onto still exists and is still called
-on a traced run, and the demos run."""
+on a traced run, the seed-0 benchmark documents match their goldens, and the
+demos run."""
 
+import hashlib
 import importlib
 import importlib.util
 import json
@@ -14,6 +16,7 @@ import types
 import pytest
 
 import scdforge
+from scdforge.cli import run
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(scdforge.__path__))
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -77,6 +80,26 @@ def test_traced_quotient_counts_apply_perm_and_orbit_rep(tmp_path):
 
     assert trace["counters"]["groups.apply_perm.calls"] > 0
     assert "groups.orbit_rep" in set(names(trace["spans"]))
+
+
+def test_seed_0_documents_match_the_goldens(capsysbinary, monkeypatch):
+    # the benchmark checks its goldens only on its own runs; this catches a drift in tier-1
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", os.path.join(ROOT, "perfbench", "workloads.py")
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look themselves up
+    spec.loader.exec_module(workloads)
+    with open(os.path.join(ROOT, "perfbench", "goldens.json"), encoding="utf-8") as fh:
+        goldens = json.load(fh)
+    seed = workloads.DEFAULT_SEED
+    commands = workloads.commands_for("chain-powers", seed)
+    commands += [c for c in workloads.commands_for("roundtrip", seed) if c.name == "gk16"]
+    for cmd in commands:
+        assert run(list(cmd.argv)) == 0, cmd.name
+        data = capsysbinary.readouterr().out
+        golden = goldens[cmd.name]
+        assert (len(data), hashlib.sha256(data).hexdigest()) == (golden["bytes"], golden["sha256"]), cmd.name
 
 
 @pytest.mark.parametrize("demo", DEMOS)
