@@ -279,7 +279,7 @@ def _cmd_chainpower(args) -> int:
 
 
 def _cmd_orbits(args) -> int:
-    group = parse_group_spec(args.group, args.n) if args.group else GroupSpec.trivial(args.n)
+    group = parse_group_spec(args.group, args.n) if args.group is not None else GroupSpec.trivial(args.n)
     poset = quotient_poset(args.n, group)
     if args.dot:
         print("digraph quotient {")
@@ -299,7 +299,7 @@ def _cmd_orbits(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    group = parse_group_spec(args.group, args.n) if args.group else GroupSpec.trivial(args.n)
+    group = parse_group_spec(args.group, args.n) if args.group is not None else GroupSpec.trivial(args.n)
     profile = rank_profile(quotient_poset(args.n, group))
     print("ranks=" + " ".join(str(c) for c in profile.counts))
     print(f"symmetric={'true' if profile.symmetric else 'false'}")

@@ -3,10 +3,12 @@
 For the group generated by rotation-by-step (step dividing n), walk the
 Greene-Kleitman chains in order: select a chain when one of its members lies
 in an orbit untouched by the previously selected chains, then cut it down to
-the members whose orbits miss the previously kept pieces.  The kept pieces
-project to a symmetric chain decomposition of the quotient.  Arbitrary
-products of disjoint cycle powers reduce to this: split off the fixed points,
-quotient each rotated block locally, and recombine with the hook product.
+the members whose orbits miss the previously kept pieces.  A selected chain
+leaves every orbit it meets kept, so one mark per subset, "its orbit has a
+kept member", decides both.  The kept pieces project to a symmetric chain
+decomposition of the quotient.  Arbitrary products of disjoint cycle powers
+reduce to this: split off the fixed points, quotient each rotated block
+locally, and recombine with the hook product.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .core import (
     relabel,
 )
 from .gk import GkScd, boolean_scd_on_support, gk_scd, predecessor
-from .groups import CycleFactor, GroupSpec, burnside_count, factorize, orbit_rep, parse_group_spec, quotient_poset
+from .groups import CycleFactor, GroupSpec, _members, burnside_count, factorize, orbit_rep, parse_group_spec, quotient_poset
 from .verify import certify
 
 
@@ -90,26 +92,34 @@ def _prune(chains, n: int, step: int, expected: int) -> tuple[PrunedChain, ...]:
 
     A chain is selected when some member's orbit under rotation by step misses
     every previously selected chain in full; its kept piece consists of the
-    members whose orbits miss the pieces kept so far.  Self-check: every kept
-    piece is a symmetric chain, no orbit is covered twice, and the pieces
-    cover `expected` orbits, all those of the chains' union.
+    members whose orbits miss the pieces kept so far.  A chain's members lie
+    in distinct orbits, so a selected chain leaves every orbit it meets kept:
+    one mark per subset ("its orbit has a kept member") decides selection and
+    pruning, and each orbit is walked once.  Self-check: every kept piece is a
+    symmetric chain, no orbit is covered twice, and the pieces cover
+    `expected` orbits, all those of the chains' union.
     """
-    group = rotation_group(n, step)
-    touched_full: set[int] = set()
-    touched_kept: set[int] = set()
+    actions = rotation_group(n, step)._actions
+    if n <= QUOTIENT_LIMIT:  # at most 4 MB; beyond it, a set of the marked masks
+        marks = bytearray(1 << n)
+        is_marked, mark = marks.__getitem__, marks.__setitem__
+    else:
+        marks = set()
+        is_marked, mark = marks.__contains__, lambda x, _: marks.add(x)
+    kept_reps: set[int] = set()
     picked = []
     for ci, chain in enumerate(chains):
-        reps = [orbit_rep(a, group) for a in chain.elements]
-        if all(rep in touched_full for rep in reps):
-            continue
-        kept = [(a, rep) for a, rep in zip(chain.elements, reps) if rep not in touched_kept]
+        kept = [a for a in chain.elements if not is_marked(a)]
         if not kept:
-            raise ConsistencyError(f"selected chain {ci} pruned to nothing")
-        touched_full.update(reps)
-        touched_kept.update(rep for _, rep in kept)
-        kept_chain = Chain.from_masks(a for a, _ in kept)
-        orbit_chain = Chain(tuple(rep for _, rep in kept), kept_chain.ranks)
-        picked.append(PrunedChain(ci, kept_chain, orbit_chain))
+            continue
+        orbits = [_members(a, actions) for a in kept]
+        for members in orbits:
+            for x in members:
+                mark(x, 1)
+        reps = [min(members) for members in orbits]
+        kept_reps.update(reps)
+        kept_chain = Chain.from_masks(kept)
+        picked.append(PrunedChain(ci, kept_chain, Chain(tuple(reps), kept_chain.ranks)))
     kept_total = 0
     for pc in picked:
         ranks = pc.kept.ranks
@@ -118,7 +128,7 @@ def _prune(chains, n: int, step: int, expected: int) -> tuple[PrunedChain, ...]:
         if ranks[0] + ranks[-1] != n:
             raise ConsistencyError(f"kept piece of chain {pc.source} is not symmetric")
         kept_total += len(ranks)
-    if kept_total != len(touched_kept):
+    if kept_total != len(kept_reps):
         raise ConsistencyError("kept pieces cover an orbit twice")
     if kept_total != expected:
         raise ConsistencyError(f"covered {kept_total} orbits but the quotient has {expected}")

@@ -6,7 +6,9 @@ closure instead of the disjoint-factor shortcuts, and exhaustive set algebra
 instead of canonical representatives.  The exception is
 `ambient_chainpower`, which runs the package's own pruning over all of B_n
 and restricts afterwards, to pin the chain-power construction that prunes
-only the chains inside the power.
+only the chains inside the power.  `greedy_prune` also uses the package's
+`orbit_rep`, once per chain element, to pin the pruning pass that walks each
+orbit only once.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ import itertools
 from scdforge.chainpow import canonical_levels, in_chain_power, mask_levels
 from scdforge.core import Chain
 from scdforge.gk import gk_scd
-from scdforge.prune import prune_chains
+from scdforge.groups import orbit_rep
+from scdforge.prune import PrunedChain, prune_chains, rotation_group
 
 
 def interval_pairing(a: int, n: int) -> dict[int, int]:
@@ -145,3 +148,24 @@ def ambient_chainpower(k: int, m: int, step: int) -> list[Chain]:
             levels = tuple(canonical_levels(mask_levels(a, k, m), step) for a, _ in kept)
             chains.append(Chain(levels, tuple(r for _, r in kept)))
     return chains
+
+
+def greedy_prune(chains, n: int, step: int) -> tuple[PrunedChain, ...]:
+    """The greedy pass with one orbit walk per chain element and two sets of
+    orbit representatives: those met by a selected chain in full, and those
+    kept.  A chain is selected when it meets an orbit outside the first set,
+    and keeps the members whose orbits lie outside the second."""
+    group = rotation_group(n, step)
+    touched_full, touched_kept = set(), set()
+    picked = []
+    for ci, chain in enumerate(chains):
+        reps = [orbit_rep(a, group) for a in chain.elements]
+        if all(rep in touched_full for rep in reps):
+            continue
+        kept = [(a, rep) for a, rep in zip(chain.elements, reps) if rep not in touched_kept]
+        touched_full.update(reps)
+        touched_kept.update(rep for _, rep in kept)
+        kept_chain = Chain.from_masks(a for a, _ in kept)
+        orbit_chain = Chain(tuple(rep for _, rep in kept), kept_chain.ranks)
+        picked.append(PrunedChain(ci, kept_chain, orbit_chain))
+    return tuple(picked)

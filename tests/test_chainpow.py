@@ -257,8 +257,10 @@ def test_restricted_pruning_matches_ambient(k, m):
 
 def test_prune_checks_the_orbit_count():
     inside = [c for c in gk_scd(6).chains if in_chain_power(c.bottom, 3, 3)]
-    expected = tuple_orbit_count(3, 3, 1)
-    assert sum(len(pc.kept) for pc in _prune(inside, 6, 2, expected)) == expected
-    for wrong in (expected - 1, expected + 1):
-        with pytest.raises(ConsistencyError, match="orbits"):
-            _prune(inside, 6, 2, wrong)
+    # (7, 4) lies beyond QUOTIENT_LIMIT at n = 24, where the marks are a set, not a bytearray
+    for chains, n, k, m in ((inside, 6, 3, 3), (_chains(24, 6), 24, 7, 4)):
+        expected = tuple_orbit_count(k, m, 1)
+        assert sum(len(pc.kept) for pc in _prune(chains, n, k - 1, expected)) == expected
+        for wrong in (expected - 1, expected + 1):
+            with pytest.raises(ConsistencyError, match="orbits"):
+                _prune(chains, n, k - 1, wrong)

@@ -277,6 +277,15 @@ def test_group_integer_errors_name_a_position(capsysbinary, group, message):
     assert message in err and b"at position" in err
 
 
+@pytest.mark.parametrize("command", ["orbits", "profile"])
+def test_empty_group_is_a_parse_error(capsysbinary, command):
+    # an omitted --group is the trivial group; an empty one is rejected as quotient and reflect reject it
+    code, out, err = run_bytes(capsysbinary, [command, "--n", "4", "--group", ""])
+    assert code == 2
+    assert out == b""
+    assert b"expected '(' (at position 0)" in err
+
+
 def test_usage_error_exit_code(capsysbinary):
     assert run([]) == 2
     capsysbinary.readouterr()

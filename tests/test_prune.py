@@ -1,10 +1,13 @@
 import pytest
 
-from oracles import is_scd, naive_orbits
+from oracles import greedy_prune, is_scd, naive_orbits
+from scdforge import prune
+from scdforge.chainpow import tuple_orbit_count
 from scdforge.core import mask_of
-from scdforge.gk import gk_decomposition, gk_scd, partner
+from scdforge.gk import _chains, gk_decomposition, gk_scd, partner
 from scdforge.groups import burnside_count, parse_group_spec, quotient_poset
 from scdforge.prune import (
+    _prune,
     check_shadow_closure,
     cyclic_rep,
     prune_chains,
@@ -73,6 +76,35 @@ def test_pruned_family_invariants(n):
                 assert rep not in seen
                 seen.add(rep)
         assert len(seen) == burnside_count(n, rotation_group(n, step))
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_prune_matches_the_reference_pass(n):
+    scd = gk_scd(n)
+    for step in divisors(n):
+        expected = burnside_count(n, rotation_group(n, step))
+        assert _prune(scd.chains, n, step, expected) == greedy_prune(scd.chains, n, step), step
+
+
+# every chain power with (k-1)m <= 12, then four beyond QUOTIENT_LIMIT, where the marks are a set
+CHAIN_POWER_SHAPES = [(k, m) for k in range(2, 14) for m in range(1, 13) if (k - 1) * m <= 12]
+
+
+@pytest.mark.parametrize("k, m", CHAIN_POWER_SHAPES + [(24, 1), (13, 2), (7, 4), (5, 6)])
+def test_prune_matches_the_reference_pass_on_chain_powers(k, m):
+    n = (k - 1) * m
+    chains = _chains(n, k - 1)
+    for step in divisors(m):
+        got = _prune(chains, n, (k - 1) * step, tuple_orbit_count(k, m, step))
+        assert got == greedy_prune(chains, n, (k - 1) * step), step
+
+
+@pytest.mark.parametrize("n, step", [(12, 1), (12, 4), (16, 2)])
+def test_prune_walks_each_orbit_once(monkeypatch, n, step):
+    walk, walks = prune._members, []
+    monkeypatch.setattr(prune, "_members", lambda s, actions: walks.append(s) or walk(s, actions))
+    prune_chains(gk_scd(n), step)
+    assert len(walks) == burnside_count(n, rotation_group(n, step))
 
 
 @pytest.mark.parametrize("n", range(1, 11))
