@@ -134,13 +134,24 @@ class ChainPowerTarget:
     def rank(self, u) -> int:
         return sum(u)
 
+    def _turns(self, u) -> list[tuple[int, ...]]:
+        turns = [u]
+        for _ in range(self.m // self.step - 1):
+            turns.append(tuple_rotate(turns[-1], self.step))
+        return turns
+
+    def walk(self, u):
+        """None unless u is a canonical level tuple; otherwise the test
+        "u <= b", answered from the one list of u's rotations."""
+        if type(u) is not tuple or len(u) != self.m or not all(type(lv) is int and 0 <= lv < self.k for lv in u):
+            return None
+        turns = self._turns(u)
+        if min(turns) != u:
+            return None
+        return lambda b: any(all(p <= q for p, q in zip(x, b)) for x in turns)
+
     def leq(self, a, b) -> bool:
-        x = a
-        for _ in range(self.m // math.gcd(self.step, self.m)):
-            if all(p <= q for p, q in zip(x, b)):
-                return True
-            x = tuple_rotate(x, self.step)
-        return False
+        return any(all(p <= q for p, q in zip(x, b)) for x in self._turns(a))
 
     def expected_size(self) -> int:
         return tuple_orbit_count(self.k, self.m, self.step)
@@ -241,6 +252,16 @@ class ChainProductTarget:
 
     def rank(self, u) -> int:
         return sum(u)
+
+    def walk(self, u):
+        """None unless u is a well-formed tuple whose parts are canonical;
+        otherwise the test "u <= b", from one walk of each part."""
+        if type(u) is not tuple or len(u) != sum(m for _, m, _ in self.triples):
+            return None
+        tests = [part.walk(x) for part, x in zip(self.parts, self._split(u))]
+        if None in tests:
+            return None
+        return lambda b: all(test(y) for test, y in zip(tests, self._split(b)))
 
     def leq(self, a, b) -> bool:
         return all(

@@ -20,7 +20,7 @@ from .core import (
     Decomposition,
     ResourceLimitError,
     bit_string,
-    elements_of,
+    element_lists,
     mask_of,
     set_string,
 )
@@ -62,7 +62,8 @@ def build_document(decomp: Decomposition) -> dict:
     if ctx.factors is not None:
         context["factors"] = [list(t) for t in ctx.factors]
     if ctx.kind in _SUBSET_KINDS:
-        chains = [[list(elements_of(e)) for e in c.elements] for c in decomp.chains]
+        as_list = element_lists(ctx.n)
+        chains = [[as_list(e) for e in c.elements] for c in decomp.chains]
     else:
         chains = [[list(e) for e in c.elements] for c in decomp.chains]
     stats = {

@@ -204,6 +204,14 @@ def map_elements(decomp: Decomposition, fn, context: Context | None = None) -> D
     return Decomposition(chains, context if context is not None else decomp.context)
 
 
+def _chunk_tables(fn, n: int) -> list[tuple]:
+    """fn of every value of each CHUNK_BITS-wide chunk of [n], in place."""
+    return [
+        tuple(fn(v << lo) for v in range(1 << min(CHUNK_BITS, n - lo)))
+        for lo in range(0, n, CHUNK_BITS)
+    ]
+
+
 def bit_map(fn, n: int):
     """Table-driven form of a union-preserving map on masks of [n].
 
@@ -211,10 +219,7 @@ def bit_map(fn, n: int):
     of each CHUNK_BITS-wide chunk of [n]; the returned function ORs one table
     lookup per chunk, so at most two for n <= QUOTIENT_LIMIT.
     """
-    tables = [
-        tuple(fn(v << lo) for v in range(1 << min(CHUNK_BITS, n - lo)))
-        for lo in range(0, n, CHUNK_BITS)
-    ]
+    tables = _chunk_tables(fn, n)
     low, shift = (1 << CHUNK_BITS) - 1, CHUNK_BITS
     if len(tables) == 1:
         return tables[0].__getitem__
@@ -228,6 +233,32 @@ def bit_map(fn, n: int):
             out |= table[mask & low]
             mask >>= shift
         return out
+
+    return apply
+
+
+def element_lists(n: int):
+    """Table-driven form of list(elements_of(mask)) for masks of [n].
+
+    Each CHUNK_BITS-wide chunk has one table of element-number tuples, already
+    offset by the chunk's position; the returned function concatenates one
+    lookup per chunk, lowest chunk first, into an exactly sized list.
+    """
+    tables = _chunk_tables(elements_of, n)
+    low, shift = (1 << CHUNK_BITS) - 1, CHUNK_BITS
+    if len(tables) == 1:
+        t0 = tables[0]
+        return lambda mask: list(t0[mask])
+    if len(tables) == 2:
+        t0, t1 = tables
+        return lambda mask: list(t0[mask & low] + t1[mask >> shift])
+
+    def apply(mask: int) -> list[int]:
+        out = ()
+        for table in tables:
+            out += table[mask & low]
+            mask >>= shift
+        return list(out)
 
     return apply
 
@@ -298,6 +329,7 @@ __all__ = [
     "ResourceLimitError",
     "bit_map",
     "bit_string",
+    "element_lists",
     "elements_of",
     "fold_products",
     "full_mask",

@@ -250,20 +250,47 @@ def burnside_count(n: int, group: GroupSpec) -> int:
 class QuotientPoset:
     """Orbits of B_n under a cycle-power group, ranked by subset size.
 
-    Comparability of two orbits is decided by walking the smaller orbit and
-    testing containment against one fixed member of the other, which is valid
-    because the group acts by automorphisms.
+    The orbits are enumerated on first use, by elements(), orbits, covers()
+    or orbit_of(); walk() and expected_size() never enumerate them.  The size
+    guard is checked at construction.  Comparability of two orbits is decided
+    by walking the smaller orbit and testing containment against one fixed
+    member of the other, which is valid because the group acts by
+    automorphisms.
     """
 
-    def __init__(self, n: int, group: GroupSpec, orbits: tuple[Orbit, ...]):
+    def __init__(self, n: int, group: GroupSpec):
+        check_enum(n, QUOTIENT_LIMIT, "quotient_poset")
+        if group.n != n:
+            raise ValueError("group is over a different ground set")
         self.n = n
         self.group = group
-        self.orbits = orbits
-        self._by_rep = {o.rep: o for o in orbits}
-        by_rank: list[list[Orbit]] = [[] for _ in range(n + 1)]
-        for o in orbits:
+
+    @functools.cached_property
+    def orbits(self) -> tuple[Orbit, ...]:
+        actions = self.group._actions
+        seen = bytearray(1 << self.n)
+        orbits = []
+        for a in range(1 << self.n):
+            if seen[a]:
+                continue
+            members = _members(a, actions)
+            for x in members:
+                seen[x] = 1
+            members.sort()
+            orbits.append(Orbit(members[0], len(members), tuple(members)))
+        orbits.sort(key=lambda o: (o.rep.bit_count(), o.rep))
+        return tuple(orbits)
+
+    @functools.cached_property
+    def _by_rep(self) -> dict[int, Orbit]:
+        return {o.rep: o for o in self.orbits}
+
+    @functools.cached_property
+    def orbits_by_rank(self) -> tuple[tuple[Orbit, ...], ...]:
+        by_rank: list[list[Orbit]] = [[] for _ in range(self.n + 1)]
+        for o in self.orbits:
             by_rank[o.rep.bit_count()].append(o)
-        self.orbits_by_rank = tuple(tuple(bucket) for bucket in by_rank)
+        return tuple(tuple(bucket) for bucket in by_rank)
 
     @property
     def total_rank(self) -> int:
@@ -287,6 +314,16 @@ class QuotientPoset:
     def orbit_of(self, rep: int) -> Orbit:
         return self._by_rep[rep]
 
+    def walk(self, e):
+        """None unless e is the least mask of its orbit; otherwise the test
+        "e <= b", answered from that one walk of e's orbit."""
+        if type(e) is not int or not 0 <= e < 1 << self.n:
+            return None
+        members = _members(e, self.group._actions)
+        if min(members) != e:
+            return None
+        return lambda b: any(x | b == b for x in members)
+
     def leq(self, a: int, b: int) -> bool:
         oa = self._by_rep[a]
         ob = self._by_rep[b]
@@ -306,23 +343,8 @@ class QuotientPoset:
 
 
 def quotient_poset(n: int, group: GroupSpec) -> QuotientPoset:
-    """Enumerate every orbit of B_n under the group, bucketed by rank."""
-    check_enum(n, QUOTIENT_LIMIT, "quotient_poset")
-    if group.n != n:
-        raise ValueError("group is over a different ground set")
-    actions = group._actions
-    seen = bytearray(1 << n)
-    orbits = []
-    for a in range(1 << n):
-        if seen[a]:
-            continue
-        members = _members(a, actions)
-        for x in members:
-            seen[x] = 1
-        members.sort()
-        orbits.append(Orbit(members[0], len(members), tuple(members)))
-    orbits.sort(key=lambda o: (o.rep.bit_count(), o.rep))
-    return QuotientPoset(n, group, tuple(orbits))
+    """The orbit poset of B_n under the group; guards n now, enumerates later."""
+    return QuotientPoset(n, group)
 
 
 @dataclass(frozen=True)

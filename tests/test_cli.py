@@ -13,6 +13,7 @@ from scdforge.cli import (
     run,
     target_for_context,
 )
+from scdforge.groups import QuotientPoset
 from scdforge.prune import quotient_scd_cyclic
 from scdforge.verify import verify_decomposition
 
@@ -247,6 +248,38 @@ def test_gk_guard_runs_before_any_chain_is_built(capsysbinary, monkeypatch):
     code, _, err = run_bytes(capsysbinary, ["gk", "--n", "23"])
     assert code == 3
     assert b"capped" in err
+
+
+def _refuse_enumeration(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("enumerated before the size guard")
+
+    monkeypatch.setattr("scdforge.cli.gk_decomposition", refuse)
+    monkeypatch.setattr("scdforge.cli.decomposition_from_document", refuse)
+    monkeypatch.setattr("scdforge.groups._members", refuse)
+    monkeypatch.setattr(QuotientPoset, "orbits", property(refuse))
+
+
+def test_gk_guard_builds_no_orbit(capsysbinary, monkeypatch):
+    _refuse_enumeration(monkeypatch)
+    code, out, err = run_bytes(capsysbinary, ["gk", "--n", "23"])
+    assert (code, out) == (3, b"")
+    assert b"capped" in err
+
+
+def test_verify_guards_boolean_targets_before_any_orbit(tmp_path, capsysbinary, monkeypatch):
+    doc = {
+        "schema": "scdforge/1",
+        "context": {"kind": "boolean", "n": 23},
+        "chains": [[[], [23]]],
+        "stats": {"chain_count": 1, "element_count": 2, "rank_profile": [1, 1] + [0] * 22},
+    }
+    path = write_doc(tmp_path, encode(doc))
+    _refuse_enumeration(monkeypatch)
+    for argv in (["verify", "--input", path], ["verify", "--input", path, "--json"]):
+        code, out, err = run_bytes(capsysbinary, argv)
+        assert (code, out) == (3, b"")
+        assert b"capped" in err
 
 
 def test_construct_that_fails_its_check_exits_1(capsysbinary, monkeypatch):

@@ -10,6 +10,7 @@ from scdforge.core import (
     Decomposition,
     bit_map,
     bit_string,
+    element_lists,
     elements_of,
     hook_chains,
     is_symmetric_chain,
@@ -164,6 +165,17 @@ def test_bit_map_matches_the_bit_loop(n):
     assert len(calls) == sum(1 << min(11, n - lo) for lo in range(0, n, 11))
     masks = [0, (1 << n) - 1] + [1 << i for i in range(n)] + [rng.getrandbits(n) for _ in range(500)]
     assert [move(a) for a in masks] == [_moved(a, targets) for a in masks]
+
+
+@pytest.mark.parametrize("n", [1, 8, 11, 12, 22, 23, 64])
+def test_element_lists_match_the_bit_loop(n):
+    rng = random.Random(n)
+    as_list = element_lists(n)
+    masks = [0, (1 << n) - 1] + [1 << i for i in range(n)] + [rng.getrandbits(n) for _ in range(500)]
+    for a in masks:
+        listed = as_list(a)
+        assert type(listed) is list
+        assert listed == list(elements_of(a))
 
 
 def test_relabel_moves_each_bit_to_its_target():

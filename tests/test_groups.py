@@ -10,6 +10,7 @@ from scdforge.groups import (
     CycleFactor,
     GroupSpec,
     ParseError,
+    QuotientPoset,
     _members,
     apply_perm,
     burnside_count,
@@ -232,6 +233,36 @@ def test_trivial_quotient_covers_at_16():
 def test_quotient_guard():
     with pytest.raises(ResourceLimitError):
         quotient_poset(23, GroupSpec.trivial(23))
+
+
+def test_quotient_guard_fires_at_construction(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an orbit was walked")
+
+    monkeypatch.setattr("scdforge.groups._members", refuse)
+    with pytest.raises(ResourceLimitError):
+        quotient_poset(23, GroupSpec.trivial(23))
+    with pytest.raises(ResourceLimitError):
+        QuotientPoset(23, parse_group_spec("(1 2 3)", 23))
+
+
+def test_quotient_poset_enumerates_on_first_use(monkeypatch):
+    walks = []
+    original = groups._members
+
+    def counted(s, actions):
+        walks.append(s)
+        return original(s, actions)
+
+    monkeypatch.setattr("scdforge.groups._members", counted)
+    poset = quotient_poset(6, parse_group_spec("(1 2 3 4 5 6)", 6))
+    assert walks == []
+    assert poset.expected_size() == 14
+    assert walks == []
+    assert poset.size() == 14
+    assert len(walks) == 14
+    assert poset.orbit_of(0).members == (0,)
+    assert len(walks) == 14
 
 
 def test_normalized_power_generates_same_subgroup():

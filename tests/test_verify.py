@@ -1,12 +1,17 @@
+import itertools
+
 import pytest
 
-from scdforge.core import Chain, Context, Decomposition, mask_of
+from scdforge.chainpow import ChainPowerTarget, ChainProductTarget, chainpower_scd, chainproduct_scd
+from scdforge.core import Chain, Context, Decomposition, mask_of, product_scd
 from scdforge.gk import gk_decomposition
-from scdforge.groups import GroupSpec, quotient_poset
-from scdforge.prune import quotient_scd_cyclic, rotation_group
-from scdforge.reflect import involution_group
+from scdforge.groups import GroupSpec, QuotientPoset, parse_group_spec, quotient_poset
+from scdforge.prune import quotient_scd, quotient_scd_cyclic, rotation_group
+from scdforge.reflect import involution_group, reflection_scd
 from scdforge.verify import (
     ProductTarget,
+    _certified,
+    _enumerated,
     rank_profile,
     verify_decomposition,
 )
@@ -35,6 +40,7 @@ def test_missing_chain_reported(necklace4):
     pruned = Decomposition(decomp.chains[:1], decomp.context)
     report = verify_decomposition(necklace4, pruned)
     assert not report.ok
+    assert report == _enumerated(necklace4, pruned)
     kinds = {(f.kind, f.witness) for f in report.failures}
     assert ("not-covered", mask_of([1, 3])) in kinds
     assert report.element_count == 5 != report.expected_count
@@ -45,6 +51,7 @@ def test_double_cover_reported(necklace4):
     doubled = Decomposition(decomp.chains + (decomp.chains[1],), decomp.context)
     report = verify_decomposition(necklace4, doubled)
     assert not report.ok
+    assert report == _enumerated(necklace4, doubled)
     assert any(f.kind == "double-covered" and f.witness == mask_of([1, 3]) for f in report.failures)
 
 
@@ -53,8 +60,10 @@ def test_rank_repeat_reported(necklace4):
         Chain((0, 1, 3, 7, 15), (0, 1, 2, 3, 4)),
         Chain((mask_of([1, 3]), mask_of([1, 3])), (2, 2)),
     )
-    report = verify_decomposition(necklace4, Decomposition(chains, _necklace_context()))
+    decomp = Decomposition(chains, _necklace_context())
+    report = verify_decomposition(necklace4, decomp)
     assert not report.ok
+    assert report == _enumerated(necklace4, decomp)
     assert any(f.kind == "not-saturated" for f in report.failures)
 
 
@@ -69,6 +78,7 @@ def test_not_symmetric_reported():
     decomp = Decomposition(chains, Context(kind="boolean", total_rank=3, n=3))
     report = verify_decomposition(target, decomp)
     assert not report.ok
+    assert report == _enumerated(target, decomp)
     assert any(f.kind == "not-symmetric" and f.witness == (0, 3) for f in report.failures)
 
 
@@ -82,13 +92,16 @@ def test_not_comparable_reported():
     decomp = Decomposition(chains, Context(kind="boolean", total_rank=3, n=3))
     report = verify_decomposition(target, decomp)
     assert not report.ok
+    assert report == _enumerated(target, decomp)
     assert any(f.kind == "not-comparable" and f.witness == (2, 5) for f in report.failures)
 
 
 def test_alien_element_reported(necklace4):
     chains = (Chain((0, 1, 3, 7, 15), (0, 1, 2, 3, 4)), Chain((9,), (2,)))
-    report = verify_decomposition(necklace4, Decomposition(chains, _necklace_context()))
+    decomp = Decomposition(chains, _necklace_context())
+    report = verify_decomposition(necklace4, decomp)
     assert not report.ok
+    assert report == _enumerated(necklace4, decomp)
     assert any(
         f.kind == "not-covered" and f.witness == 9 and "not an element" in f.detail
         for f in report.failures
@@ -149,3 +162,134 @@ def test_product_of_verified_decompositions_verifies():
     report = verify_decomposition(target, prod)
     assert report.ok
     assert report.element_count == 6 * 8
+
+
+def _quotient_case():
+    spec = parse_group_spec("(1 2 3 4 5 6)", 6)
+    return quotient_scd(6, spec), quotient_poset(6, spec)
+
+
+def _reflection_case():
+    return reflection_scd(9, "(1 9)(2 5)"), quotient_poset(9, involution_group(9, [(1, 9), (2, 5)]))
+
+
+def _chain_power_case():
+    return chainpower_scd(4, 5, 1), ChainPowerTarget(4, 5, 1)
+
+
+def _chain_product_case():
+    factors = [(3, 2, 1), (2, 4, 2)]
+    return chainproduct_scd(factors), ChainProductTarget(factors)
+
+
+# each builds a decomposition and its target, certifying the decomposition on the way if its builder does
+CASES = {
+    "gk": lambda: (gk_decomposition(8), quotient_poset(8, GroupSpec.trivial(8))),
+    "quotient": _quotient_case,
+    "multi-factor quotient": lambda: (
+        quotient_scd(12, "(1 2 3 4)(5 6 7)^2 (9 11)"),
+        quotient_poset(12, parse_group_spec("(1 2 3 4)(5 6 7)^2 (9 11)", 12)),
+    ),
+    "reflection": _reflection_case,
+    "chain power": _chain_power_case,
+    "chain product": _chain_product_case,
+    "product": lambda: (
+        product_scd(quotient_scd_cyclic(6, 2), gk_decomposition(3)),
+        ProductTarget(quotient_poset(6, rotation_group(6, 2)), quotient_poset(3, GroupSpec.trivial(3))),
+    ),
+}
+
+
+def _refuse(*args):
+    raise AssertionError("the target was enumerated")
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_passing_certification_never_enumerates(monkeypatch, case):
+    monkeypatch.setattr(QuotientPoset, "orbits", property(_refuse))
+    monkeypatch.setattr(ChainPowerTarget, "elements", _refuse)
+    monkeypatch.setattr(ChainProductTarget, "elements", _refuse)
+    decomp, target = CASES[case]()
+    report = verify_decomposition(target, decomp)
+    assert report.ok
+    monkeypatch.undo()
+    assert report == _enumerated(target, decomp)
+
+
+def _drop_one_repeat_another(decomp: Decomposition) -> Decomposition:
+    """Drop a chain and repeat an earlier one of the same length, so that
+    the element count still matches."""
+    first = {}
+    for i, c in enumerate(decomp.chains):
+        j = first.setdefault(len(c), i)
+        if j != i:
+            chains = decomp.chains[:i] + decomp.chains[i + 1:] + (decomp.chains[j],)
+            return Decomposition(chains, decomp.context)
+    raise AssertionError("no two chains share a length")
+
+
+@pytest.mark.parametrize("case", ["quotient", "reflection", "chain power", "chain product"])
+def test_count_preserving_mutation_fails_the_certificate(case):
+    decomp, target = CASES[case]()
+    mutant = _drop_one_repeat_another(decomp)
+    assert mutant.element_count() == target.expected_size()
+    assert not _certified(target, mutant)
+    report = verify_decomposition(target, mutant)
+    assert not report.ok
+    assert {f.kind for f in report.failures} == {"not-covered", "double-covered"}
+    assert report.to_dict() == _enumerated(target, mutant).to_dict()
+
+
+def _candidates(target):
+    """Every element in the target's encoding, canonical or not."""
+    if isinstance(target, QuotientPoset):
+        return range(1 << target.n)
+    if isinstance(target, ChainPowerTarget):
+        return itertools.product(range(target.k), repeat=target.m)
+    if isinstance(target, ChainProductTarget):
+        return itertools.product(*(range(k) for k, m, _ in target.triples for _ in range(m)))
+    return itertools.product(_candidates(target.left), _candidates(target.right))
+
+
+WALK_TARGETS = {
+    "quotient": lambda: quotient_poset(6, parse_group_spec("(1 2 3)(4 5)", 6)),
+    "reflection": lambda: quotient_poset(6, involution_group(6, [(1, 6), (2, 4)])),
+    "chain power": lambda: ChainPowerTarget(3, 4, 2),
+    "chain product": lambda: ChainProductTarget([(3, 2, 1), (2, 3, 1)]),
+    "product": lambda: ProductTarget(quotient_poset(4, rotation_group(4, 1)), quotient_poset(2, GroupSpec.trivial(2))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WALK_TARGETS))
+def test_walk_agrees_with_the_enumeration(case):
+    target = WALK_TARGETS[case]()
+    canonical = [e for e in _candidates(target) if target.walk(e) is not None]
+    assert canonical == sorted(target.elements())
+    for a in canonical:
+        below = target.walk(a)
+        assert [below(b) for b in canonical] == [target.leq(a, b) for b in canonical]
+
+
+@pytest.mark.parametrize(
+    "case, element",
+    [
+        ("quotient", -1),
+        ("quotient", 1 << 6),
+        ("quotient", True),
+        ("quotient", 1.0),
+        ("quotient", (1,)),
+        ("chain power", [0, 0, 0, 0]),
+        ("chain power", (0, 0, 0)),
+        ("chain power", (0, 0, 0, 3)),
+        ("chain power", (0, 0, 0, -1)),
+        ("chain power", (0, 0, 0, True)),
+        ("chain product", (0, 0, 0, 0)),
+        ("chain product", (0, 0, 0, 0, 0, 0)),
+        ("product", (0,)),
+        ("product", (0, 0, 0)),
+        ("product", [0, 0]),
+        ("product", (0, 4)),
+    ],
+)
+def test_walk_rejects_malformed_elements(case, element):
+    assert WALK_TARGETS[case]().walk(element) is None
