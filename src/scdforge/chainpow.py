@@ -92,16 +92,17 @@ def tuple_rotate(u: tuple[int, ...], steps: int) -> tuple[int, ...]:
     return u[-steps:] + u[:-steps]
 
 
+def _rotations(u: tuple[int, ...], step: int) -> list[tuple[int, ...]]:
+    """Every rotation of the tuple by a multiple of step, u first."""
+    turns = [u]
+    for _ in range(len(u) // math.gcd(step, len(u)) - 1):
+        turns.append(tuple_rotate(turns[-1], step))
+    return turns
+
+
 def canonical_levels(u: tuple[int, ...], step: int) -> tuple[int, ...]:
     """Lexicographically least rotation of the tuple by multiples of step."""
-    m = len(u)
-    best = u
-    x = u
-    for _ in range(m // math.gcd(step, m) - 1):
-        x = tuple_rotate(x, step)
-        if x < best:
-            best = x
-    return best
+    return min(_rotations(u, step))
 
 
 def tuple_orbit_count(k: int, m: int, step: int) -> int:
@@ -134,24 +135,18 @@ class ChainPowerTarget:
     def rank(self, u) -> int:
         return sum(u)
 
-    def _turns(self, u) -> list[tuple[int, ...]]:
-        turns = [u]
-        for _ in range(self.m // self.step - 1):
-            turns.append(tuple_rotate(turns[-1], self.step))
-        return turns
-
     def walk(self, u):
         """None unless u is a canonical level tuple; otherwise the test
         "u <= b", answered from the one list of u's rotations."""
         if type(u) is not tuple or len(u) != self.m or not all(type(lv) is int and 0 <= lv < self.k for lv in u):
             return None
-        turns = self._turns(u)
+        turns = _rotations(u, self.step)
         if min(turns) != u:
             return None
         return lambda b: any(all(p <= q for p, q in zip(x, b)) for x in turns)
 
     def leq(self, a, b) -> bool:
-        return any(all(p <= q for p, q in zip(x, b)) for x in self._turns(a))
+        return any(all(p <= q for p, q in zip(x, b)) for x in _rotations(a, self.step))
 
     def expected_size(self) -> int:
         return tuple_orbit_count(self.k, self.m, self.step)

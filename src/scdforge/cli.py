@@ -4,7 +4,7 @@ Documents use the canonical JSON form "scdforge/1": sorted keys, compact
 separators, UTF-8, newline-terminated, chains in the deterministic order the
 constructions emit.  Subsets serialize as sorted 1-based element lists and
 chain-power elements as level lists.  Every construct subcommand re-verifies
-its result against an independently built target before emitting anything.
+its result against an independently defined target before emitting anything.
 """
 
 from __future__ import annotations

@@ -245,22 +245,16 @@ def element_lists(n: int):
     lookup per chunk, lowest chunk first, into an exactly sized list.
     """
     tables = _chunk_tables(elements_of, n)
-    low, shift = (1 << CHUNK_BITS) - 1, CHUNK_BITS
-    if len(tables) == 1:
-        t0 = tables[0]
-        return lambda mask: list(t0[mask])
-    if len(tables) == 2:
-        t0, t1 = tables
-        return lambda mask: list(t0[mask & low] + t1[mask >> shift])
+    low = (1 << CHUNK_BITS) - 1
 
-    def apply(mask: int) -> list[int]:
+    def as_list(mask: int) -> list[int]:
         out = ()
         for table in tables:
             out += table[mask & low]
-            mask >>= shift
+            mask >>= CHUNK_BITS
         return list(out)
 
-    return apply
+    return as_list
 
 
 def relabel(decomp: Decomposition, targets) -> Decomposition:

@@ -161,7 +161,7 @@ def quotient_scd(n: int, group: GroupSpec | str) -> Decomposition:
     Fixed points contribute a plain Boolean factor and every rotated block a
     cyclic quotient; the factors are folded with the hook product, elements
     are renamed to canonical orbit representatives, and the result is
-    certified against the independently built orbit poset before returning.
+    certified against the orbit poset before returning.
     """
     check_enum(n, QUOTIENT_LIMIT, "quotient_scd")
     if isinstance(group, str):

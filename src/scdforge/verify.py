@@ -102,20 +102,17 @@ def _certified(target, decomp: Decomposition) -> bool:
     walk, rank, total = target.walk, target.rank, target.total_rank
     seen = set()
     for chain in decomp.chains:
-        below = prev = None
-        for e in chain.elements:
-            test = walk(e)
-            if test is None:
-                return False
-            r = rank(e)
-            if below is None:
-                bottom = r
-            elif r != prev + 1 or not below(e):
-                return False
-            below, prev = test, r
-            seen.add(e)
-        if bottom + prev != total:
+        elems = chain.elements
+        below = [walk(e) for e in elems]
+        if None in below:
             return False
+        ranks = [rank(e) for e in elems]
+        if ranks[0] + ranks[-1] != total:
+            return False
+        for i in range(len(elems) - 1):
+            if ranks[i + 1] != ranks[i] + 1 or not below[i](elems[i + 1]):
+                return False
+        seen.update(elems)
     return len(seen) == count
 
 
