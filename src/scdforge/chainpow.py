@@ -93,11 +93,9 @@ def tuple_rotate(u: tuple[int, ...], steps: int) -> tuple[int, ...]:
 
 
 def _rotations(u: tuple[int, ...], step: int) -> list[tuple[int, ...]]:
-    """Every rotation of the tuple by a multiple of step, u first."""
-    turns = [u]
-    for _ in range(len(u) // math.gcd(step, len(u)) - 1):
-        turns.append(tuple_rotate(turns[-1], step))
-    return turns
+    """Every rotation of the tuple by a multiple of step, u first; the
+    multiples of step modulo len(u) are those of gcd(step, len(u))."""
+    return [u[j:] + u[:j] for j in range(0, len(u), math.gcd(step, len(u)))]
 
 
 def canonical_levels(u: tuple[int, ...], step: int) -> tuple[int, ...]:
