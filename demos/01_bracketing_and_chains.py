@@ -5,7 +5,8 @@ them.  The matched positions freeze along a chain while the free positions
 are added bottom-up, smallest first.
 """
 
-from scdforge import bit_string, chain_of, gk_scd, mask_of, pairing, partner, predecessor, successor
+from scdforge import bit_string, mask_of
+from scdforge.gk import chain_of, gk_scd, pairing, partner, predecessor, successor
 
 n = 6
 a = mask_of([2, 3, 6])

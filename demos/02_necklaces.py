@@ -8,15 +8,14 @@ The trimmed pieces project to symmetric chains of the quotient.
 from scdforge import (
     bit_string,
     burnside_count,
-    gk_scd,
-    prune_chains,
     quotient_poset,
     quotient_scd_cyclic,
     rank_profile,
-    rotation_group,
     set_string,
     verify_decomposition,
 )
+from scdforge.gk import gk_scd
+from scdforge.prune import prune_chains, rotation_group
 
 n = 6
 family = prune_chains(gk_scd(n), 1)

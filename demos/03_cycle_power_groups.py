@@ -6,13 +6,8 @@ factors back together.  The result is re-certified against the orbit poset
 built by brute enumeration.
 """
 
-from scdforge import (
-    burnside_count,
-    factorize,
-    parse_group_spec,
-    quotient_scd,
-    set_string,
-)
+from scdforge import burnside_count, parse_group_spec, quotient_scd, set_string
+from scdforge.groups import factorize
 
 n = 7
 spec = parse_group_spec("(1 2 3 4)^2 (5 6)", n)

@@ -6,15 +6,9 @@ from two chains tile a rectangle (split by hooks); pairs from one chain form
 a staircase triangle (peeled border by border).
 """
 
-from scdforge import (
-    bit_string,
-    build_blocks,
-    gk_scd,
-    reflection_scd,
-    scd_of_diagonal_block,
-    set_string,
-    standard_reflection,
-)
+from scdforge import bit_string, reflection_scd, set_string
+from scdforge.gk import gk_scd
+from scdforge.reflect import build_blocks, scd_of_diagonal_block, standard_reflection
 
 k = 3
 blocks = build_blocks(k)

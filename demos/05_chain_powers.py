@@ -5,15 +5,8 @@ block per coordinate.  Every ambient chain lies inside the embedded power or
 misses it entirely, so only the chains inside the power need to be pruned.
 """
 
-from scdforge import (
-    ChainPowerTarget,
-    bit_string,
-    chainpower_scd,
-    chainproduct_scd,
-    check_dichotomy,
-    level_mask,
-    verify_decomposition,
-)
+from scdforge import ChainPowerTarget, bit_string, chainpower_scd, chainproduct_scd, verify_decomposition
+from scdforge.chainpow import check_dichotomy, level_mask
 
 k, m = 3, 3  # a 3-level chain, cubed
 n = (k - 1) * m

@@ -143,9 +143,6 @@ class ChainPowerTarget:
             return None
         return lambda b: any(all(p <= q for p, q in zip(x, b)) for x in turns)
 
-    def leq(self, a, b) -> bool:
-        return any(all(p <= q for p, q in zip(x, b)) for x in _rotations(a, self.step))
-
     def expected_size(self) -> int:
         return tuple_orbit_count(self.k, self.m, self.step)
 
@@ -255,12 +252,6 @@ class ChainProductTarget:
         if None in tests:
             return None
         return lambda b: all(test(y) for test, y in zip(tests, self._split(b)))
-
-    def leq(self, a, b) -> bool:
-        return all(
-            part.leq(x, y)
-            for part, x, y in zip(self.parts, self._split(a), self._split(b))
-        )
 
     def expected_size(self) -> int:
         out = 1

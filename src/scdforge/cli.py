@@ -324,9 +324,7 @@ def _cmd_verify(args) -> int:
     if args.json:
         payload = report.to_dict()
         payload["stats_consistent"] = stats_ok
-        sys.stdout.buffer.write(
-            (json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
-        )
+        sys.stdout.buffer.write(encode(payload))
         return 0 if report.ok and stats_ok else 1
     if report.ok and stats_ok:
         print(f"ok: {report.element_count} elements in {len(decomp.chains)} chains")

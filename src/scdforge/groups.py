@@ -250,12 +250,11 @@ def burnside_count(n: int, group: GroupSpec) -> int:
 class QuotientPoset:
     """Orbits of B_n under a cycle-power group, ranked by subset size.
 
-    The orbits are enumerated on first use, by elements(), orbits, covers()
-    or orbit_of(); walk() and expected_size() never enumerate them.  The size
-    guard is checked at construction.  Comparability of two orbits is decided
-    by walking the smaller orbit and testing containment against one fixed
-    member of the other, which is valid because the group acts by
-    automorphisms.
+    The orbits are enumerated on first use, by elements(), orbits or
+    covers(); walk() and expected_size() never enumerate them.  The size
+    guard is checked at construction.  walk(a) decides "a <= b" by testing
+    each member of a's orbit against b alone, which is valid because the group
+    acts by automorphisms.
     """
 
     def __init__(self, n: int, group: GroupSpec):
@@ -282,10 +281,6 @@ class QuotientPoset:
         return tuple(orbits)
 
     @functools.cached_property
-    def _by_rep(self) -> dict[int, Orbit]:
-        return {o.rep: o for o in self.orbits}
-
-    @functools.cached_property
     def orbits_by_rank(self) -> tuple[tuple[Orbit, ...], ...]:
         by_rank: list[list[Orbit]] = [[] for _ in range(self.n + 1)]
         for o in self.orbits:
@@ -305,14 +300,8 @@ class QuotientPoset:
     def elements(self):
         return (o.rep for o in self.orbits)
 
-    def __contains__(self, rep: int) -> bool:
-        return rep in self._by_rep
-
     def rank(self, rep: int) -> int:
         return rep.bit_count()
-
-    def orbit_of(self, rep: int) -> Orbit:
-        return self._by_rep[rep]
 
     def walk(self, e):
         """None unless e is the least mask of its orbit; otherwise the test
@@ -323,13 +312,6 @@ class QuotientPoset:
         if min(members) != e:
             return None
         return lambda b: any(x | b == b for x in members)
-
-    def leq(self, a: int, b: int) -> bool:
-        oa = self._by_rep[a]
-        ob = self._by_rep[b]
-        if oa.size <= ob.size:
-            return any(x | b == b for x in oa.members)
-        return any(a | y == y for y in ob.members)
 
     def covers(self):
         """Comparable pairs at adjacent ranks (the Hasse diagram edges)."""

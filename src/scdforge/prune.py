@@ -48,11 +48,6 @@ def rotate(mask: int, steps: int, n: int) -> int:
     return ((mask << steps) | (mask >> (n - steps))) & full_mask(n)
 
 
-def cyclic_rep(mask: int, n: int, step: int) -> int:
-    """Smallest mask among rotations of the subset by multiples of step."""
-    return orbit_rep(mask, rotation_group(n, step))
-
-
 @functools.lru_cache(maxsize=None)  # every caller shares one GroupSpec and its action tables
 def rotation_group(n: int, step: int) -> GroupSpec:
     """The subgroup of S_n generated by the step-th power of the full rotation."""
@@ -194,9 +189,10 @@ def shadow_closure_failures(scd: GkScd, step: int) -> list[dict]:
         raise ResourceLimitError(f"shadow-closure scan is capped at n <= 14, got {n}")
     if step < 1 or n % step:
         raise ValueError(f"rotation step must divide the ground size, got {step} for n={n}")
+    group = rotation_group(n, step)
     first_chain: dict[int, int] = {}
     for a in range(1 << n):
-        rep = cyclic_rep(a, n, step)
+        rep = orbit_rep(a, group)
         ci = scd.chain_index(a)
         if ci < first_chain.get(rep, ci + 1):
             first_chain[rep] = ci
@@ -206,27 +202,20 @@ def shadow_closure_failures(scd: GkScd, step: int) -> list[dict]:
         if a.bit_count() > half:
             continue
         w = scd.chain_index(a)
-        if first_chain[cyclic_rep(a, n, step)] >= w:
+        if first_chain[orbit_rep(a, group)] >= w:
             continue
         prev = predecessor(a, n)
         if prev is None:
             continue
-        if first_chain[cyclic_rep(prev, n, step)] >= w:
+        if first_chain[orbit_rep(prev, group)] >= w:
             failures.append({"subset": a, "chain": w, "predecessor": prev, "n": n, "step": step})
     return failures
-
-
-def check_shadow_closure(scd: GkScd, step: int) -> bool:
-    """True iff shadowing by earlier chains is closed under the predecessor map."""
-    return not shadow_closure_failures(scd, step)
 
 
 __all__ = [
     "ConsistencyError",
     "PrunedChain",
     "PrunedFamily",
-    "check_shadow_closure",
-    "cyclic_rep",
     "prune_chains",
     "quotient_scd",
     "quotient_scd_cyclic",

@@ -1,11 +1,12 @@
 """Construction-independent certification of claimed decompositions.
 
-A target poset provides elements(), rank(x), leq(x, y), total_rank,
-expected_size() and walk(x).  walk(x) returns None unless x is a canonical
+A target poset provides five members: elements(), rank(x), walk(x),
+total_rank and expected_size().  walk(x) returns None unless x is a canonical
 element of the target (the least member of its orbit, in the target's own
 encoding); otherwise it returns the test "x <= y" for any element y, answered
-from one walk of x's orbit.  The verifier recomputes every rank and
-comparability itself and never trusts the construction's bookkeeping.
+from one walk of x's orbit.  It is the target's only comparability test.  The
+verifier recomputes every rank and comparability itself and never trusts the
+construction's bookkeeping.
 
 A family of chains partitions the target into symmetric chains as soon as
 every element is canonical, no element repeats, every chain steps up one rank
@@ -118,7 +119,9 @@ def _certified(target, decomp: Decomposition) -> bool:
 
 def _enumerated(target, decomp: Decomposition) -> VerifyReport:
     """Enumerate the target and report every problem of the decomposition."""
-    universe = set(target.elements())
+    # each element maps to itself: a claimed element may equal one in another type (True for mask 1),
+    # which walk() rejects, so comparability is tested on the target's own copies
+    universe = {e: e for e in target.elements()}
     total = target.total_rank
     failures = []
     counts = Counter()
@@ -135,12 +138,12 @@ def _enumerated(target, decomp: Decomposition) -> VerifyReport:
             if ranks[i + 1] != ranks[i] + 1:
                 failures.append(Failure("not-saturated", (elems[i], elems[i + 1])))
                 break
-            if not target.leq(elems[i], elems[i + 1]):
+            if not target.walk(universe[elems[i]])(universe[elems[i + 1]]):
                 failures.append(Failure("not-comparable", (elems[i], elems[i + 1])))
                 break
         if ranks[0] + ranks[-1] != total:
             failures.append(Failure("not-symmetric", (elems[0], elems[-1]), f"rank sum {ranks[0] + ranks[-1]} != {total}"))
-    for e in sorted(universe - counts.keys()):
+    for e in sorted(universe.keys() - counts.keys()):
         failures.append(Failure("not-covered", e))
     for e, c in counts.items():
         if c > 1:
@@ -208,9 +211,6 @@ class ProductTarget:
         if left is None or right is None:
             return None
         return lambda b: left(b[0]) and right(b[1])
-
-    def leq(self, a, b) -> bool:
-        return self.left.leq(a[0], b[0]) and self.right.leq(a[1], b[1])
 
     def expected_size(self) -> int:
         return self.left.expected_size() * self.right.expected_size()

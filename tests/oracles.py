@@ -15,10 +15,17 @@ from __future__ import annotations
 
 import itertools
 
-from scdforge.chainpow import canonical_levels, in_chain_power, mask_levels
+from scdforge.chainpow import (
+    ChainPowerTarget,
+    ChainProductTarget,
+    canonical_levels,
+    in_chain_power,
+    mask_levels,
+    tuple_rotate,
+)
 from scdforge.core import Chain
 from scdforge.gk import gk_scd
-from scdforge.groups import orbit_rep
+from scdforge.groups import QuotientPoset, orbit_rep
 from scdforge.prune import PrunedChain, prune_chains, rotation_group
 
 
@@ -112,6 +119,26 @@ def is_scd(universe, rank_of, leq, chains, total_rank) -> bool:
             return False
         covered.extend(chain)
     return len(covered) == len(set(covered)) and set(covered) == set(universe)
+
+
+def naive_comparability(target):
+    """The order of a verification target from its definition, as a test
+    leq(a, b) on canonical elements: for a quotient of B_n, some member of a's
+    orbit (the images under every group element) lies inside b; for a chain
+    power, some rotation of a is componentwise at most b; for a product, each
+    part is below the matching part."""
+    if isinstance(target, QuotientPoset):
+        perms = group_elements(target.group.generators(), target.n)
+        return lambda a, b: any(perm_apply(g, a) | b == b for g in perms)
+    if isinstance(target, ChainPowerTarget):
+        shifts = [j * target.step for j in range(target.m)]
+        return lambda a, b: any(all(p <= q for p, q in zip(tuple_rotate(a, s), b)) for s in shifts)
+    if isinstance(target, ChainProductTarget):
+        parts = [naive_comparability(part) for part in target.parts]
+        cuts = list(itertools.accumulate([0] + [part.m for part in target.parts]))
+        return lambda a, b: all(part(a[i:j], b[i:j]) for part, i, j in zip(parts, cuts, cuts[1:]))
+    left, right = naive_comparability(target.left), naive_comparability(target.right)
+    return lambda a, b: left(a[0], b[0]) and right(a[1], b[1])
 
 
 def naive_tuple_orbits(k: int, m: int, step: int) -> list[frozenset]:

@@ -25,11 +25,11 @@ from scdforge.groups import (
     quotient_poset,
 )
 from scdforge.prune import (
-    check_shadow_closure,
     quotient_scd,
     quotient_scd_cyclic,
     rotate,
     rotation_group,
+    shadow_closure_failures,
 )
 from scdforge.reflect import involution_group, reflection_scd, standard_reflection
 from scdforge.verify import ProductTarget, verify_decomposition
@@ -117,7 +117,7 @@ def test_04_predecessor_shadow_closure():
         for n in range(1, 13):
             scd = gk_scd(n)
             for step in divisors(n):
-                assert check_shadow_closure(scd, step), (n, step)
+                assert shadow_closure_failures(scd, step) == [], (n, step)
 
 
 def test_05_cycle_power_quotients():

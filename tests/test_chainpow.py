@@ -19,7 +19,8 @@ from scdforge.chainpow import (
 )
 from scdforge.core import Context, ResourceLimitError, make_decomposition, mask_of
 from scdforge.gk import _chains, gk_scd
-from scdforge.prune import ConsistencyError, _prune, cyclic_rep, quotient_scd_cyclic
+from scdforge.groups import orbit_rep
+from scdforge.prune import ConsistencyError, _prune, quotient_scd_cyclic, rotation_group
 from scdforge.verify import verify_decomposition
 
 
@@ -238,7 +239,7 @@ def test_restriction_matches_ambient_orbits():
     assert seen == expected
     for c in decomp.chains:
         for u in c.elements:
-            assert cyclic_rep(level_mask(u, k), n, (k - 1) * r) == min(
+            assert orbit_rep(level_mask(u, k), rotation_group(n, (k - 1) * r)) == min(
                 level_mask(tuple_rotate(u, j * r), k) for j in range(m)
             )
 

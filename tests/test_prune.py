@@ -5,11 +5,9 @@ from scdforge import prune
 from scdforge.chainpow import tuple_orbit_count
 from scdforge.core import mask_of
 from scdforge.gk import _chains, gk_decomposition, gk_scd, partner
-from scdforge.groups import burnside_count, parse_group_spec, quotient_poset
+from scdforge.groups import burnside_count, orbit_rep, parse_group_spec, quotient_poset
 from scdforge.prune import (
     _prune,
-    check_shadow_closure,
-    cyclic_rep,
     prune_chains,
     quotient_scd,
     quotient_scd_cyclic,
@@ -27,8 +25,8 @@ def divisors(n):
 def test_rotate_and_rep():
     assert rotate(mask_of([1, 2]), 1, 4) == mask_of([2, 3])
     assert rotate(mask_of([4]), 1, 4) == mask_of([1])
-    assert cyclic_rep(mask_of([2, 4]), 4, 1) == mask_of([1, 3])
-    assert cyclic_rep(mask_of([2, 4]), 4, 2) == mask_of([2, 4])
+    assert orbit_rep(mask_of([2, 4]), rotation_group(4, 1)) == mask_of([1, 3])
+    assert orbit_rep(mask_of([2, 4]), rotation_group(4, 2)) == mask_of([2, 4])
 
 
 def test_prune_n3_full_rotation():
@@ -137,7 +135,7 @@ def test_chain_count_equals_middle_rank_orbits(n):
         decomp = quotient_scd_cyclic(n, step)
         middle = n // 2
         middles = {
-            cyclic_rep(a, n, step)
+            orbit_rep(a, rotation_group(n, step))
             for a in range(1 << n)
             if a.bit_count() == middle
         }
@@ -192,14 +190,13 @@ def test_quotient_scd_against_dumb_checker():
 
 
 def test_shadow_closure_examples():
-    assert check_shadow_closure(gk_scd(4), 1)
-    assert check_shadow_closure(gk_scd(6), 2)
-    assert check_shadow_closure(gk_scd(5), 5)  # trivial group: vacuous
-    assert shadow_closure_failures(gk_scd(5), 5) == []
+    assert shadow_closure_failures(gk_scd(4), 1) == []
+    assert shadow_closure_failures(gk_scd(6), 2) == []
+    assert shadow_closure_failures(gk_scd(5), 5) == []  # trivial group: vacuous
 
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_shadow_closure_small(n):
     scd = gk_scd(n)
     for step in divisors(n):
-        assert check_shadow_closure(scd, step), (n, step)
+        assert shadow_closure_failures(scd, step) == [], (n, step)

@@ -1,7 +1,7 @@
-"""Package hygiene: every export resolves, the CLI needs no third-party code,
-every function the benchmark trace binds onto still exists and is still called
-on a traced run, the seed-0 benchmark documents match their goldens, and the
-demos run."""
+"""Package hygiene: every export resolves, the package exports exactly the
+construct and verify API, the CLI needs no third-party code, every function
+the benchmark trace binds onto still exists and is still called on a traced
+run, the seed-0 benchmark documents match their goldens, and the demos run."""
 
 import hashlib
 import importlib
@@ -34,6 +34,26 @@ def test_package_exports_are_module_exports():
         if name.startswith("_") or isinstance(value, types.ModuleType):
             continue
         assert name in sys.modules[value.__module__].__all__, name
+
+
+# the construct and verify API; documents live in scdforge.cli, exposition helpers in their modules
+PUBLIC = {
+    "ChainPowerTarget", "ChainProductTarget", "chainpower_scd", "chainproduct_scd",
+    "Chain", "Context", "Decomposition", "ResourceLimitError", "bit_string", "mask_of", "product_scd", "set_string",
+    "gk_decomposition",
+    "GroupSpec", "ParseError", "QuotientPoset", "burnside_count", "parse_group_spec", "quotient_poset",
+    "quotient_scd", "quotient_scd_cyclic",
+    "involution_group", "reflection_scd",
+    "ProductTarget", "VerificationError", "VerifyReport", "rank_profile", "verify_decomposition",
+}
+
+
+def test_package_exports_construct_and_verify_only():
+    names = {
+        name for name, value in vars(scdforge).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert names == PUBLIC
 
 
 def test_cli_imports_no_jsonschema():

@@ -1,15 +1,18 @@
 import itertools
+import random
 
 import pytest
 
-from scdforge.chainpow import ChainPowerTarget, ChainProductTarget, chainpower_scd, chainproduct_scd
+from oracles import naive_comparability
+from scdforge.chainpow import ChainPowerTarget, ChainProductTarget, chainpower_scd, chainproduct_scd, tuple_rotate
 from scdforge.core import Chain, Context, Decomposition, mask_of, product_scd
 from scdforge.gk import gk_decomposition
-from scdforge.groups import GroupSpec, QuotientPoset, parse_group_spec, quotient_poset
-from scdforge.prune import quotient_scd, quotient_scd_cyclic, rotation_group
+from scdforge.groups import GroupSpec, QuotientPoset, apply_perm, parse_group_spec, quotient_poset
+from scdforge.prune import quotient_scd, quotient_scd_cyclic, rotate, rotation_group
 from scdforge.reflect import involution_group, reflection_scd
 from scdforge.verify import (
     ProductTarget,
+    VerifyReport,
     _certified,
     _enumerated,
     rank_profile,
@@ -144,8 +147,8 @@ def test_product_target():
     assert prod.total_rank == 3
     assert prod.expected_size() == 8
     assert prod.rank((3, 1)) == 3
-    assert prod.leq((1, 0), (3, 1))
-    assert not prod.leq((2, 1), (1, 1))
+    assert prod.walk((1, 0))((3, 1))
+    assert not prod.walk((2, 1))((1, 1))
     assert len(list(prod.elements())) == 8
 
 
@@ -240,6 +243,69 @@ def test_count_preserving_mutation_fails_the_certificate(case):
     assert report.to_dict() == _enumerated(target, mutant).to_dict()
 
 
+def _turn(target, e, rng):
+    """Another element of the same rank: a group image of e (a member of its
+    orbit, often not the least), or a rotated word when the group is trivial."""
+    if isinstance(target, QuotientPoset):
+        gens = target.group.generators()
+        return apply_perm(rng.choice(gens), e) if gens else rotate(e, 1, target.n)
+    if isinstance(target, ChainPowerTarget):
+        return tuple_rotate(e, rng.randrange(1, target.m + 1))
+    if isinstance(target, ChainProductTarget):
+        i = rng.randrange(len(target.parts))
+        parts = target._split(e)
+        parts[i] = _turn(target.parts[i], parts[i], rng)
+        return tuple(itertools.chain.from_iterable(parts))
+    return (_turn(target.left, e[0], rng), e[1])
+
+
+def _mutant(target, decomp: Decomposition, rng) -> Decomposition:
+    """Drop, swap, repeat or turn one element of the decomposition."""
+    chains = [list(c.elements) for c in decomp.chains]
+    i = rng.randrange(len(chains))
+    j = rng.randrange(len(chains[i]))
+    k = rng.randrange(len(chains))
+    h = rng.randrange(len(chains[k]))
+    kind = rng.choice(("drop", "swap", "repeat", "turn"))
+    if kind == "drop":
+        del chains[i][j]
+    elif kind == "swap":
+        chains[i][j], chains[k][h] = chains[k][h], chains[i][j]
+    elif kind == "repeat":
+        chains[i][j] = chains[k][h]
+    else:
+        chains[i][j] = _turn(target, chains[i][j], rng)
+    return Decomposition(
+        tuple(Chain(tuple(c), tuple(target.rank(e) for e in c)) for c in chains if c),
+        decomp.context,
+    )
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_certificate_and_enumeration_agree_on_mutants(case):
+    decomp, target = CASES[case]()
+    rng = random.Random(f"mutants {case}")
+    failing = 0
+    for _ in range(50):
+        mutant = _mutant(target, decomp, rng)
+        report = _enumerated(target, mutant)
+        assert _certified(target, mutant) == report.ok
+        if not report.ok:
+            failing += 1
+            assert verify_decomposition(target, mutant) == report
+    assert failing >= 25
+
+
+def test_element_equal_to_a_mask_in_another_type_verifies():
+    # True == 1 as a set member: the enumeration accepts it and walks the target's own mask
+    decomp = gk_decomposition(3)
+    chains = tuple(Chain(tuple(True if e == 1 else e for e in c.elements), c.ranks) for c in decomp.chains)
+    mutant = Decomposition(chains, decomp.context)
+    assert any(e is True for e in mutant.chains[0].elements)
+    report = verify_decomposition(quotient_poset(3, GroupSpec.trivial(3)), mutant)
+    assert report == VerifyReport(True, 8, 8, ())
+
+
 def _candidates(target):
     """Every element in the target's encoding, canonical or not."""
     if isinstance(target, QuotientPoset):
@@ -263,11 +329,12 @@ WALK_TARGETS = {
 @pytest.mark.parametrize("case", sorted(WALK_TARGETS))
 def test_walk_agrees_with_the_enumeration(case):
     target = WALK_TARGETS[case]()
+    leq = naive_comparability(target)
     canonical = [e for e in _candidates(target) if target.walk(e) is not None]
     assert canonical == sorted(target.elements())
     for a in canonical:
         below = target.walk(a)
-        assert [below(b) for b in canonical] == [target.leq(a, b) for b in canonical]
+        assert [below(b) for b in canonical] == [leq(a, b) for b in canonical]
 
 
 @pytest.mark.parametrize(
