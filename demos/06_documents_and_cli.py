@@ -12,12 +12,12 @@ from scdforge.cli import build_document, decode, encode, run
 from scdforge.prune import quotient_scd_cyclic
 
 decomp = quotient_scd_cyclic(5, 1)
-doc = build_document(decomp)
-data = encode(doc)
+data = encode(decomp)
 print("canonical document bytes:")
 print(data.decode().strip())
 
-# encode/decode is lossless on canonical documents
+# encode/decode is lossless on canonical documents; build_document is the decoded value
+doc = build_document(decomp)
 assert decode(data) == doc
 assert encode(decode(data)) == data
 print("round trip: ok")

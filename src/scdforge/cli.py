@@ -3,8 +3,12 @@
 Documents use the canonical JSON form "scdforge/1": sorted keys, compact
 separators, UTF-8, newline-terminated, chains in the deterministic order the
 constructions emit.  Subsets serialize as sorted 1-based element lists and
-chain-power elements as level lists.  Every construct subcommand re-verifies
-its result against an independently defined target before emitting anything.
+chain-power elements as level lists.  encode() writes a decomposition's chains
+straight from its elements, each subset's text from one table lookup per
+11-bit chunk of its mask, and leaves only the context and stats to json.dumps;
+the bytes are those json.dumps would give for the whole document.  Every
+construct subcommand re-verifies its result against an independently defined
+target before emitting anything.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from .core import (
     Decomposition,
     ResourceLimitError,
     bit_string,
-    element_lists,
+    element_text,
     mask_of,
     set_string,
 )
@@ -51,9 +55,33 @@ _CONTEXT_KEYS = ("kind", "group", "factors", *_CONTEXT_MINIMUM)
 _SUBSET_KINDS = ("boolean", "quotient", "reflection")
 
 
-def build_document(decomp: Decomposition) -> dict:
-    """Serializable document for a decomposition."""
+def _canonical_json(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def _chain_bytes(decomp: Decomposition):
+    """Each chain as its canonical JSON array of element arrays."""
     ctx = decomp.context
+    if ctx.kind in _SUBSET_KINDS:
+        text = element_text(ctx.n)
+        for c in decomp.chains:
+            yield b"[[" + b"],[".join(map(text, c.elements)) + b"]]"
+    else:
+        for c in decomp.chains:
+            yield ("[[" + "],[".join(",".join(map(str, t)) for t in c.elements) + "]]").encode()
+
+
+def encode(doc) -> bytes:
+    """Canonical bytes of a Decomposition's document, or of a dict: sorted
+    keys, compact separators, newline-terminated.
+
+    A decomposition's chains are written straight from its elements, one
+    table lookup per chunk of each mask; json.dumps writes only the other
+    three keys, which sort after "chains".
+    """
+    if not isinstance(doc, Decomposition):
+        return (_canonical_json(doc) + "\n").encode("utf-8")
+    ctx = doc.context
     context = {"kind": ctx.kind}
     for key in ("n", "group", "k", "m", "r"):
         value = getattr(ctx, key)
@@ -61,22 +89,23 @@ def build_document(decomp: Decomposition) -> dict:
             context[key] = value
     if ctx.factors is not None:
         context["factors"] = [list(t) for t in ctx.factors]
-    if ctx.kind in _SUBSET_KINDS:
-        as_list = element_lists(ctx.n)
-        chains = [[as_list(e) for e in c.elements] for c in decomp.chains]
-    else:
-        chains = [[list(e) for e in c.elements] for c in decomp.chains]
     stats = {
-        "chain_count": len(decomp.chains),
-        "element_count": decomp.element_count(),
-        "rank_profile": list(decomp.rank_counts()),
+        "chain_count": len(doc.chains),
+        "element_count": doc.element_count(),
+        "rank_profile": list(doc.rank_counts()),
     }
-    return {"schema": SCHEMA_ID, "context": context, "chains": chains, "stats": stats}
+    rest = _canonical_json({"context": context, "schema": SCHEMA_ID, "stats": stats})
+    pieces = []
+    for chain in _chain_bytes(doc):
+        pieces += (b",", chain)
+    pieces[:1] = [b'{"chains":[']  # in place of the first comma
+    pieces.append(("]," + rest[1:] + "\n").encode("utf-8"))
+    return b"".join(pieces)
 
 
-def encode(doc: dict) -> bytes:
-    """Canonical bytes: sorted keys, compact separators, newline-terminated."""
-    return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
+def build_document(decomp: Decomposition) -> dict:
+    """The document of a decomposition, as the JSON value encode() writes."""
+    return json.loads(encode(decomp))
 
 
 def _fail(pointer: str, message: str):
@@ -250,7 +279,7 @@ def _emit(decomp: Decomposition, args) -> None:
         for c in decomp.chains:
             print(" < ".join(_render_element(e, decomp.context) for e in c.elements))
     else:
-        sys.stdout.buffer.write(encode(build_document(decomp)))
+        sys.stdout.buffer.write(encode(decomp))
         sys.stdout.buffer.flush()
 
 

@@ -237,30 +237,47 @@ def bit_map(fn, n: int):
     return apply
 
 
-def element_lists(n: int):
-    """Table-driven form of list(elements_of(mask)) for masks of [n].
+def element_text(n: int):
+    """Table-driven form of ",".join(map(str, elements_of(mask))) as ASCII
+    bytes, for masks of [n].
 
-    Each CHUNK_BITS-wide chunk has one table of element-number tuples, already
-    offset by the chunk's position; the returned function concatenates one
-    lookup per chunk, lowest chunk first, into an exactly sized list.
+    Each CHUNK_BITS-wide chunk has one table of comma-joined element numbers,
+    already offset by the chunk's position; the returned function joins the
+    non-empty lookups, lowest chunk first, with b",".
     """
-    tables = _chunk_tables(elements_of, n)
+    tables = _chunk_tables(lambda a: ",".join(map(str, elements_of(a))).encode(), n)
     low = (1 << CHUNK_BITS) - 1
+    if len(tables) == 1:
+        return tables[0].__getitem__
+    if len(tables) == 2:
+        t0, t1 = tables
 
-    def as_list(mask: int) -> list[int]:
-        out = ()
+        def two(mask: int) -> bytes:
+            a, b = t0[mask & low], t1[mask >> CHUNK_BITS]
+            return a + b"," + b if a and b else a or b
+
+        return two
+
+    def text(mask: int) -> bytes:
+        parts = []
         for table in tables:
-            out += table[mask & low]
+            part = table[mask & low]
+            if part:
+                parts.append(part)
             mask >>= CHUNK_BITS
-        return list(out)
+        return b",".join(parts)
 
-    return as_list
+    return text
+
+
+def relabel_map(targets):
+    """The mask map moving local bit i to ambient bit targets[i], as a bit_map."""
+    return bit_map(lambda a: sum(1 << t for i, t in enumerate(targets) if a >> i & 1), len(targets))
 
 
 def relabel(decomp: Decomposition, targets) -> Decomposition:
     """Move local bit i of every mask element to ambient bit targets[i]."""
-    move = bit_map(lambda a: sum(1 << t for i, t in enumerate(targets) if a >> i & 1), len(targets))
-    return map_elements(decomp, move)
+    return map_elements(decomp, relabel_map(targets))
 
 
 def structural_problems(decomp: Decomposition) -> list[str]:
@@ -323,7 +340,7 @@ __all__ = [
     "ResourceLimitError",
     "bit_map",
     "bit_string",
-    "element_lists",
+    "element_text",
     "elements_of",
     "fold_products",
     "full_mask",
@@ -335,6 +352,7 @@ __all__ = [
     "product_scd",
     "rank",
     "relabel",
+    "relabel_map",
     "set_string",
     "structural_problems",
 ]

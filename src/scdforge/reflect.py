@@ -27,13 +27,12 @@ from .core import (
     hook_chains,
     make_decomposition,
     map_elements,
-    relabel,
+    relabel_map,
 )
 from .gk import GkScd, boolean_scd_on_support, gk_decomposition, gk_scd
 from .groups import (
     CycleFactor,
     GroupSpec,
-    orbit_rep,
     parse_group_spec,
     quotient_poset,
 )
@@ -179,13 +178,19 @@ def reflection_scd(n: int, rho: GroupSpec | str) -> Decomposition:
         return certify(quotient_poset(n, two_element), decomp)
     # local pair t (1-based) is (t, 2k+1-t), so the involution reverses the word
     targets = [a - 1 for a, _ in pairs] + [b - 1 for _, b in reversed(pairs)]
-    parts = [relabel(_core_quotient_part(len(pairs)), targets)]
+    move, (act,) = relabel_map(targets), two_element._actions
+
+    def name(a: int) -> int:
+        a = move(a)
+        return min(a, act(a))
+
+    # rho fixes the fixed block, which is disjoint from the moved support, so
+    # naming before the fold is the same as naming after: a|f < b|f iff a < b
+    parts = [map_elements(_core_quotient_part(len(pairs)), name)]
     fixed = full_mask(n) & ~sum(1 << t for t in targets)
     if fixed:
         parts.append(boolean_scd_on_support(fixed))
-    combined = fold_products(parts, operator.or_)
-    canonical = map_elements(combined, lambda a: orbit_rep(a, two_element))
-    decomp = make_decomposition(canonical.chains, context)
+    decomp = make_decomposition(fold_products(parts, operator.or_).chains, context)
     return certify(quotient_poset(n, two_element), decomp)
 
 

@@ -3,17 +3,22 @@
 Everything here is deliberately dumb and independent of the package's fast
 paths: interval scans instead of the matching stack, generic permutation
 closure instead of the disjoint-factor shortcuts, and exhaustive set algebra
-instead of canonical representatives.  The exception is
+instead of canonical representatives, and the document as a plain JSON
+value passed through `json.dumps`.  The exception is
 `ambient_chainpower`, which runs the package's own pruning over all of B_n
 and restricts afterwards, to pin the chain-power construction that prunes
 only the chains inside the power.  `greedy_prune` also uses the package's
 `orbit_rep`, once per chain element, to pin the pruning pass that walks each
-orbit only once.
+orbit only once.  `reflection_named_after_fold` builds the reflection
+quotient as it was before naming moved ahead of the fold, one `orbit_rep`
+per element.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
+import operator
 
 from scdforge.chainpow import (
     ChainPowerTarget,
@@ -23,10 +28,21 @@ from scdforge.chainpow import (
     mask_levels,
     tuple_rotate,
 )
-from scdforge.core import Chain
-from scdforge.gk import gk_scd
+from scdforge.core import (
+    Chain,
+    Context,
+    Decomposition,
+    elements_of,
+    fold_products,
+    full_mask,
+    make_decomposition,
+    map_elements,
+    relabel,
+)
+from scdforge.gk import boolean_scd_on_support, gk_scd
 from scdforge.groups import QuotientPoset, orbit_rep
 from scdforge.prune import PrunedChain, prune_chains, rotation_group
+from scdforge.reflect import _core_quotient_part, _transpositions, involution_group
 
 
 def interval_pairing(a: int, n: int) -> dict[int, int]:
@@ -196,3 +212,47 @@ def greedy_prune(chains, n: int, step: int) -> tuple[PrunedChain, ...]:
         orbit_chain = Chain(tuple(rep for _, rep in kept), kept_chain.ranks)
         picked.append(PrunedChain(ci, kept_chain, orbit_chain))
     return tuple(picked)
+
+
+def reference_document(decomp: Decomposition) -> dict:
+    """A decomposition's document, built as a plain JSON value."""
+    ctx = decomp.context
+    context = {"kind": ctx.kind}
+    for key in ("n", "group", "k", "m", "r"):
+        value = getattr(ctx, key)
+        if value is not None:
+            context[key] = value
+    if ctx.factors is not None:
+        context["factors"] = [list(t) for t in ctx.factors]
+    if ctx.kind in ("boolean", "quotient", "reflection"):
+        chains = [[list(elements_of(e)) for e in c.elements] for c in decomp.chains]
+    else:
+        chains = [[list(e) for e in c.elements] for c in decomp.chains]
+    stats = {
+        "chain_count": len(decomp.chains),
+        "element_count": decomp.element_count(),
+        "rank_profile": list(decomp.rank_counts()),
+    }
+    return {"schema": "scdforge/1", "context": context, "chains": chains, "stats": stats}
+
+
+def reference_bytes(decomp: Decomposition) -> bytes:
+    """The canonical scdforge/1 bytes of a decomposition, through json.dumps."""
+    doc = reference_document(decomp)
+    return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
+
+
+def reflection_named_after_fold(n: int, rho) -> Decomposition:
+    """The reflection quotient relabelled, folded with the fixed block, and
+    only then named, by one orbit_rep per element."""
+    pairs = _transpositions(rho)
+    two_element = involution_group(n, pairs)
+    targets = [a - 1 for a, _ in pairs] + [b - 1 for _, b in reversed(pairs)]
+    parts = [relabel(_core_quotient_part(len(pairs)), targets)]
+    fixed = full_mask(n) & ~sum(1 << t for t in targets)
+    if fixed:
+        parts.append(boolean_scd_on_support(fixed))
+    combined = fold_products(parts, operator.or_)
+    canonical = map_elements(combined, lambda a: orbit_rep(a, two_element))
+    context = Context(kind="reflection", total_rank=n, n=n, group=rho.text())
+    return make_decomposition(canonical.chains, context)

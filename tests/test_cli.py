@@ -1,9 +1,12 @@
 import json
+import random
+import tracemalloc
 
 import pytest
 
-from scdforge.chainpow import chainpower_scd
-from scdforge.core import Decomposition
+from oracles import reference_bytes
+from scdforge.chainpow import chainpower_scd, chainproduct_scd
+from scdforge.core import Chain, Context, Decomposition, relabel
 from scdforge.cli import (
     DecodeError,
     build_document,
@@ -13,8 +16,10 @@ from scdforge.cli import (
     run,
     target_for_context,
 )
+from scdforge.gk import gk_decomposition
 from scdforge.groups import QuotientPoset
-from scdforge.prune import quotient_scd_cyclic
+from scdforge.prune import quotient_scd, quotient_scd_cyclic
+from scdforge.reflect import reflection_scd
 from scdforge.verify import verify_decomposition
 
 
@@ -232,6 +237,56 @@ def test_encode_decode_round_trip():
         assert [c.elements for c in rebuilt.chains] == [c.elements for c in decomp.chains]
         target = target_for_context(doc["context"])
         assert verify_decomposition(target, rebuilt).ok
+
+
+def _spread(n: int, width: int, seed: int) -> Decomposition:
+    # the chains of B_width on random bits of [n]: masks from every chunk, some with empty ones
+    targets = sorted(random.Random(seed).sample(range(n), width))
+    moved = relabel(gk_decomposition(width), targets)
+    return Decomposition(moved.chains, Context(kind="boolean", total_rank=n, n=n))
+
+
+def _high_bits_only() -> Decomposition:
+    # n = 40: every mask leaves the low chunk empty, and some the middle one too
+    chains = (Chain.from_masks([0]), Chain.from_masks([1 << 11, 1 << 11 | 1 << 39]),
+              Chain.from_masks([1 << 22, 1 << 22 | 1 << 30, 1 << 22 | 1 << 30 | 1 << 33]))
+    return Decomposition(chains, Context(kind="boolean", total_rank=40, n=40))
+
+
+ENCODED = {
+    "boolean-1": lambda: gk_decomposition(1),
+    "boolean-11": lambda: gk_decomposition(11),
+    "boolean-12": lambda: gk_decomposition(12),
+    "boolean-22": lambda: _spread(22, 9, 0),
+    "boolean-40": _high_bits_only,
+    "quotient-fixed-12": lambda: quotient_scd(12, "(1 2 3 4)^2(6 7 8)(10 12)"),
+    "quotient-11": lambda: quotient_scd_cyclic(11, 1),
+    "reflection-12": lambda: reflection_scd(12, "(1 12)(2 11)(3 10)(4 9)(5 8)(6 7)"),
+    "reflection-fixed-11": lambda: reflection_scd(11, "(1 11)(3 4)(5 9)"),
+    "reflection-none-1": lambda: reflection_scd(1, "(1)"),
+    "chainpower": lambda: chainpower_scd(4, 3, 1),
+    "product": lambda: chainproduct_scd([(2, 2, 1), (3, 3, 1)]),
+}
+
+
+@pytest.mark.parametrize("name", ENCODED)
+def test_encode_writes_the_json_dumps_bytes(name):
+    decomp = ENCODED[name]()
+    data = encode(decomp)
+    assert data == reference_bytes(decomp)
+    assert decode(data) == build_document(decomp)
+    assert encode(build_document(decomp)) == data
+
+
+def test_encode_peak_memory_is_a_few_document_lengths():
+    decomp = gk_decomposition(14)
+    tracemalloc.start()
+    try:
+        data = encode(decomp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * len(data)
 
 
 def test_resource_guard_exit_code(capsysbinary):

@@ -10,7 +10,7 @@ from scdforge.core import (
     Decomposition,
     bit_map,
     bit_string,
-    element_lists,
+    element_text,
     elements_of,
     hook_chains,
     is_symmetric_chain,
@@ -167,15 +167,20 @@ def test_bit_map_matches_the_bit_loop(n):
     assert [move(a) for a in masks] == [_moved(a, targets) for a in masks]
 
 
-@pytest.mark.parametrize("n", [1, 8, 11, 12, 22, 23, 64])
-def test_element_lists_match_the_bit_loop(n):
+@pytest.mark.parametrize("n", [*range(1, 13), 22, 23, 40, 64])
+def test_element_text_matches_the_bit_loop(n):
+    # every mask up to n = 12 (one chunk, then two); sampled masks beyond
     rng = random.Random(n)
-    as_list = element_lists(n)
-    masks = [0, (1 << n) - 1] + [1 << i for i in range(n)] + [rng.getrandbits(n) for _ in range(500)]
+    text = element_text(n)
+    if n <= 12:
+        masks = range(1 << n)
+    else:
+        masks = [0, (1 << n) - 1] + [1 << i for i in range(n)] + [rng.getrandbits(n) for _ in range(500)]
+        masks += [a & ~0x7FF for a in masks]  # empty low chunk
     for a in masks:
-        listed = as_list(a)
-        assert type(listed) is list
-        assert listed == list(elements_of(a))
+        out = text(a)
+        assert type(out) is bytes
+        assert out == ",".join(map(str, elements_of(a))).encode()
 
 
 def test_relabel_moves_each_bit_to_its_target():

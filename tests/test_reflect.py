@@ -1,8 +1,9 @@
 import pytest
 
+from oracles import reflection_named_after_fold
 from scdforge.core import mask_of
 from scdforge.gk import gk_decomposition, gk_scd
-from scdforge.groups import ParseError, quotient_poset
+from scdforge.groups import ParseError, parse_group_spec, quotient_poset
 from scdforge.prune import quotient_scd
 from scdforge.reflect import (
     PBlock,
@@ -147,6 +148,17 @@ def test_reflection_with_fixed_points_verifies(n, text):
     decomp = reflection_scd(n, text)
     assert decomp.context.group == text
     assert decomp.rank_counts() == tuple(reversed(decomp.rank_counts()))
+
+
+@pytest.mark.parametrize(
+    "n, text",
+    [(9, "(2 3)(5 9)"), (9, "(1 9)"), (9, "(1 8)(2 7)(3 6)(4 5)"), (9, "(4 6)(1 3)(7 8)"),
+     (10, "(1 10)(2 9)(3 8)(4 7)(5 6)")],
+)
+def test_naming_before_the_fold_matches_naming_after(n, text):
+    decomp = reflection_scd(n, text)
+    reference = reflection_named_after_fold(n, parse_group_spec(text, n))
+    assert decomp == reference
 
 
 def test_reflection_agrees_with_cycle_power_route(capsys):

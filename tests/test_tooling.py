@@ -82,24 +82,41 @@ def test_trace_targets_resolve():
     assert missing == []
 
 
-def test_traced_quotient_counts_apply_perm_and_orbit_rep(tmp_path):
-    # the benchmark's own tests (not in this suite) need both on a traced run
+def _traced(tmp_path, argv):
+    """The trace and the stdout of one command run through perfbench/tracing.py."""
     trace_out = tmp_path / "trace.json"
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
-    subprocess.run(
-        [sys.executable, os.path.join(ROOT, "perfbench", "tracing.py"), str(trace_out),
-         "quotient", "--n", "8", "--group", "(1 2 3)(4 5 6 7)^2"],
+    result = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "perfbench", "tracing.py"), str(trace_out), *argv],
         env=env, capture_output=True, check=True,
     )
-    trace = json.loads(trace_out.read_text())
+    return json.loads(trace_out.read_text()), result.stdout
 
-    def names(spans):
-        for span in spans:
-            yield span["name"]
-            yield from names(span["children"])
 
+def _span_names(spans):
+    for span in spans:
+        yield span["name"]
+        yield from _span_names(span["children"])
+
+
+def test_traced_quotient_counts_apply_perm_and_orbit_rep(tmp_path):
+    # the benchmark's own tests (not in this suite) need both on a traced run
+    trace, _ = _traced(tmp_path, ["quotient", "--n", "8", "--group", "(1 2 3)(4 5 6 7)^2"])
     assert trace["counters"]["groups.apply_perm.calls"] > 0
-    assert "groups.orbit_rep" in set(names(trace["spans"]))
+    assert "groups.orbit_rep" in set(_span_names(trace["spans"]))
+
+
+@pytest.mark.parametrize("argv", [
+    ("quotient", "--n", "8", "--group", "(1 2 3)(4 5 6 7)^2"),
+    ("reflect", "--n", "9", "--group", "(1 9)(3 4)"),
+    ("gk", "--n", "12"),
+    ("chainpower", "--k", "3", "--m", "4", "--r", "1"),
+])
+def test_traced_construct_writes_through_encode(tmp_path, argv):
+    # the benchmark's cli.encode span and cli.doc_bytes counter are taken from encode's result
+    trace, stdout = _traced(tmp_path, argv)
+    assert "cli.encode" in set(_span_names(trace["spans"]))
+    assert trace["counters"]["cli.doc_bytes"] == len(stdout) > 0
 
 
 def test_seed_0_documents_match_the_goldens(capsysbinary, monkeypatch):
