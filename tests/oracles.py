@@ -2,16 +2,16 @@
 
 Everything here is deliberately dumb and independent of the package's fast
 paths: interval scans instead of the matching stack, generic permutation
-closure instead of the disjoint-factor shortcuts, and exhaustive set algebra
-instead of canonical representatives, and the document as a plain JSON
-value passed through `json.dumps`.  The exception is
+closure instead of the disjoint-factor shortcuts, exhaustive set algebra
+instead of canonical representatives, and `json.dumps` of the whole document
+instead of the chunk-table encoder.  The exception is
 `ambient_chainpower`, which runs the package's own pruning over all of B_n
 and restricts afterwards, to pin the chain-power construction that prunes
 only the chains inside the power.  `greedy_prune` also uses the package's
 `orbit_rep`, once per chain element, to pin the pruning pass that walks each
-orbit only once.  `reflection_named_after_fold` builds the reflection
-quotient as it was before naming moved ahead of the fold, one `orbit_rep`
-per element.
+orbit only once.  `reflection_named_after_fold` names the reflection
+quotient after the fold with the fixed block, by one `orbit_rep` per element,
+to pin the construction that names each orbit in the relabel pass.
 """
 
 from __future__ import annotations
