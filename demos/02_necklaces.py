@@ -14,18 +14,19 @@ from scdforge import (
     set_string,
     verify_decomposition,
 )
-from scdforge.gk import gk_scd
+from scdforge.gk import ChainBottoms
 from scdforge.prune import prune_chains, rotation_group
 
 n = 6
-family = prune_chains(gk_scd(n), 1)
+group = rotation_group(n, 1)
+# the pass streams the chains from their sorted bottoms and checks the Burnside count
+family = prune_chains(ChainBottoms(n), 1, burnside_count(n, group))
 print(f"pruning B_{n} modulo full rotation:")
 for pc in family.chains:
     kept = " < ".join(bit_string(m, n) for m in pc.kept.elements)
     print(f"  chain {pc.source}: kept {kept}")
 
 decomp = quotient_scd_cyclic(n, 1)
-group = rotation_group(n, 1)
 print(f"\n{len(decomp.chains)} chains cover {decomp.element_count()} necklaces"
       f" (Burnside says {burnside_count(n, group)})")
 for c in decomp.chains:

@@ -7,7 +7,10 @@ rotating the whole word by (k-1)r, and every Greene-Kleitman chain of the
 ambient lattice stays inside the embedded power or misses it, as its bottom
 does, so pruning only the chains grown from bottoms inside the power against
 that rotation gives the ambient quotient's pruned decomposition restricted to
-the chain power, without building the ambient lattice.
+the chain power, without building the ambient lattice.  The bottoms come from
+gk.ChainBottoms with blocks of k-1 bits, and the pass is
+prune.prune_chains, whose marks above QUOTIENT_LIMIT are one byte per level
+tuple.
 """
 
 from __future__ import annotations
@@ -27,8 +30,8 @@ from .core import (
     fold_products,
     make_decomposition,
 )
-from .gk import _chains, gk_scd
-from .prune import _prune
+from . import prune
+from .gk import ChainBottoms, gk_scd
 
 
 def _check_shape(k: int, m: int) -> int:
@@ -167,7 +170,8 @@ def _chainpower(k: int, m: int, step: int) -> Decomposition:
     n = (k - 1) * m
     chains = []
     # by the dichotomy these are exactly the Greene-Kleitman chains inside the power
-    for pc in _prune(_chains(n, k - 1), n, (k - 1) * step, tuple_orbit_count(k, m, step)):
+    family = prune.prune_chains(ChainBottoms(n, k - 1), (k - 1) * step, tuple_orbit_count(k, m, step))
+    for pc in family.chains:
         elems = tuple(canonical_levels(mask_levels(a, k, m), step) for a in pc.kept.elements)
         chains.append(Chain(elems, pc.kept.ranks))
     context = Context(kind="chainpower", total_rank=n, k=k, m=m, r=step)

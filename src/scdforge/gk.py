@@ -8,6 +8,13 @@ map adds the smallest free non-member, the predecessor map removes the largest
 free member.  Each chain is grown from its bottom, the subset whose members
 are all matched, by adding the free positions left to right; the chains
 partition B_n into symmetric chains.
+
+gk_scd builds every chain, checks that they cover all 2^n subsets and caches
+the result; it serves the gk command, reflections and the exposition helpers.
+ChainBottoms only lists the sorted (bottom, free) pairs, restricted to
+blockwise monotone bottoms for a chain power; the greedy pruning pass streams
+from it, and the Boolean factor of a quotient grows its chains straight from
+the bottoms too.
 """
 
 from __future__ import annotations
@@ -128,6 +135,32 @@ def _bottoms(n: int, width: int):
             stack.append((i + 1, members | bit, unclosed ^ nearest))
 
 
+class ChainBottoms:
+    """The chains grown from the bottoms of _bottoms(n, width), each grown
+    only when it is asked for.
+
+    pairs holds each chain's (bottom, free) ordered by (rank, bottom), which
+    is the order of gk_scd(n).chains restricted to these bottoms.  Item i is
+    chain i, grown on demand, and `chains` is the object itself, so a reader
+    of a pass's source finds its chains where a GkScd keeps them.
+    """
+
+    def __init__(self, n: int, width: int = 1):
+        self.n = n
+        self.width = width
+        self.pairs = tuple(sorted(_bottoms(n, width), key=lambda p: p[0].bit_count() << n | p[0]))
+
+    def __len__(self) -> int:
+        return len(self.pairs)
+
+    def __getitem__(self, i: int) -> Chain:
+        return _grow(*self.pairs[i])
+
+    @property
+    def chains(self) -> "ChainBottoms":
+        return self
+
+
 def _chains(n: int, width: int) -> list[Chain]:
     """The chains grown from the bottoms of _bottoms(n, width), by (rank, bottom)."""
     chains = (_grow(bottom, free) for bottom, free in _bottoms(n, width))
@@ -194,9 +227,13 @@ def gk_decomposition(n: int) -> Decomposition:
 
 def boolean_scd_on_support(support: int) -> Decomposition:
     """The Greene-Kleitman SCD of the Boolean lattice over an arbitrary
-    support mask, with elements written in the ambient ground set."""
+    support mask, with elements written in the ambient ground set.  The
+    chains are grown straight from their bottoms, without gk_scd's cache and
+    coverage check."""
     positions = [e - 1 for e in elements_of(support)]
-    return relabel(gk_decomposition(len(positions)), positions)
+    f = len(positions)
+    decomp = make_decomposition(_chains(f, 1), Context(kind="boolean", total_rank=f, n=f))
+    return relabel(decomp, positions)
 
 
 def partner(x: int, chain: Chain) -> int:
@@ -210,6 +247,7 @@ def partner(x: int, chain: Chain) -> int:
 
 
 __all__ = [
+    "ChainBottoms",
     "GkScd",
     "Pairing",
     "boolean_scd_on_support",

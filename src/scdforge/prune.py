@@ -5,7 +5,11 @@ Greene-Kleitman chains in order: select a chain when one of its members lies
 in an orbit untouched by the previously selected chains, then cut it down to
 the members whose orbits miss the previously kept pieces.  A selected chain
 leaves every orbit it meets kept, so one mark per subset, "its orbit has a
-kept member", decides both.  The kept pieces project to a symmetric chain
+kept member", decides both.  The pass streams the chains from their bottoms,
+sorted by (rank, bottom), and grows each one only while scanning it, so the
+whole Greene-Kleitman SCD (gk_scd) is never built; the marks are a bytearray
+over the 2^n masks up to QUOTIENT_LIMIT and, beyond it, over the k^m level
+tuples of a chain power.  The kept pieces project to a symmetric chain
 decomposition of the quotient.  Arbitrary products of disjoint cycle powers
 reduce to this: split off the fixed points, quotient each rotated block
 locally, and recombine with the hook product.
@@ -19,19 +23,22 @@ import operator
 from dataclasses import dataclass
 
 from .core import (
+    CHUNK_BITS,
     Chain,
     Context,
     Decomposition,
     QUOTIENT_LIMIT,
     ResourceLimitError,
+    _chunk_tables,
     check_enum,
+    elements_of,
     fold_products,
     full_mask,
     make_decomposition,
     map_elements,
     relabel,
 )
-from .gk import GkScd, boolean_scd_on_support, gk_scd, predecessor
+from .gk import ChainBottoms, GkScd, boolean_scd_on_support, predecessor
 from .groups import CycleFactor, GroupSpec, _members, burnside_count, factorize, orbit_rep, parse_group_spec, quotient_poset
 from .verify import certify
 
@@ -74,44 +81,51 @@ class PrunedFamily:
         return tuple(pc.orbits for pc in self.chains)
 
 
-def prune_chains(scd: GkScd, step: int) -> PrunedFamily:
-    """Greedily prune the chains into an SCD of B_n modulo rotation by step."""
-    n = scd.n
-    if step < 1 or n % step:
-        raise ValueError(f"rotation step must divide the ground size, got {step} for n={n}")
-    return PrunedFamily(n, step, _prune(scd.chains, n, step, burnside_count(n, rotation_group(n, step))))
-
-
-def _prune(chains, n: int, step: int, expected: int) -> tuple[PrunedChain, ...]:
-    """The greedy pass over Greene-Kleitman chains of B_n, in the given order.
+def prune_chains(bottoms: ChainBottoms, step: int, expected: int) -> PrunedFamily:
+    """The greedy pass over the chains of `bottoms`, in their order, against
+    rotation by step.
 
     A chain is selected when some member's orbit under rotation by step misses
     every previously selected chain in full; its kept piece consists of the
     members whose orbits miss the pieces kept so far.  A chain's members lie
     in distinct orbits, so a selected chain leaves every orbit it meets kept:
     one mark per subset ("its orbit has a kept member") decides selection and
-    pruning, and each orbit is walked once.  Self-check: every kept piece is a
-    symmetric chain, no orbit is covered twice, and the pieces cover
-    `expected` orbits, all those of the chains' union.
+    pruning, and each orbit is walked once.  Each chain is grown from its
+    bottom while it is scanned, and a Chain is built only for a kept piece.
+    The marks are a bytearray over the 2^n masks up to QUOTIENT_LIMIT, and
+    beyond it, where only chain powers reach, one over the power's level
+    tuples.  Self-check: every kept piece is a symmetric chain, no orbit is
+    covered twice, and the pieces cover `expected` orbits, all those of the
+    chains' union.
     """
+    n = bottoms.n
+    if step < 1 or n % step:
+        raise ValueError(f"rotation step must divide the ground size, got {step} for n={n}")
     actions = rotation_group(n, step)._actions
-    if n <= QUOTIENT_LIMIT:  # at most 4 MB; beyond it, a set of the marked masks
-        marks = bytearray(1 << n)
-        is_marked, mark = marks.__getitem__, marks.__setitem__
-    else:
-        marks = set()
-        is_marked, mark = marks.__contains__, lambda x, _: marks.add(x)
+    if n <= QUOTIENT_LIMIT:  # at most 4 MB, indexed by the mask itself
+        marks, index = bytearray(1 << n), None
+    else:  # k^m <= 2^QUOTIENT_LIMIT bytes, indexed by the level tuple
+        marks, index = bytearray((bottoms.width + 1) ** (n // bottoms.width)), _level_index(n, bottoms.width)
     kept_reps: set[int] = set()
     picked = []
-    for ci, chain in enumerate(chains):
-        kept = [a for a in chain.elements if not is_marked(a)]
+    for ci, (a, free) in enumerate(bottoms.pairs):
+        kept = []
+        while True:  # up the chain: add the free positions left to right
+            if not marks[a if index is None else index(a)]:
+                kept.append(a)
+            if not free:
+                break
+            low = free & -free
+            a |= low
+            free ^= low
         if not kept:
             continue
-        orbits = [_members(a, actions) for a in kept]
-        for members in orbits:
-            for x in members:
-                mark(x, 1)
-        reps = [min(members) for members in orbits]
+        reps = []
+        for a in kept:
+            members = _members(a, actions)
+            for x in members if index is None else map(index, members):
+                marks[x] = 1
+            reps.append(min(members))
         kept_reps.update(reps)
         kept_chain = Chain.from_masks(kept)
         picked.append(PrunedChain(ci, kept_chain, Chain(tuple(reps), kept_chain.ranks)))
@@ -127,12 +141,29 @@ def _prune(chains, n: int, step: int, expected: int) -> tuple[PrunedChain, ...]:
         raise ConsistencyError("kept pieces cover an orbit twice")
     if kept_total != expected:
         raise ConsistencyError(f"covered {kept_total} orbits but the quotient has {expected}")
-    return tuple(picked)
+    return PrunedFamily(n, step, tuple(picked))
 
 
-@functools.lru_cache(maxsize=None)
-def _pruned_family(n: int, step: int) -> PrunedFamily:
-    return prune_chains(gk_scd(n), step)
+def _level_index(n: int, width: int):
+    """The base-(width+1) number of a blockwise monotone word's level tuple.
+
+    Level i is the popcount of block i, so every member bit adds its block's
+    place value.  The index therefore adds over the CHUNK_BITS-wide chunks,
+    even where a block straddles two of them: one table lookup per chunk,
+    summed.
+    """
+    k = width + 1
+    tables = _chunk_tables(lambda a: sum(k ** ((e - 1) // width) for e in elements_of(a)), n)
+    low = (1 << CHUNK_BITS) - 1
+
+    def index(mask: int) -> int:
+        out = 0
+        for table in tables:
+            out += table[mask & low]
+            mask >>= CHUNK_BITS
+        return out
+
+    return index
 
 
 def quotient_scd_cyclic(n: int, step: int) -> Decomposition:
@@ -144,9 +175,14 @@ def quotient_scd_cyclic(n: int, step: int) -> Decomposition:
     check_enum(n, QUOTIENT_LIMIT, "quotient_scd_cyclic")
     if step < 1:
         raise ValueError("rotation step must be positive")
-    step = math.gcd(step, n)
-    family = _pruned_family(n, step)
-    context = Context(kind="quotient", total_rank=n, n=n, group=rotation_group(n, step).text())
+    return _quotient_cyclic(n, math.gcd(step, n))
+
+
+@functools.lru_cache(maxsize=None)  # repeated factor shapes of quotient_scd build once
+def _quotient_cyclic(n: int, step: int) -> Decomposition:
+    group = rotation_group(n, step)
+    family = prune_chains(ChainBottoms(n), step, burnside_count(n, group))
+    context = Context(kind="quotient", total_rank=n, n=n, group=group.text())
     return make_decomposition(family.quotient_chains, context)
 
 

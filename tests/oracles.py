@@ -5,11 +5,11 @@ paths: interval scans instead of the matching stack, generic permutation
 closure instead of the disjoint-factor shortcuts, exhaustive set algebra
 instead of canonical representatives, and `json.dumps` of the whole document
 instead of the chunk-table encoder.  The exception is
-`ambient_chainpower`, which runs the package's own pruning over all of B_n
-and restricts afterwards, to pin the chain-power construction that prunes
-only the chains inside the power.  `greedy_prune` also uses the package's
-`orbit_rep`, once per chain element, to pin the pruning pass that walks each
-orbit only once.  `reflection_named_after_fold` names the reflection
+`ambient_chainpower`, which runs `greedy_prune` over every chain of the
+package's `gk_scd(n)` and restricts afterwards, to pin the chain-power
+construction that streams only the chains inside the power.  `greedy_prune`
+also uses the package's `orbit_rep`, once per chain element, to pin the
+streamed pruning pass that walks each orbit only once.  `reflection_named_after_fold` names the reflection
 quotient after the fold with the fixed block, by one `orbit_rep` per element,
 to pin the construction that names each orbit in the relabel pass.
 """
@@ -41,7 +41,7 @@ from scdforge.core import (
 )
 from scdforge.gk import boolean_scd_on_support, gk_scd
 from scdforge.groups import QuotientPoset, orbit_rep
-from scdforge.prune import PrunedChain, prune_chains, rotation_group
+from scdforge.prune import PrunedChain, rotation_group
 from scdforge.reflect import _core_quotient_part, _transpositions, involution_group
 
 
@@ -185,7 +185,7 @@ def ambient_chainpower(k: int, m: int, step: int) -> list[Chain]:
     power, written as canonical level tuples."""
     n = (k - 1) * m
     chains = []
-    for pc in prune_chains(gk_scd(n), (k - 1) * step).chains:
+    for pc in greedy_prune(gk_scd(n).chains, n, (k - 1) * step):
         kept = [(a, r) for a, r in zip(pc.kept.elements, pc.kept.ranks) if in_chain_power(a, k, m)]
         if kept:
             levels = tuple(canonical_levels(mask_levels(a, k, m), step) for a, _ in kept)

@@ -18,9 +18,9 @@ from scdforge.chainpow import (
     tuple_rotate,
 )
 from scdforge.core import Context, ResourceLimitError, make_decomposition, mask_of
-from scdforge.gk import _chains, gk_scd
+from scdforge.gk import ChainBottoms, _chains, gk_scd
 from scdforge.groups import orbit_rep
-from scdforge.prune import ConsistencyError, _prune, quotient_scd_cyclic, rotation_group
+from scdforge.prune import ConsistencyError, _level_index, prune_chains, quotient_scd_cyclic, rotation_group
 from scdforge.verify import verify_decomposition
 
 
@@ -157,9 +157,12 @@ def test_dichotomy_guard():
 )
 def test_bottom_search_finds_the_chains_inside_the_power(k, m):
     """The width-(k-1) search grows exactly the ambient chains whose bottom
-    is inside the power, in the ambient order."""
+    is inside the power, in the ambient order, and so does the streamed
+    ChainBottoms, chain by chain."""
     n = (k - 1) * m
-    assert _chains(n, k - 1) == [c for c in gk_scd(n).chains if in_chain_power(c.bottom, k, m)]
+    inside = [c for c in gk_scd(n).chains if in_chain_power(c.bottom, k, m)]
+    assert _chains(n, k - 1) == inside
+    assert list(ChainBottoms(n, k - 1).chains) == inside
 
 
 def test_chainpower_beyond_the_ambient_lattice_guard():
@@ -257,11 +260,23 @@ def test_restricted_pruning_matches_ambient(k, m):
 
 
 def test_prune_checks_the_orbit_count():
-    inside = [c for c in gk_scd(6).chains if in_chain_power(c.bottom, 3, 3)]
-    # (7, 4) lies beyond QUOTIENT_LIMIT at n = 24, where the marks are a set, not a bytearray
-    for chains, n, k, m in ((inside, 6, 3, 3), (_chains(24, 6), 24, 7, 4)):
+    # (3, 3) at n = 6 marks masks; (7, 4) lies beyond QUOTIENT_LIMIT at n = 24,
+    # where the marks are one byte per level tuple
+    for n, k, m in ((6, 3, 3), (24, 7, 4)):
+        bottoms = ChainBottoms(n, k - 1)
         expected = tuple_orbit_count(k, m, 1)
-        assert sum(len(pc.kept) for pc in _prune(chains, n, k - 1, expected)) == expected
+        assert sum(len(pc.kept) for pc in prune_chains(bottoms, k - 1, expected).chains) == expected
         for wrong in (expected - 1, expected + 1):
             with pytest.raises(ConsistencyError, match="orbits"):
-                _prune(chains, n, k - 1, wrong)
+                prune_chains(bottoms, k - 1, wrong)
+
+
+@pytest.mark.parametrize("k, m", [(24, 1), (13, 2), (7, 4), (5, 6), (3, 12), (4, 11), (65, 1)])
+def test_level_index_is_the_base_k_number_of_the_levels(k, m):
+    """The marks above QUOTIENT_LIMIT are indexed by the level tuple read as a
+    base-k number, summed over chunks that may split a block."""
+    index = _level_index((k - 1) * m, k - 1)
+    rng = random.Random(100 * k + m)
+    tuples = [(0,) * m, (k - 1,) * m] + [tuple(rng.randrange(k) for _ in range(m)) for _ in range(300)]
+    for u in tuples:
+        assert index(level_mask(u, k)) == sum(lv * k**i for i, lv in enumerate(u)), u

@@ -1,13 +1,14 @@
+import sys
+
 import pytest
 
 from oracles import greedy_prune, is_scd, naive_orbits
-from scdforge import prune
-from scdforge.chainpow import tuple_orbit_count
+from scdforge import chainpow, gk, prune
+from scdforge.chainpow import chainpower_scd, in_chain_power, tuple_orbit_count
 from scdforge.core import mask_of
-from scdforge.gk import _chains, gk_decomposition, gk_scd, partner
+from scdforge.gk import ChainBottoms, _chains, gk_decomposition, gk_scd, partner
 from scdforge.groups import burnside_count, orbit_rep, parse_group_spec, quotient_poset
 from scdforge.prune import (
-    _prune,
     prune_chains,
     quotient_scd,
     quotient_scd_cyclic,
@@ -22,6 +23,11 @@ def divisors(n):
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
+def pruned(n, step):
+    """The streamed pass over B_n against rotation by step."""
+    return prune_chains(ChainBottoms(n), step, burnside_count(n, rotation_group(n, step)))
+
+
 def test_rotate_and_rep():
     assert rotate(mask_of([1, 2]), 1, 4) == mask_of([2, 3])
     assert rotate(mask_of([4]), 1, 4) == mask_of([1])
@@ -30,13 +36,13 @@ def test_rotate_and_rep():
 
 
 def test_prune_n3_full_rotation():
-    family = prune_chains(gk_scd(3), 1)
+    family = pruned(3, 1)
     assert [pc.source for pc in family.chains] == [0]
     assert family.chains[0].orbits.elements == (0, 1, 3, 7)
 
 
 def test_prune_n4_full_rotation():
-    family = prune_chains(gk_scd(4), 1)
+    family = pruned(4, 1)
     assert [pc.source for pc in family.chains] == [0, 2]
     assert family.chains[0].orbits.elements == (0, 1, 3, 7, 15)
     assert family.chains[1].kept.elements == (mask_of([1, 3]),)
@@ -44,7 +50,7 @@ def test_prune_n4_full_rotation():
 
 
 def test_prune_n4_half_rotation():
-    family = prune_chains(gk_scd(4), 2)
+    family = pruned(4, 2)
     assert [pc.source for pc in family.chains] == [0, 1, 2, 4]
     assert [pc.orbits.elements for pc in family.chains] == [
         (0, 1, 3, 7, 15),
@@ -57,11 +63,15 @@ def test_prune_n4_half_rotation():
 @pytest.mark.parametrize("n", range(1, 11))
 def test_pruned_family_invariants(n):
     scd = gk_scd(n)
+    grown = ChainBottoms(n).chains
+    assert len(grown) == len(scd.chains)
     for step in divisors(n):
-        family = prune_chains(scd, step)
+        family = pruned(n, step)
         seen = set()
         for pc in family.chains:
             source = scd.chains[pc.source]
+            # the streamed source index names the same chain, grown on demand
+            assert grown[pc.source] == source
             # the kept piece is a contiguous window of its source chain
             lo = source.elements.index(pc.kept.elements[0])
             window = source.elements[lo : lo + len(pc.kept)]
@@ -80,29 +90,67 @@ def test_pruned_family_invariants(n):
 def test_prune_matches_the_reference_pass(n):
     scd = gk_scd(n)
     for step in divisors(n):
-        expected = burnside_count(n, rotation_group(n, step))
-        assert _prune(scd.chains, n, step, expected) == greedy_prune(scd.chains, n, step), step
+        assert pruned(n, step).chains == greedy_prune(scd.chains, n, step), step
 
 
-# every chain power with (k-1)m <= 12, then four beyond QUOTIENT_LIMIT, where the marks are a set
+# every chain power with (k-1)m <= 12, then four beyond QUOTIENT_LIMIT, where the
+# marks are one byte per level tuple, not per mask
 CHAIN_POWER_SHAPES = [(k, m) for k in range(2, 14) for m in range(1, 13) if (k - 1) * m <= 12]
 
 
 @pytest.mark.parametrize("k, m", CHAIN_POWER_SHAPES + [(24, 1), (13, 2), (7, 4), (5, 6)])
 def test_prune_matches_the_reference_pass_on_chain_powers(k, m):
     n = (k - 1) * m
-    chains = _chains(n, k - 1)
+    # the reference runs over the ambient chains inside the power where gk_scd(n) is cheap
+    chains = [c for c in gk_scd(n).chains if in_chain_power(c.bottom, k, m)] if n <= 12 else _chains(n, k - 1)
+    bottoms = ChainBottoms(n, k - 1)
     for step in divisors(m):
-        got = _prune(chains, n, (k - 1) * step, tuple_orbit_count(k, m, step))
+        got = prune_chains(bottoms, (k - 1) * step, tuple_orbit_count(k, m, step)).chains
         assert got == greedy_prune(chains, n, (k - 1) * step), step
 
 
-@pytest.mark.parametrize("n, step", [(12, 1), (12, 4), (16, 2)])
-def test_prune_walks_each_orbit_once(monkeypatch, n, step):
+# B_n by (n, step); then chain powers (7, 4) and (5, 6) at n = 24, beyond
+# QUOTIENT_LIMIT, where the marks index level tuples, by (n, width, bit step)
+@pytest.mark.parametrize("n, width, step", [
+    pytest.param(12, 1, 1, id="12-1"),
+    pytest.param(12, 1, 4, id="12-4"),
+    pytest.param(16, 1, 2, id="16-2"),
+    pytest.param(24, 6, 6, id="24-6-6"),
+    pytest.param(24, 4, 8, id="24-4-8"),
+])
+def test_prune_walks_each_orbit_once(monkeypatch, n, width, step):
     walk, walks = prune._members, []
     monkeypatch.setattr(prune, "_members", lambda s, actions: walks.append(s) or walk(s, actions))
-    prune_chains(gk_scd(n), step)
-    assert len(walks) == burnside_count(n, rotation_group(n, step))
+    if width == 1:
+        expected = burnside_count(n, rotation_group(n, step))
+    else:
+        expected = tuple_orbit_count(width + 1, n // width, step // width)
+    prune_chains(ChainBottoms(n, width), step, expected)
+    assert len(walks) == expected
+
+
+def test_quotients_and_chain_powers_build_no_gk_scd(monkeypatch):
+    """Quotients, their fixed-point factor included, and chain powers stream
+    the greedy pass from sorted bottoms; gk_scd(n) serves only the gk path."""
+    built, passes = gk.gk_scd, []
+
+    def refuse(n):
+        raise AssertionError(f"gk_scd({n}) built off the gk path")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("scdforge.") and getattr(module, "gk_scd", None) is built:
+            monkeypatch.setattr(module, "gk_scd", refuse)
+    # bypass the caches, so that earlier tests cannot answer for the pass
+    monkeypatch.setattr(prune, "_quotient_cyclic", prune._quotient_cyclic.__wrapped__)
+    monkeypatch.setattr(chainpow, "_chainpower", chainpow._chainpower.__wrapped__)
+    run_pass = prune.prune_chains
+    monkeypatch.setattr(prune, "prune_chains", lambda b, *rest: passes.append(b.n) or run_pass(b, *rest))
+    with pytest.raises(AssertionError, match="off the gk path"):
+        gk.gk_scd(12)
+    group = parse_group_spec("(1 2 3 4 5 6)(7 8 9 10)^2", 12)
+    assert quotient_scd(12, group).element_count() == burnside_count(12, group)
+    assert chainpower_scd(3, 6, 1).element_count() == tuple_orbit_count(3, 6, 1)
+    assert passes == [6, 4, 12]
 
 
 @pytest.mark.parametrize("n", range(1, 11))

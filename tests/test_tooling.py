@@ -106,6 +106,22 @@ def test_traced_quotient_counts_apply_perm_and_orbit_rep(tmp_path):
     assert "groups.orbit_rep" in set(_span_names(trace["spans"]))
 
 
+def test_traced_chainpower_runs_the_pruning_pass(tmp_path):
+    # chain powers reach the greedy pass through prune.prune_chains, so its counters are live
+    trace, _ = _traced(tmp_path, ["chainpower", "--k", "3", "--m", "4", "--r", "1"])
+    assert "prune.prune_chains" in set(_span_names(trace["spans"]))
+    assert trace["counters"]["prune.chains_scanned"] > 0
+
+
+def test_traced_quotient_builds_no_gk_scd(tmp_path):
+    # the pass streams sorted bottoms; the fixed point 8 takes the Boolean factor, also without gk_scd
+    trace, _ = _traced(tmp_path, ["quotient", "--n", "8", "--group", "(1 2 3)(4 5 6 7)^2"])
+    names = set(_span_names(trace["spans"]))
+    assert "prune.prune_chains" in names
+    assert "gk.gk_scd" not in names
+    assert trace["counters"].get("gk.chains", 0) == 0
+
+
 @pytest.mark.parametrize("argv", [
     ("quotient", "--n", "8", "--group", "(1 2 3)(4 5 6 7)^2"),
     ("reflect", "--n", "9", "--group", "(1 9)(3 4)"),
