@@ -141,8 +141,8 @@ class ChainBottoms:
 
     pairs holds each chain's (bottom, free) ordered by (rank, bottom), which
     is the order of gk_scd(n).chains restricted to these bottoms.  Item i is
-    chain i, grown on demand, and `chains` is the object itself, so a reader
-    of a pass's source finds its chains where a GkScd keeps them.
+    chain i, grown on demand; `chains` is the object itself, so that code
+    reading a pass's source as a GkScd (scd.chains[i]) grows only chain i.
     """
 
     def __init__(self, n: int, width: int = 1):
