@@ -9,12 +9,13 @@ free member.  Each chain is grown from its bottom, the subset whose members
 are all matched, by adding the free positions left to right; the chains
 partition B_n into symmetric chains.
 
-gk_scd builds every chain, checks that they cover all 2^n subsets and caches
+ChainBottoms lists the (bottom, free) pairs in chain order, restricted to
+blockwise monotone bottoms for a chain power, and grows a chain only when it
+is asked for; the greedy pruning pass streams from it.  gk_scd grows every
+chain of ChainBottoms(n), checks that they cover all 2^n subsets and caches
 the result; it serves the gk command, reflections and the exposition helpers.
-ChainBottoms only lists the sorted (bottom, free) pairs, restricted to
-blockwise monotone bottoms for a chain power; the greedy pruning pass streams
-from it, and the Boolean factor of a quotient grows its chains straight from
-the bottoms too.
+The Boolean factor of a quotient grows its chains from ChainBottoms without
+that cache and check.
 """
 
 from __future__ import annotations
@@ -140,7 +141,7 @@ class ChainBottoms:
     only when it is asked for.
 
     pairs holds each chain's (bottom, free) ordered by (rank, bottom), which
-    is the order of gk_scd(n).chains restricted to these bottoms.  Item i is
+    is the order of gk_scd(n).chains, built from ChainBottoms(n).  Item i is
     chain i, grown on demand; `chains` is the object itself, so that code
     reading a pass's source as a GkScd (scd.chains[i]) grows only chain i.
     """
@@ -159,12 +160,6 @@ class ChainBottoms:
     @property
     def chains(self) -> "ChainBottoms":
         return self
-
-
-def _chains(n: int, width: int) -> list[Chain]:
-    """The chains grown from the bottoms of _bottoms(n, width), by (rank, bottom)."""
-    chains = (_grow(bottom, free) for bottom, free in _bottoms(n, width))
-    return sorted(chains, key=lambda c: (c.ranks[0], c.elements[0]))
 
 
 @dataclass(frozen=True)
@@ -206,9 +201,9 @@ class GkScd:
 
 @functools.lru_cache(maxsize=None)
 def gk_scd(n: int) -> GkScd:
-    """Build the Greene-Kleitman SCD of B_n by growing chains from their bottoms."""
+    """Build the Greene-Kleitman SCD of B_n by growing every chain of ChainBottoms(n)."""
     check_enum(n, ENUM_LIMIT, "gk_scd")
-    chains = _chains(n, 1)
+    chains = list(ChainBottoms(n))
     covered = bytearray(1 << n)
     for chain in chains:
         for mask in chain.elements:
@@ -228,11 +223,11 @@ def gk_decomposition(n: int) -> Decomposition:
 def boolean_scd_on_support(support: int) -> Decomposition:
     """The Greene-Kleitman SCD of the Boolean lattice over an arbitrary
     support mask, with elements written in the ambient ground set.  The
-    chains are grown straight from their bottoms, without gk_scd's cache and
-    coverage check."""
+    chains are grown from ChainBottoms, without gk_scd's cache and coverage
+    check."""
     positions = [e - 1 for e in elements_of(support)]
     f = len(positions)
-    decomp = make_decomposition(_chains(f, 1), Context(kind="boolean", total_rank=f, n=f))
+    decomp = make_decomposition(list(ChainBottoms(f)), Context(kind="boolean", total_rank=f, n=f))
     return relabel(decomp, positions)
 
 

@@ -142,6 +142,9 @@ def test_gk_scd_partitions_and_indexes(n):
             assert scd.locate(mask) == (ci, pos)
             seen.add(mask)
     assert len(seen) == 1 << n
+    # longest chains first; equal lengths by ascending bottom mask
+    order = [(c.ranks[0], c.bottom) for c in scd.chains]
+    assert order == sorted(order)
 
 
 @pytest.mark.parametrize("n", range(1, 12))

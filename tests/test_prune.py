@@ -6,7 +6,7 @@ from oracles import greedy_prune, is_scd, naive_orbits
 from scdforge import chainpow, gk, prune
 from scdforge.chainpow import chainpower_scd, in_chain_power, tuple_orbit_count
 from scdforge.core import mask_of
-from scdforge.gk import ChainBottoms, _chains, gk_decomposition, gk_scd, partner
+from scdforge.gk import ChainBottoms, gk_decomposition, gk_scd, partner
 from scdforge.groups import burnside_count, orbit_rep, parse_group_spec, quotient_poset
 from scdforge.prune import (
     prune_chains,
@@ -101,9 +101,13 @@ CHAIN_POWER_SHAPES = [(k, m) for k in range(2, 14) for m in range(1, 13) if (k -
 @pytest.mark.parametrize("k, m", CHAIN_POWER_SHAPES + [(24, 1), (13, 2), (7, 4), (5, 6)])
 def test_prune_matches_the_reference_pass_on_chain_powers(k, m):
     n = (k - 1) * m
-    # the reference runs over the ambient chains inside the power where gk_scd(n) is cheap
-    chains = [c for c in gk_scd(n).chains if in_chain_power(c.bottom, k, m)] if n <= 12 else _chains(n, k - 1)
     bottoms = ChainBottoms(n, k - 1)
+    if n <= 12:
+        # the ambient chains inside the power, where gk_scd(n) is cheap
+        chains = [c for c in gk_scd(n).chains if in_chain_power(c.bottom, k, m)]
+    else:
+        # the streamed chains, grown and then sorted by their (rank, bottom)
+        chains = sorted((bottoms[i] for i in range(len(bottoms))), key=lambda c: (c.ranks[0], c.bottom))
     for step in divisors(m):
         got = prune_chains(bottoms, (k - 1) * step, tuple_orbit_count(k, m, step)).chains
         assert got == greedy_prune(chains, n, (k - 1) * step), step
