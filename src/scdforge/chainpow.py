@@ -136,15 +136,25 @@ class ChainPowerTarget:
     def rank(self, u) -> int:
         return sum(u)
 
-    def walk(self, u):
-        """None unless u is a canonical level tuple; otherwise the test
-        "u <= b", answered from the one list of u's rotations."""
-        if type(u) is not tuple or len(u) != self.m or not all(type(lv) is int and 0 <= lv < self.k for lv in u):
-            return None
-        turns = _rotations(u, self.step)
-        if min(turns) != u:
-            return None
-        return lambda b: any(all(p <= q for p, q in zip(x, b)) for x in turns)
+    def ascends(self, tuples) -> bool:
+        """True iff every element is a canonical level tuple and each lies
+        below the next, answered from one list of each tuple's rotations."""
+        k, m, step = self.k, self.m, self.step
+        below = None
+        for u in tuples:
+            if type(u) is not tuple or len(u) != m or not all(type(lv) is int and 0 <= lv < k for lv in u):
+                return False
+            turns = _rotations(u, step)
+            if min(turns) != u:
+                return False
+            if below is not None:
+                for x in below:
+                    if all(p <= q for p, q in zip(x, u)):
+                        break
+                else:
+                    return False
+            below = turns
+        return True
 
     def expected_size(self) -> int:
         return tuple_orbit_count(self.k, self.m, self.step)
@@ -231,14 +241,6 @@ class ChainProductTarget:
         self.parts = [ChainPowerTarget(k, m, r) for k, m, r in self.triples]
         self.total_rank = sum(t.total_rank for t in self.parts)
 
-    def _split(self, u):
-        out = []
-        i = 0
-        for _, m, _ in self.triples:
-            out.append(tuple(u[i : i + m]))
-            i += m
-        return out
-
     def elements(self):
         pools = [list(p.elements()) for p in self.parts]
         for combo in itertools.product(*pools):
@@ -247,15 +249,20 @@ class ChainProductTarget:
     def rank(self, u) -> int:
         return sum(u)
 
-    def walk(self, u):
-        """None unless u is a well-formed tuple whose parts are canonical;
-        otherwise the test "u <= b", from one walk of each part."""
-        if type(u) is not tuple or len(u) != sum(m for _, m, _ in self.triples):
-            return None
-        tests = [part.walk(x) for part, x in zip(self.parts, self._split(u))]
-        if None in tests:
-            return None
-        return lambda b: all(test(y) for test, y in zip(tests, self._split(b)))
+    def ascends(self, tuples) -> bool:
+        """True iff every element is a tuple of the full length and each
+        part's sequence ascends in its own target; x <= x holds there, so a
+        part may stay put while another rises."""
+        size = sum(part.m for part in self.parts)
+        for u in tuples:
+            if type(u) is not tuple or len(u) != size:
+                return False
+        i = 0
+        for part in self.parts:
+            if not part.ascends([u[i : i + part.m] for u in tuples]):
+                return False
+            i += part.m
+        return True
 
     def expected_size(self) -> int:
         out = 1

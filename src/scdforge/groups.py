@@ -251,10 +251,10 @@ class QuotientPoset:
     """Orbits of B_n under a cycle-power group, ranked by subset size.
 
     The orbits are enumerated on first use, by elements(), orbits or
-    covers(); walk() and expected_size() never enumerate them.  The size
-    guard is checked at construction.  walk(a) decides "a <= b" by testing
-    each member of a's orbit against b alone, which is valid because the group
-    acts by automorphisms.
+    covers(); ascends() and expected_size() never enumerate them.  The size
+    guard is checked at construction.  ascends() decides "a <= b" for
+    consecutive elements by testing each member of a's orbit against b alone,
+    which is valid because the group acts by automorphisms.
     """
 
     def __init__(self, n: int, group: GroupSpec):
@@ -303,15 +303,25 @@ class QuotientPoset:
     def rank(self, rep: int) -> int:
         return rep.bit_count()
 
-    def walk(self, e):
-        """None unless e is the least mask of its orbit; otherwise the test
-        "e <= b", answered from that one walk of e's orbit."""
-        if type(e) is not int or not 0 <= e < 1 << self.n:
-            return None
-        members = _members(e, self.group._actions)
-        if min(members) != e:
-            return None
-        return lambda b: any(x | b == b for x in members)
+    def ascends(self, elements) -> bool:
+        """True iff every element is the least mask of its orbit and each
+        lies below the next; one walk of each element's orbit answers both."""
+        actions, limit = self.group._actions, 1 << self.n
+        below = None
+        for e in elements:
+            if type(e) is not int or not 0 <= e < limit:
+                return False
+            members = _members(e, actions)
+            if min(members) != e:
+                return False
+            if below is not None:
+                for x in below:
+                    if x | e == e:
+                        break
+                else:
+                    return False
+            below = members
+        return True
 
     def covers(self):
         """Comparable pairs at adjacent ranks (the Hasse diagram edges)."""

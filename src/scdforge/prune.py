@@ -36,7 +36,7 @@ from .core import (
     full_mask,
     make_decomposition,
     map_elements,
-    relabel,
+    relabel_map,
 )
 from .gk import ChainBottoms, GkScd, boolean_scd_on_support, predecessor
 from .groups import CycleFactor, GroupSpec, _members, burnside_count, factorize, orbit_rep, parse_group_spec, quotient_poset
@@ -190,9 +190,10 @@ def quotient_scd(n: int, group: GroupSpec | str) -> Decomposition:
     """SCD of B_n modulo a group generated by powers of disjoint cycles.
 
     Fixed points contribute a plain Boolean factor and every rotated block a
-    cyclic quotient; the factors are folded with the hook product, elements
-    are renamed to canonical orbit representatives, and the result is
-    certified against the orbit poset before returning.
+    cyclic quotient, whose elements are moved onto the block and renamed to
+    the least member of their orbit under that block's rotation; the factors
+    are folded with the hook product, and the result is certified against the
+    orbit poset before returning.
     """
     check_enum(n, QUOTIENT_LIMIT, "quotient_scd")
     if isinstance(group, str):
@@ -204,11 +205,16 @@ def quotient_scd(n: int, group: GroupSpec | str) -> Decomposition:
     if split.fixed:
         parts.append(boolean_scd_on_support(split.fixed))
     for f in split.factors:
-        parts.append(relabel(quotient_scd_cyclic(f.length, f.power), [e - 1 for e in f.cycle]))
+        move = relabel_map([e - 1 for e in f.cycle])
+        factor_group = GroupSpec(n, (CycleFactor(f.cycle, f.power),))
+        part = quotient_scd_cyclic(f.length, f.power)
+        parts.append(map_elements(part, lambda a, move=move, g=factor_group: orbit_rep(move(a), g)))
+    # the supports are disjoint, so a | b == a + b and the orbit of a union is
+    # every union of factor orbit members: its least member is the union of
+    # the factors' least members, and naming before the fold is naming after
     combined = fold_products(parts, operator.or_)
-    canonical = map_elements(combined, lambda a: orbit_rep(a, group))
     context = Context(kind="quotient", total_rank=n, n=n, group=group.text())
-    return certify(quotient_poset(n, group), make_decomposition(canonical.chains, context))
+    return certify(quotient_poset(n, group), make_decomposition(combined.chains, context))
 
 
 def shadow_closure_failures(scd: GkScd, step: int) -> list[dict]:

@@ -1,22 +1,23 @@
 """Construction-independent certification of claimed decompositions.
 
-A target poset provides five members: elements(), rank(x), walk(x),
-total_rank and expected_size().  walk(x) returns None unless x is a canonical
-element of the target (the least member of its orbit, in the target's own
-encoding); otherwise it returns the test "x <= y" for any element y, answered
-from one walk of x's orbit.  It is the target's only comparability test.  The
-verifier recomputes every rank and comparability itself and never trusts the
-construction's bookkeeping.
+A target poset provides five members: elements(), rank(x),
+ascends(elements), total_rank and expected_size().  ascends(elements) is True
+iff every element of the sequence is a canonical element of the target (the
+least member of its orbit, in the target's own encoding) and each lies below
+the next, answered from one walk of each element's orbit.  It is the target's
+only comparability test.  The verifier recomputes every rank and
+comparability itself and never trusts the construction's bookkeeping.
 
 A family of chains partitions the target into symmetric chains as soon as
 every element is canonical, no element repeats, every chain steps up one rank
 at a time through comparable elements with end ranks summing to total_rank,
 and the elements number exactly expected_size(): distinct canonical elements
 name distinct orbits, and a Burnside count of the orbits equals the true one,
-so by pigeonhole every orbit is covered exactly once.  That certificate walks
-each claimed element's orbit once.  Only when it fails does the verifier
-enumerate elements() to name every problem, so the reports of both routes are
-the same.
+so by pigeonhole every orbit is covered exactly once.  That certificate makes
+one ascends() call per chain, which walks each claimed element's orbit once.
+Only when it fails does the verifier enumerate elements() to name every
+problem, testing each failing step with ascends() on the pair, so the reports
+of both routes are the same.
 """
 
 from __future__ import annotations
@@ -100,18 +101,17 @@ def _certified(target, decomp: Decomposition) -> bool:
     count = decomp.element_count()
     if count != target.expected_size():
         return False
-    walk, rank, total = target.walk, target.rank, target.total_rank
+    ascends, rank, total = target.ascends, target.rank, target.total_rank
     seen = set()
     for chain in decomp.chains:
         elems = chain.elements
-        below = [walk(e) for e in elems]
-        if None in below:
+        if not ascends(elems):
             return False
         ranks = [rank(e) for e in elems]
         if ranks[0] + ranks[-1] != total:
             return False
-        for i in range(len(elems) - 1):
-            if ranks[i + 1] != ranks[i] + 1 or not below[i](elems[i + 1]):
+        for a, b in zip(ranks, ranks[1:]):
+            if b != a + 1:
                 return False
         seen.update(elems)
     return len(seen) == count
@@ -120,7 +120,7 @@ def _certified(target, decomp: Decomposition) -> bool:
 def _enumerated(target, decomp: Decomposition) -> VerifyReport:
     """Enumerate the target and report every problem of the decomposition."""
     # each element maps to itself: a claimed element may equal one in another type (True for mask 1),
-    # which walk() rejects, so comparability is tested on the target's own copies
+    # which ascends() rejects, so comparability is tested on the target's own copies
     universe = {e: e for e in target.elements()}
     total = target.total_rank
     failures = []
@@ -138,7 +138,7 @@ def _enumerated(target, decomp: Decomposition) -> VerifyReport:
             if ranks[i + 1] != ranks[i] + 1:
                 failures.append(Failure("not-saturated", (elems[i], elems[i + 1])))
                 break
-            if not target.walk(universe[elems[i]])(universe[elems[i + 1]]):
+            if not target.ascends((universe[elems[i]], universe[elems[i + 1]])):
                 failures.append(Failure("not-comparable", (elems[i], elems[i + 1])))
                 break
         if ranks[0] + ranks[-1] != total:
@@ -202,15 +202,14 @@ class ProductTarget:
     def rank(self, pair) -> int:
         return self.left.rank(pair[0]) + self.right.rank(pair[1])
 
-    def walk(self, pair):
-        """None unless both coordinates of the pair are canonical; otherwise
-        the test "pair <= b", from one walk of each coordinate."""
-        if type(pair) is not tuple or len(pair) != 2:
-            return None
-        left, right = self.left.walk(pair[0]), self.right.walk(pair[1])
-        if left is None or right is None:
-            return None
-        return lambda b: left(b[0]) and right(b[1])
+    def ascends(self, pairs) -> bool:
+        """True iff every element is a pair and each coordinate's sequence
+        ascends in its own target; x <= x holds there, so a coordinate may
+        stay put while the other rises."""
+        for pair in pairs:
+            if type(pair) is not tuple or len(pair) != 2:
+                return False
+        return self.left.ascends([p[0] for p in pairs]) and self.right.ascends([p[1] for p in pairs])
 
     def expected_size(self) -> int:
         return self.left.expected_size() * self.right.expected_size()

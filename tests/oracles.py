@@ -11,7 +11,10 @@ construction that streams only the chains inside the power.  `greedy_prune`
 also uses the package's `orbit_rep`, once per chain element, to pin the
 streamed pruning pass that walks each orbit only once.  `reflection_named_after_fold` names the reflection
 quotient after the fold with the fixed block, by one `orbit_rep` per element,
-to pin the construction that names each orbit in the relabel pass.
+to pin the construction that names each orbit in the relabel pass, and
+`named_after_fold` does the same for a cycle-power quotient, by one
+`orbit_rep` under the whole group per element, to pin the construction that
+names each factor's orbits before the fold.
 """
 
 from __future__ import annotations
@@ -40,8 +43,8 @@ from scdforge.core import (
     relabel,
 )
 from scdforge.gk import boolean_scd_on_support, gk_scd
-from scdforge.groups import QuotientPoset, orbit_rep
-from scdforge.prune import PrunedChain, rotation_group
+from scdforge.groups import QuotientPoset, factorize, orbit_rep
+from scdforge.prune import PrunedChain, quotient_scd_cyclic, rotation_group
 from scdforge.reflect import _core_quotient_part, _transpositions, involution_group
 
 
@@ -255,4 +258,20 @@ def reflection_named_after_fold(n: int, rho) -> Decomposition:
     combined = fold_products(parts, operator.or_)
     canonical = map_elements(combined, lambda a: orbit_rep(a, two_element))
     context = Context(kind="reflection", total_rank=n, n=n, group=rho.text())
+    return make_decomposition(canonical.chains, context)
+
+
+def named_after_fold(n: int, group) -> Decomposition:
+    """The cycle-power quotient with every factor relabelled onto its block,
+    folded, and only then named, by one orbit_rep under the whole group per
+    element."""
+    split = factorize(n, group)
+    parts = []
+    if split.fixed:
+        parts.append(boolean_scd_on_support(split.fixed))
+    for f in split.factors:
+        parts.append(relabel(quotient_scd_cyclic(f.length, f.power), [e - 1 for e in f.cycle]))
+    combined = fold_products(parts, operator.or_)
+    canonical = map_elements(combined, lambda a: orbit_rep(a, group))
+    context = Context(kind="quotient", total_rank=n, n=n, group=group.text())
     return make_decomposition(canonical.chains, context)

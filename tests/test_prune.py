@@ -1,13 +1,15 @@
+import itertools
+import random
 import sys
 
 import pytest
 
-from oracles import greedy_prune, is_scd, naive_orbits
-from scdforge import chainpow, gk, prune
+from oracles import greedy_prune, is_scd, named_after_fold, naive_orbits
+from scdforge import chainpow, gk, groups, prune
 from scdforge.chainpow import chainpower_scd, in_chain_power, tuple_orbit_count
 from scdforge.core import mask_of
 from scdforge.gk import ChainBottoms, gk_decomposition, gk_scd, partner
-from scdforge.groups import burnside_count, orbit_rep, parse_group_spec, quotient_poset
+from scdforge.groups import CycleFactor, GroupSpec, burnside_count, factorize, orbit_rep, parse_group_spec, quotient_poset
 from scdforge.prune import (
     prune_chains,
     quotient_scd,
@@ -217,6 +219,71 @@ def test_quotient_scd_trivial_group():
     assert [c.elements for c in decomp.chains] == [
         c.elements for c in gk_decomposition(4).chains
     ]
+
+
+def _cycle_types(room, largest):
+    """Every multiset of cycle lengths of at least 2 that fits in room."""
+    yield ()
+    for length in range(min(room, largest), 1, -1):
+        for rest in _cycle_types(room - length, length):
+            yield (length,) + rest
+
+
+def _laid_out(n, lengths, exponents, rng):
+    """The cycle powers on consecutive blocks of a seeded permutation of [n]."""
+    order = rng.sample(range(1, n + 1), n)
+    factors, start = [], 0
+    for length, exponent in zip(lengths, exponents):
+        factors.append(CycleFactor(tuple(order[start : start + length]), exponent))
+        start += length
+    return GroupSpec(n, tuple(factors))
+
+
+def _every_cycle_power_group(n):
+    """Every cycle type of [n] with every exponent of each cycle, up to
+    relabelling [n], which a seeded permutation does."""
+    rng = random.Random(f"groups {n}")
+    for lengths in _cycle_types(n, n):
+        for exponents in itertools.product(*(range(length) for length in lengths)):
+            yield _laid_out(n, lengths, exponents, rng)
+
+
+def _sampled_groups_with_fixed_points(n, count):
+    rng = random.Random(f"fixed points {n}")
+    for _ in range(count):
+        lengths, room = [], n - rng.randrange(1, 4)
+        while room >= 2 and rng.random() < 0.8:
+            lengths.append(rng.randrange(2, room + 1))
+            room -= lengths[-1]
+        yield _laid_out(n, lengths, [rng.randrange(1, 2 * length) for length in lengths], rng)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_naming_each_factor_matches_naming_after_the_fold(n):
+    for group in _every_cycle_power_group(n):
+        assert quotient_scd(n, group) == named_after_fold(n, group), group.text()
+
+
+@pytest.mark.parametrize("n", range(9, 15))
+def test_naming_each_factor_matches_naming_after_the_fold_with_fixed_points(n):
+    for group in _sampled_groups_with_fixed_points(n, 6):
+        assert factorize(n, group).fixed, group.text()
+        assert quotient_scd(n, group) == named_after_fold(n, group), group.text()
+
+
+def test_quotient_scd_names_orbits_one_factor_at_a_time(monkeypatch):
+    # each factor's local quotient is named once, element by element, under that factor alone
+    factor_counts = []
+    for module in (groups, prune):
+        original = module.orbit_rep
+        monkeypatch.setattr(
+            module, "orbit_rep", lambda s, g, f=original: factor_counts.append(len(g.factors)) or f(s, g)
+        )
+    group = parse_group_spec("(1 5 9)(2 6 10 13)^2 (3 7)(4 8 11 12)^3", 14)
+    decomp = quotient_scd(14, group)
+    local = sum(quotient_scd_cyclic(f.length, f.power).element_count() for f in factorize(14, group).factors)
+    assert factor_counts == [1] * local
+    assert local == 4 + 10 + 3 + 6 < decomp.element_count() == burnside_count(14, group)
 
 
 def test_quotient_scd_against_dumb_checker():

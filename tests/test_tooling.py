@@ -99,6 +99,13 @@ def _span_names(spans):
         yield from _span_names(span["children"])
 
 
+def _spans_named(spans, name):
+    for span in spans:
+        if span["name"] == name:
+            yield span
+        yield from _spans_named(span["children"], name)
+
+
 def test_traced_quotient_counts_apply_perm_and_orbit_rep(tmp_path):
     # the benchmark's own tests (not in this suite) need both on a traced run
     trace, _ = _traced(tmp_path, ["quotient", "--n", "8", "--group", "(1 2 3)(4 5 6 7)^2"])
@@ -120,6 +127,14 @@ def test_traced_quotient_builds_no_gk_scd(tmp_path):
     assert "prune.prune_chains" in names
     assert "gk.gk_scd" not in names
     assert trace["counters"].get("gk.chains", 0) == 0
+
+
+def test_traced_quotient_names_orbits_per_factor(tmp_path):
+    # each factor's local quotient is named before the fold, so orbit_rep runs
+    # once per local element (14 + 10), not once per element of the document
+    trace, stdout = _traced(tmp_path, ["quotient", "--n", "12", "--group", "(1 2 3 4 5 6)(7 8 9 10)^2"])
+    calls = sum(span["calls"] for span in _spans_named(trace["spans"], "groups.orbit_rep"))
+    assert 0 < calls < json.loads(stdout)["stats"]["element_count"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from oracles import naive_comparability
+from scdforge import groups
 from scdforge.chainpow import ChainPowerTarget, ChainProductTarget, chainpower_scd, chainproduct_scd, tuple_rotate
 from scdforge.core import Chain, Context, Decomposition, mask_of, product_scd
 from scdforge.gk import gk_decomposition
@@ -147,8 +148,10 @@ def test_product_target():
     assert prod.total_rank == 3
     assert prod.expected_size() == 8
     assert prod.rank((3, 1)) == 3
-    assert prod.walk((1, 0))((3, 1))
-    assert not prod.walk((2, 1))((1, 1))
+    assert prod.ascends(((1, 0), (3, 1)))
+    assert not prod.ascends(((2, 1), (1, 1)))
+    assert prod.ascends(((1, 0), (1, 1), (3, 1)))
+    assert not prod.ascends(((1, 0), (3, 0), (2, 1)))
     assert len(list(prod.elements())) == 8
 
 
@@ -253,7 +256,8 @@ def _turn(target, e, rng):
         return tuple_rotate(e, rng.randrange(1, target.m + 1))
     if isinstance(target, ChainProductTarget):
         i = rng.randrange(len(target.parts))
-        parts = target._split(e)
+        cuts = list(itertools.accumulate([0] + [part.m for part in target.parts]))
+        parts = [e[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
         parts[i] = _turn(target.parts[i], parts[i], rng)
         return tuple(itertools.chain.from_iterable(parts))
     return (_turn(target.left, e[0], rng), e[1])
@@ -296,6 +300,29 @@ def test_certificate_and_enumeration_agree_on_mutants(case):
     assert failing >= 25
 
 
+WALKED = {
+    "gk": lambda: (gk_decomposition(10), quotient_poset(10, GroupSpec.trivial(10))),
+    "reflection": lambda: (
+        reflection_scd(10, "(1 10)(2 9)(4 7)"),
+        quotient_poset(10, involution_group(10, [(1, 10), (2, 9), (4, 7)])),
+    ),
+    "quotient": lambda: (
+        quotient_scd(12, "(1 2 3 4 5 6)(7 8 9 10)^2"),
+        quotient_poset(12, parse_group_spec("(1 2 3 4 5 6)(7 8 9 10)^2", 12)),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WALKED))
+def test_passing_certificate_walks_each_claimed_element_once(monkeypatch, case):
+    decomp, target = WALKED[case]()
+    walks, original = [], groups._members
+    monkeypatch.setattr(groups, "_members", lambda s, actions: walks.append(s) or original(s, actions))
+    assert verify_decomposition(target, decomp).ok
+    assert len(walks) == decomp.element_count()
+    assert sorted(walks) == sorted(decomp.iter_elements())
+
+
 def test_element_equal_to_a_mask_in_another_type_verifies():
     # True == 1 as a set member: the enumeration accepts it and walks the target's own mask
     decomp = gk_decomposition(3)
@@ -328,35 +355,62 @@ WALK_TARGETS = {
 
 @pytest.mark.parametrize("case", sorted(WALK_TARGETS))
 def test_walk_agrees_with_the_enumeration(case):
+    # ascends() walks each element's orbit once; on a pair it is the order itself,
+    # and it rejects a pair as soon as either element is not canonical
     target = WALK_TARGETS[case]()
     leq = naive_comparability(target)
-    canonical = [e for e in _candidates(target) if target.walk(e) is not None]
+    candidates = list(_candidates(target))
+    canonical = [e for e in candidates if target.ascends((e,))]
     assert canonical == sorted(target.elements())
-    for a in canonical:
-        below = target.walk(a)
-        assert [below(b) for b in canonical] == [leq(a, b) for b in canonical]
+    accepted = set(canonical)
+    for a in candidates:
+        expected = [a in accepted and b in accepted and leq(a, b) for b in candidates]
+        assert [target.ascends((a, b)) for b in candidates] == expected
 
 
-@pytest.mark.parametrize(
-    "case, element",
-    [
-        ("quotient", -1),
-        ("quotient", 1 << 6),
-        ("quotient", True),
-        ("quotient", 1.0),
-        ("quotient", (1,)),
-        ("chain power", [0, 0, 0, 0]),
-        ("chain power", (0, 0, 0)),
-        ("chain power", (0, 0, 0, 3)),
-        ("chain power", (0, 0, 0, -1)),
-        ("chain power", (0, 0, 0, True)),
-        ("chain product", (0, 0, 0, 0)),
-        ("chain product", (0, 0, 0, 0, 0, 0)),
-        ("product", (0,)),
-        ("product", (0, 0, 0)),
-        ("product", [0, 0]),
-        ("product", (0, 4)),
-    ],
-)
+MALFORMED = [
+    ("quotient", -1),
+    ("quotient", 1 << 6),
+    ("quotient", True),
+    ("quotient", 1.0),
+    ("quotient", (1,)),
+    ("chain power", [0, 0, 0, 0]),
+    ("chain power", (0, 0, 0)),
+    ("chain power", (0, 0, 0, 3)),
+    ("chain power", (0, 0, 0, -1)),
+    ("chain power", (0, 0, 0, True)),
+    ("chain product", (0, 0, 0, 0)),
+    ("chain product", (0, 0, 0, 0, 0, 0)),
+    ("product", (0,)),
+    ("product", (0, 0, 0)),
+    ("product", [0, 0]),
+    ("product", (0, 4)),
+]
+
+
+@pytest.mark.parametrize("case, element", MALFORMED)
 def test_walk_rejects_malformed_elements(case, element):
-    assert WALK_TARGETS[case]().walk(element) is None
+    target = WALK_TARGETS[case]()
+    bottom = min(target.elements())  # below every element of these targets
+    assert not target.ascends((element,))
+    assert not target.ascends((bottom, element))
+
+
+@pytest.mark.parametrize("case", sorted(WALK_TARGETS))
+def test_ascends_checks_every_step_and_position(case):
+    target = WALK_TARGETS[case]()
+    leq = naive_comparability(target)
+    canonical = sorted(target.elements())
+    rng = random.Random(f"triples {case}")
+    for _ in range(200):
+        a = rng.choice(canonical)
+        b = rng.choice([x for x in canonical if leq(a, x)] if rng.random() < 0.7 else canonical)
+        c = rng.choice([x for x in canonical if leq(b, x)] if rng.random() < 0.7 else canonical)
+        assert target.ascends((a, b, c)) == (leq(a, b) and leq(b, c)), (a, b, c)
+    # the least and greatest elements bound every other one
+    good = (canonical[0], canonical[len(canonical) // 2], canonical[-1])
+    assert target.ascends(good)
+    non_canonical = next(e for e in _candidates(target) if e not in set(canonical))
+    for bad in [e for c, e in MALFORMED if c == case] + [non_canonical]:
+        for i in range(3):
+            assert not target.ascends(good[:i] + (bad,) + good[i + 1 :]), (bad, i)
