@@ -142,14 +142,15 @@ class ChainPowerTarget:
         k, m, step = self.k, self.m, self.step
         below = None
         for u in tuples:
-            if type(u) is not tuple or len(u) != m or not all(type(lv) is int and 0 <= lv < k for lv in u):
+            # {int} also refuses True and 1.0, which compare equal to 1
+            if type(u) is not tuple or len(u) != m or set(map(type, u)) != {int} or min(u) < 0 or max(u) >= k:
                 return False
             turns = _rotations(u, step)
             if min(turns) != u:
                 return False
             if below is not None:
                 for x in below:
-                    if all(p <= q for p, q in zip(x, u)):
+                    if all(map(operator.le, x, u)):
                         break
                 else:
                     return False
