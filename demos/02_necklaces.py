@@ -15,6 +15,7 @@ from scdforge import (
     verify_decomposition,
 )
 from scdforge.gk import ChainBottoms
+from scdforge.groups import rank_counts
 from scdforge.prune import prune_chains, rotation_group
 
 n = 6
@@ -37,7 +38,8 @@ poset = quotient_poset(n, group)
 report = verify_decomposition(poset, decomp)
 print(f"\nindependent verification: {report.summary()}")
 
-profile = rank_profile(poset)
+# the per-rank counts come from the cycle index, without enumerating the orbits
+profile = rank_profile(rank_counts(n, group))
 print(f"rank profile {list(profile.counts)}, symmetric={profile.symmetric}, unimodal={profile.unimodal}")
 
 # subgroups of the rotation group: quotient by a half turn instead

@@ -32,6 +32,7 @@ from .core import (
 )
 from . import prune
 from .gk import ChainBottoms, gk_scd
+from .groups import necklace_ranks
 
 
 def _check_shape(k: int, m: int) -> int:
@@ -106,13 +107,6 @@ def canonical_levels(u: tuple[int, ...], step: int) -> tuple[int, ...]:
     return min(_rotations(u, step))
 
 
-def tuple_orbit_count(k: int, m: int, step: int) -> int:
-    """Burnside count of level tuples modulo rotation by step."""
-    step = math.gcd(step, m)
-    order = m // step
-    return sum(k ** math.gcd(step * e, m) for e in range(order)) // order
-
-
 class ChainPowerTarget:
     """Rotation quotient of the m-fold power of a k-level chain.
 
@@ -158,7 +152,7 @@ class ChainPowerTarget:
         return True
 
     def expected_size(self) -> int:
-        return tuple_orbit_count(self.k, self.m, self.step)
+        return sum(necklace_ranks(self.k, self.m, self.step))
 
 
 def chainpower_scd(k: int, m: int, r: int = 1) -> Decomposition:
@@ -181,7 +175,7 @@ def _chainpower(k: int, m: int, step: int) -> Decomposition:
     n = (k - 1) * m
     chains = []
     # by the dichotomy these are exactly the Greene-Kleitman chains inside the power
-    family = prune.prune_chains(ChainBottoms(n, k - 1), (k - 1) * step, tuple_orbit_count(k, m, step))
+    family = prune.prune_chains(ChainBottoms(n, k - 1), (k - 1) * step, sum(necklace_ranks(k, m, step)))
     for pc in family.chains:
         elems = tuple(canonical_levels(mask_levels(a, k, m), step) for a in pc.kept.elements)
         chains.append(Chain(elems, pc.kept.ranks))
@@ -282,6 +276,5 @@ __all__ = [
     "in_chain_power",
     "level_mask",
     "mask_levels",
-    "tuple_orbit_count",
     "tuple_rotate",
 ]

@@ -29,7 +29,7 @@ from .core import (
     set_string,
 )
 from .gk import gk_decomposition
-from .groups import GroupSpec, ParseError, parse_group_spec, quotient_poset
+from .groups import GroupSpec, ParseError, parse_group_spec, quotient_poset, rank_counts
 from .prune import quotient_scd
 from .reflect import _transpositions, involution_group, reflection_scd
 from .verify import VerificationError, certify, rank_profile, verify_decomposition
@@ -330,7 +330,7 @@ def _cmd_orbits(args) -> int:
 
 def _cmd_profile(args) -> int:
     group = parse_group_spec(args.group, args.n) if args.group is not None else GroupSpec.trivial(args.n)
-    profile = rank_profile(quotient_poset(args.n, group))
+    profile = rank_profile(rank_counts(args.n, group))
     print("ranks=" + " ".join(str(c) for c in profile.counts))
     print(f"symmetric={'true' if profile.symmetric else 'false'}")
     print(f"unimodal={'true' if profile.unimodal else 'false'}")

@@ -213,11 +213,13 @@ def _chunk_tables(fn, n: int) -> list[tuple]:
 
 
 def bit_map(fn, n: int):
-    """Table-driven form of a union-preserving map on masks of [n].
+    """Table-driven form of an additive map on masks of [n].
 
-    fn(a | b) must equal fn(a) | fn(b).  fn is evaluated once on every value
-    of each CHUNK_BITS-wide chunk of [n]; the returned function ORs one table
-    lookup per chunk, so at most two for n <= QUOTIENT_LIMIT.
+    fn(a | b) must equal fn(a) + fn(b) for disjoint a and b, as it does when
+    fn sends disjoint masks to disjoint images (then + is |) or adds a value
+    per bit.  fn is evaluated once on every value of each CHUNK_BITS-wide
+    chunk of [n]; the returned function adds one table lookup per chunk, so
+    at most two for n <= QUOTIENT_LIMIT.
     """
     tables = _chunk_tables(fn, n)
     low, shift = (1 << CHUNK_BITS) - 1, CHUNK_BITS
@@ -225,12 +227,12 @@ def bit_map(fn, n: int):
         return tables[0].__getitem__
     if len(tables) == 2:
         t0, t1 = tables
-        return lambda mask: t0[mask & low] | t1[mask >> shift]
+        return lambda mask: t0[mask & low] + t1[mask >> shift]
 
     def apply(mask: int) -> int:
         out = 0
         for table in tables:
-            out |= table[mask & low]
+            out += table[mask & low]
             mask >>= shift
         return out
 

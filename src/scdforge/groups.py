@@ -9,20 +9,10 @@ counting (Burnside) and factorization cheap and exact.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
-from .core import (
-    QUOTIENT_LIMIT,
-    ResourceLimitError,
-    bit_map,
-    check_enum,
-    check_ground,
-    full_mask,
-)
-
-BURNSIDE_LIMIT = 10**6  # largest group order we will sum over
+from .core import QUOTIENT_LIMIT, bit_map, check_enum, check_ground, full_mask
 
 
 class ParseError(ValueError):
@@ -108,7 +98,13 @@ class GroupSpec:
     @functools.cached_property
     def _actions(self):
         # one mask action per generator, built on first use; not a field, so == and hash ignore it
-        return tuple(bit_map(lambda a, g=g: apply_perm(g, a), self.n) for g in self.generators())
+        return tuple(_action(self.n, g) for g in self.generators())
+
+
+@functools.lru_cache(maxsize=None)  # every GroupSpec with this generator on [n] shares one table set
+def _action(n: int, perm: tuple[int, ...]):
+    """The mask action of a permutation of [n], as a bit_map."""
+    return bit_map(lambda a: apply_perm(perm, a), n)
 
 
 def parse_group_spec(text: str, n: int) -> GroupSpec:
@@ -224,27 +220,49 @@ def orbit_rep(s: int, group: GroupSpec) -> int:
     return min(_members(s, group._actions))
 
 
-def burnside_count(n: int, group: GroupSpec) -> int:
-    """Exact orbit count of B_n under the group, by averaging fixed points.
+def _times(p, q) -> list[int]:
+    """Coefficients of the product of two polynomials."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
 
-    A permutation fixes 2^(number of cycles, fixed points included) subsets;
-    group elements enumerate as independent powers of the disjoint factors.
+
+def necklace_ranks(k: int, length: int, step: int) -> tuple[int, ...]:
+    """Orbits of [k]^length under rotation by multiples of step, counted by
+    rank (the sum of the levels), by Burnside over the cycle index.
+
+    Rotation by s has c = gcd(s, length) cycles of length l = length / c, and
+    the tuples it fixes are counted by rank by (1 + x^l + ... + x^((k-1)l))^c;
+    the multiples of step are those of gcd(step, length).
     """
-    check_ground(n)
-    if group.n != n:
-        raise ValueError("group is over a different ground set")
-    order = group.order()
-    if order > BURNSIDE_LIMIT:
-        raise ResourceLimitError(f"group order {order} exceeds the counting cap {BURNSIDE_LIMIT}")
-    outside = n - sum(f.length for f in group.factors)
-    total = 0
-    for exps in itertools.product(*(range(f.order()) for f in group.factors)):
-        cycles = outside
-        for f, e in zip(group.factors, exps):
-            cycles += math.gcd(f.exponent * e, f.length)
-        total += 1 << cycles
-    assert total % order == 0
-    return total // order
+    step = math.gcd(step, length)
+    total = [0] * ((k - 1) * length + 1)
+    for s in range(0, length, step):
+        c = math.gcd(s, length)
+        for r, count in enumerate(functools.reduce(_times, [[1] * k] * c, [1])):
+            total[r * (length // c)] += count
+    order = length // step
+    return tuple(t // order for t in total)
+
+
+def rank_counts(n: int, group: GroupSpec) -> tuple[int, ...]:
+    """Orbits of B_n under the group, counted by rank: (1 + x)^fixed times
+    one binary necklace count per rotated block, as the group is the direct
+    product of cyclic groups on disjoint supports.  The cost depends on n
+    alone, not on the group order."""
+    split = factorize(n, group)
+    fixed = split.fixed.bit_count()
+    counts = [math.comb(fixed, r) for r in range(fixed + 1)]
+    for f in split.factors:
+        counts = _times(counts, necklace_ranks(2, f.length, f.power))
+    return tuple(counts)
+
+
+def burnside_count(n: int, group: GroupSpec) -> int:
+    """Exact orbit count of B_n under the group: the sum of rank_counts."""
+    return sum(rank_counts(n, group))
 
 
 class QuotientPoset:
@@ -385,7 +403,6 @@ def factorize(n: int, group: GroupSpec) -> Factorization:
 
 
 __all__ = [
-    "BURNSIDE_LIMIT",
     "CycleFactor",
     "Factorization",
     "GroupSpec",
@@ -396,9 +413,11 @@ __all__ = [
     "apply_perm",
     "burnside_count",
     "factorize",
+    "necklace_ranks",
     "orbit",
     "orbit_rep",
     "parse_group_spec",
     "perm_from_cycle_power",
     "quotient_poset",
+    "rank_counts",
 ]

@@ -23,13 +23,12 @@ import operator
 from dataclasses import dataclass
 
 from .core import (
-    CHUNK_BITS,
     Chain,
     Context,
     Decomposition,
     QUOTIENT_LIMIT,
     ResourceLimitError,
-    _chunk_tables,
+    bit_map,
     check_enum,
     elements_of,
     fold_products,
@@ -148,22 +147,10 @@ def _level_index(n: int, width: int):
     """The base-(width+1) number of a blockwise monotone word's level tuple.
 
     Level i is the popcount of block i, so every member bit adds its block's
-    place value.  The index therefore adds over the CHUNK_BITS-wide chunks,
-    even where a block straddles two of them: one table lookup per chunk,
-    summed.
+    place value, and the index is the additive bit_map of those place values.
     """
     k = width + 1
-    tables = _chunk_tables(lambda a: sum(k ** ((e - 1) // width) for e in elements_of(a)), n)
-    low = (1 << CHUNK_BITS) - 1
-
-    def index(mask: int) -> int:
-        out = 0
-        for table in tables:
-            out += table[mask & low]
-            mask >>= CHUNK_BITS
-        return out
-
-    return index
+    return bit_map(lambda a: sum(k ** ((e - 1) // width) for e in elements_of(a)), n)
 
 
 def quotient_scd_cyclic(n: int, step: int) -> Decomposition:

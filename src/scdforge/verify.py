@@ -170,12 +170,9 @@ class RankProfile:
     unimodal: bool
 
 
-def rank_profile(target) -> RankProfile:
-    """Per-rank element counts plus palindrome and unimodality flags."""
-    counts = [0] * (target.total_rank + 1)
-    for e in target.elements():
-        counts[target.rank(e)] += 1
-    symmetric = counts == counts[::-1]
+def rank_profile(counts) -> RankProfile:
+    """Per-rank element counts with their palindrome and unimodality flags."""
+    counts = tuple(counts)
     unimodal = True
     falling = False
     for a, b in zip(counts, counts[1:]):
@@ -184,7 +181,7 @@ def rank_profile(target) -> RankProfile:
         elif b > a and falling:
             unimodal = False
             break
-    return RankProfile(tuple(counts), symmetric, unimodal)
+    return RankProfile(counts, counts == counts[::-1], unimodal)
 
 
 class ProductTarget:

@@ -14,14 +14,20 @@ quotient after the fold with the fixed block, by one `orbit_rep` per element,
 to pin the construction that names each orbit in the relabel pass, and
 `named_after_fold` does the same for a cycle-power quotient, by one
 `orbit_rep` under the whole group per element, to pin the construction that
-names each factor's orbits before the fold.
+names each factor's orbits before the fold.  The per-rank orbit counts have
+three references that share nothing with the package's cycle-index count:
+counting enumerated orbits by rank, Burnside's lemma over every group
+element, and the closed necklace formula.  The seeded group generators at the
+end supply the groups the tests sweep.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 import operator
+import random
 
 from scdforge.chainpow import (
     ChainPowerTarget,
@@ -43,7 +49,7 @@ from scdforge.core import (
     relabel,
 )
 from scdforge.gk import boolean_scd_on_support, gk_scd
-from scdforge.groups import QuotientPoset, factorize, orbit_rep
+from scdforge.groups import CycleFactor, GroupSpec, QuotientPoset, factorize, orbit_rep
 from scdforge.prune import PrunedChain, quotient_scd_cyclic, rotation_group
 from scdforge.reflect import _core_quotient_part, _transpositions, involution_group
 
@@ -275,3 +281,133 @@ def named_after_fold(n: int, group) -> Decomposition:
     canonical = map_elements(combined, lambda a: orbit_rep(a, group))
     context = Context(kind="quotient", total_rank=n, n=n, group=group.text())
     return make_decomposition(canonical.chains, context)
+
+
+def counts_by_rank(elements, rank_of, total_rank: int) -> tuple[int, ...]:
+    """How many of the elements lie at each rank 0..total_rank."""
+    counts = [0] * (total_rank + 1)
+    for e in elements:
+        counts[rank_of(e)] += 1
+    return tuple(counts)
+
+
+def enumerated_rank_counts(target) -> tuple[int, ...]:
+    """A verification target's elements counted by rank, by enumerating them."""
+    return counts_by_rank(target.elements(), target.rank, target.total_rank)
+
+
+def naive_orbit_ranks(n: int, generators) -> tuple[int, ...]:
+    """The orbits of naive_orbits counted by rank."""
+    return counts_by_rank((min(orb) for orb in naive_orbits(n, generators)), int.bit_count, n)
+
+
+def naive_tuple_orbit_ranks(k: int, m: int, step: int) -> tuple[int, ...]:
+    """Orbits of level tuples under rotation by multiples of step, counted by
+    rank (the sum of the levels): every tuple is tried, and one that no
+    rotation makes lexicographically smaller stands for its orbit."""
+    shifts = {j * step % m for j in range(1, m)} - {0}
+    least = (u for u in itertools.product(range(k), repeat=m) if all(u <= u[s:] + u[:s] for s in shifts))
+    return counts_by_rank(least, sum, (k - 1) * m)
+
+
+def group_element_ranks(n: int, group) -> tuple[int, ...]:
+    """Per-rank orbit counts by Burnside's lemma summed over every group
+    element, the elements enumerated as independent powers of the factors.
+    An element whose cycles, fixed points included, have lengths L_1, ...,
+    L_c fixes the subsets counted by rank by (1 + x^L_1) ... (1 + x^L_c)."""
+    outside = n - sum(f.length for f in group.factors)
+    total = [0] * (n + 1)
+    for exps in itertools.product(*(range(f.order()) for f in group.factors)):
+        lengths = [1] * outside
+        for f, e in zip(group.factors, exps):
+            cycles = math.gcd(f.exponent * e, f.length)
+            lengths += [f.length // cycles] * cycles
+        fixed = [1] + [0] * n
+        for length in lengths:
+            for r in range(n, length - 1, -1):
+                fixed[r] += fixed[r - length]
+        for r in range(n + 1):
+            total[r] += fixed[r]
+    order = group.order()
+    assert all(t % order == 0 for t in total)
+    return tuple(t // order for t in total)
+
+
+def necklace_formula(length: int) -> list[int]:
+    """Binary necklaces of the length by number of ones, by the closed formula
+    (1/L) * sum over d dividing gcd(L, r) of phi(d) * C(L/d, r/d)."""
+    def phi(d):
+        return sum(1 for i in range(1, d + 1) if math.gcd(i, d) == 1)
+
+    return [
+        sum(phi(d) * math.comb(length // d, r // d) for d in range(1, length + 1) if length % d == 0 == r % d) // length
+        for r in range(length + 1)
+    ]
+
+
+def full_rotations_ranks(n: int, lengths) -> tuple[int, ...]:
+    """Per-rank orbit counts of B_n under full rotations of disjoint blocks of
+    the given lengths: (1 + x)^fixed times one necklace_formula per block."""
+    counts = [math.comb(n - sum(lengths), r) for r in range(n - sum(lengths) + 1)]
+    for length in lengths:
+        poly = necklace_formula(length)
+        product = [0] * (len(counts) + len(poly) - 1)
+        for i, a in enumerate(counts):
+            for j, b in enumerate(poly):
+                product[i + j] += a * b
+        counts = product
+    return tuple(counts)
+
+
+def enumerated_profile_lines(n: int, group) -> list[str]:
+    """What `profile` prints for the group, from the naive orbits: the counts
+    by rank, whether they read the same backwards, and whether they rise to
+    their first maximum and never rise after it."""
+    counts = naive_orbit_ranks(n, group.generators())
+    peak = counts.index(max(counts))
+    unimodal = all(a <= b for a, b in zip(counts[:peak], counts[1 : peak + 1])) and all(
+        a >= b for a, b in zip(counts[peak:], counts[peak + 1 :])
+    )
+    return [
+        "ranks=" + " ".join(map(str, counts)),
+        f"symmetric={str(counts == counts[::-1]).lower()}",
+        f"unimodal={str(unimodal).lower()}",
+    ]
+
+
+def _cycle_types(room, largest):
+    """Every multiset of cycle lengths of at least 2 that fits in room."""
+    yield ()
+    for length in range(min(room, largest), 1, -1):
+        for rest in _cycle_types(room - length, length):
+            yield (length,) + rest
+
+
+def _laid_out(n, lengths, exponents, rng):
+    """The cycle powers on consecutive blocks of a seeded permutation of [n]."""
+    order = rng.sample(range(1, n + 1), n)
+    factors, start = [], 0
+    for length, exponent in zip(lengths, exponents):
+        factors.append(CycleFactor(tuple(order[start : start + length]), exponent))
+        start += length
+    return GroupSpec(n, tuple(factors))
+
+
+def every_cycle_power_group(n):
+    """Every cycle type of [n] with every exponent of each cycle, up to
+    relabelling [n], which a seeded permutation does."""
+    rng = random.Random(f"groups {n}")
+    for lengths in _cycle_types(n, n):
+        for exponents in itertools.product(*(range(length) for length in lengths)):
+            yield _laid_out(n, lengths, exponents, rng)
+
+
+def sampled_groups_with_fixed_points(n, count):
+    """count seeded groups on [n], each with one to three fixed points."""
+    rng = random.Random(f"fixed points {n}")
+    for _ in range(count):
+        lengths, room = [], n - rng.randrange(1, 4)
+        while room >= 2 and rng.random() < 0.8:
+            lengths.append(rng.randrange(2, room + 1))
+            room -= lengths[-1]
+        yield _laid_out(n, lengths, [rng.randrange(1, 2 * length) for length in lengths], rng)

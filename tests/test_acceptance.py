@@ -13,7 +13,6 @@ from scdforge.chainpow import (
     ChainPowerTarget,
     chainpower_scd,
     check_dichotomy,
-    tuple_orbit_count,
 )
 from scdforge.cli import run
 from scdforge.core import mask_of, product_scd
@@ -22,6 +21,7 @@ from scdforge.groups import (
     CycleFactor,
     GroupSpec,
     burnside_count,
+    necklace_ranks,
     quotient_poset,
 )
 from scdforge.prune import (
@@ -243,7 +243,7 @@ def test_08_chain_powers():
                     built[(k, m, step)] = decomp
                     report = verify_decomposition(ChainPowerTarget(k, m, r), decomp)
                     assert report.ok, (k, m, r, report.summary())
-                    assert report.element_count == tuple_orbit_count(k, m, step)
+                    assert report.element_count == sum(necklace_ranks(k, m, step))
 
 
 def test_09_products_reverify():

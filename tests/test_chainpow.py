@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from oracles import ambient_chainpower, naive_tuple_orbits
+from oracles import ambient_chainpower, naive_tuple_orbit_ranks, naive_tuple_orbits
 from scdforge.chainpow import (
     ChainPowerTarget,
     ChainProductTarget,
@@ -14,12 +14,11 @@ from scdforge.chainpow import (
     in_chain_power,
     level_mask,
     mask_levels,
-    tuple_orbit_count,
     tuple_rotate,
 )
 from scdforge.core import Context, ResourceLimitError, make_decomposition, mask_of
 from scdforge.gk import ChainBottoms, gk_scd
-from scdforge.groups import orbit_rep
+from scdforge.groups import necklace_ranks, orbit_rep
 from scdforge.prune import ConsistencyError, _level_index, prune_chains, quotient_scd_cyclic, rotation_group
 from scdforge.verify import verify_decomposition
 
@@ -79,7 +78,18 @@ def test_tuple_rotate_and_canonical():
 )
 def test_tuple_orbit_count_against_enumeration(k, m):
     for step in range(1, m + 1):
-        assert tuple_orbit_count(k, m, step) == len(naive_tuple_orbits(k, m, step))
+        assert sum(necklace_ranks(k, m, step)) == len(naive_tuple_orbits(k, m, step))
+        assert necklace_ranks(k, m, step) == naive_tuple_orbit_ranks(k, m, step)
+
+
+@pytest.mark.parametrize("m", range(1, 17))
+def test_necklace_ranks_of_every_chain_power_against_enumeration(m):
+    # every chain power on at most 64 bits with k^m <= 2^16, at every step dividing m
+    k = 2
+    while k**m <= 1 << 16 and (k - 1) * m <= 64:
+        for step in [d for d in range(1, m + 1) if m % d == 0]:
+            assert necklace_ranks(k, m, step) == naive_tuple_orbit_ranks(k, m, step), (k, m, step)
+        k += 1
 
 
 def test_chainpower_fixture_3_2_1():
@@ -170,7 +180,7 @@ def test_chainpower_beyond_the_ambient_lattice_guard():
     decomp = chainpower_scd(4, 8, 1)
     report = verify_decomposition(ChainPowerTarget(4, 8, 1), decomp)
     assert report.ok, report.summary()
-    assert report.element_count == tuple_orbit_count(4, 8, 1)
+    assert report.element_count == sum(necklace_ranks(4, 8, 1))
 
 
 def test_chainproduct_single_factor():
@@ -226,7 +236,7 @@ def test_chainproduct_size_guard():
         ChainPowerTarget(2, 23, 1)
     with pytest.raises(ResourceLimitError):
         ChainPowerTarget(2, 10**18, 1)
-    assert ChainPowerTarget(2, 22, 1).expected_size() == tuple_orbit_count(2, 22, 1)
+    assert ChainPowerTarget(2, 22, 1).expected_size() == sum(necklace_ranks(2, 22, 1))
 
 
 def test_restriction_matches_ambient_orbits():
@@ -264,7 +274,7 @@ def test_prune_checks_the_orbit_count():
     # where the marks are one byte per level tuple
     for n, k, m in ((6, 3, 3), (24, 7, 4)):
         bottoms = ChainBottoms(n, k - 1)
-        expected = tuple_orbit_count(k, m, 1)
+        expected = sum(necklace_ranks(k, m, 1))
         assert sum(len(pc.kept) for pc in prune_chains(bottoms, k - 1, expected).chains) == expected
         for wrong in (expected - 1, expected + 1):
             with pytest.raises(ConsistencyError, match="orbits"):

@@ -4,7 +4,13 @@ import tracemalloc
 
 import pytest
 
-from oracles import reference_bytes
+from oracles import (
+    enumerated_profile_lines,
+    every_cycle_power_group,
+    full_rotations_ranks,
+    reference_bytes,
+    sampled_groups_with_fixed_points,
+)
 from scdforge.chainpow import chainpower_scd, chainproduct_scd
 from scdforge.core import Chain, Context, Decomposition, relabel
 from scdforge.cli import (
@@ -17,7 +23,7 @@ from scdforge.cli import (
     target_for_context,
 )
 from scdforge.gk import gk_decomposition
-from scdforge.groups import QuotientPoset
+from scdforge.groups import GroupSpec, QuotientPoset, parse_group_spec
 from scdforge.prune import quotient_scd, quotient_scd_cyclic
 from scdforge.reflect import reflection_scd
 from scdforge.verify import verify_decomposition
@@ -399,3 +405,50 @@ def test_profile_output(capsys):
     assert run(["profile", "--n", "4", "--group", "(1 2 3 4)"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines == ["ranks=1 1 2 1 1", "symmetric=true", "unimodal=true"]
+
+
+@pytest.mark.parametrize("n, group, lengths", [
+    (22, "(1 2)", [2]),
+    (40, None, []),
+    (40, "(1 2)", [2]),
+    (64, None, []),
+    (64, "(1 2)", [2]),
+    (64, "(3 1 4 7 5 9 2 6 64 8 33)", [11]),
+])
+def test_profile_counts_without_enumerating(capsys, monkeypatch, n, group, lengths):
+    _refuse_enumeration(monkeypatch)
+    argv = ["profile", "--n", str(n)] + (["--group", group] if group is not None else [])
+    assert run(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "ranks=" + " ".join(map(str, full_rotations_ranks(n, lengths)))
+    assert lines[1:] == ["symmetric=true", "unimodal=true"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["profile", "--n", "65"],
+    ["profile", "--n", "65", "--group", "(1 2)"],
+    ["profile", "--n", "0"],
+    ["profile", "--n", "40", "--group", ""],
+])
+def test_profile_refuses_bad_ground_and_groups(capsysbinary, argv):
+    code, out, err = run_bytes(capsysbinary, argv)
+    assert (code, out) == (2, b"")
+    assert err.startswith(b"error: ")
+
+
+def _profile_groups(n):
+    """The trivial group (no --group), every cycle-power group up to n = 6
+    and four seeded groups with fixed points."""
+    groups = list(sampled_groups_with_fixed_points(n, 4))
+    if n <= 6:
+        groups += every_cycle_power_group(n)
+    return [None] + [g.text() for g in groups if g.factors]
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_profile_output_matches_the_enumerated_orbits(capsys, n):
+    for text in _profile_groups(n):
+        argv = ["profile", "--n", str(n)] + (["--group", text] if text is not None else [])
+        assert run(argv) == 0
+        group = parse_group_spec(text, n) if text is not None else GroupSpec.trivial(n)
+        assert capsys.readouterr().out.splitlines() == enumerated_profile_lines(n, group), text

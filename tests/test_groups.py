@@ -3,7 +3,17 @@ import random
 
 import pytest
 
-from oracles import cycle_count, group_elements, naive_orbits
+from oracles import (
+    cycle_count,
+    enumerated_rank_counts,
+    every_cycle_power_group,
+    full_rotations_ranks,
+    group_element_ranks,
+    group_elements,
+    naive_orbit_ranks,
+    naive_orbits,
+    sampled_groups_with_fixed_points,
+)
 from scdforge import groups
 from scdforge.core import ResourceLimitError, mask_of
 from scdforge.groups import (
@@ -20,6 +30,7 @@ from scdforge.groups import (
     parse_group_spec,
     perm_from_cycle_power,
     quotient_poset,
+    rank_counts,
 )
 
 
@@ -133,17 +144,54 @@ def test_burnside_two_element_reflection_group():
     assert burnside_count(4, two) == len(naive_orbits(4, two.generators()))
 
 
-def test_burnside_guard():
+def _seven_rotations_at_64():
     lengths = [4, 5, 7, 8, 9, 11, 13]
     start = 1
     factors = []
     for length in lengths:
         factors.append(CycleFactor(tuple(range(start, start + length)), 1))
         start += length
-    spec = GroupSpec(64, tuple(factors))
+    return lengths, GroupSpec(64, tuple(factors))
+
+
+def test_burnside_count_of_a_large_group_needs_no_guard():
+    # the cycle-index count costs the same at any group order: no ResourceLimitError at order 1.4 * 10^6
+    lengths, spec = _seven_rotations_at_64()
     assert spec.order() == math.prod(lengths) > 10**6
-    with pytest.raises(ResourceLimitError):
-        burnside_count(64, spec)
+    counts = rank_counts(64, spec)
+    assert counts == full_rotations_ranks(64, lengths)
+    assert burnside_count(64, spec) == sum(counts)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_rank_counts_against_naive_orbits_of_every_group(n):
+    for spec in every_cycle_power_group(n):
+        assert rank_counts(n, spec) == naive_orbit_ranks(n, spec.generators()), spec.text()
+
+
+@pytest.mark.parametrize("n", range(9, 15))
+def test_rank_counts_against_naive_orbits_of_sampled_groups(n):
+    for spec in sampled_groups_with_fixed_points(n, 6):
+        assert rank_counts(n, spec) == naive_orbit_ranks(n, spec.generators()), spec.text()
+
+
+@pytest.mark.parametrize(
+    "n, text",
+    [
+        (12, "(1 2 3 4 5 6 7 8 9 10 11 12)^5"),
+        (16, "(1 2 3 4)^2 (5 6 7 8 9 10) (11 12 13) (14 15)"),
+        (24, "(1 2 3 4 5 6 7 8)^3 (9 10 11 12 13 14 15 16 17)^6 (18 19 20 21 22)"),
+        (33, "(1 2 3 4 5 6 7)(8 9 10 11 12 13 14 15 16 17 18)^4 (19 20 21 22 23 24 25 26 27 28 29 30 31)"),
+        (40, "(1 2 3 4 5 6 7)(8 9 10 11 12 13 14 15)(16 17 18)^0 (19 20 21 22 23 24 25 26 27)^3 (28 29 30 31 32 33 34 35 36 37 38)"),
+        (40, " ".join(f"({2 * i + 1} {2 * i + 2})" for i in range(13))),
+    ],
+)
+def test_rank_counts_against_every_group_element(n, text):
+    spec = parse_group_spec(text, n)
+    assert spec.order() <= 10**4
+    counts = group_element_ranks(n, spec)
+    assert rank_counts(n, spec) == counts
+    assert burnside_count(n, spec) == sum(counts)
 
 
 def test_orbit_rep_idempotent():
@@ -189,7 +237,9 @@ def test_quotient_leq_against_naive():
 def test_quotient_profiles_are_symmetric_and_unimodal(n, text):
     from scdforge.verify import rank_profile
 
-    profile = rank_profile(quotient_poset(n, parse_group_spec(text, n)))
+    spec = parse_group_spec(text, n)
+    profile = rank_profile(rank_counts(n, spec))
+    assert profile.counts == enumerated_rank_counts(quotient_poset(n, spec))
     assert profile.symmetric
     assert profile.unimodal
 
@@ -407,6 +457,7 @@ def _count_apply_perm(monkeypatch):
 
 
 def test_action_tables_are_built_once_per_group(monkeypatch):
+    groups._action.cache_clear()  # start cold: earlier tests may have built these generators' tables
     calls = _count_apply_perm(monkeypatch)
     spec = parse_group_spec("(1 2 3)(4 5 6 7)^2 (9 10 12)", 12)
     assert calls == []  # nothing is built before the first orbit

@@ -1,15 +1,20 @@
-import itertools
-import random
 import sys
 
 import pytest
 
-from oracles import greedy_prune, is_scd, named_after_fold, naive_orbits
+from oracles import (
+    every_cycle_power_group,
+    greedy_prune,
+    is_scd,
+    named_after_fold,
+    naive_orbits,
+    sampled_groups_with_fixed_points,
+)
 from scdforge import chainpow, gk, groups, prune
-from scdforge.chainpow import chainpower_scd, in_chain_power, tuple_orbit_count
+from scdforge.chainpow import chainpower_scd, in_chain_power
 from scdforge.core import mask_of
 from scdforge.gk import ChainBottoms, gk_decomposition, gk_scd, partner
-from scdforge.groups import CycleFactor, GroupSpec, burnside_count, factorize, orbit_rep, parse_group_spec, quotient_poset
+from scdforge.groups import burnside_count, factorize, necklace_ranks, orbit_rep, parse_group_spec, quotient_poset
 from scdforge.prune import (
     prune_chains,
     quotient_scd,
@@ -111,7 +116,7 @@ def test_prune_matches_the_reference_pass_on_chain_powers(k, m):
         # the streamed chains, grown and then sorted by their (rank, bottom)
         chains = sorted((bottoms[i] for i in range(len(bottoms))), key=lambda c: (c.ranks[0], c.bottom))
     for step in divisors(m):
-        got = prune_chains(bottoms, (k - 1) * step, tuple_orbit_count(k, m, step)).chains
+        got = prune_chains(bottoms, (k - 1) * step, sum(necklace_ranks(k, m, step))).chains
         assert got == greedy_prune(chains, n, (k - 1) * step), step
 
 
@@ -130,7 +135,7 @@ def test_prune_walks_each_orbit_once(monkeypatch, n, width, step):
     if width == 1:
         expected = burnside_count(n, rotation_group(n, step))
     else:
-        expected = tuple_orbit_count(width + 1, n // width, step // width)
+        expected = sum(necklace_ranks(width + 1, n // width, step // width))
     prune_chains(ChainBottoms(n, width), step, expected)
     assert len(walks) == expected
 
@@ -155,7 +160,7 @@ def test_quotients_and_chain_powers_build_no_gk_scd(monkeypatch):
         gk.gk_scd(12)
     group = parse_group_spec("(1 2 3 4 5 6)(7 8 9 10)^2", 12)
     assert quotient_scd(12, group).element_count() == burnside_count(12, group)
-    assert chainpower_scd(3, 6, 1).element_count() == tuple_orbit_count(3, 6, 1)
+    assert chainpower_scd(3, 6, 1).element_count() == sum(necklace_ranks(3, 6, 1))
     assert passes == [6, 4, 12]
 
 
@@ -221,52 +226,15 @@ def test_quotient_scd_trivial_group():
     ]
 
 
-def _cycle_types(room, largest):
-    """Every multiset of cycle lengths of at least 2 that fits in room."""
-    yield ()
-    for length in range(min(room, largest), 1, -1):
-        for rest in _cycle_types(room - length, length):
-            yield (length,) + rest
-
-
-def _laid_out(n, lengths, exponents, rng):
-    """The cycle powers on consecutive blocks of a seeded permutation of [n]."""
-    order = rng.sample(range(1, n + 1), n)
-    factors, start = [], 0
-    for length, exponent in zip(lengths, exponents):
-        factors.append(CycleFactor(tuple(order[start : start + length]), exponent))
-        start += length
-    return GroupSpec(n, tuple(factors))
-
-
-def _every_cycle_power_group(n):
-    """Every cycle type of [n] with every exponent of each cycle, up to
-    relabelling [n], which a seeded permutation does."""
-    rng = random.Random(f"groups {n}")
-    for lengths in _cycle_types(n, n):
-        for exponents in itertools.product(*(range(length) for length in lengths)):
-            yield _laid_out(n, lengths, exponents, rng)
-
-
-def _sampled_groups_with_fixed_points(n, count):
-    rng = random.Random(f"fixed points {n}")
-    for _ in range(count):
-        lengths, room = [], n - rng.randrange(1, 4)
-        while room >= 2 and rng.random() < 0.8:
-            lengths.append(rng.randrange(2, room + 1))
-            room -= lengths[-1]
-        yield _laid_out(n, lengths, [rng.randrange(1, 2 * length) for length in lengths], rng)
-
-
 @pytest.mark.parametrize("n", range(1, 9))
 def test_naming_each_factor_matches_naming_after_the_fold(n):
-    for group in _every_cycle_power_group(n):
+    for group in every_cycle_power_group(n):
         assert quotient_scd(n, group) == named_after_fold(n, group), group.text()
 
 
 @pytest.mark.parametrize("n", range(9, 15))
 def test_naming_each_factor_matches_naming_after_the_fold_with_fixed_points(n):
-    for group in _sampled_groups_with_fixed_points(n, 6):
+    for group in sampled_groups_with_fixed_points(n, 6):
         assert factorize(n, group).fixed, group.text()
         assert quotient_scd(n, group) == named_after_fold(n, group), group.text()
 
