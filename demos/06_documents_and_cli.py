@@ -16,11 +16,12 @@ data = encode(decomp)
 print("canonical document bytes:")
 print(data.decode().strip())
 
-# encode/decode is lossless on canonical documents; build_document is the decoded value
-doc = build_document(decomp)
-assert decode(data) == doc
-assert encode(decode(data)) == data
-print("round trip: ok")
+# decode reads the bytes back into the same decomposition, plus the document's stats;
+# build_document is the same document as a JSON value
+back, stats = decode(data)
+assert back == decomp and encode(back) == data
+assert stats == build_document(decomp)["stats"]
+print(f"round trip: ok ({stats['element_count']} elements in {stats['chain_count']} chains)")
 
 # the CLI re-verifies whatever it reads back
 with tempfile.NamedTemporaryFile(suffix=".json", delete=False) as fh:

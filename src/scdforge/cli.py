@@ -6,9 +6,11 @@ constructions emit.  Subsets serialize as sorted 1-based element lists and
 chain-power elements as level lists.  encode() writes a decomposition's chains
 straight from its elements, each subset's text from one table lookup per
 11-bit chunk of its mask, and leaves only the context and stats to json.dumps;
-the bytes are those json.dumps would give for the whole document.  Every
-construct subcommand re-verifies its result against an independently defined
-target before emitting anything.
+the bytes are those json.dumps would give for the whole document.  decode()
+is its inverse: one pass over the parsed document checks every value and
+builds each subset's mask or each level tuple, returning the Decomposition
+and the document's stats.  Every construct subcommand re-verifies its result
+against an independently defined target before emitting anything.
 """
 
 from __future__ import annotations
@@ -19,11 +21,13 @@ import sys
 
 from .chainpow import ChainPowerTarget, ChainProductTarget, chainpower_scd
 from .core import (
+    MASK_WIDTH_LIMIT,
     Chain,
     Context,
     Decomposition,
     ResourceLimitError,
     bit_string,
+    check_ground,
     element_text,
     mask_of,
     set_string,
@@ -141,36 +145,44 @@ def _check_int(value, pointer: str, minimum: int | None = None) -> None:
         _fail(pointer, f"must be >= {minimum}")
 
 
-def _subset_problem(elems, n: int) -> str | None:
-    if type(elems) is not list or not all(type(e) is int for e in elems):
-        return "subset must be an array of integers"
-    if elems and (min(elems) < 1 or max(elems) > n):
-        return f"element out of range 1..{n}"
-    if any(a >= b for a, b in zip(elems, elems[1:])):
-        return "subset must be a sorted list of distinct elements"
-    return None
+def _read_subset(elems, n: int) -> int:
+    """The mask of one subset of [n]; raises DecodeError naming its first problem."""
+    if type(elems) is not list or not set(map(type, elems)) <= {int}:
+        raise DecodeError("subset must be an array of integers")
+    distinct = sorted(set(elems))
+    if distinct and (distinct[0] < 1 or distinct[-1] > n):
+        raise DecodeError(f"element out of range 1..{n}")
+    if distinct != elems:
+        raise DecodeError("subset must be a sorted list of distinct elements")
+    # an element past the mask width has no bit: decode refuses such an n after the walk
+    return mask_of(elems) if n <= MASK_WIDTH_LIMIT else 0
 
 
-def _levels_problem(elems, blocks) -> str | None:
-    if type(elems) is not list or not all(type(e) is int for e in elems):
-        return "level tuple must be an array of integers"
+def _read_levels(elems, blocks) -> tuple[int, ...]:
+    """The level tuple of one element of a product of (k, m) chain powers;
+    raises DecodeError naming its first problem."""
+    if type(elems) is not list or not set(map(type, elems)) <= {int}:
+        raise DecodeError("level tuple must be an array of integers")
     width = sum(m for _, m in blocks)
     if len(elems) != width:
-        return f"level tuple must have {width} entries"
+        raise DecodeError(f"level tuple must have {width} entries")
     i = 0
     for k, m in blocks:
         if any(lv < 0 or lv > k - 1 for lv in elems[i : i + m]):
-            return f"levels must lie in 0..{k - 1}"
+            raise DecodeError(f"levels must lie in 0..{k - 1}")
         i += m
-    return None
+    return tuple(elems)
 
 
-def decode(data: bytes | str) -> dict:
-    """Parse and validate a document in one strict pass.
+def decode(data: bytes | str) -> tuple[Decomposition, dict]:
+    """Read a document into its Decomposition and its stats object, checking
+    each value as it is read.
 
     Raises DecodeError whose message starts with the JSON pointer of the
-    offending value.  Integers must be JSON integers: booleans and floats,
-    1.0 included, are rejected.
+    first offending value, the elements in chain order after the context and
+    stats.  Integers must be JSON integers: booleans and floats, 1.0
+    included, are rejected.  A subset document whose n passes the 64-bit mask
+    width raises check_ground's ValueError once its elements are read.
     """
     try:
         if isinstance(data, bytes):
@@ -215,31 +227,23 @@ def decode(data: bytes | str) -> dict:
         _check_int(count, f"/stats/rank_profile/{i}")
 
     if kind in _SUBSET_KINDS:
-        problem, shape = _subset_problem, ctx["n"]
-    elif kind == "chainpower":
-        problem, shape = _levels_problem, [(ctx["k"], ctx["m"])]
+        read, shape, rank, total = _read_subset, ctx["n"], int.bit_count, ctx["n"]
     else:
-        problem, shape = _levels_problem, [(k, m) for k, m, _ in ctx["factors"]]
+        triples = ctx["factors"] if kind == "product" else [(ctx["k"], ctx["m"], ctx["r"])]
+        shape = [(k, m) for k, m, _ in triples]
+        read, rank, total = _read_levels, sum, sum((k - 1) * m for k, m in shape)
+    chains = []
     for ci, chain in enumerate(_check_array(doc["chains"], "/chains", 1)):
-        for ei, elems in enumerate(_check_array(chain, f"/chains/{ci}", 1)):
-            message = problem(elems, shape)
-            if message is not None:
-                _fail(f"/chains/{ci}/{ei}", message)
-    return doc
-
-
-def decomposition_from_document(doc: dict) -> Decomposition:
-    ctx = doc["context"]
-    kind = ctx["kind"]
+        chain = _check_array(chain, f"/chains/{ci}", 1)
+        elements = []
+        try:
+            for elems in chain:
+                elements.append(read(elems, shape))
+        except DecodeError as e:
+            _fail(f"/chains/{ci}/{len(elements)}", str(e))
+        chains.append(Chain(tuple(elements), tuple(map(rank, elements))))
     if kind in _SUBSET_KINDS:
-        chains = tuple(Chain.from_masks(mask_of(e) for e in chain) for chain in doc["chains"])
-        total = ctx["n"]
-    else:
-        chains = tuple(Chain.from_levels(chain) for chain in doc["chains"])
-        if kind == "chainpower":
-            total = (ctx["k"] - 1) * ctx["m"]
-        else:
-            total = sum((k - 1) * m for k, m, _ in ctx["factors"])
+        check_ground(ctx["n"])
     context = Context(
         kind=kind,
         total_rank=total,
@@ -250,21 +254,21 @@ def decomposition_from_document(doc: dict) -> Decomposition:
         r=ctx.get("r"),
         factors=tuple(tuple(t) for t in ctx["factors"]) if "factors" in ctx else None,
     )
-    return Decomposition(chains, context)
+    return Decomposition(tuple(chains), context), stats
 
 
-def target_for_context(ctx: dict):
-    kind = ctx["kind"]
+def target_for_context(ctx: Context):
+    kind = ctx.kind
     if kind == "boolean":
-        return quotient_poset(ctx["n"], GroupSpec.trivial(ctx["n"]))
+        return quotient_poset(ctx.n, GroupSpec.trivial(ctx.n))
     if kind == "quotient":
-        return quotient_poset(ctx["n"], parse_group_spec(ctx["group"], ctx["n"]))
+        return quotient_poset(ctx.n, parse_group_spec(ctx.group, ctx.n))
     if kind == "reflection":
-        spec = parse_group_spec(ctx["group"], ctx["n"])
-        return quotient_poset(ctx["n"], involution_group(ctx["n"], _transpositions(spec)))
+        spec = parse_group_spec(ctx.group, ctx.n)
+        return quotient_poset(ctx.n, involution_group(ctx.n, _transpositions(spec)))
     if kind == "chainpower":
-        return ChainPowerTarget(ctx["k"], ctx["m"], ctx["r"])
-    return ChainProductTarget([tuple(t) for t in ctx["factors"]])
+        return ChainPowerTarget(ctx.k, ctx.m, ctx.r)
+    return ChainProductTarget(ctx.factors)
 
 
 def _render_element(e, ctx: Context) -> str:
@@ -339,12 +343,9 @@ def _cmd_profile(args) -> int:
 
 def _cmd_verify(args) -> int:
     with open(args.input, "rb") as fh:
-        doc = decode(fh.read())
-    # the target guards the poset size before any element is turned into a mask
-    target = target_for_context(doc["context"])
-    decomp = decomposition_from_document(doc)
+        decomp, stats = decode(fh.read())
+    target = target_for_context(decomp.context)
     report = verify_decomposition(target, decomp)
-    stats = doc["stats"]
     stats_ok = (
         stats["chain_count"] == len(decomp.chains)
         and stats["element_count"] == decomp.element_count()
@@ -450,7 +451,6 @@ __all__ = [
     "build_document",
     "build_parser",
     "decode",
-    "decomposition_from_document",
     "encode",
     "main",
     "run",

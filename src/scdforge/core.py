@@ -91,11 +91,6 @@ class Chain:
         masks = tuple(masks)
         return cls(masks, tuple(m.bit_count() for m in masks))
 
-    @classmethod
-    def from_levels(cls, tuples) -> "Chain":
-        tuples = tuple(tuple(t) for t in tuples)
-        return cls(tuples, tuple(sum(t) for t in tuples))
-
     def __len__(self):
         return len(self.elements)
 

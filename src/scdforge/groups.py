@@ -85,9 +85,6 @@ class GroupSpec:
             out *= f.order()
         return out
 
-    def is_trivial(self) -> bool:
-        return all(f.order() == 1 for f in self.factors)
-
     def generators(self) -> tuple[tuple[int, ...], ...]:
         return tuple(
             perm_from_cycle_power(f.cycle, f.exponent, self.n)
@@ -284,17 +281,15 @@ class QuotientPoset:
 
     @functools.cached_property
     def orbits(self) -> tuple[Orbit, ...]:
-        actions = self.group._actions
         seen = bytearray(1 << self.n)
         orbits = []
         for a in range(1 << self.n):
             if seen[a]:
                 continue
-            members = _members(a, actions)
-            for x in members:
+            o = orbit(a, self.group)
+            for x in o.members:
                 seen[x] = 1
-            members.sort()
-            orbits.append(Orbit(members[0], len(members), tuple(members)))
+            orbits.append(o)
         orbits.sort(key=lambda o: (o.rep.bit_count(), o.rep))
         return tuple(orbits)
 

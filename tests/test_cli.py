@@ -17,7 +17,6 @@ from scdforge.cli import (
     DecodeError,
     build_document,
     decode,
-    decomposition_from_document,
     encode,
     run,
     target_for_context,
@@ -45,32 +44,39 @@ def test_gk_text_first_line(capsys):
 def test_gk_json_document(capsysbinary):
     code, out, _ = run_bytes(capsysbinary, ["gk", "--n", "3"])
     assert code == 0
-    doc = decode(out)
+    doc = json.loads(out)
     assert doc["schema"] == "scdforge/1"
     assert doc["context"] == {"kind": "boolean", "n": 3}
     assert len(doc["chains"]) == 3
+    decomp, stats = decode(out)
+    assert decomp == gk_decomposition(3)
+    assert stats == doc["stats"]
 
 
 def test_quotient_document(capsysbinary):
     code, out, _ = run_bytes(capsysbinary, ["quotient", "--n", "4", "--group", "(1 2 3 4)"])
     assert code == 0
-    doc = decode(out)
-    assert doc["stats"]["chain_count"] == 2
-    assert doc["stats"]["element_count"] == 6
+    doc = json.loads(out)
     assert doc["chains"][0] == [[], [1], [1, 2], [1, 2, 3], [1, 2, 3, 4]]
     assert doc["chains"][1] == [[1, 3]]
+    decomp, stats = decode(out)
+    assert stats == {"chain_count": 2, "element_count": 6, "rank_profile": [1, 1, 2, 1, 1]}
+    assert [c.elements for c in decomp.chains] == [(0, 1, 3, 7, 15), (5,)]
+    assert [c.ranks for c in decomp.chains] == [(0, 1, 2, 3, 4), (2,)]
+    assert decomp.context == Context(kind="quotient", total_rank=4, n=4, group="(1 2 3 4)")
 
 
 def test_reflect_and_chainpower_commands(capsysbinary):
     code, out, _ = run_bytes(capsysbinary, ["reflect", "--n", "4", "--group", "(1 4)(2 3)"])
     assert code == 0
-    assert decode(out)["stats"]["element_count"] == 10
+    assert decode(out)[1]["element_count"] == 10
 
     code, out, _ = run_bytes(capsysbinary, ["chainpower", "--k", "3", "--m", "2", "--r", "1"])
     assert code == 0
-    doc = decode(out)
-    assert doc["context"] == {"kind": "chainpower", "k": 3, "m": 2, "r": 1}
-    assert doc["chains"][1] == [[1, 1]]
+    assert json.loads(out)["context"] == {"kind": "chainpower", "k": 3, "m": 2, "r": 1}
+    decomp, _ = decode(out)
+    assert decomp.context == Context(kind="chainpower", total_rank=4, k=3, m=2, r=1)
+    assert decomp.chains[1] == Chain(((1, 1),), (2,))
 
 
 @pytest.mark.parametrize(
@@ -207,6 +213,48 @@ def test_verify_checks_ground_size_before_elements(tmp_path, capsysbinary):
     assert b"capped at 64" in err
 
 
+@pytest.mark.parametrize("n", [23, 100])
+def test_verify_reports_a_misordered_subset_before_the_ground_guards(tmp_path, capsysbinary, n):
+    # n = 23 trips the quotient guard (exit 3) and n = 100 the 64-bit ground (exit 2);
+    # the bad element's pointer wins over both, after a valid element n
+    doc = {
+        "schema": "scdforge/1",
+        "context": {"kind": "boolean", "n": n},
+        "chains": [[[], [n]], [[2, 1]]],
+        "stats": {"chain_count": 2, "element_count": 3, "rank_profile": [1, 2] + [0] * (n - 1)},
+    }
+    code, out, err = run_bytes(capsysbinary, ["verify", "--input", write_doc(tmp_path, encode(doc))])
+    assert (code, out) == (2, b"")
+    assert err == b"error: /chains/1/0: subset must be a sorted list of distinct elements\n"
+
+
+@pytest.mark.parametrize("kind, group", [("boolean", None), ("quotient", "(1 2"), ("reflection", "(1 99)")])
+def test_verify_refuses_a_wide_ground_after_reading_every_element(tmp_path, capsysbinary, kind, group):
+    # valid elements beyond bit 64 are read, then the ground is refused, before the group is parsed
+    context = {"kind": kind, "n": 100} if group is None else {"kind": kind, "n": 100, "group": group}
+    doc = {
+        "schema": "scdforge/1",
+        "context": context,
+        "chains": [[[], [99], [64, 99], [1, 64, 99]], [[100]]],
+        "stats": {"chain_count": 2, "element_count": 5, "rank_profile": [1, 2, 1, 1] + [0] * 97},
+    }
+    code, out, err = run_bytes(capsysbinary, ["verify", "--input", write_doc(tmp_path, encode(doc))])
+    assert (code, out) == (2, b"")
+    assert err == b"error: ground set size capped at 64, got 100\n"
+
+
+def test_verify_reports_a_bad_level_before_the_chain_power_guard(tmp_path, capsysbinary):
+    doc = {
+        "schema": "scdforge/1",
+        "context": {"kind": "chainpower", "k": 2, "m": 60, "r": 1},
+        "chains": [[[0] * 60], [[0] * 59 + [2]]],
+        "stats": {"chain_count": 2, "element_count": 2, "rank_profile": [1, 1] + [0] * 59},
+    }
+    code, out, err = run_bytes(capsysbinary, ["verify", "--input", write_doc(tmp_path, encode(doc))])
+    assert (code, out) == (2, b"")
+    assert err == b"error: /chains/1/0: levels must lie in 0..1\n"
+
+
 def test_decode_rejects_float_stats():
     doc = build_document(quotient_scd_cyclic(4, 1))
     doc["stats"]["chain_count"] = float(doc["stats"]["chain_count"])
@@ -231,18 +279,6 @@ def test_verify_guards_chain_power_targets(tmp_path, capsysbinary, context, widt
     code, _, err = run_bytes(capsysbinary, ["verify", "--input", write_doc(tmp_path, encode(doc))])
     assert code == 3
     assert b"capped" in err
-
-
-def test_encode_decode_round_trip():
-    for decomp in (quotient_scd_cyclic(4, 2), chainpower_scd(3, 2, 1)):
-        doc = build_document(decomp)
-        data = encode(doc)
-        assert decode(data) == doc
-        assert encode(decode(data)) == data
-        rebuilt = decomposition_from_document(doc)
-        assert [c.elements for c in rebuilt.chains] == [c.elements for c in decomp.chains]
-        target = target_for_context(doc["context"])
-        assert verify_decomposition(target, rebuilt).ok
 
 
 def _spread(n: int, width: int, seed: int) -> Decomposition:
@@ -280,8 +316,23 @@ def test_encode_writes_the_json_dumps_bytes(name):
     decomp = ENCODED[name]()
     data = encode(decomp)
     assert data == reference_bytes(decomp)
-    assert decode(data) == build_document(decomp)
+    assert json.loads(data) == build_document(decomp)
     assert encode(build_document(decomp)) == data
+
+
+def test_encode_decode_round_trip():
+    # decode inverts encode on every construction: chains, ranks, context and stats
+    for name, build in ENCODED.items():
+        decomp = build()
+        stats = {
+            "chain_count": len(decomp.chains),
+            "element_count": decomp.element_count(),
+            "rank_profile": list(decomp.rank_counts()),
+        }
+        assert decode(encode(decomp)) == (decomp, stats), name
+    for decomp in (quotient_scd_cyclic(4, 2), chainpower_scd(3, 2, 1)):
+        rebuilt, _ = decode(encode(decomp))
+        assert verify_decomposition(target_for_context(rebuilt.context), rebuilt).ok
 
 
 def test_encode_peak_memory_is_a_few_document_lengths():
@@ -316,7 +367,7 @@ def _refuse_enumeration(monkeypatch):
         raise AssertionError("enumerated before the size guard")
 
     monkeypatch.setattr("scdforge.cli.gk_decomposition", refuse)
-    monkeypatch.setattr("scdforge.cli.decomposition_from_document", refuse)
+    monkeypatch.setattr("scdforge.cli.verify_decomposition", refuse)
     monkeypatch.setattr("scdforge.groups._members", refuse)
     monkeypatch.setattr(QuotientPoset, "orbits", property(refuse))
 
