@@ -19,7 +19,7 @@ diag = next(b for b in blocks if b.i == b.j == 0)
 print(f"\npeeling the staircase over chain 0 (length {len(diag.rows)}):")
 for grid in scd_of_diagonal_block(diag):
     cells = " < ".join(
-        f"({bit_string(diag.rows[x], k)},{bit_string(diag.rows[y], k)})" for x, y in grid.cells
+        f"({bit_string(diag.rows[x], k)},{bit_string(diag.rows[y], k)})" for x, y in grid
     )
     print(f"  {cells}")
 

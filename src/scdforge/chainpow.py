@@ -88,14 +88,6 @@ def in_chain_power(mask: int, k: int, m: int) -> bool:
     return True
 
 
-def tuple_rotate(u: tuple[int, ...], steps: int) -> tuple[int, ...]:
-    """Rotate coordinates: position i takes the old value at i - steps."""
-    steps %= len(u)
-    if not steps:
-        return u
-    return u[-steps:] + u[:-steps]
-
-
 def _rotations(u: tuple[int, ...], step: int) -> list[tuple[int, ...]]:
     """Every rotation of the tuple by a multiple of step, u first; the
     multiples of step modulo len(u) are those of gcd(step, len(u))."""
@@ -276,5 +268,4 @@ __all__ = [
     "in_chain_power",
     "level_mask",
     "mask_levels",
-    "tuple_rotate",
 ]

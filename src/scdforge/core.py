@@ -37,11 +37,6 @@ def full_mask(n: int) -> int:
     return (1 << n) - 1
 
 
-def rank(s: int) -> int:
-    """Number of elements of the subset (popcount)."""
-    return s.bit_count()
-
-
 def mask_of(elements) -> int:
     """Mask of a collection of 1-based elements."""
     out = 0
@@ -97,35 +92,13 @@ class Chain:
     def __iter__(self):
         return iter(self.elements)
 
-    @property
-    def bottom(self):
-        return self.elements[0]
-
-    @property
-    def top(self):
-        return self.elements[-1]
-
     def is_saturated(self) -> bool:
         return all(b == a + 1 for a, b in zip(self.ranks, self.ranks[1:]))
 
 
-def is_symmetric_chain(chain: Chain, total_rank: int) -> bool:
-    """True iff the chain is saturated and its end ranks sum to the poset rank."""
-    return chain.is_saturated() and chain.ranks[0] + chain.ranks[-1] == total_rank
-
-
-@dataclass(frozen=True)
-class GridChain:
-    """Saturated ascending walk through a rectangular grid, by (x, y) cell."""
-
-    cells: tuple[tuple[int, int], ...]
-
-    def __len__(self):
-        return len(self.cells)
-
-
-def hook_chains(a: int, b: int) -> list[GridChain]:
-    """Partition the grid {0..a} x {0..b} into min(a, b)+1 symmetric hooks.
+def hook_chains(a: int, b: int) -> list[tuple[tuple[int, int], ...]]:
+    """Partition the grid {0..a} x {0..b} into min(a, b)+1 symmetric hooks,
+    each a saturated ascending walk given as its tuple of (x, y) cells.
 
     Hook i walks (i,0), (i,1), ..., (i,b-i), then (i+1,b-i), ..., (a,b-i); it
     spans grid ranks i through a+b-i.  This is the classic symmetric chain
@@ -137,7 +110,7 @@ def hook_chains(a: int, b: int) -> list[GridChain]:
     for i in range(min(a, b) + 1):
         cells = [(i, y) for y in range(b - i + 1)]
         cells += [(x, b - i) for x in range(i + 1, a + 1)]
-        hooks.append(GridChain(tuple(cells)))
+        hooks.append(tuple(cells))
     return hooks
 
 
@@ -167,10 +140,6 @@ class Decomposition:
 
     def chain_sizes(self) -> tuple[int, ...]:
         return tuple(len(c) for c in self.chains)
-
-    def iter_elements(self):
-        for c in self.chains:
-            yield from c.elements
 
     def rank_counts(self) -> tuple[int, ...]:
         counts = [0] * (self.context.total_rank + 1)
@@ -272,11 +241,6 @@ def relabel_map(targets):
     return bit_map(lambda a: sum(1 << t for i, t in enumerate(targets) if a >> i & 1), len(targets))
 
 
-def relabel(decomp: Decomposition, targets) -> Decomposition:
-    """Move local bit i of every mask element to ambient bit targets[i]."""
-    return map_elements(decomp, relabel_map(targets))
-
-
 def structural_problems(decomp: Decomposition) -> list[str]:
     """Cheap intrinsic checks: saturation, symmetry, no repeated elements.
 
@@ -313,8 +277,8 @@ def product_scd(dp: Decomposition, dq: Decomposition) -> Decomposition:
     for c in dp.chains:
         for d in dq.chains:
             for hook in hook_chains(len(c) - 1, len(d) - 1):
-                elems = tuple((c.elements[x], d.elements[y]) for x, y in hook.cells)
-                ranks = tuple(c.ranks[x] + d.ranks[y] for x, y in hook.cells)
+                elems = tuple((c.elements[x], d.elements[y]) for x, y in hook)
+                ranks = tuple(c.ranks[x] + d.ranks[y] for x, y in hook)
                 chains.append(Chain(elems, ranks))
     return make_decomposition(chains, Context(kind="product", total_rank=total))
 
@@ -333,7 +297,6 @@ __all__ = [
     "Chain",
     "Context",
     "Decomposition",
-    "GridChain",
     "ResourceLimitError",
     "bit_map",
     "bit_string",
@@ -342,13 +305,10 @@ __all__ = [
     "fold_products",
     "full_mask",
     "hook_chains",
-    "is_symmetric_chain",
     "make_decomposition",
     "map_elements",
     "mask_of",
     "product_scd",
-    "rank",
-    "relabel",
     "relabel_map",
     "set_string",
     "structural_problems",

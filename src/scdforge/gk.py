@@ -33,7 +33,8 @@ from .core import (
     elements_of,
     full_mask,
     make_decomposition,
-    relabel,
+    map_elements,
+    relabel_map,
 )
 
 
@@ -164,11 +165,10 @@ class ChainBottoms:
 
 @dataclass(frozen=True)
 class GkScd:
-    """The Greene-Kleitman SCD of B_n with a subset -> (chain, position) index.
+    """The Greene-Kleitman SCD of B_n.
 
     Chains are ordered by decreasing length; equal lengths are ordered by
-    ascending bottom mask so the whole structure is reproducible.  The index
-    has 2^n entries and is built on the first lookup, not with the chains.
+    ascending bottom mask so the whole structure is reproducible.
     """
 
     n: int
@@ -177,26 +177,6 @@ class GkScd:
     @property
     def chain_count(self) -> int:
         return len(self.chains)
-
-    @functools.cached_property
-    def index(self) -> dict[int, tuple[int, int]]:
-        return {
-            mask: (ci, pos)
-            for ci, chain in enumerate(self.chains)
-            for pos, mask in enumerate(chain.elements)
-        }
-
-    def locate(self, mask: int) -> tuple[int, int]:
-        try:
-            return self.index[mask]
-        except KeyError:
-            raise ValueError(f"subset {mask} is not over this ground set") from None
-
-    def chain_index(self, mask: int) -> int:
-        return self.locate(mask)[0]
-
-    def chain_containing(self, mask: int) -> Chain:
-        return self.chains[self.chain_index(mask)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -228,7 +208,7 @@ def boolean_scd_on_support(support: int) -> Decomposition:
     positions = [e - 1 for e in elements_of(support)]
     f = len(positions)
     decomp = make_decomposition(list(ChainBottoms(f)), Context(kind="boolean", total_rank=f, n=f))
-    return relabel(decomp, positions)
+    return map_elements(decomp, relabel_map(positions))
 
 
 def partner(x: int, chain: Chain) -> int:

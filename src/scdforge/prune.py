@@ -27,31 +27,21 @@ from .core import (
     Context,
     Decomposition,
     QUOTIENT_LIMIT,
-    ResourceLimitError,
     bit_map,
     check_enum,
     elements_of,
     fold_products,
-    full_mask,
     make_decomposition,
     map_elements,
     relabel_map,
 )
-from .gk import ChainBottoms, GkScd, boolean_scd_on_support, predecessor
+from .gk import ChainBottoms, boolean_scd_on_support
 from .groups import CycleFactor, GroupSpec, _members, burnside_count, factorize, orbit_rep, parse_group_spec, quotient_poset
 from .verify import certify
 
 
 class ConsistencyError(RuntimeError):
     """The pruned family violated one of its own guarantees (never expected)."""
-
-
-def rotate(mask: int, steps: int, n: int) -> int:
-    """Rotate a subset of [n]: element i moves to i + steps (wrapping)."""
-    steps %= n
-    if not steps:
-        return mask
-    return ((mask << steps) | (mask >> (n - steps))) & full_mask(n)
 
 
 @functools.lru_cache(maxsize=None)  # every caller shares one GroupSpec and its action tables
@@ -71,13 +61,9 @@ class PrunedChain:
 
 @dataclass(frozen=True)
 class PrunedFamily:
-    n: int
-    step: int
-    chains: tuple[PrunedChain, ...]
+    """The pieces one greedy pass selected, in the order it scanned them."""
 
-    @property
-    def quotient_chains(self) -> tuple[Chain, ...]:
-        return tuple(pc.orbits for pc in self.chains)
+    chains: tuple[PrunedChain, ...]
 
 
 def prune_chains(bottoms: ChainBottoms, step: int, expected: int) -> PrunedFamily:
@@ -140,7 +126,7 @@ def prune_chains(bottoms: ChainBottoms, step: int, expected: int) -> PrunedFamil
         raise ConsistencyError("kept pieces cover an orbit twice")
     if kept_total != expected:
         raise ConsistencyError(f"covered {kept_total} orbits but the quotient has {expected}")
-    return PrunedFamily(n, step, tuple(picked))
+    return PrunedFamily(tuple(picked))
 
 
 def _level_index(n: int, width: int):
@@ -170,7 +156,7 @@ def _quotient_cyclic(n: int, step: int) -> Decomposition:
     group = rotation_group(n, step)
     family = prune_chains(ChainBottoms(n), step, burnside_count(n, group))
     context = Context(kind="quotient", total_rank=n, n=n, group=group.text())
-    return make_decomposition(family.quotient_chains, context)
+    return make_decomposition([pc.orbits for pc in family.chains], context)
 
 
 def quotient_scd(n: int, group: GroupSpec | str) -> Decomposition:
@@ -204,43 +190,6 @@ def quotient_scd(n: int, group: GroupSpec | str) -> Decomposition:
     return certify(quotient_poset(n, group), make_decomposition(combined.chains, context))
 
 
-def shadow_closure_failures(scd: GkScd, step: int) -> list[dict]:
-    """Counterexamples to predecessor-closure of earlier-chain shadowing.
-
-    A subset is shadowed when some rotation of it lies on an earlier chain
-    than its own.  The property: for every shadowed A in the lower half
-    (|A| <= ceil(n/2)) whose predecessor exists, the predecessor is shadowed
-    too.  This is what makes every kept piece survive as one contiguous,
-    symmetric window of its source chain.
-    """
-    n = scd.n
-    if n > 14:
-        raise ResourceLimitError(f"shadow-closure scan is capped at n <= 14, got {n}")
-    if step < 1 or n % step:
-        raise ValueError(f"rotation step must divide the ground size, got {step} for n={n}")
-    group = rotation_group(n, step)
-    first_chain: dict[int, int] = {}
-    for a in range(1 << n):
-        rep = orbit_rep(a, group)
-        ci = scd.chain_index(a)
-        if ci < first_chain.get(rep, ci + 1):
-            first_chain[rep] = ci
-    half = (n + 1) // 2
-    failures = []
-    for a in range(1 << n):
-        if a.bit_count() > half:
-            continue
-        w = scd.chain_index(a)
-        if first_chain[orbit_rep(a, group)] >= w:
-            continue
-        prev = predecessor(a, n)
-        if prev is None:
-            continue
-        if first_chain[orbit_rep(prev, group)] >= w:
-            failures.append({"subset": a, "chain": w, "predecessor": prev, "n": n, "step": step})
-    return failures
-
-
 __all__ = [
     "ConsistencyError",
     "PrunedChain",
@@ -248,7 +197,5 @@ __all__ = [
     "prune_chains",
     "quotient_scd",
     "quotient_scd_cyclic",
-    "rotate",
     "rotation_group",
-    "shadow_closure_failures",
 ]

@@ -18,7 +18,6 @@ from .core import (
     Chain,
     Context,
     Decomposition,
-    GridChain,
     QUOTIENT_LIMIT,
     bit_map,
     check_enum,
@@ -45,11 +44,6 @@ def word_reverse(mask: int, width: int) -> int:
         if mask >> i & 1:
             out |= 1 << (width - 1 - i)
     return out
-
-
-def pair_mask(u: int, v: int, k: int) -> int:
-    """The word u followed by the reverse of v, as a subset of [2k]."""
-    return u | (word_reverse(v, k) << k)
 
 
 @dataclass(frozen=True)
@@ -85,8 +79,9 @@ def build_blocks(k: int, scd: GkScd | None = None) -> list[PBlock]:
     ]
 
 
-def scd_of_diagonal_block(block: PBlock) -> list[GridChain]:
-    """Peel the staircase triangle {(x, y): x <= y} into symmetric borders.
+def scd_of_diagonal_block(block: PBlock) -> list[tuple[tuple[int, int], ...]]:
+    """Peel the staircase triangle {(x, y): x <= y} into symmetric borders,
+    each given as its tuple of (x, y) cells.
 
     Each pass walks the top row then the right column of the remaining
     triangle and strips two off the side length, giving floor(l/2)+1 chains
@@ -100,7 +95,7 @@ def scd_of_diagonal_block(block: PBlock) -> list[GridChain]:
         lo, hi = d, side - d
         cells = [(lo, y) for y in range(lo, hi + 1)]
         cells += [(x, hi) for x in range(lo + 1, hi + 1)]
-        chains.append(GridChain(tuple(cells)))
+        chains.append(tuple(cells))
     return chains
 
 
@@ -139,10 +134,11 @@ def involution_group(n: int, pairs) -> GroupSpec:
 
 
 def _core_quotient_part(k: int) -> Decomposition:
-    """SCD of B_2k modulo word reversal, on the local ground set [2k]; each orbit
-    is written as its cell's pair mask, and the caller picks the representative."""
+    """SCD of B_2k modulo word reversal, on the local ground set [2k]; the orbit
+    of cell (u, v) is written as the word u followed by the reverse of v, and
+    the caller picks the representative."""
     scd = gk_scd(k)
-    back = bit_map(lambda v: word_reverse(v, k) << k, k)  # pair_mask's second half-word
+    back = bit_map(lambda v: word_reverse(v, k) << k, k)  # the reverse of v as the second half-word
     chains = []
     for i, ci in enumerate(scd.chains):
         for j in range(i, len(scd.chains)):
@@ -152,7 +148,7 @@ def _core_quotient_part(k: int) -> Decomposition:
             else:
                 grids = scd_of_diagonal_block(_block(i, i, ci.elements, ci.elements))
             for grid in grids:
-                masks = (ci.elements[x] | back(cj.elements[y]) for x, y in grid.cells)
+                masks = (ci.elements[x] | back(cj.elements[y]) for x, y in grid)
                 chains.append(Chain.from_masks(masks))
     context = Context(kind="quotient", total_rank=2 * k, n=2 * k)
     return make_decomposition(chains, context)
@@ -198,7 +194,6 @@ __all__ = [
     "PBlock",
     "build_blocks",
     "involution_group",
-    "pair_mask",
     "reflection_scd",
     "scd_of_diagonal_block",
     "standard_reflection",

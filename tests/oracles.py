@@ -19,6 +19,13 @@ three references that share nothing with the package's cycle-index count:
 counting enumerated orbits by rank, Burnside's lemma over every group
 element, and the closed necklace formula.  The seeded group generators at the
 end supply the groups the tests sweep.
+
+The helpers at the top serve the tests alone: `rotate`, `tuple_rotate` and
+`pair_mask` act on masks and level tuples bit by bit, `is_symmetric_chain`
+restates the symmetry test, and `chain_index` maps each subset to the number
+of its Greene-Kleitman chain.  `shadow_closure_failures` scans that index for
+the lemma the pruning rests on; it is one more exception to the independence
+above, as it uses the package's `orbit_rep` and `predecessor`.
 """
 
 from __future__ import annotations
@@ -35,7 +42,6 @@ from scdforge.chainpow import (
     canonical_levels,
     in_chain_power,
     mask_levels,
-    tuple_rotate,
 )
 from scdforge.core import (
     Chain,
@@ -46,12 +52,77 @@ from scdforge.core import (
     full_mask,
     make_decomposition,
     map_elements,
-    relabel,
+    relabel_map,
 )
-from scdforge.gk import boolean_scd_on_support, gk_scd
+from scdforge.gk import boolean_scd_on_support, gk_scd, predecessor
 from scdforge.groups import CycleFactor, GroupSpec, QuotientPoset, factorize, orbit_rep
 from scdforge.prune import PrunedChain, quotient_scd_cyclic, rotation_group
 from scdforge.reflect import _core_quotient_part, _transpositions, involution_group
+
+
+def rotate(mask: int, steps: int, n: int) -> int:
+    """Rotate a subset of [n]: element i moves to i + steps (wrapping)."""
+    steps %= n
+    if not steps:
+        return mask
+    return ((mask << steps) | (mask >> (n - steps))) & full_mask(n)
+
+
+def tuple_rotate(u: tuple[int, ...], steps: int) -> tuple[int, ...]:
+    """Rotate coordinates: position i takes the old value at i - steps."""
+    steps %= len(u)
+    if not steps:
+        return u
+    return u[-steps:] + u[:-steps]
+
+
+def pair_mask(u: int, v: int, k: int) -> int:
+    """The word u followed by the reverse of v, as a subset of [2k]."""
+    return u | sum(1 << (2 * k - 1 - i) for i in range(k) if v >> i & 1)
+
+
+def is_symmetric_chain(chain: Chain, total_rank: int) -> bool:
+    """True iff the chain is saturated and its end ranks sum to the poset rank."""
+    return chain.is_saturated() and chain.ranks[0] + chain.ranks[-1] == total_rank
+
+
+def chain_index(scd) -> dict[int, int]:
+    """The number of the chain of a Greene-Kleitman SCD through each subset."""
+    return {mask: ci for ci, chain in enumerate(scd.chains) for mask in chain.elements}
+
+
+def shadow_closure_failures(scd, step: int) -> list[dict]:
+    """Counterexamples to predecessor-closure of earlier-chain shadowing.
+
+    A subset is shadowed when some rotation of it lies on an earlier chain
+    than its own.  The property: for every shadowed A in the lower half
+    (|A| <= ceil(n/2)) whose predecessor exists, the predecessor is shadowed
+    too.  This is what makes every kept piece survive as one contiguous,
+    symmetric window of its source chain.
+    """
+    n = scd.n
+    group = rotation_group(n, step)
+    index = chain_index(scd)
+    first_chain: dict[int, int] = {}
+    for a in range(1 << n):
+        rep = orbit_rep(a, group)
+        ci = index[a]
+        if ci < first_chain.get(rep, ci + 1):
+            first_chain[rep] = ci
+    half = (n + 1) // 2
+    failures = []
+    for a in range(1 << n):
+        if a.bit_count() > half:
+            continue
+        w = index[a]
+        if first_chain[orbit_rep(a, group)] >= w:
+            continue
+        prev = predecessor(a, n)
+        if prev is None:
+            continue
+        if first_chain[orbit_rep(prev, group)] >= w:
+            failures.append({"subset": a, "chain": w, "predecessor": prev, "n": n, "step": step})
+    return failures
 
 
 def interval_pairing(a: int, n: int) -> dict[int, int]:
@@ -257,7 +328,7 @@ def reflection_named_after_fold(n: int, rho) -> Decomposition:
     pairs = _transpositions(rho)
     two_element = involution_group(n, pairs)
     targets = [a - 1 for a, _ in pairs] + [b - 1 for _, b in reversed(pairs)]
-    parts = [relabel(_core_quotient_part(len(pairs)), targets)]
+    parts = [map_elements(_core_quotient_part(len(pairs)), relabel_map(targets))]
     fixed = full_mask(n) & ~sum(1 << t for t in targets)
     if fixed:
         parts.append(boolean_scd_on_support(fixed))
@@ -276,7 +347,7 @@ def named_after_fold(n: int, group) -> Decomposition:
     if split.fixed:
         parts.append(boolean_scd_on_support(split.fixed))
     for f in split.factors:
-        parts.append(relabel(quotient_scd_cyclic(f.length, f.power), [e - 1 for e in f.cycle]))
+        parts.append(map_elements(quotient_scd_cyclic(f.length, f.power), relabel_map([e - 1 for e in f.cycle])))
     combined = fold_products(parts, operator.or_)
     canonical = map_elements(combined, lambda a: orbit_rep(a, group))
     context = Context(kind="quotient", total_rank=n, n=n, group=group.text())

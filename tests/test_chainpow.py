@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from oracles import ambient_chainpower, naive_tuple_orbit_ranks, naive_tuple_orbits
+from oracles import ambient_chainpower, naive_tuple_orbit_ranks, naive_tuple_orbits, tuple_rotate
 from scdforge.chainpow import (
     ChainPowerTarget,
     ChainProductTarget,
@@ -14,7 +14,6 @@ from scdforge.chainpow import (
     in_chain_power,
     level_mask,
     mask_levels,
-    tuple_rotate,
 )
 from scdforge.core import Context, ResourceLimitError, make_decomposition, mask_of
 from scdforge.gk import ChainBottoms, gk_scd
@@ -169,7 +168,7 @@ def test_bottom_search_finds_the_chains_inside_the_power(k, m):
     """The width-(k-1) search grows exactly the ambient chains whose bottom
     is inside the power, in the ambient order, chain by chain."""
     n = (k - 1) * m
-    inside = [c for c in gk_scd(n).chains if in_chain_power(c.bottom, k, m)]
+    inside = [c for c in gk_scd(n).chains if in_chain_power(c.elements[0], k, m)]
     bottoms = ChainBottoms(n, k - 1)
     assert len(bottoms) == len(inside)
     assert [bottoms[i] for i in range(len(bottoms))] == inside
@@ -245,7 +244,7 @@ def test_restriction_matches_ambient_orbits():
     k, m, r = 3, 3, 1
     n = (k - 1) * m
     decomp = chainpower_scd(k, m, r)
-    seen = set(decomp.iter_elements())
+    seen = {e for c in decomp.chains for e in c.elements}
     expected = {
         canonical_levels(u, r) for u in itertools.product(range(k), repeat=m)
     }

@@ -12,7 +12,7 @@ from oracles import (
     sampled_groups_with_fixed_points,
 )
 from scdforge.chainpow import chainpower_scd, chainproduct_scd
-from scdforge.core import Chain, Context, Decomposition, relabel
+from scdforge.core import Chain, Context, Decomposition, map_elements, relabel_map
 from scdforge.cli import (
     DecodeError,
     build_document,
@@ -284,7 +284,7 @@ def test_verify_guards_chain_power_targets(tmp_path, capsysbinary, context, widt
 def _spread(n: int, width: int, seed: int) -> Decomposition:
     # the chains of B_width on random bits of [n]: masks from every chunk, some with empty ones
     targets = sorted(random.Random(seed).sample(range(n), width))
-    moved = relabel(gk_decomposition(width), targets)
+    moved = map_elements(gk_decomposition(width), relabel_map(targets))
     return Decomposition(moved.chains, Context(kind="boolean", total_rank=n, n=n))
 
 

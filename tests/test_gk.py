@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import interval_pairing
+from oracles import chain_index, interval_pairing, rotate
 from scdforge.core import ResourceLimitError, full_mask, mask_of
 from scdforge.gk import (
     chain_of,
@@ -90,17 +90,9 @@ def test_chain_of_examples():
 @pytest.mark.parametrize("n", range(1, 11))
 def test_chain_of_matches_gk_scd(n):
     scd = gk_scd(n)
+    index = chain_index(scd)
     for a in range(1 << n):
-        assert chain_of(a, n) == scd.chain_containing(a), (n, a)
-
-
-def test_index_is_built_on_first_lookup():
-    scd = gk_scd.__wrapped__(12)  # a fresh instance, not the cached one
-    assert "index" not in vars(scd)
-    chain = scd.chains[5]
-    assert scd.locate(chain.elements[1]) == (5, 1)
-    assert "index" in vars(scd)
-    assert len(scd.index) == 1 << 12
+        assert chain_of(a, n) == scd.chains[index[a]], (n, a)
 
 
 def test_gk_scd_b2():
@@ -135,15 +127,15 @@ def test_gk_scd_partitions_and_indexes(n):
     scd = gk_scd(n)
     assert scd.chain_count == math.comb(n, n // 2)
     seen = set()
-    for ci, chain in enumerate(scd.chains):
+    for chain in scd.chains:
         assert chain.ranks[0] + chain.ranks[-1] == n
         assert chain.is_saturated()
-        for pos, mask in enumerate(chain.elements):
-            assert scd.locate(mask) == (ci, pos)
+        for mask in chain.elements:
+            assert mask not in seen
             seen.add(mask)
-    assert len(seen) == 1 << n
+    assert seen == set(range(1 << n))
     # longest chains first; equal lengths by ascending bottom mask
-    order = [(c.ranks[0], c.bottom) for c in scd.chains]
+    order = [(c.ranks[0], c.elements[0]) for c in scd.chains]
     assert order == sorted(order)
 
 
@@ -182,9 +174,8 @@ def test_chain_endpoints_and_prefix_form(n):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_partner_commutes_with_all_rotation_powers(n):
-    from scdforge.prune import rotate
-
     scd = gk_scd(n)
+    index = chain_index(scd)
     for chain in scd.chains:
         for x in chain.elements:
             if x.bit_count() > n // 2:
@@ -192,7 +183,7 @@ def test_partner_commutes_with_all_rotation_powers(n):
             mirror = partner(x, chain)
             for j in range(n):
                 shifted = rotate(x, j, n)
-                host = scd.chain_containing(shifted)
+                host = scd.chains[index[shifted]]
                 assert partner(shifted, host) == rotate(mirror, j, n)
 
 

@@ -8,7 +8,9 @@ from oracles import (
     is_scd,
     named_after_fold,
     naive_orbits,
+    rotate,
     sampled_groups_with_fixed_points,
+    shadow_closure_failures,
 )
 from scdforge import chainpow, gk, groups, prune
 from scdforge.chainpow import chainpower_scd, in_chain_power
@@ -19,9 +21,7 @@ from scdforge.prune import (
     prune_chains,
     quotient_scd,
     quotient_scd_cyclic,
-    rotate,
     rotation_group,
-    shadow_closure_failures,
 )
 from scdforge.verify import verify_decomposition
 
@@ -111,10 +111,10 @@ def test_prune_matches_the_reference_pass_on_chain_powers(k, m):
     bottoms = ChainBottoms(n, k - 1)
     if n <= 12:
         # the ambient chains inside the power, where gk_scd(n) is cheap
-        chains = [c for c in gk_scd(n).chains if in_chain_power(c.bottom, k, m)]
+        chains = [c for c in gk_scd(n).chains if in_chain_power(c.elements[0], k, m)]
     else:
         # the streamed chains, grown and then sorted by their (rank, bottom)
-        chains = sorted((bottoms[i] for i in range(len(bottoms))), key=lambda c: (c.ranks[0], c.bottom))
+        chains = sorted((bottoms[i] for i in range(len(bottoms))), key=lambda c: (c.ranks[0], c.elements[0]))
     for step in divisors(m):
         got = prune_chains(bottoms, (k - 1) * step, sum(necklace_ranks(k, m, step))).chains
         assert got == greedy_prune(chains, n, (k - 1) * step), step

@@ -1,6 +1,6 @@
 import pytest
 
-from oracles import reflection_named_after_fold
+from oracles import pair_mask, reflection_named_after_fold
 from scdforge.core import mask_of
 from scdforge.gk import gk_decomposition, gk_scd
 from scdforge.groups import ParseError, parse_group_spec, quotient_poset
@@ -9,7 +9,6 @@ from scdforge.reflect import (
     PBlock,
     build_blocks,
     involution_group,
-    pair_mask,
     reflection_scd,
     scd_of_diagonal_block,
     standard_reflection,
@@ -39,14 +38,14 @@ def test_block_rank_arithmetic():
 
 def test_diagonal_singleton():
     block = PBlock(0, 0, (5,), (5,), ((5, 5),))
-    assert [c.cells for c in scd_of_diagonal_block(block)] == [((0, 0),)]
+    assert scd_of_diagonal_block(block) == [((0, 0),)]
 
 
 def test_diagonal_peel_b2_top_chain():
     chain = gk_scd(2).chains[0].elements  # 00 < 10 < 11
     block = PBlock(0, 0, chain, chain, ())
     grids = scd_of_diagonal_block(block)
-    assert [g.cells for g in grids] == [
+    assert grids == [
         ((0, 0), (0, 1), (0, 2), (1, 2), (2, 2)),
         ((1, 1),),
     ]
@@ -57,7 +56,7 @@ def test_diagonal_peel_odd_side():
     block = PBlock(0, 0, chain, chain, ())
     grids = scd_of_diagonal_block(block)
     assert sorted(len(g) for g in grids) == [3, 7]
-    cells = {c for g in grids for c in g.cells}
+    cells = {c for g in grids for c in g}
     assert cells == {(x, y) for x in range(4) for y in range(x, 4)}
 
 

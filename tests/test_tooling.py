@@ -1,8 +1,10 @@
-"""Package hygiene: every export resolves, the package exports exactly the
-construct and verify API, the CLI needs no third-party code, every function
+"""Package hygiene: every export resolves, every module export has a caller
+outside the tests, the package exports exactly the construct and verify API,
+the CLI needs no third-party code, every function
 the benchmark trace binds onto still exists and is still called on a traced
 run, the seed-0 benchmark documents match their goldens, and the demos run."""
 
+import ast
 import hashlib
 import importlib
 import importlib.util
@@ -27,6 +29,38 @@ DEMOS = sorted(f for f in os.listdir(os.path.join(ROOT, "demos")) if f.endswith(
 def test_module_exports_resolve(name):
     module = importlib.import_module(f"scdforge.{name}")
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+def _names_used(top):
+    """Every Name id and Attribute attr in the Python files under ROOT/top;
+    under perfbench/ also every string constant, since its trace binds
+    functions by name.  A def's own name and its __all__ entry are neither."""
+    used = set()
+    for folder, _, files in os.walk(os.path.join(ROOT, top)):
+        for file in files:
+            if not file.endswith(".py"):
+                continue
+            with open(os.path.join(folder, file), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+                elif top == "perfbench" and isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    used.add(node.value)
+    return used
+
+
+def test_module_exports_have_a_caller_outside_tests():
+    # src/ keeps what a command, another module, a demo or the benchmark calls;
+    # helpers that only the tests need live in tests/oracles.py
+    used = PUBLIC | _names_used("src") | _names_used("demos") | _names_used("perfbench")
+    unused = []
+    for name in MODULES:
+        module = importlib.import_module(f"scdforge.{name}")
+        unused += [f"{name}.{n}" for n in module.__all__ if n not in used]
+    assert unused == []
 
 
 def test_package_exports_are_module_exports():
