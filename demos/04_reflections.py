@@ -17,7 +17,7 @@ print(f"half cube B_{k} has {gk_scd(k).chain_count} chains,"
 
 diag = next(b for b in blocks if b.i == b.j == 0)
 print(f"\npeeling the staircase over chain 0 (length {len(diag.rows)}):")
-for grid in scd_of_diagonal_block(diag):
+for grid in scd_of_diagonal_block(len(diag.rows) - 1):
     cells = " < ".join(
         f"({bit_string(diag.rows[x], k)},{bit_string(diag.rows[y], k)})" for x, y in grid
     )

@@ -7,6 +7,11 @@ a total order built from an SCD of the half cube: earlier chain first, and
 containment within a chain.  Pairs drawn from two different chains fill a full
 rectangle, which the hooks decompose; pairs drawn from one chain form a
 staircase triangle, which peels into symmetric border chains.
+
+Each cell (u, v) is written straight as its orbit in the ambient ground set
+through two half-word tables: L puts u on the moved elements of the first
+half, R puts v, reversed, on those of the second, and the orbit's name is
+min(L[u] | R[v], L[v] | R[u]), the smaller of the word and its mirror.
 """
 
 from __future__ import annotations
@@ -19,13 +24,11 @@ from .core import (
     Context,
     Decomposition,
     QUOTIENT_LIMIT,
-    bit_map,
     check_enum,
     fold_products,
     full_mask,
     hook_chains,
     make_decomposition,
-    map_elements,
     relabel_map,
 )
 from .gk import GkScd, boolean_scd_on_support, gk_decomposition, gk_scd
@@ -36,14 +39,6 @@ from .groups import (
     quotient_poset,
 )
 from .verify import certify
-
-
-def word_reverse(mask: int, width: int) -> int:
-    out = 0
-    for i in range(width):
-        if mask >> i & 1:
-            out |= 1 << (width - 1 - i)
-    return out
 
 
 @dataclass(frozen=True)
@@ -79,17 +74,16 @@ def build_blocks(k: int, scd: GkScd | None = None) -> list[PBlock]:
     ]
 
 
-def scd_of_diagonal_block(block: PBlock) -> list[tuple[tuple[int, int], ...]]:
-    """Peel the staircase triangle {(x, y): x <= y} into symmetric borders,
-    each given as its tuple of (x, y) cells.
+def scd_of_diagonal_block(side: int) -> list[tuple[tuple[int, int], ...]]:
+    """Peel the staircase triangle {(x, y): 0 <= x <= y <= side} into
+    symmetric borders, each given as its tuple of (x, y) cells.
 
     Each pass walks the top row then the right column of the remaining
-    triangle and strips two off the side length, giving floor(l/2)+1 chains
-    for a chain of l+1 half-words.
+    triangle and strips two off the side length, giving floor(side/2)+1
+    chains for a chain of side+1 half-words.
     """
-    if block.i != block.j:
-        raise ValueError("not a diagonal block")
-    side = len(block.rows) - 1
+    if side < 0:
+        raise ValueError("staircase side must be nonnegative")
     chains = []
     for d in range(side // 2 + 1):
         lo, hi = d, side - d
@@ -133,25 +127,29 @@ def involution_group(n: int, pairs) -> GroupSpec:
     return GroupSpec(n, (CycleFactor(cycle, len(pairs)),))
 
 
-def _core_quotient_part(k: int) -> Decomposition:
-    """SCD of B_2k modulo word reversal, on the local ground set [2k]; the orbit
-    of cell (u, v) is written as the word u followed by the reverse of v, and
-    the caller picks the representative."""
-    scd = gk_scd(k)
-    back = bit_map(lambda v: word_reverse(v, k) << k, k)  # the reverse of v as the second half-word
+def _orbit_chains(targets) -> list[Chain]:
+    """The chains of the half-word blocks over the moved elements, each cell
+    (u, v) written as its orbit's name: u goes on targets[:k], the reverse of
+    v on targets[k:], and the name is the smaller of that word and its mirror.
+    A cell's rank is the sum of its half-words' ranks."""
+    k = len(targets) // 2
+    left, right = relabel_map(targets[:k]), relabel_map(targets[::-1][:k])
+    sides = [
+        (tuple(map(left, c.elements)), tuple(map(right, c.elements)), c.ranks)
+        for c in gk_scd(k).chains
+    ]
     chains = []
-    for i, ci in enumerate(scd.chains):
-        for j in range(i, len(scd.chains)):
-            cj = scd.chains[j]
+    for i, (left_i, right_i, ranks_i) in enumerate(sides):
+        for j in range(i, len(sides)):
+            left_j, right_j, ranks_j = sides[j]
             if i < j:
-                grids = hook_chains(len(ci) - 1, len(cj) - 1)
+                grids = hook_chains(len(ranks_i) - 1, len(ranks_j) - 1)
             else:
-                grids = scd_of_diagonal_block(_block(i, i, ci.elements, ci.elements))
+                grids = scd_of_diagonal_block(len(ranks_i) - 1)
             for grid in grids:
-                masks = (ci.elements[x] | back(cj.elements[y]) for x, y in grid)
-                chains.append(Chain.from_masks(masks))
-    context = Context(kind="quotient", total_rank=2 * k, n=2 * k)
-    return make_decomposition(chains, context)
+                names = tuple(min(left_i[x] | right_j[y], left_j[y] | right_i[x]) for x, y in grid)
+                chains.append(Chain(names, tuple(ranks_i[x] + ranks_j[y] for x, y in grid)))
+    return chains
 
 
 def reflection_scd(n: int, rho: GroupSpec | str) -> Decomposition:
@@ -174,19 +172,14 @@ def reflection_scd(n: int, rho: GroupSpec | str) -> Decomposition:
         return certify(quotient_poset(n, two_element), decomp)
     # local pair t (1-based) is (t, 2k+1-t), so the involution reverses the word
     targets = [a - 1 for a, _ in pairs] + [b - 1 for _, b in reversed(pairs)]
-    move, (act,) = relabel_map(targets), two_element._actions
-
-    def name(a: int) -> int:
-        a = move(a)
-        return min(a, act(a))
-
-    # rho fixes the fixed block, which is disjoint from the moved support, so
-    # naming before the fold is the same as naming after: a|f < b|f iff a < b
-    parts = [map_elements(_core_quotient_part(len(pairs)), name)]
+    chains = _orbit_chains(targets)
     fixed = full_mask(n) & ~sum(1 << t for t in targets)
     if fixed:
-        parts.append(boolean_scd_on_support(fixed))
-    decomp = make_decomposition(fold_products(parts, operator.or_).chains, context)
+        # rho fixes the fixed block, which is disjoint from the moved support, so
+        # naming before the fold is the same as naming after: a|f < b|f iff a < b
+        moved = Decomposition(tuple(chains), Context(kind="reflection", total_rank=len(targets)))
+        chains = fold_products([moved, boolean_scd_on_support(fixed)], operator.or_).chains
+    decomp = make_decomposition(chains, context)
     return certify(quotient_poset(n, two_element), decomp)
 
 
@@ -197,5 +190,4 @@ __all__ = [
     "reflection_scd",
     "scd_of_diagonal_block",
     "standard_reflection",
-    "word_reverse",
 ]

@@ -10,9 +10,13 @@ package's `gk_scd(n)` and restricts afterwards, to pin the chain-power
 construction that streams only the chains inside the power.  `greedy_prune`
 also uses the package's `orbit_rep`, once per chain element, to pin the
 streamed pruning pass that walks each orbit only once.  `reflection_named_after_fold` names the reflection
-quotient after the fold with the fixed block, by one `orbit_rep` per element,
-to pin the construction that names each orbit in the relabel pass, and
-`named_after_fold` does the same for a cycle-power quotient, by one
+quotient in three passes: `core_quotient_part` writes each cell (u, v) as the
+local word u followed by `word_reverse` of v and sorts the chains, the
+relabel moves that word onto the ambient ground set and folds it with the
+fixed block, and only then is every element named by one `orbit_rep`.  It
+pins the construction that names each cell through two half-word tables as
+it is built; `staircase_peel` is the peel's former form, which read the side
+off a whole diagonal `PBlock`.  `named_after_fold` does the same for a cycle-power quotient, by one
 `orbit_rep` under the whole group per element, to pin the construction that
 names each factor's orbits before the fold.  The per-rank orbit counts have
 three references that share nothing with the package's cycle-index count:
@@ -47,9 +51,11 @@ from scdforge.core import (
     Chain,
     Context,
     Decomposition,
+    bit_map,
     elements_of,
     fold_products,
     full_mask,
+    hook_chains,
     make_decomposition,
     map_elements,
     relabel_map,
@@ -57,7 +63,7 @@ from scdforge.core import (
 from scdforge.gk import boolean_scd_on_support, gk_scd, predecessor
 from scdforge.groups import CycleFactor, GroupSpec, QuotientPoset, factorize, orbit_rep
 from scdforge.prune import PrunedChain, quotient_scd_cyclic, rotation_group
-from scdforge.reflect import _core_quotient_part, _transpositions, involution_group
+from scdforge.reflect import PBlock, _transpositions, involution_group
 
 
 def rotate(mask: int, steps: int, n: int) -> int:
@@ -322,13 +328,55 @@ def reference_bytes(decomp: Decomposition) -> bytes:
     return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
 
 
+def word_reverse(mask: int, width: int) -> int:
+    """Reverse the word of a subset of [width]: bit i moves to width-1-i."""
+    out = 0
+    for i in range(width):
+        if mask >> i & 1:
+            out |= 1 << (width - 1 - i)
+    return out
+
+
+def staircase_peel(block: PBlock) -> list[tuple[tuple[int, int], ...]]:
+    """The borders of the staircase over a diagonal block, peeled from the
+    block itself: the top row then the right column of what is left."""
+    if block.i != block.j:
+        raise ValueError("not a diagonal block")
+    side = len(block.rows) - 1
+    chains = []
+    for d in range(side // 2 + 1):
+        lo, hi = d, side - d
+        cells = [(lo, y) for y in range(lo, hi + 1)]
+        cells += [(x, hi) for x in range(lo + 1, hi + 1)]
+        chains.append(tuple(cells))
+    return chains
+
+
+def core_quotient_part(k: int) -> Decomposition:
+    """SCD of B_2k modulo word reversal on the local ground set [2k], each
+    cell (u, v) written as the word u followed by the reverse of v."""
+    scd = gk_scd(k)
+    back = bit_map(lambda v: word_reverse(v, k) << k, k)
+    chains = []
+    for i, ci in enumerate(scd.chains):
+        for j in range(i, len(scd.chains)):
+            cj = scd.chains[j]
+            if i < j:
+                grids = hook_chains(len(ci) - 1, len(cj) - 1)
+            else:
+                grids = staircase_peel(PBlock(i, i, ci.elements, ci.elements, ()))
+            for grid in grids:
+                chains.append(Chain.from_masks(ci.elements[x] | back(cj.elements[y]) for x, y in grid))
+    return make_decomposition(chains, Context(kind="quotient", total_rank=2 * k, n=2 * k))
+
+
 def reflection_named_after_fold(n: int, rho) -> Decomposition:
     """The reflection quotient relabelled, folded with the fixed block, and
     only then named, by one orbit_rep per element."""
     pairs = _transpositions(rho)
     two_element = involution_group(n, pairs)
     targets = [a - 1 for a, _ in pairs] + [b - 1 for _, b in reversed(pairs)]
-    parts = [map_elements(_core_quotient_part(len(pairs)), relabel_map(targets))]
+    parts = [map_elements(core_quotient_part(len(pairs)), relabel_map(targets))]
     fixed = full_mask(n) & ~sum(1 << t for t in targets)
     if fixed:
         parts.append(boolean_scd_on_support(fixed))

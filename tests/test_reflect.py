@@ -1,6 +1,10 @@
+import hashlib
+import random
+
 import pytest
 
-from oracles import pair_mask, reflection_named_after_fold
+from oracles import pair_mask, reflection_named_after_fold, staircase_peel, word_reverse
+from scdforge.cli import run
 from scdforge.core import mask_of
 from scdforge.gk import gk_decomposition, gk_scd
 from scdforge.groups import ParseError, parse_group_spec, quotient_poset
@@ -12,7 +16,6 @@ from scdforge.reflect import (
     reflection_scd,
     scd_of_diagonal_block,
     standard_reflection,
-    word_reverse,
 )
 from scdforge.verify import verify_decomposition
 
@@ -38,13 +41,12 @@ def test_block_rank_arithmetic():
 
 def test_diagonal_singleton():
     block = PBlock(0, 0, (5,), (5,), ((5, 5),))
-    assert scd_of_diagonal_block(block) == [((0, 0),)]
+    assert scd_of_diagonal_block(len(block.rows) - 1) == [((0, 0),)]
 
 
 def test_diagonal_peel_b2_top_chain():
-    chain = gk_scd(2).chains[0].elements  # 00 < 10 < 11
-    block = PBlock(0, 0, chain, chain, ())
-    grids = scd_of_diagonal_block(block)
+    block = build_blocks(2)[0]  # over chain 0: 00 < 10 < 11
+    grids = scd_of_diagonal_block(len(block.rows) - 1)
     assert grids == [
         ((0, 0), (0, 1), (0, 2), (1, 2), (2, 2)),
         ((1, 1),),
@@ -52,17 +54,26 @@ def test_diagonal_peel_b2_top_chain():
 
 
 def test_diagonal_peel_odd_side():
-    chain = gk_scd(3).chains[0].elements  # length 4
-    block = PBlock(0, 0, chain, chain, ())
-    grids = scd_of_diagonal_block(block)
+    block = build_blocks(3)[0]  # over chain 0, of length 4
+    grids = scd_of_diagonal_block(len(block.rows) - 1)
     assert sorted(len(g) for g in grids) == [3, 7]
     cells = {c for g in grids for c in g}
     assert cells == {(x, y) for x in range(4) for y in range(x, 4)}
 
 
-def test_rejects_off_diagonal():
+@pytest.mark.parametrize("k", range(1, 7))
+def test_peel_by_side_matches_the_peel_of_the_block(k):
+    diagonal = [b for b in build_blocks(k) if b.i == b.j]
+    assert len(diagonal) == gk_scd(k).chain_count
+    for block in diagonal:
+        grids = scd_of_diagonal_block(len(block.rows) - 1)
+        assert grids == staircase_peel(block)
+        assert sorted((block.rows[x], block.rows[y]) for g in grids for x, y in g) == sorted(block.cells)
+
+
+def test_peel_rejects_a_negative_side():
     with pytest.raises(ValueError):
-        scd_of_diagonal_block(PBlock(0, 1, (0,), (1,), ()))
+        scd_of_diagonal_block(-1)
 
 
 @pytest.mark.parametrize("k", range(1, 7))
@@ -158,6 +169,51 @@ def test_naming_before_the_fold_matches_naming_after(n, text):
     decomp = reflection_scd(n, text)
     reference = reflection_named_after_fold(n, parse_group_spec(text, n))
     assert decomp == reference
+
+
+def _random_involution(rng, n, k):
+    """k transpositions on a random 2k of [n], in random order with shuffled
+    ends; the fixed points may carry identity factors, an even power of a
+    transposition or a 1-cycle."""
+    points = rng.sample(range(1, n + 1), n)
+    terms = [f"({points[2 * t]} {points[2 * t + 1]})" for t in range(k)]
+    terms = [t + "^3" if rng.random() < 0.2 else t for t in terms]
+    rest = points[2 * k:]
+    if len(rest) >= 2 and rng.random() < 0.7:
+        terms.append(f"({rest.pop()} {rest.pop()})^{rng.choice((2, 4))}")
+    if rest and rng.random() < 0.5:
+        terms.append(f"({rest.pop()})")
+    rng.shuffle(terms)
+    return "".join(terms)
+
+
+@pytest.mark.parametrize("n", range(2, 15))
+def test_named_cells_match_naming_after_the_fold_on_random_involutions(n):
+    # three draws that move all of [n] (but one point when n is odd), then
+    # three that leave at least one more point fixed where n allows it
+    rng = random.Random(1600 + n)
+    for k in [n // 2] * 3 + [rng.randint(1, max(1, (n - 1) // 2)) for _ in range(3)]:
+        text = _random_involution(rng, n, k)
+        rho = parse_group_spec(text, n)
+        assert reflection_scd(n, rho) == reflection_named_after_fold(n, rho), text
+
+
+# sha256 and length of two reflect documents, recorded before the cells were
+# named as they are built: no fixed point, and three fixed points (3, 8, 11)
+# with the transpositions written out of order
+PINNED_DOCUMENTS = [
+    (("reflect", "--n", "12", "--group", "(1 7)(2 8)(3 9)(4 10)(5 11)(6 12)"),
+     32515, "687d8f54f1bbc8bfa5e5b8e3928dbda3795d070f133c47ecfb3611d5da202eed"),
+    (("reflect", "--n", "13", "--group", "(7 10)(2 5)(13 1)(4 9)(6 12)"),
+     71998, "d0151ded83a92c54f4db5383d48e25b1f6a996f06ca43d8ad53c36146c364826"),
+]
+
+
+@pytest.mark.parametrize("argv, size, sha256", PINNED_DOCUMENTS)
+def test_reflect_documents_are_pinned(capsysbinary, argv, size, sha256):
+    assert run(list(argv)) == 0
+    data = capsysbinary.readouterr().out
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (size, sha256)
 
 
 def test_reflection_agrees_with_cycle_power_route(capsys):
