@@ -9,20 +9,21 @@ instead of the chunk-table encoder.  The exception is
 package's `gk_scd(n)` and restricts afterwards, to pin the chain-power
 construction that streams only the chains inside the power.  `greedy_prune`
 also uses the package's `orbit_rep`, once per chain element, to pin the
-streamed pruning pass that walks each orbit only once.  `reflection_named_after_fold` names the reflection
-quotient in three passes: `core_quotient_part` writes each cell (u, v) as the
-local word u followed by `word_reverse` of v and sorts the chains, the
-relabel moves that word onto the ambient ground set and folds it with the
-fixed block, and only then is every element named by one `orbit_rep`.  It
-pins the construction that names each cell through two half-word tables as
-it is built; `staircase_peel` is the peel's former form, which read the side
-off a whole diagonal `PBlock`.  `named_after_fold` does the same for a cycle-power quotient, by one
-`orbit_rep` under the whole group per element, to pin the construction that
-names each factor's orbits before the fold.  The per-rank orbit counts have
-three references that share nothing with the package's cycle-index count:
-counting enumerated orbits by rank, Burnside's lemma over every group
-element, and the closed necklace formula.  The seeded group generators at the
-end supply the groups the tests sweep.
+streamed pruning pass that walks each orbit only once.
+`reflection_named_after_fold` names the reflection quotient in three passes:
+`core_quotient_part` writes each cell (u, v) as the local word u followed by
+`word_reverse` of v and sorts the chains, the relabel moves that word onto
+the ambient ground set and folds it with the fixed block, and only then is
+every element named by one `orbit_rep`.  It pins the construction that names
+each cell through two half-word tables as it is built.  `named_after_fold`
+does the same for a cycle-power quotient, by one `orbit_rep` under the whole
+group per element, to pin the construction that names each factor's orbits
+before the fold, and `staircase_peel` peels a whole diagonal `PBlock`, the
+form the package's peel by side length is checked against.  The per-rank
+orbit counts have three references that share nothing with the package's
+cycle-index count: counting enumerated orbits by rank, Burnside's lemma over
+every group element, and the closed necklace formula.  The seeded group
+generators at the end supply the groups the tests sweep.
 
 The helpers at the top serve the tests alone: `rotate`, `tuple_rotate` and
 `pair_mask` act on masks and level tuples bit by bit, `is_symmetric_chain`

@@ -198,9 +198,8 @@ def test_named_cells_match_naming_after_the_fold_on_random_involutions(n):
         assert reflection_scd(n, rho) == reflection_named_after_fold(n, rho), text
 
 
-# sha256 and length of two reflect documents, recorded before the cells were
-# named as they are built: no fixed point, and three fixed points (3, 8, 11)
-# with the transpositions written out of order
+# sha256 and length of two reflect documents: no fixed point, and three fixed
+# points (3, 8, 11) with the transpositions written out of order
 PINNED_DOCUMENTS = [
     (("reflect", "--n", "12", "--group", "(1 7)(2 8)(3 9)(4 10)(5 11)(6 12)"),
      32515, "687d8f54f1bbc8bfa5e5b8e3928dbda3795d070f133c47ecfb3611d5da202eed"),
