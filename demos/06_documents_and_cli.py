@@ -23,30 +23,29 @@ assert back == decomp and encode(back) == data
 assert stats == build_document(decomp)["stats"]
 print(f"round trip: ok ({stats['element_count']} elements in {stats['chain_count']} chains)")
 
-# the CLI re-verifies whatever it reads back
-with tempfile.NamedTemporaryFile(suffix=".json", delete=False) as fh:
-    fh.write(data)
-    path = fh.name
-print(f"\n$ scdforge verify --input {path}")
-code = run(["verify", "--input", path])
-print(f"exit code {code}")
+# the CLI re-verifies whatever it reads back; the document lives in a scratch folder
+with tempfile.TemporaryDirectory() as folder:
+    path = os.path.join(folder, "doc.json")
+    with open(path, "wb") as fh:
+        fh.write(data)
+    print("\n$ scdforge verify --input doc.json")
+    code = run(["verify", "--input", path])
+    print(f"exit code {code}")
 
-# tampering is caught: drop the singleton chain and fix up the stats
-broken = json.loads(data)
-broken["chains"] = broken["chains"][:-1]
-broken["stats"]["chain_count"] -= 1
-broken["stats"]["element_count"] -= 1
-broken["stats"]["rank_profile"] = [1, 1, 1, 1, 1, 1]
-with open(path, "wb") as fh:
-    fh.write(encode(broken))
-print(f"\n$ scdforge verify --input {path}   (singleton deleted)")
-code = run(["verify", "--input", path])
-print(f"exit code {code}")
+    # tampering is caught: drop the singleton chain and fix up the stats
+    broken = json.loads(data)
+    broken["chains"] = broken["chains"][:-1]
+    broken["stats"]["chain_count"] -= 1
+    broken["stats"]["element_count"] -= 1
+    broken["stats"]["rank_profile"] = [1, 1, 1, 1, 1, 1]
+    with open(path, "wb") as fh:
+        fh.write(encode(broken))
+    print("\n$ scdforge verify --input doc.json   (singleton deleted)")
+    code = run(["verify", "--input", path])
+    print(f"exit code {code}")
 
 print("\n$ scdforge chainpower --k 3 --m 2 --text")
 run(["chainpower", "--k", "3", "--m", "2", "--text"])
 
 print("\n$ scdforge orbits --n 4 --group '(1 2 3 4)' --dot")
 run(["orbits", "--n", "4", "--group", "(1 2 3 4)", "--dot"])
-
-os.unlink(path)

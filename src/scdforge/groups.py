@@ -97,6 +97,12 @@ class GroupSpec:
         # one mask action per generator, built on first use; not a field, so == and hash ignore it
         return tuple(_action(self.n, g) for g in self.generators())
 
+    @functools.cached_property
+    def _walks(self):
+        # (action, order - 1, support) per generator, over the tables of _actions
+        moving = [f for f in self.factors if f.order() > 1]
+        return tuple((act, f.order() - 1, f.support_mask()) for act, f in zip(self._actions, moving))
+
 
 @functools.lru_cache(maxsize=None)  # every GroupSpec with this generator on [n] shares one table set
 def _action(n: int, perm: tuple[int, ...]):
@@ -213,8 +219,14 @@ def orbit(s: int, group: GroupSpec) -> Orbit:
 
 
 def orbit_rep(s: int, group: GroupSpec) -> int:
-    """Smallest mask in the orbit of a subset."""
-    return min(_members(s, group._actions))
+    """Smallest mask in the orbit of a subset: its least image under each generator's powers in turn."""
+    for act, steps, _ in group._walks:
+        y = s
+        for _ in range(steps):
+            y = act(y)
+            if y < s:
+                s = y
+    return s
 
 
 def _times(p, q) -> list[int]:
@@ -267,10 +279,8 @@ class QuotientPoset:
 
     The orbits are enumerated on first use, by elements(), orbits or
     covers(); ascends() and expected_size() never enumerate them.  The size
-    guard is checked at construction.  ascends() decides "a <= b" for
-    consecutive elements by testing each member of a's orbit against b alone,
-    which is valid because the group acts by automorphisms.
-    """
+    guard is checked at construction.  ascends() lists no orbit either: it
+    applies each generator's powers to each element once."""
 
     def __init__(self, n: int, group: GroupSpec):
         check_enum(n, QUOTIENT_LIMIT, "quotient_poset")
@@ -278,6 +288,7 @@ class QuotientPoset:
             raise ValueError("group is over a different ground set")
         self.n = n
         self.group = group
+        self._fixed = factorize(n, group).fixed  # the points that no generator moves
 
     @functools.cached_property
     def orbits(self) -> tuple[Orbit, ...]:
@@ -313,27 +324,28 @@ class QuotientPoset:
     def elements(self):
         return (o.rep for o in self.orbits)
 
-    def rank(self, rep: int) -> int:
-        return rep.bit_count()
+    rank = staticmethod(int.bit_count)
 
     def ascends(self, elements) -> bool:
-        """True iff every element is the least mask of its orbit and each
-        lies below the next; one walk of each element's orbit answers both."""
-        actions, limit = self.group._actions, 1 << self.n
-        below = None
+        """True iff every element is the least mask of its orbit and lies below the next.
+        The generators move disjoint supports: e is least iff no power of one lowers it,
+        and a <= b iff a lies in b off their supports and, on each, in a power of it on b."""
+        walks, limit, fixed = self.group._walks, 1 << self.n, self._fixed
+        below = 0
         for e in elements:
-            if type(e) is not int or not 0 <= e < limit:
+            if type(e) is not int or not 0 <= e < limit or below & fixed & ~e:
                 return False
-            members = _members(e, actions)
-            if min(members) != e:
-                return False
-            if below is not None:
-                for x in below:
-                    if x | e == e:
-                        break
-                else:
+            for act, steps, support in walks:
+                part, y = below & support, e
+                fits = not part & ~e
+                for _ in range(steps):
+                    y = act(y)
+                    if y < e:
+                        return False
+                    fits = fits or not part & ~y
+                if not fits:
                     return False
-            below = members
+            below = e
         return True
 
     def covers(self):

@@ -4,8 +4,9 @@ A target poset provides five members: elements(), rank(x),
 ascends(elements), total_rank and expected_size().  ascends(elements) is True
 iff every element of the sequence is a canonical element of the target (the
 least member of its orbit, in the target's own encoding) and each lies below
-the next, answered from one walk of each element's orbit.  It is the target's
-only comparability test.  The verifier recomputes every rank and
+the next, answered from one walk per element: a quotient applies each
+generator's powers to it once, a chain power lists its rotations once.  It is
+the target's only comparability test.  The verifier recomputes every rank and
 comparability itself and never trusts the construction's bookkeeping.
 
 A family of chains partitions the target into symmetric chains as soon as
@@ -14,7 +15,7 @@ at a time through comparable elements with end ranks summing to total_rank,
 and the elements number exactly expected_size(): distinct canonical elements
 name distinct orbits, and a Burnside count of the orbits equals the true one,
 so by pigeonhole every orbit is covered exactly once.  That certificate makes
-one ascends() call per chain, which walks each claimed element's orbit once.
+one ascends() call per chain, which tests each claimed element once.
 Only when it fails does the verifier enumerate elements() to name every
 problem, testing each failing step with ascends() on the pair, so the reports
 of both routes are the same.
@@ -90,15 +91,14 @@ def verify_decomposition(target, decomp: Decomposition) -> VerifyReport:
     independent counting oracle.  Tries the pigeonhole certificate first and
     enumerates the target only to explain a failure.
     """
-    if _certified(target, decomp):
-        count = decomp.element_count()
+    count = decomp.element_count()
+    if _certified(target, decomp, count):
         return VerifyReport(True, count, count, ())
     return _enumerated(target, decomp)
 
 
-def _certified(target, decomp: Decomposition) -> bool:
-    """The pigeonhole certificate of the module docstring; False on any doubt."""
-    count = decomp.element_count()
+def _certified(target, decomp: Decomposition, count: int) -> bool:
+    """The pigeonhole certificate of the module docstring over `count` elements; False on any doubt."""
     if count != target.expected_size():
         return False
     ascends, rank, total = target.ascends, target.rank, target.total_rank
@@ -107,12 +107,10 @@ def _certified(target, decomp: Decomposition) -> bool:
         elems = chain.elements
         if not ascends(elems):
             return False
-        ranks = [rank(e) for e in elems]
-        if ranks[0] + ranks[-1] != total:
+        ranks = list(map(rank, elems))
+        low = ranks[0]
+        if low + ranks[-1] != total or ranks != list(range(low, low + len(ranks))):
             return False
-        for a, b in zip(ranks, ranks[1:]):
-            if b != a + 1:
-                return False
         seen.update(elems)
     return len(seen) == count
 

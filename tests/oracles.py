@@ -19,7 +19,10 @@ each cell through two half-word tables as it is built.  `named_after_fold`
 does the same for a cycle-power quotient, by one `orbit_rep` under the whole
 group per element, to pin the construction that names each factor's orbits
 before the fold, and `staircase_peel` peels a whole diagonal `PBlock`, the
-form the package's peel by side length is checked against.  The per-rank
+form the package's peel by side length is checked against.
+`orbit_closure_ascends` decides a quotient's `ascends` by listing each
+element's orbit with the package's `_members` and scanning it, to pin the
+certificate that applies each generator's powers once per element.  The per-rank
 orbit counts have three references that share nothing with the package's
 cycle-index count: counting enumerated orbits by rank, Burnside's lemma over
 every group element, and the closed necklace formula.  The seeded group
@@ -62,7 +65,7 @@ from scdforge.core import (
     relabel_map,
 )
 from scdforge.gk import boolean_scd_on_support, gk_scd, predecessor
-from scdforge.groups import CycleFactor, GroupSpec, QuotientPoset, factorize, orbit_rep
+from scdforge.groups import CycleFactor, GroupSpec, QuotientPoset, _members, factorize, orbit_rep
 from scdforge.prune import PrunedChain, quotient_scd_cyclic, rotation_group
 from scdforge.reflect import PBlock, _transpositions, involution_group
 
@@ -242,6 +245,30 @@ def naive_comparability(target):
         return lambda a, b: all(part(a[i:j], b[i:j]) for part, i, j in zip(parts, cuts, cuts[1:]))
     left, right = naive_comparability(target.left), naive_comparability(target.right)
     return lambda a, b: left(a[0], b[0]) and right(a[1], b[1])
+
+
+def orbit_closure_ascends(poset: QuotientPoset, elements) -> bool:
+    """QuotientPoset.ascends by listing orbits: each element must be an int
+    mask of [n] equal to the least member of its orbit, and some member of
+    the previous element's orbit must lie inside it, as the group acts by
+    automorphisms.  It pins the walk that applies each generator's powers to
+    each element once."""
+    actions, limit = poset.group._actions, 1 << poset.n
+    below = None
+    for e in elements:
+        if type(e) is not int or not 0 <= e < limit:
+            return False
+        members = _members(e, actions)
+        if min(members) != e:
+            return False
+        if below is not None:
+            for x in below:
+                if x | e == e:
+                    break
+            else:
+                return False
+        below = members
+    return True
 
 
 def naive_tuple_orbits(k: int, m: int, step: int) -> list[frozenset]:
@@ -531,3 +558,14 @@ def sampled_groups_with_fixed_points(n, count):
             lengths.append(rng.randrange(2, room + 1))
             room -= lengths[-1]
         yield _laid_out(n, lengths, [rng.randrange(1, 2 * length) for length in lengths], rng)
+
+
+def random_cycle_power_group(n, rng):
+    """A seeded group on [n]: cycles of any length from 1 up, each raised to
+    an exponent from 0 to twice its length, so some factors normalise to the
+    identity (^0, ^length) and some exponents exceed the length."""
+    lengths, room = [], n
+    while room and rng.random() < 0.8:
+        lengths.append(rng.randrange(1, room + 1))
+        room -= lengths[-1]
+    return _laid_out(n, lengths, [rng.randrange(2 * length + 1) for length in lengths], rng)

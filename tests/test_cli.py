@@ -369,6 +369,7 @@ def _refuse_enumeration(monkeypatch):
     monkeypatch.setattr("scdforge.cli.gk_decomposition", refuse)
     monkeypatch.setattr("scdforge.cli.verify_decomposition", refuse)
     monkeypatch.setattr("scdforge.groups._members", refuse)
+    monkeypatch.setattr(GroupSpec, "_walks", property(refuse))
     monkeypatch.setattr(QuotientPoset, "orbits", property(refuse))
 
 

@@ -12,6 +12,8 @@ from oracles import (
     group_elements,
     naive_orbit_ranks,
     naive_orbits,
+    orbit_closure_ascends,
+    random_cycle_power_group,
     sampled_groups_with_fixed_points,
 )
 from scdforge import groups
@@ -224,6 +226,68 @@ def test_quotient_leq_against_naive():
             assert poset.ascends((a, b)) == naive
 
 
+def _identity_powers(n):
+    """Groups on [n] with a factor whose power is the identity (^0 or ^length)."""
+    whole = tuple(range(1, n + 1))
+    yield GroupSpec(n, (CycleFactor(whole, n),))
+    if n >= 3:
+        yield GroupSpec(n, (CycleFactor((1, 2), 0), CycleFactor(whole[2:], 1)))
+        yield GroupSpec(n, (CycleFactor((1, 2), 1), CycleFactor(whole[2:], n - 2)))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_ascends_matches_orbit_closure_on_every_pair(n):
+    rng = random.Random(f"every pair {n}")
+    specs = [*every_cycle_power_group(n), *_identity_powers(n)]
+    specs += [random_cycle_power_group(n, rng) for _ in range(4)]
+    for spec in specs:
+        poset = quotient_poset(n, spec)
+        for a in range(1 << n):
+            assert poset.ascends((a,)) == orbit_closure_ascends(poset, (a,)), (spec, a)
+            for b in range(1 << n):
+                assert poset.ascends((a, b)) == orbit_closure_ascends(poset, (a, b)), (spec, a, b)
+
+
+def _odd_element(n, rng):
+    """An input that is not a mask of [n]: a bool, a negative or too large int, or no int at all."""
+    limit = 1 << n
+    return rng.choice([True, False, -1, -rng.randrange(1, limit + 1), limit, limit + rng.randrange(limit), 1 << 70, 1.0, 0.0, None, "1", (0,)])
+
+
+def _ascends_input(poset, rng):
+    """One to four elements: a climb through canonical elements, possibly
+    with one element swapped for a random mask or an odd input, or a list of
+    random masks and odd inputs."""
+    n, group, size = poset.n, poset.group, rng.randrange(1, 5)
+    if rng.random() < 0.6:
+        a = orbit_rep(rng.randrange(1 << n), group)
+        seq = [a]
+        while len(seq) < size:
+            gaps = [i for i in range(n) if not a >> i & 1]
+            if gaps:
+                a = orbit_rep(a | 1 << rng.choice(gaps), group)
+            seq.append(a)
+        if rng.random() < 0.4:
+            seq[rng.randrange(size)] = rng.randrange(1 << n) if rng.random() < 0.6 else _odd_element(n, rng)
+        return seq
+    return [rng.randrange(1 << n) if rng.random() < 0.7 else _odd_element(n, rng) for _ in range(size)]
+
+
+def test_ascends_matches_orbit_closure_on_random_groups():
+    rng = random.Random("ascends against orbit closure")
+    answers = []
+    for _ in range(1000):
+        n = rng.randrange(1, 10)
+        poset = quotient_poset(n, random_cycle_power_group(n, rng))
+        for _ in range(80):
+            seq = _ascends_input(poset, rng)
+            expected = orbit_closure_ascends(poset, seq)
+            assert poset.ascends(seq) == expected, (poset.group, seq)
+            assert poset.ascends(iter(seq)) == expected
+            answers.append(expected)
+    assert 0.2 < sum(answers) / len(answers) < 0.8
+
+
 @pytest.mark.parametrize(
     "n, text",
     [
@@ -290,6 +354,7 @@ def test_quotient_guard_fires_at_construction(monkeypatch):
         raise AssertionError("an orbit was walked")
 
     monkeypatch.setattr("scdforge.groups._members", refuse)
+    monkeypatch.setattr(GroupSpec, "_walks", property(refuse))
     with pytest.raises(ResourceLimitError):
         quotient_poset(23, GroupSpec.trivial(23))
     with pytest.raises(ResourceLimitError):

@@ -213,3 +213,14 @@ def test_demos_run(demo):
         [sys.executable, os.path.join(ROOT, "demos", demo)], env=env, capture_output=True, text=True
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_documents_demo_prints_the_same_bytes_twice(tmp_path):
+    # the demo writes its document in a scratch folder it removes, and names it by a fixed relative name
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"), TMPDIR=str(tmp_path))
+    demo = [sys.executable, os.path.join(ROOT, "demos", "06_documents_and_cli.py")]
+    first, second = (subprocess.run(demo, env=env, capture_output=True) for _ in range(2))
+    assert first.returncode == 0, first.stderr
+    assert (first.stdout, first.stderr) == (second.stdout, second.stderr)
+    assert b"doc.json" in first.stdout
+    assert list(tmp_path.iterdir()) == []

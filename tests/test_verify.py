@@ -230,7 +230,7 @@ def test_count_preserving_mutation_fails_the_certificate(case):
     decomp, target = CASES[case]()
     mutant = _drop_one_repeat_another(decomp)
     assert mutant.element_count() == target.expected_size()
-    assert not _certified(target, mutant)
+    assert not _certified(target, mutant, mutant.element_count())
     report = verify_decomposition(target, mutant)
     assert not report.ok
     assert {f.kind for f in report.failures} == {"not-covered", "double-covered"}
@@ -284,7 +284,7 @@ def test_certificate_and_enumeration_agree_on_mutants(case):
     for _ in range(50):
         mutant = _mutant(target, decomp, rng)
         report = _enumerated(target, mutant)
-        assert _certified(target, mutant) == report.ok
+        assert _certified(target, mutant, mutant.element_count()) == report.ok
         if not report.ok:
             failing += 1
             assert verify_decomposition(target, mutant) == report
@@ -305,13 +305,28 @@ WALKED = {
 
 
 @pytest.mark.parametrize("case", sorted(WALKED))
-def test_passing_certificate_walks_each_claimed_element_once(monkeypatch, case):
+def test_passing_certificate_walks_each_generator_once_per_element(monkeypatch, case):
     decomp, target = WALKED[case]()
-    walks, original = [], groups._members
-    monkeypatch.setattr(groups, "_members", lambda s, actions: walks.append(s) or original(s, actions))
+    claimed = sorted(e for c in decomp.chains for e in c.elements)
+
+    def refuse(*args):
+        raise AssertionError("the certificate listed an orbit")
+
+    monkeypatch.setattr(groups, "_members", refuse)
+    applied = []  # one list of action arguments per generator
+    walks = []
+    for act, steps, support in target.group._walks:
+        applied.append([])
+        walks.append((lambda x, act=act, log=applied[-1]: log.append(x) or act(x), steps, support))
+    monkeypatch.setitem(target.group.__dict__, "_walks", tuple(walks))
+    tested, ascends = [], target.ascends
+    monkeypatch.setattr(target, "ascends", lambda elems: tested.extend(elems) or ascends(elems))
     assert verify_decomposition(target, decomp).ok
-    assert len(walks) == decomp.element_count()
-    assert sorted(walks) == sorted(e for c in decomp.chains for e in c.elements)
+    assert sorted(tested) == claimed
+    bound = sum(steps for _, steps, _ in walks)
+    assert sum(map(len, applied)) <= bound * len(claimed)
+    for args in applied:
+        assert set(claimed) <= set(args)
 
 
 def test_element_equal_to_a_mask_in_another_type_verifies():
