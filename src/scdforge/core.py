@@ -8,8 +8,6 @@ every function is pure, so results can be shared freely across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 MASK_WIDTH_LIMIT = 64   # subsets stay machine-word sized
 ENUM_LIMIT = 28         # operations that walk all of B_n refuse beyond this
 QUOTIENT_LIMIT = 22     # operations that also build orbit structure
@@ -64,22 +62,57 @@ def set_string(mask: int) -> str:
     return "{" + ",".join(str(e) for e in elements_of(mask)) + "}"
 
 
-@dataclass(frozen=True)
-class Chain:
+_set = object.__setattr__  # a record's __init__ writes each field once with it
+
+
+class _Record:
+    """Base of the immutable value records.  The fields are the __slots__ but "__dict__";
+    equality (same class only), hash, repr, copy and pickle go over them in order, and
+    assigning or deleting one raises AttributeError."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(name for name in cls.__slots__ if name != "__dict__")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{name}={getattr(self, name)!r}' for name in self._fields)})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Chain(_Record):
     """Ascending run of poset elements together with their ranks.
 
     Constructors produce saturated chains (consecutive ranks); the type stays
     permissive so the verifier can represent and then reject broken chains.
     """
 
-    elements: tuple
-    ranks: tuple[int, ...]
+    __slots__ = ("elements", "ranks")
 
-    def __post_init__(self):
-        if not self.elements:
+    def __init__(self, elements: tuple, ranks: tuple[int, ...]):
+        if not elements:
             raise ValueError("empty chain")
-        if len(self.elements) != len(self.ranks):
+        if len(elements) != len(ranks):
             raise ValueError("chain elements and ranks differ in length")
+        _set(self, "elements", elements)
+        _set(self, "ranks", ranks)
 
     @classmethod
     def from_masks(cls, masks) -> "Chain":
@@ -114,26 +147,31 @@ def hook_chains(a: int, b: int) -> list[tuple[tuple[int, int], ...]]:
     return hooks
 
 
-@dataclass(frozen=True)
-class Context:
+class Context(_Record):
     """Descriptor of the poset a decomposition lives in."""
 
-    kind: str            # boolean | quotient | reflection | chainpower | product
-    total_rank: int
-    n: int | None = None
-    group: str | None = None
-    k: int | None = None
-    m: int | None = None
-    r: int | None = None
-    factors: tuple[tuple[int, int, int], ...] | None = None
+    __slots__ = ("kind", "total_rank", "n", "group", "k", "m", "r", "factors")
+
+    def __init__(self, kind: str, total_rank: int, n: int | None = None, group: str | None = None, k: int | None = None,
+                 m: int | None = None, r: int | None = None, factors: tuple[tuple[int, int, int], ...] | None = None):
+        _set(self, "kind", kind)  # boolean | quotient | reflection | chainpower | product
+        _set(self, "total_rank", total_rank)
+        _set(self, "n", n)
+        _set(self, "group", group)
+        _set(self, "k", k)
+        _set(self, "m", m)
+        _set(self, "r", r)
+        _set(self, "factors", factors)
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(_Record):
     """A family of chains claimed to partition a ranked poset symmetrically."""
 
-    chains: tuple[Chain, ...]
-    context: Context
+    __slots__ = ("chains", "context")
+
+    def __init__(self, chains: tuple[Chain, ...], context: Context):
+        _set(self, "chains", chains)
+        _set(self, "context", context)
 
     def element_count(self) -> int:
         return sum(len(c) for c in self.chains)

@@ -21,8 +21,8 @@ that cache and check.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
+from .core import _Record, _set
 from .core import (
     Chain,
     Context,
@@ -38,19 +38,21 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
-class Pairing:
+class Pairing(_Record):
     """Bracket matching of one subset: who is matched, and to whom.
 
     partner maps each matched member to the non-member it closes; the mask
     paired_members collects the keys and paired_nonmembers the values.
     """
 
-    n: int
-    subset: int
-    partner: dict[int, int]
-    paired_members: int
-    paired_nonmembers: int
+    __slots__ = ("n", "subset", "partner", "paired_members", "paired_nonmembers")
+
+    def __init__(self, n: int, subset: int, partner: dict[int, int], paired_members: int, paired_nonmembers: int):
+        _set(self, "n", n)
+        _set(self, "subset", subset)
+        _set(self, "partner", partner)
+        _set(self, "paired_members", paired_members)
+        _set(self, "paired_nonmembers", paired_nonmembers)
 
     @property
     def paired(self) -> int:
@@ -163,16 +165,18 @@ class ChainBottoms:
         return self
 
 
-@dataclass(frozen=True)
-class GkScd:
+class GkScd(_Record):
     """The Greene-Kleitman SCD of B_n.
 
     Chains are ordered by decreasing length; equal lengths are ordered by
     ascending bottom mask so the whole structure is reproducible.
     """
 
-    n: int
-    chains: tuple[Chain, ...]
+    __slots__ = ("n", "chains")
+
+    def __init__(self, n: int, chains: tuple[Chain, ...]):
+        _set(self, "n", n)
+        _set(self, "chains", chains)
 
     @property
     def chain_count(self) -> int:

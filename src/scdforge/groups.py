@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
-from .core import QUOTIENT_LIMIT, bit_map, check_enum, check_ground, full_mask
+from .core import QUOTIENT_LIMIT, _Record, _set, bit_map, check_enum, check_ground, full_mask
 
 
 class ParseError(ValueError):
@@ -25,12 +24,14 @@ class ParseError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class CycleFactor:
+class CycleFactor(_Record):
     """One generator: a cycle raised to a power."""
 
-    cycle: tuple[int, ...]
-    exponent: int = 1
+    __slots__ = ("cycle", "exponent")
+
+    def __init__(self, cycle: tuple[int, ...], exponent: int = 1):
+        _set(self, "cycle", cycle)
+        _set(self, "exponent", exponent)
 
     @property
     def length(self) -> int:
@@ -50,20 +51,18 @@ class CycleFactor:
         return body if self.exponent == 1 else f"{body}^{self.exponent}"
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(_Record):
     """Disjoint cycles with powers; generates a subgroup of S_n."""
 
-    n: int
-    factors: tuple[CycleFactor, ...]
+    __slots__ = ("n", "factors", "__dict__")  # the dict holds the cached tables
 
-    def __post_init__(self):
-        check_ground(self.n)
+    def __init__(self, n: int, factors: tuple[CycleFactor, ...]):
+        check_ground(n)
         seen = 0
-        for f in self.factors:
+        for f in factors:
             if len(set(f.cycle)) != len(f.cycle):
                 raise ParseError("element repeated in cycle")
-            if any(e < 1 or e > self.n for e in f.cycle):
+            if any(e < 1 or e > n for e in f.cycle):
                 raise ParseError("element out of range")
             if f.exponent < 0:
                 raise ParseError("exponent must be nonnegative")
@@ -71,6 +70,8 @@ class GroupSpec:
             if support & seen:
                 raise ParseError("cycles not disjoint")
             seen |= support
+        _set(self, "n", n)
+        _set(self, "factors", factors)
 
     @classmethod
     def trivial(cls, n: int) -> "GroupSpec":
@@ -184,13 +185,15 @@ def apply_perm(perm: tuple[int, ...], mask: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class Orbit:
+class Orbit(_Record):
     """Equivalence class of subsets; rep is the numerically smallest mask."""
 
-    rep: int
-    size: int
-    members: tuple[int, ...]
+    __slots__ = ("rep", "size", "members")
+
+    def __init__(self, rep: int, size: int, members: tuple[int, ...]):
+        _set(self, "rep", rep)
+        _set(self, "size", size)
+        _set(self, "members", members)
 
 
 def _members(s: int, actions) -> list[int]:
@@ -364,26 +367,30 @@ def quotient_poset(n: int, group: GroupSpec) -> QuotientPoset:
     return QuotientPoset(n, group)
 
 
-@dataclass(frozen=True)
-class SplitFactor:
+class SplitFactor(_Record):
     """One moved block of the ground set with its local rotation step.
 
     The block's local quotient lives on [length], where position i + 1 stands
     for the element cycle[i], so the cycle order is the relabeling.
     """
 
-    cycle: tuple[int, ...]
-    length: int
-    power: int
-    support: int
+    __slots__ = ("cycle", "length", "power", "support")
+
+    def __init__(self, cycle: tuple[int, ...], length: int, power: int, support: int):
+        _set(self, "cycle", cycle)
+        _set(self, "length", length)
+        _set(self, "power", power)
+        _set(self, "support", support)
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(_Record):
     """Fixed points plus the moved blocks of a cycle-power group."""
 
-    fixed: int
-    factors: tuple[SplitFactor, ...]
+    __slots__ = ("fixed", "factors")
+
+    def __init__(self, fixed: int, factors: tuple[SplitFactor, ...]):
+        _set(self, "fixed", fixed)
+        _set(self, "factors", factors)
 
 
 def factorize(n: int, group: GroupSpec) -> Factorization:

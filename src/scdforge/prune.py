@@ -20,8 +20,8 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
 
+from .core import _Record, _set
 from .core import (
     Chain,
     Context,
@@ -50,20 +50,24 @@ def rotation_group(n: int, step: int) -> GroupSpec:
     return GroupSpec(n, (CycleFactor(tuple(range(1, n + 1)), step),))
 
 
-@dataclass(frozen=True)
-class PrunedChain:
+class PrunedChain(_Record):
     """A selected Greene-Kleitman chain, its kept piece, and the projection."""
 
-    source: int      # index into the list of chains that was pruned
-    kept: Chain      # surviving subsets, still a symmetric chain in B_n
-    orbits: Chain    # the same piece written as canonical orbit representatives
+    __slots__ = ("source", "kept", "orbits")
+
+    def __init__(self, source: int, kept: Chain, orbits: Chain):
+        _set(self, "source", source)  # index into the list of chains that was pruned
+        _set(self, "kept", kept)      # surviving subsets, still a symmetric chain in B_n
+        _set(self, "orbits", orbits)  # the same piece written as canonical orbit representatives
 
 
-@dataclass(frozen=True)
-class PrunedFamily:
+class PrunedFamily(_Record):
     """The pieces one greedy pass selected, in the order it scanned them."""
 
-    chains: tuple[PrunedChain, ...]
+    __slots__ = ("chains",)
+
+    def __init__(self, chains: tuple[PrunedChain, ...]):
+        _set(self, "chains", chains)
 
 
 def prune_chains(bottoms: ChainBottoms, step: int, expected: int) -> PrunedFamily:

@@ -17,8 +17,8 @@ min(L[u] | R[v], L[v] | R[u]), the smaller of the word and its mirror.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 
+from .core import _Record, _set
 from .core import (
     Chain,
     Context,
@@ -41,15 +41,17 @@ from .groups import (
 from .verify import certify
 
 
-@dataclass(frozen=True)
-class PBlock:
+class PBlock(_Record):
     """All ordered pairs drawn from chains i <= j of the half-cube SCD."""
 
-    i: int
-    j: int
-    rows: tuple[int, ...]
-    cols: tuple[int, ...]
-    cells: tuple[tuple[int, int], ...]
+    __slots__ = ("i", "j", "rows", "cols", "cells")
+
+    def __init__(self, i: int, j: int, rows: tuple[int, ...], cols: tuple[int, ...], cells: tuple[tuple[int, int], ...]):
+        _set(self, "i", i)
+        _set(self, "j", j)
+        _set(self, "rows", rows)
+        _set(self, "cols", cols)
+        _set(self, "cells", cells)
 
 
 def _block(i: int, j: int, rows, cols) -> PBlock:

@@ -24,16 +24,17 @@ of both routes are the same.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
-from .core import Decomposition
+from .core import Decomposition, _Record, _set
 
 
-@dataclass(frozen=True)
-class Failure:
-    kind: str        # not-covered | double-covered | not-saturated | not-symmetric | not-comparable
-    witness: object
-    detail: str = ""
+class Failure(_Record):
+    __slots__ = ("kind", "witness", "detail")
+
+    def __init__(self, kind: str, witness: object, detail: str = ""):
+        _set(self, "kind", kind)  # not-covered | double-covered | not-saturated | not-symmetric | not-comparable
+        _set(self, "witness", witness)
+        _set(self, "detail", detail)
 
 
 def _jsonable(value):
@@ -46,12 +47,14 @@ def _jsonable(value):
     return str(value)
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    ok: bool
-    element_count: int
-    expected_count: int
-    failures: tuple[Failure, ...]
+class VerifyReport(_Record):
+    __slots__ = ("ok", "element_count", "expected_count", "failures")
+
+    def __init__(self, ok: bool, element_count: int, expected_count: int, failures: tuple[Failure, ...]):
+        _set(self, "ok", ok)
+        _set(self, "element_count", element_count)
+        _set(self, "expected_count", expected_count)
+        _set(self, "failures", failures)
 
     def to_dict(self) -> dict:
         return {
@@ -161,11 +164,13 @@ def certify(target, decomp: Decomposition) -> Decomposition:
     return decomp
 
 
-@dataclass(frozen=True)
-class RankProfile:
-    counts: tuple[int, ...]
-    symmetric: bool
-    unimodal: bool
+class RankProfile(_Record):
+    __slots__ = ("counts", "symmetric", "unimodal")
+
+    def __init__(self, counts: tuple[int, ...], symmetric: bool, unimodal: bool):
+        _set(self, "counts", counts)
+        _set(self, "symmetric", symmetric)
+        _set(self, "unimodal", unimodal)
 
 
 def rank_profile(counts) -> RankProfile:

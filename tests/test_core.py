@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -20,7 +22,11 @@ from scdforge.core import (
     relabel_map,
     set_string,
 )
-from scdforge.gk import gk_decomposition
+from scdforge.gk import GkScd, Pairing, gk_decomposition
+from scdforge.groups import CycleFactor, Factorization, GroupSpec, Orbit, SplitFactor
+from scdforge.prune import PrunedChain, PrunedFamily
+from scdforge.reflect import PBlock
+from scdforge.verify import Failure, RankProfile, VerifyReport
 
 
 def test_rank_examples():
@@ -191,3 +197,108 @@ def test_relabel_moves_each_bit_to_its_target():
     for c, d in zip(local.chains, moved.chains):
         assert d.elements == tuple(_moved(a, targets) for a in c.elements)
         assert d.ranks == c.ranks
+
+
+_CHAIN = Chain((1, 3), (1, 2))
+_SPLIT = SplitFactor((2, 3, 4), 3, 1, 0b1110)
+_PIECE = PrunedChain(4, _CHAIN, Chain((1,), (1,)))
+
+# (record, its fields in order, its repr, the fields that a shorter call leaves
+# at their defaults, calls that must raise ValueError)
+RECORDS = [
+    (Chain, dict(elements=(1, 3), ranks=(1, 2)),
+     "Chain(elements=(1, 3), ranks=(1, 2))",
+     {}, [dict(elements=(), ranks=()), dict(elements=(1,), ranks=(1, 2)), dict(elements=(0, 1), ranks=(0,))]),
+    (Context, dict(kind="quotient", total_rank=4, n=4, group="(1 2)", k=3, m=2, r=1, factors=((2, 2, 1),)),
+     "Context(kind='quotient', total_rank=4, n=4, group='(1 2)', k=3, m=2, r=1, factors=((2, 2, 1),))",
+     dict(n=None, group=None, k=None, m=None, r=None, factors=None), []),
+    (Decomposition, dict(chains=(_CHAIN,), context=Context("boolean", 1, n=1)),
+     "Decomposition(chains=(Chain(elements=(1, 3), ranks=(1, 2)),), context=Context(kind='boolean', "
+     "total_rank=1, n=1, group=None, k=None, m=None, r=None, factors=None))",
+     {}, []),
+    (Pairing, dict(n=3, subset=6, partner={2: 1}, paired_members=2, paired_nonmembers=1),
+     "Pairing(n=3, subset=6, partner={2: 1}, paired_members=2, paired_nonmembers=1)",
+     {}, []),
+    (GkScd, dict(n=1, chains=(Chain((0, 1), (0, 1)),)),
+     "GkScd(n=1, chains=(Chain(elements=(0, 1), ranks=(0, 1)),))",
+     {}, []),
+    (CycleFactor, dict(cycle=(1, 2, 3), exponent=2),
+     "CycleFactor(cycle=(1, 2, 3), exponent=2)",
+     dict(exponent=1), []),
+    (GroupSpec, dict(n=4, factors=(CycleFactor((1, 2, 3), 2),)),
+     "GroupSpec(n=4, factors=(CycleFactor(cycle=(1, 2, 3), exponent=2),))",
+     {}, [dict(n=0, factors=()), dict(n=4, factors=(CycleFactor((1, 2, 1)),)),
+          dict(n=4, factors=(CycleFactor((1, 5)),)), dict(n=4, factors=(CycleFactor((1, 2), -1),)),
+          dict(n=4, factors=(CycleFactor((1, 2)), CycleFactor((2, 3))))]),
+    (Orbit, dict(rep=1, size=3, members=(1, 2, 4)),
+     "Orbit(rep=1, size=3, members=(1, 2, 4))",
+     {}, []),
+    (SplitFactor, dict(cycle=(2, 3, 4), length=3, power=1, support=14),
+     "SplitFactor(cycle=(2, 3, 4), length=3, power=1, support=14)",
+     {}, []),
+    (Factorization, dict(fixed=1, factors=(_SPLIT,)),
+     "Factorization(fixed=1, factors=(SplitFactor(cycle=(2, 3, 4), length=3, power=1, support=14),))",
+     {}, []),
+    (PrunedChain, dict(source=4, kept=_CHAIN, orbits=Chain((1,), (1,))),
+     "PrunedChain(source=4, kept=Chain(elements=(1, 3), ranks=(1, 2)), orbits=Chain(elements=(1,), ranks=(1,)))",
+     {}, []),
+    (PrunedFamily, dict(chains=(_PIECE,)),
+     "PrunedFamily(chains=(PrunedChain(source=4, kept=Chain(elements=(1, 3), ranks=(1, 2)), "
+     "orbits=Chain(elements=(1,), ranks=(1,))),))",
+     {}, []),
+    (PBlock, dict(i=0, j=1, rows=(0, 1), cols=(2,), cells=((0, 2), (1, 2))),
+     "PBlock(i=0, j=1, rows=(0, 1), cols=(2,), cells=((0, 2), (1, 2)))",
+     {}, []),
+    (Failure, dict(kind="not-covered", witness=(1, 2), detail="x"),
+     "Failure(kind='not-covered', witness=(1, 2), detail='x')",
+     dict(detail=""), []),
+    (VerifyReport, dict(ok=False, element_count=1, expected_count=2, failures=(Failure("not-covered", 5),)),
+     "VerifyReport(ok=False, element_count=1, expected_count=2, "
+     "failures=(Failure(kind='not-covered', witness=5, detail=''),))",
+     {}, []),
+    (RankProfile, dict(counts=(1, 2, 1), symmetric=True, unimodal=True),
+     "RankProfile(counts=(1, 2, 1), symmetric=True, unimodal=True)",
+     {}, []),
+]
+
+
+@pytest.mark.parametrize("cls, fields, text, defaults, bad", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+def test_records_are_immutable_values(cls, fields, text, defaults, bad):
+    names, values = list(fields), tuple(fields.values())
+    x = cls(*values)
+    assert [getattr(x, name) for name in names] == list(values)
+    assert cls(**fields) == x and not cls(**fields) != x
+    required = len(names) - len(defaults)
+    short = cls(*values[:required])
+    assert {name: getattr(short, name) for name in defaults} == defaults
+    assert short == cls(*values[:required], *defaults.values())
+    if defaults:
+        assert short != x
+    # equal only to the same class with equal fields
+    twin = type("Twin", (cls,), {})(*values)
+    assert x != twin and twin != x and not x == twin
+    assert x != values and x != list(values)
+    for name in names:  # one field changed
+        changed = {**fields, name: (fields[name], 0)}
+        if cls is GroupSpec:  # its fields are checked
+            changed = {**fields, name: {"n": 5, "factors": ()}[name]}
+        assert cls(**changed) != x
+    try:
+        expected = hash(values)
+    except TypeError:  # Pairing's partner is a dict
+        with pytest.raises(TypeError):
+            hash(x)
+    else:
+        assert hash(x) == expected
+        assert {x: 1}[cls(**fields)] == 1
+    assert repr(x) == text
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(x, name, None)
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+    assert [getattr(x, name) for name in names] == list(values)
+    assert copy.copy(x) == x and copy.deepcopy(x) == x and pickle.loads(pickle.dumps(x)) == x
+    for kwargs in bad:
+        with pytest.raises(ValueError):
+            cls(**kwargs)
