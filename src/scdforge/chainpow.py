@@ -8,9 +8,10 @@ ambient lattice stays inside the embedded power or misses it, as its bottom
 does, so pruning only the chains grown from bottoms inside the power against
 that rotation gives the ambient quotient's pruned decomposition restricted to
 the chain power, without building the ambient lattice.  The bottoms come from
-gk.ChainBottoms with blocks of k-1 bits, and the pass is
-prune.prune_chains, whose marks above QUOTIENT_LIMIT are one byte per level
-tuple.
+gk.ChainBottoms with blocks of k-1 bits, and the pass is prune.prune_chains
+over base-k level numbers, coordinate 0 most significant: integer order is
+the lexicographic order of level tuples, so the least number of an orbit is
+its canonical tuple, decoded once per orbit.
 """
 
 from __future__ import annotations
@@ -68,42 +69,17 @@ def level_mask(levels, k: int) -> int:
     return out
 
 
-def mask_levels(mask: int, k: int, m: int) -> tuple[int, ...]:
-    """Read the per-coordinate levels off a blockwise monotone word."""
-    width = k - 1
-    return tuple((mask >> (i * width) & ((1 << width) - 1)).bit_count() for i in range(m))
-
-
-def in_chain_power(mask: int, k: int, m: int) -> bool:
-    """True iff every block of the word is ones followed by zeros."""
-    n = _check_shape(k, m)
-    if mask >> n:
-        raise ValueError(f"word has bits beyond {n}")
-    width = k - 1
-    block = (1 << width) - 1
-    for i in range(m):
-        b = mask >> (i * width) & block
-        if b & (b + 1):  # not of the form 2^j - 1
-            return False
-    return True
-
-
-def _rotations(u: tuple[int, ...], step: int) -> list[tuple[int, ...]]:
-    """Every rotation of the tuple by a multiple of step, u first; the
-    multiples of step modulo len(u) are those of gcd(step, len(u))."""
-    return [u[j:] + u[:j] for j in range(0, len(u), math.gcd(step, len(u)))]
-
-
 def canonical_levels(u: tuple[int, ...], step: int) -> tuple[int, ...]:
-    """Lexicographically least rotation of the tuple by multiples of step."""
-    return min(_rotations(u, step))
+    """Lexicographically least rotation of the tuple by multiples of step,
+    which are those of gcd(step, len(u))."""
+    return min(u[j:] + u[:j] for j in range(0, len(u), math.gcd(step, len(u))))
 
 
 class ChainPowerTarget:
     """Rotation quotient of the m-fold power of a k-level chain.
 
     Elements are canonical level tuples; the order test rotates one side and
-    compares componentwise, independent of any construction.
+    compares componentwise, independent of any construction and of prune.
     """
 
     def __init__(self, k: int, m: int, r: int):
@@ -113,6 +89,8 @@ class ChainPowerTarget:
         self.m = m
         self.step = math.gcd(r, m)
         self.total_rank = (k - 1) * m
+        self._width = (k - 1).bit_length() // 8 + 1  # bytes per level, top bit free
+        self._guard = int.from_bytes((b"\x80" + bytes(self._width - 1)) * m, "big")
 
     def elements(self):
         for u in itertools.product(range(self.k), repeat=self.m):
@@ -124,19 +102,28 @@ class ChainPowerTarget:
 
     def ascends(self, tuples) -> bool:
         """True iff every element is a canonical level tuple and each lies
-        below the next, answered from one list of each tuple's rotations."""
-        k, m, step = self.k, self.m, self.step
+        below the next.  Each tuple is read once as bytes, `_width` per level
+        so that every level's top bit is free, and its rotations are the
+        windows of the doubled string read as big-endian numbers, ordered as
+        the tuples are.  With G the top bit of every level, x <= u
+        componentwise iff ((u | G) - x) & G == G: no level borrows."""
+        k, m, width, guard = self.k, self.m, self._width, self._guard
+        size, stride = 8 * width * m, 8 * width * self.step
+        full = (1 << size) - 1
         below = None
         for u in tuples:
             # {int} also refuses True and 1.0, which compare equal to 1
             if type(u) is not tuple or len(u) != m or set(map(type, u)) != {int} or min(u) < 0 or max(u) >= k:
                 return False
-            turns = _rotations(u, step)
-            if min(turns) != u:
+            b = bytes(u) if width == 1 else b"".join([v.to_bytes(width, "big") for v in u])
+            twice = int.from_bytes(b + b, "big")
+            turns = [twice >> s & full for s in range(size, 0, -stride)]  # u first
+            if min(turns) != turns[0]:
                 return False
             if below is not None:
+                top = turns[0] | guard
                 for x in below:
-                    if all(map(operator.le, x, u)):
+                    if (top - x) & guard == guard:
                         break
                 else:
                     return False
@@ -165,12 +152,18 @@ def chainpower_scd(k: int, m: int, r: int = 1) -> Decomposition:
 @functools.lru_cache(maxsize=None)
 def _chainpower(k: int, m: int, step: int) -> Decomposition:
     n = (k - 1) * m
-    chains = []
-    # by the dichotomy these are exactly the Greene-Kleitman chains inside the power
-    family = prune.prune_chains(ChainBottoms(n, k - 1), (k - 1) * step, sum(necklace_ranks(k, m, step)))
-    for pc in family.chains:
-        elems = tuple(canonical_levels(mask_levels(a, k, m), step) for a in pc.kept.elements)
-        chains.append(Chain(elems, pc.kept.ranks))
+    expected = sum(necklace_ranks(k, m, step))
+    # by the dichotomy these are exactly the Greene-Kleitman chains inside the power; keep
+    # only the orbit pieces, so that the kept pieces are freed before any tuple is built
+    family = prune.prune_chains(ChainBottoms(n, k - 1), (k - 1) * step, expected, levels=True)
+    orbits = [pc.orbits for pc in family.chains]
+    del family
+    # an orbit's least level number is its least tuple in lexicographic order,
+    # the canonical one: read its digits through the digit tuples of its top
+    # and bottom halves, which itertools.product lists in numeric order
+    cut = k ** (m // 2)
+    top, bottom = (list(itertools.product(range(k), repeat=d)) for d in (m - m // 2, m // 2))
+    chains = [Chain(tuple([top[x // cut] + bottom[x % cut] for x in c.elements]), c.ranks) for c in orbits]
     context = Context(kind="chainpower", total_rank=n, k=k, m=m, r=step)
     return make_decomposition(chains, context)
 
@@ -181,8 +174,9 @@ def check_dichotomy(k: int, m: int) -> bool:
     n = _check_shape(k, m)
     if n > 18:
         raise ResourceLimitError(f"dichotomy scan is capped at (k-1)m <= 18, got {n}")
+    inside = {level_mask(u, k) for u in itertools.product(range(k), repeat=m)}
     for chain in gk_scd(n).chains:
-        flags = [in_chain_power(a, k, m) for a in chain.elements]
+        flags = [a in inside for a in chain.elements]
         if any(flags) and not all(flags):
             return False
     return True
@@ -265,7 +259,5 @@ __all__ = [
     "chainpower_scd",
     "chainproduct_scd",
     "check_dichotomy",
-    "in_chain_power",
     "level_mask",
-    "mask_levels",
 ]

@@ -433,10 +433,7 @@ def run(argv=None) -> int:
     except VerificationError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (ParseError, DecodeError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (ParseError, DecodeError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -206,24 +206,23 @@ def map_elements(decomp: Decomposition, fn, context: Context | None = None) -> D
     return Decomposition(chains, context if context is not None else decomp.context)
 
 
-def _chunk_tables(fn, n: int) -> list[tuple]:
-    """fn of every value of each CHUNK_BITS-wide chunk of [n], in place."""
-    return [
-        tuple(fn(v << lo) for v in range(1 << min(CHUNK_BITS, n - lo)))
-        for lo in range(0, n, CHUNK_BITS)
-    ]
-
-
 def bit_map(fn, n: int):
     """Table-driven form of an additive map on masks of [n].
 
     fn(a | b) must equal fn(a) + fn(b) for disjoint a and b, as it does when
     fn sends disjoint masks to disjoint images (then + is |) or adds a value
-    per bit.  fn is evaluated once on every value of each CHUNK_BITS-wide
-    chunk of [n]; the returned function adds one table lookup per chunk, so
-    at most two for n <= QUOTIENT_LIMIT.
+    per bit.  fn is evaluated on single bits only: each CHUNK_BITS-wide
+    chunk's table doubles once per bit by adding that bit's image.  The
+    returned function adds one table lookup per chunk, so at most two for
+    n <= QUOTIENT_LIMIT.
     """
-    tables = _chunk_tables(fn, n)
+    tables = []
+    for lo in range(0, n, CHUNK_BITS):
+        table = [0]
+        for b in range(lo, min(lo + CHUNK_BITS, n)):
+            image = fn(1 << b)
+            table += [v + image for v in table]
+        tables.append(table)
     low, shift = (1 << CHUNK_BITS) - 1, CHUNK_BITS
     if len(tables) == 1:
         return tables[0].__getitem__
@@ -249,7 +248,10 @@ def element_text(n: int):
     already offset by the chunk's position; the returned function joins the
     non-empty lookups, lowest chunk first, with b",".
     """
-    tables = _chunk_tables(lambda a: ",".join(map(str, elements_of(a))).encode(), n)
+    tables = [
+        [",".join(map(str, elements_of(v << lo))).encode() for v in range(1 << min(CHUNK_BITS, n - lo))]
+        for lo in range(0, n, CHUNK_BITS)
+    ]
     low = (1 << CHUNK_BITS) - 1
     if len(tables) == 1:
         return tables[0].__getitem__
@@ -276,7 +278,7 @@ def element_text(n: int):
 
 def relabel_map(targets):
     """The mask map moving local bit i to ambient bit targets[i], as a bit_map."""
-    return bit_map(lambda a: sum(1 << t for i, t in enumerate(targets) if a >> i & 1), len(targets))
+    return bit_map(lambda bit: 1 << targets[bit.bit_length() - 1], len(targets))
 
 
 def structural_problems(decomp: Decomposition) -> list[str]:

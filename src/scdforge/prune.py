@@ -4,12 +4,13 @@ For the group generated by rotation-by-step (step dividing n), walk the
 Greene-Kleitman chains in order: select a chain when one of its members lies
 in an orbit untouched by the previously selected chains, then cut it down to
 the members whose orbits miss the previously kept pieces.  A selected chain
-leaves every orbit it meets kept, so one mark per subset, "its orbit has a
+leaves every orbit it meets kept, so one mark per element, "its orbit has a
 kept member", decides both.  The pass streams the chains from their bottoms,
 sorted by (rank, bottom), and grows each one only while scanning it, so the
-whole Greene-Kleitman SCD (gk_scd) is never built; the marks are a bytearray
-over the 2^n masks up to QUOTIENT_LIMIT and, beyond it, over the k^m level
-tuples of a chain power.  The kept pieces project to a symmetric chain
+whole Greene-Kleitman SCD (gk_scd) is never built.  It names elements by
+integers in which the rotation is a digit rotation: masks of B_n, or the
+base-k level numbers of a chain power, and its marks are one bytearray
+indexed by that name.  The kept pieces project to a symmetric chain
 decomposition of the quotient.  Arbitrary products of disjoint cycle powers
 reduce to this: split off the fixed points, quotient each rotated block
 locally, and recombine with the hook product.
@@ -29,14 +30,13 @@ from .core import (
     QUOTIENT_LIMIT,
     bit_map,
     check_enum,
-    elements_of,
     fold_products,
     make_decomposition,
     map_elements,
     relabel_map,
 )
 from .gk import ChainBottoms, boolean_scd_on_support
-from .groups import CycleFactor, GroupSpec, _members, burnside_count, factorize, orbit_rep, parse_group_spec, quotient_poset
+from .groups import CycleFactor, GroupSpec, burnside_count, factorize, orbit_rep, parse_group_spec, quotient_poset
 from .verify import certify
 
 
@@ -57,8 +57,8 @@ class PrunedChain(_Record):
 
     def __init__(self, source: int, kept: Chain, orbits: Chain):
         _set(self, "source", source)  # index into the list of chains that was pruned
-        _set(self, "kept", kept)      # surviving subsets, still a symmetric chain in B_n
-        _set(self, "orbits", orbits)  # the same piece written as canonical orbit representatives
+        _set(self, "kept", kept)      # surviving elements by name, still a symmetric chain
+        _set(self, "orbits", orbits)  # the same piece written as its orbits' least names
 
 
 class PrunedFamily(_Record):
@@ -70,7 +70,7 @@ class PrunedFamily(_Record):
         _set(self, "chains", chains)
 
 
-def prune_chains(bottoms: ChainBottoms, step: int, expected: int) -> PrunedFamily:
+def prune_chains(bottoms: ChainBottoms, step: int, expected: int, *, levels: bool = False) -> PrunedFamily:
     """The greedy pass over the chains of `bottoms`, in their order, against
     rotation by step.
 
@@ -78,69 +78,73 @@ def prune_chains(bottoms: ChainBottoms, step: int, expected: int) -> PrunedFamil
     every previously selected chain in full; its kept piece consists of the
     members whose orbits miss the pieces kept so far.  A chain's members lie
     in distinct orbits, so a selected chain leaves every orbit it meets kept:
-    one mark per subset ("its orbit has a kept member") decides selection and
-    pruning, and each orbit is walked once.  Each chain is grown from its
-    bottom while it is scanned, and a Chain is built only for a kept piece.
-    The marks are a bytearray over the 2^n masks up to QUOTIENT_LIMIT, and
-    beyond it, where only chain powers reach, one over the power's level
-    tuples.  Self-check: every kept piece is a symmetric chain, no orbit is
-    covered twice, and the pieces cover `expected` orbits, all those of the
-    chains' union.
+    one mark per element ("its orbit has a kept member") decides selection and
+    pruning, and each orbit is walked once.  Elements are named by integers
+    in which the rotation turns digits: masks, or with `levels` a chain
+    power's base-k level numbers (k = width + 1, coordinate 0 most
+    significant), whose order is the lexicographic order of level tuples.
+    A chain grows from its bottom's name by each free bit's place value.
+    Self-check: every kept piece is a symmetric chain, no orbit is covered
+    twice, and the pieces cover `expected` orbits, all those of the chains'
+    union.
     """
-    n = bottoms.n
+    n, width = bottoms.n, bottoms.width
     if step < 1 or n % step:
         raise ValueError(f"rotation step must divide the ground size, got {step} for n={n}")
-    actions = rotation_group(n, step)._actions
-    if n <= QUOTIENT_LIMIT:  # at most 4 MB, indexed by the mask itself
-        marks, index = bytearray(1 << n), None
-    else:  # k^m <= 2^QUOTIENT_LIMIT bytes, indexed by the level tuple
-        marks, index = bytearray((bottoms.width + 1) ** (n // bottoms.width)), _level_index(n, bottoms.width)
-    kept_reps: set[int] = set()
+    if step % width:
+        raise ValueError(f"rotation step must be a multiple of the block width {width}, got {step}")
+    if levels:
+        base, digits, shift, name = width + 1, n // width, step // width, _level_number(n, width)
+    else:
+        base, digits, shift, name = 2, n, step, int  # a mask names itself
+    place = {1 << b: name(1 << b) for b in range(n)}
+    cut, lift = base ** (digits - shift), base**shift  # x -> x % cut * lift + x // cut turns shift digits
+    marks = bytearray(base**digits)
     picked = []
     for ci, (a, free) in enumerate(bottoms.pairs):
-        kept = []
+        x, rest, kept, above = name(a), free, [], []
         while True:  # up the chain: add the free positions left to right
-            if not marks[a if index is None else index(a)]:
-                kept.append(a)
-            if not free:
+            if not marks[x]:
+                kept.append(x)
+                above.append(rest)  # the free positions above x; its rank is the top's less their count
+            if not rest:
                 break
-            low = free & -free
-            a |= low
-            free ^= low
+            low = rest & -rest
+            rest ^= low
+            x += place[low]
         if not kept:
             continue
+        top = a.bit_count() + free.bit_count()
+        first, last = top - above[0].bit_count(), top - above[-1].bit_count()
+        if last - first != len(kept) - 1:
+            raise ConsistencyError(f"kept piece of chain {ci} is not saturated")
+        if first + last != n:
+            raise ConsistencyError(f"kept piece of chain {ci} is not symmetric")
         reps = []
-        for a in kept:
-            members = _members(a, actions)
-            for x in members if index is None else map(index, members):
-                marks[x] = 1
-            reps.append(min(members))
-        kept_reps.update(reps)
-        kept_chain = Chain.from_masks(kept)
-        picked.append(PrunedChain(ci, kept_chain, Chain(tuple(reps), kept_chain.ranks)))
-    kept_total = 0
-    for pc in picked:
-        ranks = pc.kept.ranks
-        if any(b != a + 1 for a, b in zip(ranks, ranks[1:])):
-            raise ConsistencyError(f"kept piece of chain {pc.source} is not saturated")
-        if ranks[0] + ranks[-1] != n:
-            raise ConsistencyError(f"kept piece of chain {pc.source} is not symmetric")
-        kept_total += len(ranks)
-    if kept_total != len(kept_reps):
-        raise ConsistencyError("kept pieces cover an orbit twice")
+        for x in kept:
+            if marks[x]:  # the walk from an earlier member of this piece reached x
+                raise ConsistencyError("kept pieces cover an orbit twice")
+            marks[x] = 1
+            least, y = x, x % cut * lift + x // cut
+            while y != x:
+                marks[y] = 1
+                if y < least:
+                    least = y
+                y = y % cut * lift + y // cut
+            reps.append(least)
+        ranks = tuple(range(first, last + 1))
+        picked.append(PrunedChain(ci, Chain(tuple(kept), ranks), Chain(tuple(reps), ranks)))
+    kept_total = sum(len(pc.kept) for pc in picked)
     if kept_total != expected:
         raise ConsistencyError(f"covered {kept_total} orbits but the quotient has {expected}")
     return PrunedFamily(tuple(picked))
 
 
-def _level_index(n: int, width: int):
-    """The base-(width+1) number of a blockwise monotone word's level tuple.
-
-    Level i is the popcount of block i, so every member bit adds its block's
-    place value, and the index is the additive bit_map of those place values.
-    """
-    k = width + 1
-    return bit_map(lambda a: sum(k ** ((e - 1) // width) for e in elements_of(a)), n)
+def _level_number(n: int, width: int):
+    """The base-(width+1) number of a blockwise monotone word's levels,
+    coordinate 0 most significant: each member bit adds its block's place."""
+    k, m = width + 1, n // width
+    return bit_map(lambda bit: k ** (m - 1 - (bit.bit_length() - 1) // width), n)
 
 
 def quotient_scd_cyclic(n: int, step: int) -> Decomposition:

@@ -5,7 +5,7 @@ ascends(elements), total_rank and expected_size().  ascends(elements) is True
 iff every element of the sequence is a canonical element of the target (the
 least member of its orbit, in the target's own encoding) and each lies below
 the next, answered from one walk per element: a quotient applies each
-generator's powers to it once, a chain power lists its rotations once.  It is
+generator's powers to it once, a chain power reads its rotations once.  It is
 the target's only comparability test.  The verifier recomputes every rank and
 comparability itself and never trusts the construction's bookkeeping.
 
@@ -38,9 +38,7 @@ class Failure(_Record):
 
 
 def _jsonable(value):
-    if isinstance(value, bool) or value is None:
-        return value
-    if isinstance(value, int):
+    if value is None or isinstance(value, int):  # bool included
         return value
     if isinstance(value, (tuple, list)):
         return [_jsonable(v) for v in value]

@@ -29,9 +29,13 @@ every group element, and the closed necklace formula.  The seeded group
 generators at the end supply the groups the tests sweep.
 
 The helpers at the top serve the tests alone: `rotate`, `tuple_rotate` and
-`pair_mask` act on masks and level tuples bit by bit, `is_symmetric_chain`
-restates the symmetry test, and `chain_index` maps each subset to the number
-of its Greene-Kleitman chain.  `shadow_closure_failures` scans that index for
+`pair_mask` act on masks and level tuples bit by bit, `in_chain_power` tests
+a word for blockwise monotone blocks, `mask_levels` reads such a word's
+levels by popcounts and `level_digits` a level
+number's by division, `tuple_ascends` is a chain-power target's `ascends`
+over tuples (the form its byte encoding is checked against),
+`is_symmetric_chain` restates the symmetry test, and `chain_index` maps each
+subset to the number of its Greene-Kleitman chain.  `shadow_closure_failures` scans that index for
 the lemma the pruning rests on; it is one more exception to the independence
 above, as it uses the package's `orbit_rep` and `predecessor`.
 """
@@ -44,13 +48,7 @@ import math
 import operator
 import random
 
-from scdforge.chainpow import (
-    ChainPowerTarget,
-    ChainProductTarget,
-    canonical_levels,
-    in_chain_power,
-    mask_levels,
-)
+from scdforge.chainpow import ChainPowerTarget, ChainProductTarget, canonical_levels
 from scdforge.core import (
     Chain,
     Context,
@@ -89,6 +87,56 @@ def tuple_rotate(u: tuple[int, ...], steps: int) -> tuple[int, ...]:
 def pair_mask(u: int, v: int, k: int) -> int:
     """The word u followed by the reverse of v, as a subset of [2k]."""
     return u | sum(1 << (2 * k - 1 - i) for i in range(k) if v >> i & 1)
+
+
+def in_chain_power(mask: int, k: int, m: int) -> bool:
+    """True iff every block of the word is ones followed by zeros."""
+    n = (k - 1) * m
+    if mask >> n:
+        raise ValueError(f"word has bits beyond {n}")
+    width = k - 1
+    block = (1 << width) - 1
+    for i in range(m):
+        b = mask >> (i * width) & block
+        if b & (b + 1):  # not of the form 2^j - 1
+            return False
+    return True
+
+
+def mask_levels(mask: int, k: int, m: int) -> tuple[int, ...]:
+    """Read the per-coordinate levels off a blockwise monotone word: level i
+    is the popcount of block i."""
+    width = k - 1
+    return tuple((mask >> (i * width) & ((1 << width) - 1)).bit_count() for i in range(m))
+
+
+def level_digits(x: int, k: int, m: int) -> tuple[int, ...]:
+    """The m base-k digits of a level number, most significant first."""
+    digits = []
+    for _ in range(m):
+        x, d = divmod(x, k)
+        digits.append(d)
+    assert x == 0, "more than m digits"
+    return tuple(reversed(digits))
+
+
+def tuple_ascends(target: ChainPowerTarget, tuples) -> bool:
+    """ChainPowerTarget.ascends over tuples: each element an int tuple of
+    length m with levels in 0..k-1, equal to the least of its rotations by
+    multiples of the step, and some rotation of the previous element lying
+    componentwise at or below it."""
+    k, m, step = target.k, target.m, target.step
+    below = None
+    for u in tuples:
+        if type(u) is not tuple or len(u) != m or any(type(v) is not int or not 0 <= v < k for v in u):
+            return False
+        turns = [u[j:] + u[:j] for j in range(0, m, step)]
+        if min(turns) != u:
+            return False
+        if below is not None and not any(all(p <= q for p, q in zip(x, u)) for x in below):
+            return False
+        below = turns
+    return True
 
 
 def is_symmetric_chain(chain: Chain, total_rank: int) -> bool:

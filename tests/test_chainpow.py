@@ -3,7 +3,15 @@ import random
 
 import pytest
 
-from oracles import ambient_chainpower, naive_tuple_orbit_ranks, naive_tuple_orbits, tuple_rotate
+from oracles import (
+    ambient_chainpower,
+    in_chain_power,
+    mask_levels,
+    naive_tuple_orbit_ranks,
+    naive_tuple_orbits,
+    tuple_ascends,
+    tuple_rotate,
+)
 from scdforge.chainpow import (
     ChainPowerTarget,
     ChainProductTarget,
@@ -11,14 +19,12 @@ from scdforge.chainpow import (
     chainpower_scd,
     chainproduct_scd,
     check_dichotomy,
-    in_chain_power,
     level_mask,
-    mask_levels,
 )
 from scdforge.core import Context, ResourceLimitError, make_decomposition, mask_of
 from scdforge.gk import ChainBottoms, gk_scd
 from scdforge.groups import necklace_ranks, orbit_rep
-from scdforge.prune import ConsistencyError, _level_index, prune_chains, quotient_scd_cyclic, rotation_group
+from scdforge.prune import ConsistencyError, _level_number, prune_chains, quotient_scd_cyclic, rotation_group
 from scdforge.verify import verify_decomposition
 
 
@@ -269,23 +275,84 @@ def test_restricted_pruning_matches_ambient(k, m):
 
 
 def test_prune_checks_the_orbit_count():
-    # (3, 3) at n = 6 marks masks; (7, 4) lies beyond QUOTIENT_LIMIT at n = 24,
-    # where the marks are one byte per level tuple
-    for n, k, m in ((6, 3, 3), (24, 7, 4)):
-        bottoms = ChainBottoms(n, k - 1)
+    # (3, 3) at n = 6 by masks and by level numbers; (7, 4), (5, 6) and (24, 1)
+    # lie beyond QUOTIENT_LIMIT at n = 24, where only level numbers are marked
+    for k, m, levels in ((3, 3, False), (3, 3, True), (7, 4, True), (5, 6, True), (24, 1, True)):
+        bottoms = ChainBottoms((k - 1) * m, k - 1)
         expected = sum(necklace_ranks(k, m, 1))
-        assert sum(len(pc.kept) for pc in prune_chains(bottoms, k - 1, expected).chains) == expected
+        family = prune_chains(bottoms, k - 1, expected, levels=levels)
+        assert sum(len(pc.kept) for pc in family.chains) == expected
         for wrong in (expected - 1, expected + 1):
             with pytest.raises(ConsistencyError, match="orbits"):
-                prune_chains(bottoms, k - 1, wrong)
+                prune_chains(bottoms, k - 1, wrong, levels=levels)
 
 
 @pytest.mark.parametrize("k, m", [(24, 1), (13, 2), (7, 4), (5, 6), (3, 12), (4, 11), (65, 1)])
 def test_level_index_is_the_base_k_number_of_the_levels(k, m):
-    """The marks above QUOTIENT_LIMIT are indexed by the level tuple read as a
-    base-k number, summed over chunks that may split a block."""
-    index = _level_index((k - 1) * m, k - 1)
+    """The pass names a chain power's bottom by its level tuple read as a
+    base-k number, coordinate 0 most significant, summed over chunks that may
+    split a block."""
+    index = _level_number((k - 1) * m, k - 1)
     rng = random.Random(100 * k + m)
     tuples = [(0,) * m, (k - 1,) * m] + [tuple(rng.randrange(k) for _ in range(m)) for _ in range(300)]
     for u in tuples:
-        assert index(level_mask(u, k)) == sum(lv * k**i for i, lv in enumerate(u)), u
+        assert index(level_mask(u, k)) == sum(lv * k ** (m - 1 - i) for i, lv in enumerate(u)), u
+
+
+def _ascends_inputs(target, rng, exhaustive):
+    """Sequences of one and two elements: every pair of canonical tuples when
+    exhaustive, else seeded pairs and canonical runs; then rejections."""
+    k, m = target.k, target.m
+    if exhaustive:
+        canonical = list(target.elements())
+        yield from ((u,) for u in canonical)
+        yield from itertools.product(canonical, repeat=2)
+    else:
+        for _ in range(400):
+            u = tuple(rng.randrange(k) for _ in range(m))
+            v = tuple(rng.randrange(k) for _ in range(m))
+            yield (canonical_levels(u, target.step), canonical_levels(v, target.step))
+            yield (u,)
+            yield (canonical_levels(u, target.step), v)
+    good = canonical_levels(tuple(rng.randrange(k) for _ in range(m)), target.step)
+    top = (k - 1,) * m
+    for bad in (
+        (True,) + good[1:],
+        (1.0,) + good[1:],
+        (-1,) + good[1:],
+        (k,) + good[1:],
+        good[:-1],
+        good + (0,),
+        list(good),
+        None,
+        tuple(reversed(range(min(k, m)))) + (0,) * (m - min(k, m)),  # not the least rotation for m > 1
+    ):
+        yield (bad,)
+        yield (good, bad)
+        yield (bad, top)
+
+
+def _agree(target, exhaustive):
+    rng = random.Random(f"ascends {target.k} {target.m} {target.step}")
+    for seq in _ascends_inputs(target, rng, exhaustive):
+        assert target.ascends(seq) == tuple_ascends(target, seq), (target.k, target.m, target.step, seq)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_ascends_agrees_with_the_tuple_form_on_every_pair(m):
+    # every shape with k^m <= 256 on a ground of at most 64 bits, at every step dividing m
+    k = 2
+    while k**m <= 256 and (k - 1) * m <= 64:
+        for r in range(1, m + 1):
+            if m % r == 0:
+                _agree(ChainPowerTarget(k, m, r), exhaustive=True)
+        k += 1
+
+
+@pytest.mark.parametrize("k, m, r", [
+    (2, 16, 1), (2, 16, 4), (3, 12, 1), (3, 12, 6), (4, 11, 1), (5, 6, 2), (65, 1, 1), (2, 22, 11),
+    # verify admits levels up to k - 1 with no ambient ground: two- and three-byte fields
+    (128, 2, 1), (129, 2, 2), (300, 2, 1), (40000, 1, 1),
+])
+def test_ascends_agrees_with_the_tuple_form_on_random_pairs(k, m, r):
+    _agree(ChainPowerTarget(k, m, r), exhaustive=False)

@@ -527,8 +527,8 @@ def test_action_tables_are_built_once_per_group(monkeypatch):
     spec = parse_group_spec("(1 2 3)(4 5 6 7)^2 (9 10 12)", 12)
     assert calls == []  # nothing is built before the first orbit
     orbit_rep(5, spec)
-    # one evaluation per chunk value of each generator: 2^11 + 2^1 values, three generators
-    assert len(calls) == 3 * (2048 + 2)
+    # one evaluation per single bit of [12] for each of the three generators
+    assert calls == [1 << b for b in range(12)] * 3
     calls.clear()
     orbit_rep(6, spec)
     orbit(7, spec)

@@ -5,7 +5,10 @@ import pytest
 from oracles import (
     every_cycle_power_group,
     greedy_prune,
+    in_chain_power,
     is_scd,
+    level_digits,
+    mask_levels,
     named_after_fold,
     naive_orbits,
     rotate,
@@ -13,7 +16,7 @@ from oracles import (
     shadow_closure_failures,
 )
 from scdforge import chainpow, gk, groups, prune
-from scdforge.chainpow import chainpower_scd, in_chain_power
+from scdforge.chainpow import canonical_levels, chainpower_scd
 from scdforge.core import mask_of
 from scdforge.gk import ChainBottoms, gk_decomposition, gk_scd, partner
 from scdforge.groups import burnside_count, factorize, necklace_ranks, orbit_rep, parse_group_spec, quotient_poset
@@ -100,28 +103,96 @@ def test_prune_matches_the_reference_pass(n):
         assert pruned(n, step).chains == greedy_prune(scd.chains, n, step), step
 
 
-# every chain power with (k-1)m <= 12, then four beyond QUOTIENT_LIMIT, where the
-# marks are one byte per level tuple, not per mask
+# every chain power with (k-1)m <= 12, then four beyond QUOTIENT_LIMIT
 CHAIN_POWER_SHAPES = [(k, m) for k in range(2, 14) for m in range(1, 13) if (k - 1) * m <= 12]
+
+
+def _power_chains(k, m):
+    """The ambient Greene-Kleitman chains inside the power, in their order."""
+    n = (k - 1) * m
+    if n <= 12:  # from gk_scd(n), which is cheap here
+        return [c for c in gk_scd(n).chains if in_chain_power(c.elements[0], k, m)]
+    # the streamed chains, grown and then sorted by their (rank, bottom)
+    bottoms = ChainBottoms(n, k - 1)
+    return sorted((bottoms[i] for i in range(len(bottoms))), key=lambda c: (c.ranks[0], c.elements[0]))
+
+
+def _read_by_levels(family, k, m):
+    """Each piece with its names read as level tuples."""
+    return [
+        (pc.source, tuple(level_digits(x, k, m) for x in pc.kept.elements), pc.kept.ranks,
+         tuple(level_digits(x, k, m) for x in pc.orbits.elements), pc.orbits.ranks)
+        for pc in family
+    ]
+
+
+def _reference_by_levels(family, k, m, step):
+    """The reference pieces with the kept masks read as level tuples and the
+    orbits as the least rotation of those."""
+    return [
+        (pc.source, tuple(mask_levels(a, k, m) for a in pc.kept.elements), pc.kept.ranks,
+         tuple(canonical_levels(mask_levels(a, k, m), step) for a in pc.kept.elements), pc.orbits.ranks)
+        for pc in family
+    ]
 
 
 @pytest.mark.parametrize("k, m", CHAIN_POWER_SHAPES + [(24, 1), (13, 2), (7, 4), (5, 6)])
 def test_prune_matches_the_reference_pass_on_chain_powers(k, m):
+    # by masks up to n = 12, and by level numbers at every size
     n = (k - 1) * m
     bottoms = ChainBottoms(n, k - 1)
-    if n <= 12:
-        # the ambient chains inside the power, where gk_scd(n) is cheap
-        chains = [c for c in gk_scd(n).chains if in_chain_power(c.elements[0], k, m)]
-    else:
-        # the streamed chains, grown and then sorted by their (rank, bottom)
-        chains = sorted((bottoms[i] for i in range(len(bottoms))), key=lambda c: (c.ranks[0], c.elements[0]))
+    chains = _power_chains(k, m)
     for step in divisors(m):
-        got = prune_chains(bottoms, (k - 1) * step, sum(necklace_ranks(k, m, step))).chains
-        assert got == greedy_prune(chains, n, (k - 1) * step), step
+        expected = sum(necklace_ranks(k, m, step))
+        reference = greedy_prune(chains, n, (k - 1) * step)
+        if n <= 12:
+            assert prune_chains(bottoms, (k - 1) * step, expected).chains == reference, step
+        got = prune_chains(bottoms, (k - 1) * step, expected, levels=True).chains
+        assert _read_by_levels(got, k, m) == _reference_by_levels(reference, k, m, step), step
+
+
+@pytest.mark.parametrize("k, m", [(2, 12), (3, 9), (4, 6), (7, 4), (5, 6), (24, 1), (65, 1)])
+def test_level_names_decode_to_the_canonical_levels_of_the_reference_piece(k, m):
+    """Every name the level-number pass gives, read as m base-k digits, is
+    the level tuple of the reference pass's kept mask, and every orbit name
+    is canonical_levels of it; the orbit names are the canonical tuples."""
+    n = (k - 1) * m
+    chains = _power_chains(k, m)
+    for step in divisors(m):
+        family = prune_chains(ChainBottoms(n, k - 1), (k - 1) * step, sum(necklace_ranks(k, m, step)), levels=True)
+        reference = greedy_prune(chains, n, (k - 1) * step)
+        assert [pc.source for pc in family.chains] == [pc.source for pc in reference]
+        for pc, ref in zip(family.chains, reference):
+            for x, rep, a in zip(pc.kept.elements, pc.orbits.elements, ref.kept.elements):
+                assert level_digits(x, k, m) == mask_levels(a, k, m)
+                assert level_digits(rep, k, m) == canonical_levels(mask_levels(a, k, m), step)
+
+
+def test_prune_refuses_a_step_off_the_blocks():
+    bottoms = ChainBottoms(12, 3)
+    for step in (1, 2, 4):  # each divides 12, none is a multiple of the width 3
+        for levels in (False, True):
+            with pytest.raises(ValueError, match="multiple of the block width"):
+                prune_chains(bottoms, step, 1, levels=levels)
+    with pytest.raises(ValueError, match="must divide"):
+        prune_chains(bottoms, 9, 1, levels=True)
+
+
+class _WriteOnce(bytearray):
+    """Marks that log every write and refuse a second write to any index."""
+
+    def __init__(self, size):
+        super().__init__(size)
+        self.writes = []
+
+    def __setitem__(self, i, value):
+        assert not bytearray.__getitem__(self, i), f"mark {i} written twice"
+        self.writes.append(i)
+        bytearray.__setitem__(self, i, value)
 
 
 # B_n by (n, step); then chain powers (7, 4) and (5, 6) at n = 24, beyond
-# QUOTIENT_LIMIT, where the marks index level tuples, by (n, width, bit step)
+# QUOTIENT_LIMIT, by (n, width, bit step), marked by level number
 @pytest.mark.parametrize("n, width, step", [
     pytest.param(12, 1, 1, id="12-1"),
     pytest.param(12, 1, 4, id="12-4"),
@@ -130,14 +201,27 @@ def test_prune_matches_the_reference_pass_on_chain_powers(k, m):
     pytest.param(24, 4, 8, id="24-4-8"),
 ])
 def test_prune_walks_each_orbit_once(monkeypatch, n, width, step):
-    walk, walks = prune._members, []
-    monkeypatch.setattr(prune, "_members", lambda s, actions: walks.append(s) or walk(s, actions))
-    if width == 1:
-        expected = burnside_count(n, rotation_group(n, step))
+    """Each orbit a kept piece covers is walked once: every name in it is
+    marked exactly once, so the writes are the members of the covered orbits."""
+    marks = []
+    monkeypatch.setattr(prune, "bytearray", lambda size: marks.append(_WriteOnce(size)) or marks[-1], raising=False)
+    levels = width > 1
+    if levels:
+        k, m = width + 1, n // width
+        expected = sum(necklace_ranks(k, m, step // width))
+        orbit_of = lambda x: {level_digits(x, k, m)[j:] + level_digits(x, k, m)[:j] for j in range(0, m, step // width)}
     else:
-        expected = sum(necklace_ranks(width + 1, n // width, step // width))
-    prune_chains(ChainBottoms(n, width), step, expected)
-    assert len(walks) == expected
+        expected = burnside_count(n, rotation_group(n, step))
+        orbit_of = lambda x: {rotate(x, j, n) for j in range(0, n, step)}
+    family = prune_chains(ChainBottoms(n, width), step, expected, levels=levels)
+    [written] = marks
+    covered = [orbit_of(x) for pc in family.chains for x in pc.orbits.elements]
+    assert len(covered) == expected
+    assert len(written.writes) == sum(map(len, covered)) == len(written)  # every orbit is covered
+    if levels:
+        assert {level_digits(x, k, m) for x in written.writes} == set().union(*covered)
+    else:
+        assert set(written.writes) == set().union(*covered)
 
 
 def test_quotients_and_chain_powers_build_no_gk_scd(monkeypatch):
@@ -155,7 +239,7 @@ def test_quotients_and_chain_powers_build_no_gk_scd(monkeypatch):
     monkeypatch.setattr(prune, "_quotient_cyclic", prune._quotient_cyclic.__wrapped__)
     monkeypatch.setattr(chainpow, "_chainpower", chainpow._chainpower.__wrapped__)
     run_pass = prune.prune_chains
-    monkeypatch.setattr(prune, "prune_chains", lambda b, *rest: passes.append(b.n) or run_pass(b, *rest))
+    monkeypatch.setattr(prune, "prune_chains", lambda b, *rest, **kw: passes.append(b.n) or run_pass(b, *rest, **kw))
     with pytest.raises(AssertionError, match="off the gk path"):
         gk.gk_scd(12)
     group = parse_group_spec("(1 2 3 4 5 6)(7 8 9 10)^2", 12)
