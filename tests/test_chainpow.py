@@ -340,13 +340,15 @@ def _agree(target, exhaustive):
 
 @pytest.mark.parametrize("m", range(1, 9))
 def test_ascends_agrees_with_the_tuple_form_on_every_pair(m):
-    # every shape with k^m <= 256 on a ground of at most 64 bits, at every step dividing m
-    k = 2
-    while k**m <= 256 and (k - 1) * m <= 64:
+    # every shape with k^m <= 256 on a ground of at most 64 bits, at every step dividing m;
+    # beyond it only verify builds the target: there the one- to two-byte boundary
+    shapes = [k for k in range(2, 257) if k**m <= 256 and (k - 1) * m <= 64]
+    if m == 1:
+        shapes += [127, 128, 129, 256]
+    for k in shapes:
         for r in range(1, m + 1):
             if m % r == 0:
                 _agree(ChainPowerTarget(k, m, r), exhaustive=True)
-        k += 1
 
 
 @pytest.mark.parametrize("k, m, r", [
