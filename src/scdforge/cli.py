@@ -16,7 +16,9 @@ against an independently defined target before emitting anything.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import os
 import sys
 
 from .chainpow import ChainPowerTarget, ChainProductTarget, chainpower_scd
@@ -439,7 +441,29 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    """The console script and `python -m scdforge.cli`: run() as one short
+    process.
+
+    The documents are acyclic records, so the cyclic collector only re-walks
+    them: it is off for the command.  Once run() returns, the buffered output
+    is flushed and the process ends at once, without the exit-time collection
+    and the freeing of every object.  A failed flush of stdout after a
+    successful command is reported as run() reports a failed write, exit 2; a
+    command that failed has reported its own error.  An exception from run()
+    propagates as before.  run() itself keeps the interpreter's defaults.
+    """
+    gc.disable()
+    code = run()
+    try:
+        if sys.stdout is not None:  # None when the process started with fd 1 closed
+            sys.stdout.flush()
+    except OSError as e:
+        if code == 0:
+            print(f"error: {e}", file=sys.stderr)
+            code = 2
+    if sys.stderr is not None:
+        sys.stderr.flush()
+    os._exit(code)
 
 
 __all__ = [

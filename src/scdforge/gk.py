@@ -9,9 +9,10 @@ free member.  Each chain is grown from its bottom, the subset whose members
 are all matched, by adding the free positions left to right; the chains
 partition B_n into symmetric chains.
 
-ChainBottoms lists the (bottom, free) pairs in chain order, restricted to
-blockwise monotone bottoms for a chain power, and grows a chain only when it
-is asked for; the greedy pruning pass streams from it.  gk_scd grows every
+ChainBottoms lists each chain's bottom and free positions packed in one int,
+in chain order, restricted to blockwise monotone bottoms for a chain power,
+and grows a chain only when it is asked for; the greedy pruning pass streams
+from it.  gk_scd grows every
 chain of ChainBottoms(n), checks that they cover all 2^n subsets and caches
 the result; it serves the gk command, reflections and the exposition helpers.
 The Boolean factor of a quotient grows its chains from ChainBottoms without
@@ -118,8 +119,9 @@ def chain_of(a: int, n: int) -> Chain:
 
 
 def _bottoms(n: int, width: int):
-    """Yield (bottom, free) for every subset of [n] whose members are all
-    matched and whose blocks of width bits are each ones followed by zeros.
+    """Yield (rank << n | bottom) << n | free for every subset of [n] whose
+    members are all matched and whose blocks of width bits are each ones
+    followed by zeros; bottom is that subset, rank its size.
 
     Words are built left to right; a member may only close the nearest open
     non-member, and one at a position that does not start a block may only
@@ -130,7 +132,7 @@ def _bottoms(n: int, width: int):
     while stack:
         i, members, unclosed = stack.pop()
         if i == n:
-            yield members, unclosed
+            yield (members.bit_count() << n | members) << n | unclosed
             continue
         bit = 1 << i
         stack.append((i + 1, members, unclosed | bit))
@@ -143,22 +145,26 @@ class ChainBottoms:
     """The chains grown from the bottoms of _bottoms(n, width), each grown
     only when it is asked for.
 
-    pairs holds each chain's (bottom, free) ordered by (rank, bottom), which
-    is the order of gk_scd(n).chains, built from ChainBottoms(n).  Item i is
-    chain i, grown on demand; `chains` is the object itself, so that code
-    reading a pass's source as a GkScd (scd.chains[i]) grows only chain i.
+    packed holds each chain as the one int (rank << n | bottom) << n | free,
+    sorted, so in the order of (rank, bottom), which is the order of
+    gk_scd(n).chains, built from ChainBottoms(n); p >> n & mask is the bottom
+    and p & mask the free positions, mask = 2^n - 1.  One int per chain takes
+    about a third of the memory of a (bottom, free) tuple.  Item i is chain
+    i, grown on demand; `chains` is the object itself, so that code reading a
+    pass's source as a GkScd (scd.chains[i]) grows only chain i.
     """
 
     def __init__(self, n: int, width: int = 1):
         self.n = n
         self.width = width
-        self.pairs = tuple(sorted(_bottoms(n, width), key=lambda p: p[0].bit_count() << n | p[0]))
+        self.packed = sorted(_bottoms(n, width))
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self.packed)
 
     def __getitem__(self, i: int) -> Chain:
-        return _grow(*self.pairs[i])
+        n, p = self.n, self.packed[i]
+        return _grow(p >> n & full_mask(n), p & full_mask(n))
 
     @property
     def chains(self) -> "ChainBottoms":

@@ -101,7 +101,9 @@ def prune_chains(bottoms: ChainBottoms, step: int, expected: int, *, levels: boo
     cut, lift = base ** (digits - shift), base**shift  # x -> x % cut * lift + x // cut turns shift digits
     marks = bytearray(base**digits)
     picked = []
-    for ci, (a, free) in enumerate(bottoms.pairs):
+    mask = (1 << n) - 1
+    for ci, p in enumerate(bottoms.packed):
+        a, free = p >> n & mask, p & mask
         x, rest, kept, above = name(a), free, [], []
         while True:  # up the chain: add the free positions left to right
             if not marks[x]:

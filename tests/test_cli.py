@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -504,3 +507,79 @@ def test_profile_output_matches_the_enumerated_orbits(capsys, n):
         assert run(argv) == 0
         group = parse_group_spec(text, n) if text is not None else GroupSpec.trivial(n)
         assert capsys.readouterr().out.splitlines() == enumerated_profile_lines(n, group), text
+
+
+# The process entry: `python -m scdforge.cli` runs main(), which turns the
+# cyclic collector off and ends the process with os._exit after flushing.
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+REFLECT_18 = "".join(f"({i} {19 - i})" for i in range(1, 10))
+
+
+def _process(argv, stdout=subprocess.PIPE, unbuffered=False):
+    """Run argv in a fresh `python -m scdforge.cli` process at a fixed
+    terminal width (argparse wraps help and usage to it)."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])),
+           "COLUMNS": "80"}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, "-m", "scdforge.cli", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, env=env, timeout=120)
+
+
+@pytest.fixture
+def documents(tmp_path):
+    good = tmp_path / "good.json"
+    good.write_bytes(encode(quotient_scd(6, "(1 2 3 4 5 6)")))
+    doc = json.loads(good.read_bytes())
+    del doc["chains"][1]
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(encode(doc))
+    return {"good": str(good), "bad": str(bad)}
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["gk", "--n", "5"], 0),
+    (["gk", "--n", "4", "--text"], 0),
+    (["reflect", "--n", "18", "--group", REFLECT_18], 0),  # a 3.2 MB document
+    (["verify", "--input", "good"], 0),
+    (["verify", "--input", "good", "--json"], 0),
+    (["profile", "--n", "8", "--group", "(1 2 3 4)^2"], 0),
+    (["orbits", "--n", "4", "--group", "(1 2 3 4)"], 0),
+    (["--help"], 0),
+    (["verify", "--input", "bad"], 1),
+    (["quotient", "--n", "4", "--group", "(1 2"], 2),
+    (["gk"], 2),
+    (["gk", "--n", "23"], 3),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+def test_process_entry_matches_run(capsysbinary, monkeypatch, documents, argv, expected):
+    argv = [documents.get(a, a) for a in argv]
+    process = _process(argv)
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run_bytes(capsysbinary, argv)
+    assert code == expected
+    assert (process.returncode, process.stdout, process.stderr) == (code, out, err)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["verify", "--input", "good"], ["profile", "--n", "4"]], ids=["verify", "profile"])
+def test_closed_stdout_is_a_write_error(documents, argv, unbuffered):
+    # buffered, the output reaches the pipe only at main()'s flush
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        process = _process([documents.get(a, a) for a in argv], stdout=write_end, unbuffered=unbuffered)
+    finally:
+        os.close(write_end)
+    assert (process.returncode, process.stderr) == (2, b"error: [Errno 32] Broken pipe\n")
+
+
+def test_run_leaves_the_cyclic_collector_on():
+    # the collector policy belongs to main(): importing the CLI and calling
+    # run() leave it as the interpreter set it
+    script = ("import gc, scdforge.cli as cli; imported = gc.isenabled(); "
+              "code = cli.run(['gk', '--n', '3', '--text']); print(imported, gc.isenabled(), code)")
+    env = {**os.environ, "PYTHONPATH": SRC}
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env, timeout=60)
+    assert result.stdout.splitlines()[-1] == b"True True 0"
