@@ -444,13 +444,13 @@ def main() -> None:
     """The console script and `python -m scdforge.cli`: run() as one short
     process.
 
-    The documents are acyclic records, so the cyclic collector only re-walks
-    them: it is off for the command.  Once run() returns, the buffered output
-    is flushed and the process ends at once, without the exit-time collection
-    and the freeing of every object.  A failed flush of stdout after a
-    successful command is reported as run() reports a failed write, exit 2; a
-    command that failed has reported its own error.  An exception from run()
-    propagates as before.  run() itself keeps the interpreter's defaults.
+    Decompositions are acyclic records, so the cyclic collector would only
+    re-walk them: it is off for the command.  Once run() returns, the output
+    is flushed and the process ends at once, skipping the exit-time
+    collection and the freeing of every object.  A failed flush after a
+    command that succeeded exits 2 with the error, as a failed write does in
+    run(); a command that failed has reported its own error.  run() keeps
+    the interpreter's collector and exit.
     """
     gc.disable()
     code = run()

@@ -12,11 +12,10 @@ partition B_n into symmetric chains.
 ChainBottoms lists each chain's bottom and free positions packed in one int,
 in chain order, restricted to blockwise monotone bottoms for a chain power,
 and grows a chain only when it is asked for; the greedy pruning pass streams
-from it.  gk_scd grows every
-chain of ChainBottoms(n), checks that they cover all 2^n subsets and caches
-the result; it serves the gk command, reflections and the exposition helpers.
-The Boolean factor of a quotient grows its chains from ChainBottoms without
-that cache and check.
+from it.  gk_scd grows every chain of ChainBottoms(n), checks that they cover
+all 2^n subsets and caches the result; it serves the gk command, reflections
+and the exposition helpers.  The Boolean factor of a quotient grows its
+chains from ChainBottoms without that cache and check.
 """
 
 from __future__ import annotations
@@ -145,13 +144,13 @@ class ChainBottoms:
     """The chains grown from the bottoms of _bottoms(n, width), each grown
     only when it is asked for.
 
-    packed holds each chain as the one int (rank << n | bottom) << n | free,
-    sorted, so in the order of (rank, bottom), which is the order of
-    gk_scd(n).chains, built from ChainBottoms(n); p >> n & mask is the bottom
-    and p & mask the free positions, mask = 2^n - 1.  One int per chain takes
-    about a third of the memory of a (bottom, free) tuple.  Item i is chain
-    i, grown on demand; `chains` is the object itself, so that code reading a
-    pass's source as a GkScd (scd.chains[i]) grows only chain i.
+    packed holds each chain as one int p = (rank << n | bottom) << n | free,
+    a third of the memory of a tuple of two, sorted: the order of (rank,
+    bottom), which is the order of gk_scd(n).chains, built from
+    ChainBottoms(n).  p >> n & mask is the bottom and p & mask the free
+    positions, mask = 2^n - 1.  Item i is chain i, grown on demand; `chains`
+    is the object itself, so that code reading a pass's source as a GkScd
+    (scd.chains[i]) grows only chain i.
     """
 
     def __init__(self, n: int, width: int = 1):
