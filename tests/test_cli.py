@@ -516,7 +516,7 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 REFLECT_18 = "".join(f"({i} {19 - i})" for i in range(1, 10))
 
 
-def _process(argv, stdout=subprocess.PIPE, unbuffered=False):
+def _process(argv, stdout=subprocess.PIPE, unbuffered=False, **kwargs):
     """Run argv in a fresh `python -m scdforge.cli` process at a fixed
     terminal width (argparse wraps help and usage to it)."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])),
@@ -525,7 +525,7 @@ def _process(argv, stdout=subprocess.PIPE, unbuffered=False):
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     return subprocess.run([sys.executable, "-m", "scdforge.cli", *argv], stdout=stdout,
-                          stderr=subprocess.PIPE, env=env, timeout=120)
+                          stderr=subprocess.PIPE, env=env, timeout=120, **kwargs)
 
 
 @pytest.fixture
@@ -573,6 +573,14 @@ def test_closed_stdout_is_a_write_error(documents, argv, unbuffered):
     finally:
         os.close(write_end)
     assert (process.returncode, process.stderr) == (2, b"error: [Errno 32] Broken pipe\n")
+
+
+@pytest.mark.parametrize("fd", [1, 2], ids=["stdout", "stderr"])
+def test_process_started_with_a_closed_stream_succeeds(fd):
+    # a descriptor closed before the interpreter starts makes sys.stdout or
+    # sys.stderr None, and print() drops its text
+    process = _process(["profile", "--n", "4"], preexec_fn=lambda: os.close(fd))
+    assert (process.returncode, process.stderr) == (0, b"")
 
 
 def test_run_leaves_the_cyclic_collector_on():
