@@ -35,7 +35,7 @@ for mask in chain:
 
 # the whole lattice decomposes into symmetric chains, longest first
 scd = gk_scd(4)
-print(f"\nB_4 splits into {scd.chain_count} symmetric chains:")
+print(f"\nB_4 splits into {len(scd.chains)} symmetric chains:")
 for c in scd.chains:
     print("  " + " < ".join(bit_string(m, 4) for m in c.elements))
 

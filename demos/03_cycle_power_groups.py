@@ -13,10 +13,10 @@ n = 7
 spec = parse_group_spec("(1 2 3 4)^2 (5 6)", n)
 print(f"group on [{n}]: {spec.text()}, order {spec.order()}")
 
-split = factorize(n, spec)
-print(f"fixed points: {set_string(split.fixed)}")
-for f in split.factors:
-    print(f"  rotated block {set_string(f.support)}: step {f.power} of a {f.length}-cycle")
+fixed, factors = factorize(n, spec)
+print(f"fixed points: {set_string(fixed)}")
+for f in factors:
+    print(f"  rotated block {set_string(f.support_mask())}: step {f.exponent} of a {f.length}-cycle")
 
 decomp = quotient_scd(n, spec)  # certifies itself before returning
 print(f"\n{len(decomp.chains)} chains over {decomp.element_count()} orbits"

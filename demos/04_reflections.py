@@ -12,7 +12,7 @@ from scdforge.reflect import build_blocks, scd_of_diagonal_block, standard_refle
 
 k = 3
 blocks = build_blocks(k)
-print(f"half cube B_{k} has {gk_scd(k).chain_count} chains,"
+print(f"half cube B_{k} has {len(gk_scd(k).chains)} chains,"
       f" giving {len(blocks)} blocks and {sum(len(b.cells) for b in blocks)} orbit names")
 
 diag = next(b for b in blocks if b.i == b.j == 0)

@@ -36,11 +36,13 @@ from .gk import ChainBottoms, gk_scd
 from .groups import necklace_ranks
 
 
-def _check_shape(k: int, m: int) -> int:
+def _check_shape(k: int, m: int, r: int = 1) -> int:
     if k < 2:
         raise ValueError(f"chain must have at least 2 levels, got {k}")
     if m < 1:
         raise ValueError(f"multiplicity must be at least 1, got {m}")
+    if r < 1:
+        raise ValueError("rotation step must be positive")
     return (k - 1) * m
 
 
@@ -83,7 +85,7 @@ class ChainPowerTarget:
     """
 
     def __init__(self, k: int, m: int, r: int):
-        _check_shape(k, m)
+        _check_shape(k, m, r)
         _check_element_count([(k, m, r)])
         self.k = k
         self.m = m
@@ -142,10 +144,8 @@ def chainpower_scd(k: int, m: int, r: int = 1) -> Decomposition:
     level tuples.  The power is capped at 2^QUOTIENT_LIMIT elements and its
     ambient ground at the mask width, not by the size of the ambient lattice.
     """
-    check_ground(_check_shape(k, m))
+    check_ground(_check_shape(k, m, r))
     _check_element_count([(k, m, r)])
-    if r < 1:
-        raise ValueError("rotation step must be positive")
     return _chainpower(k, m, math.gcd(r, m))
 
 
@@ -189,9 +189,7 @@ def _normalize_factors(factors) -> tuple[tuple[int, int, int], ...]:
             k, m, r = (int(x) for x in item)
         except (TypeError, ValueError):
             raise ValueError(f"factor {item!r} is not a (levels, multiplicity, rotation) triple") from None
-        _check_shape(k, m)
-        if r < 1:
-            raise ValueError("rotation step must be positive")
+        _check_shape(k, m, r)
         normalized.append((k, m, math.gcd(r, m)))
     if not normalized:
         raise ValueError("at least one factor is required")

@@ -37,7 +37,7 @@ from .core import (
 from .gk import gk_decomposition
 from .groups import GroupSpec, ParseError, parse_group_spec, quotient_poset, rank_counts
 from .prune import quotient_scd
-from .reflect import _transpositions, involution_group, reflection_scd
+from .reflect import reflection_poset, reflection_scd
 from .verify import VerificationError, certify, rank_profile, verify_decomposition
 
 SCHEMA_ID = "scdforge/1"
@@ -266,8 +266,7 @@ def target_for_context(ctx: Context):
     if kind == "quotient":
         return quotient_poset(ctx.n, parse_group_spec(ctx.group, ctx.n))
     if kind == "reflection":
-        spec = parse_group_spec(ctx.group, ctx.n)
-        return quotient_poset(ctx.n, involution_group(ctx.n, _transpositions(spec)))
+        return reflection_poset(ctx.n, parse_group_spec(ctx.group, ctx.n))
     if kind == "chainpower":
         return ChainPowerTarget(ctx.k, ctx.m, ctx.r)
     return ChainProductTarget(ctx.factors)

@@ -12,10 +12,12 @@ partition B_n into symmetric chains.
 ChainBottoms lists each chain's bottom and free positions packed in one int,
 in chain order, restricted to blockwise monotone bottoms for a chain power,
 and grows a chain only when it is asked for; the greedy pruning pass streams
-from it.  gk_scd grows every chain of ChainBottoms(n), checks that they cover
-all 2^n subsets and caches the result; it serves the gk command, reflections
-and the exposition helpers.  The Boolean factor of a quotient grows its
-chains from ChainBottoms without that cache and check.
+from it.  gk_scd is the boolean Decomposition of every chain of
+ChainBottoms(n), grown in that order, which is already the canonical one; it
+checks that they cover all 2^n subsets and caches the result, and it serves
+the gk command (as gk_decomposition), reflections and the exposition helpers.
+The Boolean factor of a quotient grows its chains from ChainBottoms without
+that cache and check.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .core import (
     check_ground,
     elements_of,
     full_mask,
-    make_decomposition,
     map_elements,
     relabel_map,
 )
@@ -146,11 +147,11 @@ class ChainBottoms:
 
     packed holds each chain as one int p = (rank << n | bottom) << n | free,
     a third of the memory of a tuple of two, sorted: the order of (rank,
-    bottom), which is the order of gk_scd(n).chains, built from
-    ChainBottoms(n).  p >> n & mask is the bottom and p & mask the free
-    positions, mask = 2^n - 1.  Item i is chain i, grown on demand; `chains`
-    is the object itself, so that code reading a pass's source as a GkScd
-    (scd.chains[i]) grows only chain i.
+    bottom), which is the canonical chain order of a decomposition and so
+    the order of gk_scd(n).chains.  p >> n & mask is the bottom and p & mask
+    the free positions, mask = 2^n - 1.  Item i is chain i, grown on demand;
+    `chains` is the object itself, so that code reading a pass's source as a
+    Decomposition (scd.chains[i]) grows only chain i.
     """
 
     def __init__(self, n: int, width: int = 1):
@@ -170,43 +171,22 @@ class ChainBottoms:
         return self
 
 
-class GkScd(_Record):
-    """The Greene-Kleitman SCD of B_n.
-
-    Chains are ordered by decreasing length; equal lengths are ordered by
-    ascending bottom mask so the whole structure is reproducible.
-    """
-
-    __slots__ = ("n", "chains")
-
-    def __init__(self, n: int, chains: tuple[Chain, ...]):
-        _set(self, "n", n)
-        _set(self, "chains", chains)
-
-    @property
-    def chain_count(self) -> int:
-        return len(self.chains)
-
-
 @functools.lru_cache(maxsize=None)
-def gk_scd(n: int) -> GkScd:
-    """Build the Greene-Kleitman SCD of B_n by growing every chain of ChainBottoms(n)."""
+def gk_scd(n: int) -> Decomposition:
+    """The Greene-Kleitman SCD of B_n: every chain of ChainBottoms(n), grown,
+    in its (rank, bottom) order."""
     check_enum(n, ENUM_LIMIT, "gk_scd")
-    chains = list(ChainBottoms(n))
+    chains = tuple(ChainBottoms(n))
     covered = bytearray(1 << n)
     for chain in chains:
         for mask in chain.elements:
             covered[mask] = 1
     if sum(map(len, chains)) != 1 << n or 0 in covered:
         raise AssertionError("chains do not partition the subset lattice")
-    return GkScd(n, tuple(chains))
+    return Decomposition(chains, Context(kind="boolean", total_rank=n, n=n))
 
 
-def gk_decomposition(n: int) -> Decomposition:
-    """The Greene-Kleitman SCD packaged as a decomposition of B_n."""
-    scd = gk_scd(n)
-    context = Context(kind="boolean", total_rank=n, n=n)
-    return make_decomposition(scd.chains, context)
+gk_decomposition = gk_scd  # the construct API's name for gk_scd: the same function, cache and all
 
 
 def boolean_scd_on_support(support: int) -> Decomposition:
@@ -216,7 +196,7 @@ def boolean_scd_on_support(support: int) -> Decomposition:
     check."""
     positions = [e - 1 for e in elements_of(support)]
     f = len(positions)
-    decomp = make_decomposition(list(ChainBottoms(f)), Context(kind="boolean", total_rank=f, n=f))
+    decomp = Decomposition(tuple(ChainBottoms(f)), Context(kind="boolean", total_rank=f, n=f))
     return map_elements(decomp, relabel_map(positions))
 
 
@@ -232,7 +212,6 @@ def partner(x: int, chain: Chain) -> int:
 
 __all__ = [
     "ChainBottoms",
-    "GkScd",
     "Pairing",
     "boolean_scd_on_support",
     "chain_of",

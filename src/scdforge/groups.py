@@ -94,15 +94,10 @@ class GroupSpec(_Record):
         )
 
     @functools.cached_property
-    def _actions(self):
-        # one mask action per generator, built on first use; not a field, so == and hash ignore it
-        return tuple(_action(self.n, g) for g in self.generators())
-
-    @functools.cached_property
     def _walks(self):
-        # (action, order - 1, support) per generator, over the tables of _actions
+        # (mask action, order - 1, support) per generator, built on first use; not a field, so == and hash ignore it
         moving = [f for f in self.factors if f.order() > 1]
-        return tuple((act, f.order() - 1, f.support_mask()) for act, f in zip(self._actions, moving))
+        return tuple((_action(self.n, g), f.order() - 1, f.support_mask()) for g, f in zip(self.generators(), moving))
 
 
 @functools.lru_cache(maxsize=None)  # every GroupSpec with this generator on [n] shares one table set
@@ -196,7 +191,7 @@ class Orbit(_Record):
         _set(self, "members", members)
 
 
-def _members(s: int, actions) -> list[int]:
+def _members(s: int, walks) -> list[int]:
     """The orbit of a subset, each member once.
 
     The generators have disjoint supports, so the group is the direct product
@@ -205,7 +200,7 @@ def _members(s: int, actions) -> list[int]:
     generator never lie on one of its cycles.
     """
     members = [s]
-    for act in actions:
+    for act, _, _ in walks:
         for i in range(len(members)):
             x = members[i]
             y = act(x)
@@ -217,7 +212,7 @@ def _members(s: int, actions) -> list[int]:
 
 def orbit(s: int, group: GroupSpec) -> Orbit:
     """Closure of a subset under the group generators."""
-    ordered = tuple(sorted(_members(s, group._actions)))
+    ordered = tuple(sorted(_members(s, group._walks)))
     return Orbit(ordered[0], len(ordered), ordered)
 
 
@@ -264,11 +259,11 @@ def rank_counts(n: int, group: GroupSpec) -> tuple[int, ...]:
     one binary necklace count per rotated block, as the group is the direct
     product of cyclic groups on disjoint supports.  The cost depends on n
     alone, not on the group order."""
-    split = factorize(n, group)
-    fixed = split.fixed.bit_count()
-    counts = [math.comb(fixed, r) for r in range(fixed + 1)]
-    for f in split.factors:
-        counts = _times(counts, necklace_ranks(2, f.length, f.power))
+    fixed, factors = factorize(n, group)
+    free = fixed.bit_count()
+    counts = [math.comb(free, r) for r in range(free + 1)]
+    for f in factors:
+        counts = _times(counts, necklace_ranks(2, f.length, f.exponent))
     return tuple(counts)
 
 
@@ -291,7 +286,7 @@ class QuotientPoset:
             raise ValueError("group is over a different ground set")
         self.n = n
         self.group = group
-        self._fixed = factorize(n, group).fixed  # the points that no generator moves
+        self._fixed, _ = factorize(n, group)  # the points that no generator moves
 
     @functools.cached_property
     def orbits(self) -> tuple[Orbit, ...]:
@@ -367,63 +362,35 @@ def quotient_poset(n: int, group: GroupSpec) -> QuotientPoset:
     return QuotientPoset(n, group)
 
 
-class SplitFactor(_Record):
-    """One moved block of the ground set with its local rotation step.
+def factorize(n: int, group: GroupSpec) -> tuple[int, tuple[CycleFactor, ...]]:
+    """Split [n] into the mask of the group's fixed points and the cycle
+    powers that rotate the rest.
 
-    The block's local quotient lives on [length], where position i + 1 stands
-    for the element cycle[i], so the cycle order is the relabeling.
-    """
-
-    __slots__ = ("cycle", "length", "power", "support")
-
-    def __init__(self, cycle: tuple[int, ...], length: int, power: int, support: int):
-        _set(self, "cycle", cycle)
-        _set(self, "length", length)
-        _set(self, "power", power)
-        _set(self, "support", support)
-
-
-class Factorization(_Record):
-    """Fixed points plus the moved blocks of a cycle-power group."""
-
-    __slots__ = ("fixed", "factors")
-
-    def __init__(self, fixed: int, factors: tuple[SplitFactor, ...]):
-        _set(self, "fixed", fixed)
-        _set(self, "factors", factors)
-
-
-def factorize(n: int, group: GroupSpec) -> Factorization:
-    """Split [n] into the group's fixed points and the supports it rotates.
-
-    Cycle powers that normalize to the identity leave their support fixed and
-    are merged into the fixed block; each remaining factor carries the
-    normalized local step for its own quotient.
+    Each moved factor comes back as its cycle raised to gcd(exponent,
+    length), which generates the same subgroup: the exponent is the local
+    rotation step of the block's own quotient, which lives on [length] with
+    position i + 1 standing for cycle[i].  Cycle powers that normalize to the
+    identity leave their support fixed and are merged into the fixed mask.
     """
     check_ground(n)
     if group.n != n:
         raise ValueError("group is over a different ground set")
     fixed = full_mask(n)
-    split = []
+    factors = []
     for f in group.factors:
-        # the subgroup generated by a cycle power depends only on gcd(exponent, length)
-        power = math.gcd(f.exponent, f.length)
-        if power == f.length:
-            continue
-        support = f.support_mask()
-        split.append(SplitFactor(f.cycle, f.length, power, support))
-        fixed &= ~support
-    return Factorization(fixed, tuple(split))
+        step = math.gcd(f.exponent, f.length)
+        if step < f.length:
+            factors.append(CycleFactor(f.cycle, step))
+            fixed &= ~f.support_mask()
+    return fixed, tuple(factors)
 
 
 __all__ = [
     "CycleFactor",
-    "Factorization",
     "GroupSpec",
     "Orbit",
     "ParseError",
     "QuotientPoset",
-    "SplitFactor",
     "apply_perm",
     "burnside_count",
     "factorize",

@@ -183,15 +183,14 @@ def quotient_scd(n: int, group: GroupSpec | str) -> Decomposition:
         group = parse_group_spec(group, n)
     if group.n != n:
         raise ValueError("group is over a different ground set")
-    split = factorize(n, group)
+    fixed, factors = factorize(n, group)
     parts = []
-    if split.fixed:
-        parts.append(boolean_scd_on_support(split.fixed))
-    for f in split.factors:
+    if fixed:
+        parts.append(boolean_scd_on_support(fixed))
+    for f in factors:
         move = relabel_map([e - 1 for e in f.cycle])
-        factor_group = GroupSpec(n, (CycleFactor(f.cycle, f.power),))
-        part = quotient_scd_cyclic(f.length, f.power)
-        parts.append(map_elements(part, lambda a, move=move, g=factor_group: orbit_rep(move(a), g)))
+        part = quotient_scd_cyclic(f.length, f.exponent)
+        parts.append(map_elements(part, lambda a, move=move, g=GroupSpec(n, (f,)): orbit_rep(move(a), g)))
     # the supports are disjoint, so a | b == a + b and the orbit of a union is
     # every union of factor orbit members: its least member is the union of
     # the factors' least members, and naming before the fold is naming after

@@ -31,13 +31,8 @@ from .core import (
     make_decomposition,
     relabel_map,
 )
-from .gk import GkScd, boolean_scd_on_support, gk_decomposition, gk_scd
-from .groups import (
-    CycleFactor,
-    GroupSpec,
-    parse_group_spec,
-    quotient_poset,
-)
+from .gk import boolean_scd_on_support, gk_scd
+from .groups import CycleFactor, GroupSpec, QuotientPoset, parse_group_spec, quotient_poset
 from .verify import certify
 
 
@@ -64,7 +59,7 @@ def _block(i: int, j: int, rows, cols) -> PBlock:
     return PBlock(i, j, tuple(rows), tuple(cols), cells)
 
 
-def build_blocks(k: int, scd: GkScd | None = None) -> list[PBlock]:
+def build_blocks(k: int, scd: Decomposition | None = None) -> list[PBlock]:
     """One block per unordered pair of chains; diagonal blocks keep only
     the containment-ordered cells.  Total cell count is (4^k + 2^k) / 2."""
     if scd is None:
@@ -129,6 +124,12 @@ def involution_group(n: int, pairs) -> GroupSpec:
     return GroupSpec(n, (CycleFactor(cycle, len(pairs)),))
 
 
+def reflection_poset(n: int, rho: GroupSpec) -> QuotientPoset:
+    """The quotient of B_n by the involution rho: the orbit poset of the
+    group {1, rho}, the target of every reflection decomposition."""
+    return quotient_poset(n, involution_group(n, _transpositions(rho)))
+
+
 def _orbit_chains(targets) -> list[Chain]:
     """The chains of the half-word blocks over the moved elements, each cell
     (u, v) written as its orbit's name: u goes on targets[:k], the reverse of
@@ -172,11 +173,9 @@ def reflection_scd(n: int, rho: GroupSpec | str) -> Decomposition:
     if rho.n != n:
         raise ValueError("involution is over a different ground set")
     pairs = _transpositions(rho)
-    two_element = involution_group(n, pairs)
     context = Context(kind="reflection", total_rank=n, n=n, group=rho.text())
     if not pairs:
-        decomp = make_decomposition(gk_decomposition(n).chains, context)
-        return certify(quotient_poset(n, two_element), decomp)
+        return certify(reflection_poset(n, rho), Decomposition(gk_scd(n).chains, context))
     # local pair t (1-based) is (t, 2k+1-t), so the involution reverses the word
     targets = [a - 1 for a, _ in pairs] + [b - 1 for _, b in reversed(pairs)]
     chains = _orbit_chains(targets)
@@ -186,14 +185,14 @@ def reflection_scd(n: int, rho: GroupSpec | str) -> Decomposition:
         # naming before the fold is the same as naming after: a|f < b|f iff a < b
         moved = Decomposition(tuple(chains), Context(kind="reflection", total_rank=len(targets)))
         chains = fold_products([moved, boolean_scd_on_support(fixed)], operator.or_).chains
-    decomp = make_decomposition(chains, context)
-    return certify(quotient_poset(n, two_element), decomp)
+    return certify(reflection_poset(n, rho), make_decomposition(chains, context))
 
 
 __all__ = [
     "PBlock",
     "build_blocks",
     "involution_group",
+    "reflection_poset",
     "reflection_scd",
     "scd_of_diagonal_block",
     "standard_reflection",

@@ -158,7 +158,7 @@ def shadow_closure_failures(scd, step: int) -> list[dict]:
     too.  This is what makes every kept piece survive as one contiguous,
     symmetric window of its source chain.
     """
-    n = scd.n
+    n = scd.context.n
     group = rotation_group(n, step)
     index = chain_index(scd)
     first_chain: dict[int, int] = {}
@@ -301,12 +301,12 @@ def orbit_closure_ascends(poset: QuotientPoset, elements) -> bool:
     the previous element's orbit must lie inside it, as the group acts by
     automorphisms.  It pins the walk that applies each generator's powers to
     each element once."""
-    actions, limit = poset.group._actions, 1 << poset.n
+    walks, limit = poset.group._walks, 1 << poset.n
     below = None
     for e in elements:
         if type(e) is not int or not 0 <= e < limit:
             return False
-        members = _members(e, actions)
+        members = _members(e, walks)
         if min(members) != e:
             return False
         if below is not None:
@@ -466,12 +466,12 @@ def named_after_fold(n: int, group) -> Decomposition:
     """The cycle-power quotient with every factor relabelled onto its block,
     folded, and only then named, by one orbit_rep under the whole group per
     element."""
-    split = factorize(n, group)
+    fixed, factors = factorize(n, group)
     parts = []
-    if split.fixed:
-        parts.append(boolean_scd_on_support(split.fixed))
-    for f in split.factors:
-        parts.append(map_elements(quotient_scd_cyclic(f.length, f.power), relabel_map([e - 1 for e in f.cycle])))
+    if fixed:
+        parts.append(boolean_scd_on_support(fixed))
+    for f in factors:
+        parts.append(map_elements(quotient_scd_cyclic(f.length, f.exponent), relabel_map([e - 1 for e in f.cycle])))
     combined = fold_products(parts, operator.or_)
     canonical = map_elements(combined, lambda a: orbit_rep(a, group))
     context = Context(kind="quotient", total_rank=n, n=n, group=group.text())

@@ -229,6 +229,17 @@ def test_chainpower_input_errors():
         chainproduct_scd([(3, "x", 1)])
 
 
+@pytest.mark.parametrize("r", [0, -2])
+def test_rotation_step_below_one_is_refused_by_every_entry_point(r):
+    # a target once took r = 0 as the unrotated power and r = -2 as a rotation by 2
+    for build in (ChainPowerTarget, chainpower_scd):
+        with pytest.raises(ValueError, match="^rotation step must be positive$"):
+            build(3, 4, r)
+    for build in (ChainProductTarget, chainproduct_scd):
+        with pytest.raises(ValueError, match="^rotation step must be positive$"):
+            build([(2, 2, 1), (3, 4, r)])
+
+
 def test_chainproduct_size_guard():
     with pytest.raises(ResourceLimitError):
         chainproduct_scd([(2, 12, 1), (2, 12, 1)])

@@ -82,6 +82,15 @@ def test_reflect_and_chainpower_commands(capsysbinary):
     assert decomp.chains[1] == Chain(((1, 1),), (2,))
 
 
+@pytest.mark.parametrize("argv", [
+    ["chainpower", "--k", "3", "--m", "4", "--r", "0"],
+    ["chainpower", "--k", "3", "--m", "30", "--r", "0"],  # 3^30 tuples too: the step is refused first
+    ["chainpower", "--k", "66", "--m", "1", "--r", "-1"],  # a 65-bit ground too
+], ids=lambda argv: " ".join(argv[1:]))
+def test_chainpower_refuses_a_step_below_one(capsysbinary, argv):
+    assert run_bytes(capsysbinary, argv) == (2, b"", b"error: rotation step must be positive\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -22,8 +22,8 @@ from scdforge.core import (
     relabel_map,
     set_string,
 )
-from scdforge.gk import GkScd, Pairing, gk_decomposition
-from scdforge.groups import CycleFactor, Factorization, GroupSpec, Orbit, SplitFactor
+from scdforge.gk import Pairing, gk_decomposition
+from scdforge.groups import CycleFactor, GroupSpec, Orbit
 from scdforge.prune import PrunedChain, PrunedFamily
 from scdforge.reflect import PBlock
 from scdforge.verify import Failure, RankProfile, VerifyReport
@@ -201,7 +201,6 @@ def test_relabel_moves_each_bit_to_its_target():
 
 
 _CHAIN = Chain((1, 3), (1, 2))
-_SPLIT = SplitFactor((2, 3, 4), 3, 1, 0b1110)
 _PIECE = PrunedChain(4, _CHAIN, Chain((1,), (1,)))
 
 # (record, its fields in order, its repr, the fields that a shorter call leaves
@@ -220,9 +219,6 @@ RECORDS = [
     (Pairing, dict(n=3, subset=6, partner={2: 1}, paired_members=2, paired_nonmembers=1),
      "Pairing(n=3, subset=6, partner={2: 1}, paired_members=2, paired_nonmembers=1)",
      {}, []),
-    (GkScd, dict(n=1, chains=(Chain((0, 1), (0, 1)),)),
-     "GkScd(n=1, chains=(Chain(elements=(0, 1), ranks=(0, 1)),))",
-     {}, []),
     (CycleFactor, dict(cycle=(1, 2, 3), exponent=2),
      "CycleFactor(cycle=(1, 2, 3), exponent=2)",
      dict(exponent=1), []),
@@ -233,12 +229,6 @@ RECORDS = [
           dict(n=4, factors=(CycleFactor((1, 2)), CycleFactor((2, 3))))]),
     (Orbit, dict(rep=1, size=3, members=(1, 2, 4)),
      "Orbit(rep=1, size=3, members=(1, 2, 4))",
-     {}, []),
-    (SplitFactor, dict(cycle=(2, 3, 4), length=3, power=1, support=14),
-     "SplitFactor(cycle=(2, 3, 4), length=3, power=1, support=14)",
-     {}, []),
-    (Factorization, dict(fixed=1, factors=(_SPLIT,)),
-     "Factorization(fixed=1, factors=(SplitFactor(cycle=(2, 3, 4), length=3, power=1, support=14),))",
      {}, []),
     (PrunedChain, dict(source=4, kept=_CHAIN, orbits=Chain((1,), (1,))),
      "PrunedChain(source=4, kept=Chain(elements=(1, 3), ranks=(1, 2)), orbits=Chain(elements=(1,), ranks=(1,)))",

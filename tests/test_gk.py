@@ -3,9 +3,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import chain_index, interval_pairing, rotate
-from scdforge.core import ResourceLimitError, full_mask, mask_of
+from scdforge.core import Context, Decomposition, ResourceLimitError, full_mask, make_decomposition, mask_of
 from scdforge.gk import (
+    ChainBottoms,
+    boolean_scd_on_support,
     chain_of,
+    gk_decomposition,
     gk_scd,
     pairing,
     partner,
@@ -103,7 +106,7 @@ def test_gk_scd_b2():
 def test_gk_scd_b3():
     scd = gk_scd(3)
     assert [len(c) for c in scd.chains] == [4, 2, 2]
-    assert scd.chain_count == 3  # C(3,1)
+    assert len(scd.chains) == 3  # C(3,1)
 
 
 def test_gk_scd_b4_frozen():
@@ -125,7 +128,7 @@ def test_gk_scd_partitions_and_indexes(n):
     import math
 
     scd = gk_scd(n)
-    assert scd.chain_count == math.comb(n, n // 2)
+    assert len(scd.chains) == math.comb(n, n // 2)
     seen = set()
     for chain in scd.chains:
         assert chain.ranks[0] + chain.ranks[-1] == n
@@ -201,6 +204,23 @@ def test_partner_examples():
 def test_partner_rejects_outsiders():
     with pytest.raises(ValueError, match="not on the chain"):
         partner(mask_of([1, 3]), gk_scd(4).chains[0])
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_gk_scd_is_the_canonical_boolean_decomposition(n):
+    # the bottoms are sorted by (rank, bottom), so re-sorting the chains changes nothing
+    scd = gk_scd(n)
+    context = Context(kind="boolean", total_rank=n, n=n)
+    assert type(scd) is Decomposition and scd.context == context
+    assert scd == make_decomposition(list(ChainBottoms(n)), context)
+    assert gk_decomposition is gk_scd and gk_decomposition(n) is scd
+
+
+def test_boolean_scd_on_support_is_in_canonical_order():
+    support = mask_of([2, 3, 5, 8, 9])
+    decomp = boolean_scd_on_support(support)
+    assert decomp == make_decomposition(decomp.chains, decomp.context)
+    assert {e for c in decomp.chains for e in c.elements} == {a for a in range(1 << 9) if a & ~support == 0}
 
 
 def test_gk_scd_guards():

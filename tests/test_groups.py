@@ -365,9 +365,9 @@ def test_quotient_poset_enumerates_on_first_use(monkeypatch):
     walks = []
     original = groups._members
 
-    def counted(s, actions):
+    def counted(s, group_walks):
         walks.append(s)
-        return original(s, actions)
+        return original(s, group_walks)
 
     monkeypatch.setattr("scdforge.groups._members", counted)
     poset = quotient_poset(6, parse_group_spec("(1 2 3 4 5 6)", 6))
@@ -387,22 +387,23 @@ def test_normalized_power_generates_same_subgroup():
 
 
 def test_factorize_examples():
-    split = factorize(5, parse_group_spec("(1 2)(3 4 5)", 5))
-    assert split.fixed == 0
-    assert [f.support for f in split.factors] == [mask_of([1, 2]), mask_of([3, 4, 5])]
+    fixed, factors = factorize(5, parse_group_spec("(1 2)(3 4 5)", 5))
+    assert fixed == 0
+    assert [f.support_mask() for f in factors] == [mask_of([1, 2]), mask_of([3, 4, 5])]
 
-    split = factorize(6, parse_group_spec("(1 2 3 4)^2", 6))
-    assert split.fixed == mask_of([5, 6])
-    assert len(split.factors) == 1
-    assert split.factors[0].power == 2
+    fixed, factors = factorize(6, parse_group_spec("(1 2 3 4)^2", 6))
+    assert fixed == mask_of([5, 6])
+    assert len(factors) == 1
+    assert factors[0].exponent == 2
 
-    split = factorize(4, parse_group_spec("(1 2)^2", 4))
-    assert split.fixed == mask_of([1, 2, 3, 4])
-    assert split.factors == ()
+    fixed, factors = factorize(4, parse_group_spec("(1 2)^2", 4))
+    assert fixed == mask_of([1, 2, 3, 4])
+    assert factors == ()
 
     # the step is normalized to gcd(exponent, length); the cycle order is kept
-    split = factorize(7, parse_group_spec("(3 7 5)(1 2 4 6)^6", 7))
-    assert [(f.cycle, f.length, f.power) for f in split.factors] == [
+    fixed, factors = factorize(7, parse_group_spec("(3 7 5)(1 2 4 6)^6", 7))
+    assert factors == (CycleFactor((3, 7, 5), 1), CycleFactor((1, 2, 4, 6), 2))
+    assert [(f.cycle, f.length, f.exponent) for f in factors] == [
         ((3, 7, 5), 3, 1),
         ((1, 2, 4, 6), 4, 2),
     ]
@@ -423,17 +424,17 @@ def test_block_split_is_an_order_isomorphism(n, text):
     from scdforge.prune import rotation_group
 
     spec = parse_group_spec(text, n)
-    split = factorize(n, spec)
+    fixed, factors = factorize(n, spec)
     whole = quotient_poset(n, spec)
 
     def project(rep):
-        parts = [rep & split.fixed]
-        for f in split.factors:
+        parts = [rep & fixed]
+        for f in factors:
             local = 0
             for pos, element in enumerate(f.cycle):
                 if rep >> (element - 1) & 1:
                     local |= 1 << pos
-            parts.append(orbit_rep(local, rotation_group(f.length, f.power)))
+            parts.append(orbit_rep(local, rotation_group(f.length, f.exponent)))
         return tuple(parts)
 
     reps = list(whole.elements())
@@ -442,10 +443,10 @@ def test_block_split_is_an_order_isomorphism(n, text):
 
     locals_posets = [
         quotient_poset(f.length, parse_group_spec(
-            "(" + " ".join(str(i) for i in range(1, f.length + 1)) + f")^{f.power}",
+            "(" + " ".join(str(i) for i in range(1, f.length + 1)) + f")^{f.exponent}",
             f.length,
         ))
-        for f in split.factors
+        for f in factors
     ]
     for ra, ia in zip(reps, images):
         for rb, ib in zip(reps, images):
@@ -480,7 +481,7 @@ def test_quotient_orbits_against_naive_across_chunks(n):
 def test_members_lists_each_member_once():
     for spec in _crossing_groups(13):
         for a in range(1 << 13):
-            members = _members(a, spec._actions)
+            members = _members(a, spec._walks)
             assert len(set(members)) == len(members)
 
 
@@ -506,7 +507,7 @@ def test_orbit_at_30_matches_set_closure():
         members = tuple(sorted(_closure(a, gens)))
         assert orbit(a, spec) == groups.Orbit(members[0], len(members), members)
         assert orbit_rep(a, spec) == members[0]
-        assert len(_members(a, spec._actions)) == len(members)
+        assert len(_members(a, spec._walks)) == len(members)
 
 
 def _count_apply_perm(monkeypatch):

@@ -4,7 +4,8 @@ import random
 import pytest
 
 from oracles import pair_mask, reflection_named_after_fold, staircase_peel, word_reverse
-from scdforge.cli import run
+from scdforge import cli, reflect
+from scdforge.cli import run, target_for_context
 from scdforge.core import mask_of
 from scdforge.gk import gk_decomposition, gk_scd
 from scdforge.groups import ParseError, parse_group_spec, quotient_poset
@@ -13,6 +14,7 @@ from scdforge.reflect import (
     PBlock,
     build_blocks,
     involution_group,
+    reflection_poset,
     reflection_scd,
     scd_of_diagonal_block,
     standard_reflection,
@@ -23,7 +25,7 @@ from scdforge.verify import verify_decomposition
 def test_build_blocks_counts():
     for k, cell_total in [(1, 3), (2, 10), (3, 36), (4, 136), (5, 528), (6, 2080)]:
         blocks = build_blocks(k)
-        t = gk_scd(k).chain_count
+        t = len(gk_scd(k).chains)
         assert len(blocks) == t * (t + 1) // 2
         assert sum(len(b.cells) for b in blocks) == cell_total == (4**k + 2**k) // 2
 
@@ -64,7 +66,7 @@ def test_diagonal_peel_odd_side():
 @pytest.mark.parametrize("k", range(1, 7))
 def test_peel_by_side_matches_the_peel_of_the_block(k):
     diagonal = [b for b in build_blocks(k) if b.i == b.j]
-    assert len(diagonal) == gk_scd(k).chain_count
+    assert len(diagonal) == len(gk_scd(k).chains)
     for block in diagonal:
         grids = scd_of_diagonal_block(len(block.rows) - 1)
         assert grids == staircase_peel(block)
@@ -228,3 +230,28 @@ def test_reflection_agrees_with_cycle_power_route(capsys):
         same = sorted(via_blocks.chain_sizes()) == sorted(via_pruning.chain_sizes())
         outcomes.append(((n, text), same))
     print(f"reflection vs cycle-power size multisets: {outcomes}")
+
+
+
+@pytest.mark.parametrize("n, text, pairs", [
+    (6, "(1 6)(4 2)", [(1, 6), (2, 4)]),
+    (4, "(4 1)(2 3)^3", [(1, 4), (2, 3)]),
+    (5, "(3)(1 2)^2", []),  # normalizes to the identity: the target is B_5
+])
+def test_reflection_poset_is_the_one_reflection_target(monkeypatch, n, text, pairs):
+    # the certificate of reflection_scd and the target of verify both come from reflection_poset
+    rho = parse_group_spec(text, n)
+    target = reflection_poset(n, rho)
+    assert target.n == n and target.group == involution_group(n, pairs)
+    built = []
+    for module in (reflect, cli):
+        monkeypatch.setattr(module, "reflection_poset", lambda *args: built.append(args) or target)
+    decomp = reflection_scd(n, text)
+    assert target_for_context(decomp.context) is target
+    assert built == [(n, rho)] * 2
+    assert verify_decomposition(target, decomp).ok
+
+
+def test_reflection_poset_refuses_a_longer_cycle():
+    with pytest.raises(ValueError, match="not a product of disjoint transpositions"):
+        reflection_poset(4, parse_group_spec("(1 2 3)", 4))
