@@ -37,6 +37,9 @@ from .groups import necklace_ranks
 
 
 def _check_shape(k: int, m: int, r: int = 1) -> int:
+    # type() rather than isinstance(): bool is an int subclass
+    if any(type(x) is not int for x in (k, m, r)):
+        raise ValueError(f"levels, multiplicity and rotation step must be integers, got {(k, m, r)!r}")
     if k < 2:
         raise ValueError(f"chain must have at least 2 levels, got {k}")
     if m < 1:
@@ -186,7 +189,7 @@ def _normalize_factors(factors) -> tuple[tuple[int, int, int], ...]:
     normalized = []
     for item in factors:
         try:
-            k, m, r = (int(x) for x in item)
+            k, m, r = item
         except (TypeError, ValueError):
             raise ValueError(f"factor {item!r} is not a (levels, multiplicity, rotation) triple") from None
         _check_shape(k, m, r)

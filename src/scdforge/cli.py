@@ -7,9 +7,10 @@ chain-power elements as level lists.  encode() writes a decomposition's chains
 straight from its elements, each subset's text from one table lookup per
 11-bit chunk of its mask, and leaves only the context and stats to json.dumps;
 the bytes are those json.dumps would give for the whole document.  decode()
-is its inverse: one pass over the parsed document checks every value and
-builds each subset's mask or each level tuple, returning the Decomposition
-and the document's stats.  Every construct subcommand re-verifies its result
+is its inverse and returns the Decomposition and the document's stats.  It
+checks every value as it reads it, each subset of an n within the 64-bit mask
+width in one strict loop that calls _read_subset only to name the problem of
+a subset it refuses.  Every construct subcommand re-verifies its result
 against an independently defined target before emitting anything.
 """
 
@@ -148,7 +149,8 @@ def _check_int(value, pointer: str, minimum: int | None = None) -> None:
 
 
 def _read_subset(elems, n: int) -> int:
-    """The mask of one subset of [n]; raises DecodeError naming its first problem."""
+    """The mask of one subset of [n]; raises DecodeError naming its first problem.
+    decode's strict loop accepts exactly the subsets this accepts."""
     if type(elems) is not list or not set(map(type, elems)) <= {int}:
         raise DecodeError("subset must be an array of integers")
     distinct = sorted(set(elems))
@@ -180,11 +182,18 @@ def decode(data: bytes | str) -> tuple[Decomposition, dict]:
     """Read a document into its Decomposition and its stats object, checking
     each value as it is read.
 
+    For n up to the mask width, a subset is read in one strict loop: a list
+    whose entries are JSON integers rising strictly within 1..n, each ORing
+    in its bit from a table built once per document, with no set, sort or
+    call per subset.  The first entry that breaks the loop goes to
+    _read_subset, which only names the problem.
+
     Raises DecodeError whose message starts with the JSON pointer of the
     first offending value, the elements in chain order after the context and
     stats.  Integers must be JSON integers: booleans and floats, 1.0
     included, are rejected.  A subset document whose n passes the 64-bit mask
-    width raises check_ground's ValueError once its elements are read.
+    width raises check_ground's ValueError once _read_subset has read its
+    elements; it gets no bit table.
     """
     try:
         if isinstance(data, bytes):
@@ -235,15 +244,41 @@ def decode(data: bytes | str) -> tuple[Decomposition, dict]:
         shape = [(k, m) for k, m, _ in triples]
         read, rank, total = _read_levels, sum, sum((k - 1) * m for k, m in shape)
     chains = []
-    for ci, chain in enumerate(_check_array(doc["chains"], "/chains", 1)):
-        chain = _check_array(chain, f"/chains/{ci}", 1)
-        elements = []
-        try:
-            for elems in chain:
-                elements.append(read(elems, shape))
-        except DecodeError as e:
-            _fail(f"/chains/{ci}/{len(elements)}", str(e))
-        chains.append(Chain(tuple(elements), tuple(map(rank, elements))))
+    raw_chains = _check_array(doc["chains"], "/chains", 1)
+    if kind in _SUBSET_KINDS and ctx["n"] <= MASK_WIDTH_LIMIT:
+        # the strict loop; bit[e] is element e's mask
+        n = ctx["n"]
+        bit = [0, *(1 << i for i in range(n))]
+        for ci, chain in enumerate(raw_chains):
+            elements = []
+            for elems in _check_array(chain, f"/chains/{ci}", 1):
+                if type(elems) is list:
+                    mask = prev = 0
+                    for e in elems:
+                        if type(e) is not int or not prev < e <= n:
+                            break
+                        mask |= bit[e]
+                        prev = e
+                    else:
+                        elements.append(mask)
+                        continue
+                pointer = f"/chains/{ci}/{len(elements)}"
+                try:
+                    _read_subset(elems, n)
+                except DecodeError as e:
+                    _fail(pointer, str(e))
+                raise AssertionError(f"{pointer}: _read_subset accepts a subset the strict loop refused")
+            chains.append(Chain(tuple(elements), tuple(map(int.bit_count, elements))))
+    else:
+        for ci, chain in enumerate(raw_chains):
+            chain = _check_array(chain, f"/chains/{ci}", 1)
+            elements = []
+            try:
+                for elems in chain:
+                    elements.append(read(elems, shape))
+            except DecodeError as e:
+                _fail(f"/chains/{ci}/{len(elements)}", str(e))
+            chains.append(Chain(tuple(elements), tuple(map(rank, elements))))
     if kind in _SUBSET_KINDS:
         check_ground(ctx["n"])
     context = Context(

@@ -34,8 +34,11 @@ a word for blockwise monotone blocks, `mask_levels` reads such a word's
 levels by popcounts and `level_digits` a level
 number's by division, `tuple_ascends` is a chain-power target's `ascends`
 over tuples (the form its byte encoding is checked against),
-`is_symmetric_chain` restates the symmetry test, and `chain_index` maps each
-subset to the number of its Greene-Kleitman chain.  `shadow_closure_failures` scans that index for
+`is_symmetric_chain` restates the symmetry test, `chain_index` maps each
+subset to the number of its Greene-Kleitman chain, and
+`read_subset_reference` is the set-and-sort subset reader that `decode` keeps
+only to explain a subset its strict loop refuses, kept here as it was so that
+the loop is checked against it.  `shadow_closure_failures` scans that index for
 the lemma the pruning rests on; it is one more exception to the independence
 above, as it uses the package's `orbit_rep` and `predecessor`.
 """
@@ -49,7 +52,9 @@ import operator
 import random
 
 from scdforge.chainpow import ChainPowerTarget, ChainProductTarget, canonical_levels
+from scdforge.cli import DecodeError
 from scdforge.core import (
+    MASK_WIDTH_LIMIT,
     Chain,
     Context,
     Decomposition,
@@ -60,6 +65,7 @@ from scdforge.core import (
     hook_chains,
     make_decomposition,
     map_elements,
+    mask_of,
     relabel_map,
 )
 from scdforge.gk import boolean_scd_on_support, gk_scd, predecessor
@@ -137,6 +143,19 @@ def tuple_ascends(target: ChainPowerTarget, tuples) -> bool:
             return False
         below = turns
     return True
+
+
+def read_subset_reference(elems, n: int) -> int:
+    """The mask of one subset of [n]; raises DecodeError naming its first problem."""
+    if type(elems) is not list or not set(map(type, elems)) <= {int}:
+        raise DecodeError("subset must be an array of integers")
+    distinct = sorted(set(elems))
+    if distinct and (distinct[0] < 1 or distinct[-1] > n):
+        raise DecodeError(f"element out of range 1..{n}")
+    if distinct != elems:
+        raise DecodeError("subset must be a sorted list of distinct elements")
+    # an element past the mask width has no bit: decode refuses such an n after the walk
+    return mask_of(elems) if n <= MASK_WIDTH_LIMIT else 0
 
 
 def is_symmetric_chain(chain: Chain, total_rank: int) -> bool:

@@ -240,6 +240,28 @@ def test_rotation_step_below_one_is_refused_by_every_entry_point(r):
             build([(2, 2, 1), (3, 4, r)])
 
 
+@pytest.mark.parametrize(
+    "build, args, shape",
+    [
+        # read as int(x), these once built the m = 4 product and took the factor as (2, 1, 1)
+        (chainproduct_scd, ([(3, 4.7, 1)],), "(3, 4.7, 1)"),
+        (ChainProductTarget, ([(2, True, "1")],), "(2, True, '1')"),
+        (ChainPowerTarget, (3, True, 1), "(3, True, 1)"),
+        (chainpower_scd, (3, 4.0, 1), "(3, 4.0, 1)"),  # once a raw TypeError
+    ],
+)
+def test_a_chain_shape_must_be_integers(build, args, shape):
+    with pytest.raises(ValueError) as got:
+        build(*args)
+    assert str(got.value) == f"levels, multiplicity and rotation step must be integers, got {shape}"
+
+
+@pytest.mark.parametrize("item", [(3, 4), (2, 2, 1, 1), 5, None])
+def test_a_factor_that_is_not_a_triple_keeps_its_message(item):
+    with pytest.raises(ValueError, match=r"is not a \(levels, multiplicity, rotation\) triple$"):
+        chainproduct_scd([item])
+
+
 def test_chainproduct_size_guard():
     with pytest.raises(ResourceLimitError):
         chainproduct_scd([(2, 12, 1), (2, 12, 1)])

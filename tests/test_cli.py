@@ -6,11 +6,13 @@ import sys
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import (
     enumerated_profile_lines,
     every_cycle_power_group,
     full_rotations_ranks,
+    read_subset_reference,
     reference_bytes,
     sampled_groups_with_fixed_points,
 )
@@ -253,6 +255,86 @@ def test_verify_refuses_a_wide_ground_after_reading_every_element(tmp_path, caps
     code, out, err = run_bytes(capsysbinary, ["verify", "--input", write_doc(tmp_path, encode(doc))])
     assert (code, out) == (2, b"")
     assert err == b"error: ground set size capped at 64, got 100\n"
+
+
+ODD_ELEMENTS = [True, False, 1.0, 2.5, "1", None, [1], 2**64, 10**30]
+
+
+@st.composite
+def subset_values(draw, n):
+    """A subset entry as a document may hold it: sorted valid elements, the
+    same with one entry replaced, ints in -2..n+2 in drawn order or with a
+    repeat, a list mixing them with values that are not JSON integers, or a
+    value that is not a list."""
+    shape = draw(st.sampled_from(["sorted", "sorted", "one replaced", "unsorted", "repeat", "mixed", "not a list"]))
+    number = st.integers(-2, n + 2)
+    anything = st.one_of(number, st.sampled_from(ODD_ELEMENTS))
+    if shape == "not a list":
+        return draw(st.sampled_from([1, "1", None, {}]))
+    if shape in ("sorted", "one replaced"):
+        elems = sorted(draw(st.lists(st.integers(1, n), unique=True, min_size=shape == "one replaced", max_size=8)))
+        if shape == "one replaced":
+            elems[draw(st.integers(0, len(elems) - 1))] = draw(anything)
+        return elems
+    elems = draw(st.lists(anything if shape == "mixed" else number, min_size=shape == "repeat", max_size=8))
+    if shape == "repeat":
+        i = draw(st.integers(0, len(elems) - 1))
+        elems.insert(i, elems[i])
+    return elems
+
+
+@st.composite
+def one_chain_boolean_documents(draw):
+    n = draw(st.sampled_from([1, 5, 16, 63, 64, 65, 100]))
+    return n, draw(st.lists(subset_values(n), min_size=1, max_size=4))
+
+
+@settings(max_examples=400)
+@given(one_chain_boolean_documents())
+def test_decode_reads_subsets_as_the_reference_reader_does(case):
+    n, chain = case
+    doc = {
+        "schema": "scdforge/1",
+        "context": {"kind": "boolean", "n": n},
+        "chains": [chain],
+        "stats": {"chain_count": 1, "element_count": 1, "rank_profile": [1]},
+    }
+    masks = []
+    for i, elems in enumerate(chain):
+        try:
+            masks.append(read_subset_reference(elems, n))
+        except DecodeError as e:
+            with pytest.raises(DecodeError) as got:
+                decode(encode_raw(doc))
+            assert str(got.value) == f"/chains/0/{i}: {e}"
+            return
+    if n > 64:
+        with pytest.raises(ValueError) as got:
+            decode(encode_raw(doc))
+        assert type(got.value) is ValueError
+        assert str(got.value) == f"ground set size capped at 64, got {n}"
+    else:
+        decomp, _ = decode(encode_raw(doc))
+        assert decomp.chains[0].elements == tuple(masks)
+        assert decomp.chains[0].ranks == tuple(len(elems) for elems in chain)
+
+
+@pytest.mark.parametrize(
+    "decomp",
+    [
+        gk_decomposition(10),
+        quotient_scd(8, "(1 2 3 4)^2 (5 6)"),
+        reflection_scd(6, "(1 6)(2 5)(3 4)"),
+        reflection_scd(7, "(1 4)(2 3)"),
+    ],
+    ids=["gk10", "quotient", "reflect", "reflect-fixed-points"],
+)
+def test_decode_reads_valid_subsets_without_the_explainer(monkeypatch, decomp):
+    def explainer(elems, n):
+        raise AssertionError(f"explainer called on {elems!r}")
+
+    monkeypatch.setattr("scdforge.cli._read_subset", explainer)
+    assert decode(encode(decomp))[0] == decomp
 
 
 def test_verify_reports_a_bad_level_before_the_chain_power_guard(tmp_path, capsysbinary):
