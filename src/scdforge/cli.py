@@ -70,9 +70,9 @@ def _chain_bytes(decomp: Decomposition):
     """Each chain as its canonical JSON array of element arrays."""
     ctx = decomp.context
     if ctx.kind in _SUBSET_KINDS:
-        text = element_text(ctx.n)
+        write = element_text(ctx.n)
         for c in decomp.chains:
-            yield b"[[" + b"],[".join(map(text, c.elements)) + b"]]"
+            yield write(c.elements)
     else:
         for c in decomp.chains:
             yield ("[[" + "],[".join(",".join(map(str, t)) for t in c.elements) + "]]").encode()

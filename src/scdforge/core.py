@@ -11,7 +11,7 @@ from __future__ import annotations
 MASK_WIDTH_LIMIT = 64   # subsets stay machine-word sized
 ENUM_LIMIT = 28         # operations that walk all of B_n refuse beyond this
 QUOTIENT_LIMIT = 22     # operations that also build orbit structure
-CHUNK_BITS = 11         # two chunks cover QUOTIENT_LIMIT; a table has at most 2048 entries
+CHUNK_BITS = 11         # two chunks cover QUOTIENT_LIMIT: a mask's image is two lookups; 2048 entries at most
 
 
 class ResourceLimitError(RuntimeError):
@@ -206,15 +206,14 @@ def map_elements(decomp: Decomposition, fn, context: Context | None = None) -> D
     return Decomposition(chains, context if context is not None else decomp.context)
 
 
-def bit_map(fn, n: int):
-    """Table-driven form of an additive map on masks of [n].
+def chunk_tables(fn, n: int) -> list[list[int]]:
+    """One table per CHUNK_BITS-wide chunk of [n], lowest chunk first, of an
+    additive map on masks: table i holds fn of every mask of chunk i.
 
     fn(a | b) must equal fn(a) + fn(b) for disjoint a and b, as it does when
     fn sends disjoint masks to disjoint images (then + is |) or adds a value
-    per bit.  fn is evaluated on single bits only: each CHUNK_BITS-wide
-    chunk's table doubles once per bit by adding that bit's image.  The
-    returned function adds one table lookup per chunk, so at most two for
-    n <= QUOTIENT_LIMIT.
+    per bit.  fn is evaluated on single bits only, in order: each chunk's
+    table doubles once per bit by adding that bit's image.
     """
     tables = []
     for lo in range(0, n, CHUNK_BITS):
@@ -223,6 +222,15 @@ def bit_map(fn, n: int):
             image = fn(1 << b)
             table += [v + image for v in table]
         tables.append(table)
+    return tables
+
+
+def bit_map(fn, n: int):
+    """Table-driven form of an additive map on masks of [n], from its
+    chunk_tables: the returned function adds one table lookup per chunk, so
+    at most two for n <= QUOTIENT_LIMIT.
+    """
+    tables = chunk_tables(fn, n)
     low, shift = (1 << CHUNK_BITS) - 1, CHUNK_BITS
     if len(tables) == 1:
         return tables[0].__getitem__
@@ -241,26 +249,31 @@ def bit_map(fn, n: int):
 
 
 def element_text(n: int):
-    """Table-driven form of ",".join(map(str, elements_of(mask))) as ASCII
-    bytes, for masks of [n].
+    """Table-driven writer of a chain of masks of [n]: its JSON array of
+    element arrays as ASCII bytes, each mask written as
+    ",".join(map(str, elements_of(mask))).
 
     Each CHUNK_BITS-wide chunk has one table of comma-joined element numbers,
-    already offset by the chunk's position; the returned function joins the
-    non-empty lookups, lowest chunk first, with b",".
+    already offset by the chunk's position.  One chunk is one lookup per
+    mask.  With two, the high table's non-empty entries carry their leading
+    comma, each mask is t0[low] + t1[high] in one list per chain, and one
+    replace per chain drops the comma of a mask whose low chunk is empty.
+    Beyond two, each mask joins its non-empty lookups with b",".
     """
     tables = [
         [",".join(map(str, elements_of(v << lo))).encode() for v in range(1 << min(CHUNK_BITS, n - lo))]
         for lo in range(0, n, CHUNK_BITS)
     ]
-    low = (1 << CHUNK_BITS) - 1
+    low, shift = (1 << CHUNK_BITS) - 1, CHUNK_BITS
     if len(tables) == 1:
-        return tables[0].__getitem__
+        one = tables[0].__getitem__
+        return lambda masks: b"[[" + b"],[".join(map(one, masks)) + b"]]"
     if len(tables) == 2:
-        t0, t1 = tables
+        t0, t1 = tables[0], [b"," + t if t else t for t in tables[1]]
 
-        def two(mask: int) -> bytes:
-            a, b = t0[mask & low], t1[mask >> CHUNK_BITS]
-            return a + b"," + b if a and b else a or b
+        def two(masks) -> bytes:
+            text = b"[[" + b"],[".join([t0[e & low] + t1[e >> shift] for e in masks]) + b"]]"
+            return text.replace(b"[,", b"[")  # only a mask with an empty low chunk starts with a comma
 
         return two
 
@@ -270,10 +283,10 @@ def element_text(n: int):
             part = table[mask & low]
             if part:
                 parts.append(part)
-            mask >>= CHUNK_BITS
+            mask >>= shift
         return b",".join(parts)
 
-    return text
+    return lambda masks: b"[[" + b"],[".join(map(text, masks)) + b"]]"
 
 
 def relabel_map(targets):
@@ -340,6 +353,7 @@ __all__ = [
     "ResourceLimitError",
     "bit_map",
     "bit_string",
+    "chunk_tables",
     "element_text",
     "elements_of",
     "fold_products",

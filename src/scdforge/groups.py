@@ -11,7 +11,19 @@ from __future__ import annotations
 import functools
 import math
 
-from .core import QUOTIENT_LIMIT, _Record, _set, bit_map, check_enum, check_ground, full_mask
+from .core import (
+    CHUNK_BITS,
+    QUOTIENT_LIMIT,
+    ResourceLimitError,
+    _Record,
+    _set,
+    check_enum,
+    check_ground,
+    chunk_tables,
+    full_mask,
+)
+
+_LOW = (1 << CHUNK_BITS) - 1  # a mask's low chunk; mask >> CHUNK_BITS is its high one
 
 
 class ParseError(ValueError):
@@ -94,23 +106,38 @@ class GroupSpec(_Record):
         )
 
     @functools.cached_property
-    def _walks(self):
-        # (mask action, order - 1, support) per generator, built on first use; not a field, so == and hash ignore it
-        moving = [f for f in self.factors if f.order() > 1]
-        return tuple((_action(self.n, g), f.order() - 1, f.support_mask()) for g, f in zip(self.generators(), moving))
+    def _powers(self):
+        """(support, tables) per moving generator g, where tables holds the chunk
+        tables (t0, t1) of each power g^j, j = 1 .. order - 1: the image of a
+        mask e is t0[e & _LOW] + t1[e >> CHUNK_BITS].  Built on first use and
+        refused above QUOTIENT_LIMIT, where two chunks no longer cover a mask;
+        not a field, so == and hash ignore it."""
+        if self.n > QUOTIENT_LIMIT:
+            raise ResourceLimitError(f"group actions are capped at n <= {QUOTIENT_LIMIT}, got {self.n}")
+        return tuple(
+            (f.support_mask(), _power_tables(self.n, f.cycle, f.exponent % f.length))
+            for f in self.factors
+            if f.order() > 1
+        )
 
 
-@functools.lru_cache(maxsize=None)  # every GroupSpec with this generator on [n] shares one table set
-def _action(n: int, perm: tuple[int, ...]):
-    """The mask action of a permutation of [n], as a bit_map."""
-    return bit_map(lambda a: apply_perm(perm, a), n)
+@functools.lru_cache(maxsize=None)  # every GroupSpec with this generator on [n] shares its tables
+def _power_tables(n: int, cycle: tuple[int, ...], exponent: int):
+    """The chunk table pair of each non-identity power of cycle^exponent on [n],
+    built from apply_perm on single bits."""
+    powers = []
+    for j in range(1, len(cycle) // math.gcd(exponent, len(cycle))):
+        perm = perm_from_cycle_power(cycle, exponent * j, n)
+        t0, *high = chunk_tables(lambda bit: apply_perm(perm, bit), n)
+        powers.append((t0, high[0] if high else [0]))  # below 12 bits the high chunk is always 0
+    return tuple(powers)
 
 
 def parse_group_spec(text: str, n: int) -> GroupSpec:
     """Parse cycle notation like "(1 2 3 4)^2 (5 6)" into a GroupSpec.
 
     Grammar: one or more terms, each '(' int+ ')' with an optional '^' uint;
-    integers are 1-based.  Raises ParseError with the offending position.
+    integers are ASCII digits, 1-based.  Raises ParseError with the offending position.
     """
     check_ground(n)
     i = 0
@@ -125,7 +152,7 @@ def parse_group_spec(text: str, n: int) -> GroupSpec:
     def read_uint() -> int:
         nonlocal i
         start = i
-        while i < size and text[i].isdecimal():
+        while i < size and "0" <= text[i] <= "9":  # ASCII only: str.isdecimal() takes any script's digits
             i += 1
         if i == start:
             raise ParseError("expected an integer", start)
@@ -191,37 +218,40 @@ class Orbit(_Record):
         _set(self, "members", members)
 
 
-def _members(s: int, walks) -> list[int]:
-    """The orbit of a subset, each member once.
+def _members(s: int, powers) -> list[int]:
+    """The orbit of a subset, each member once, from a group's _powers.
 
     The generators have disjoint supports, so the group is the direct product
-    of their cyclic groups: walking each generator's cycle from every member
-    found so far reaches the whole orbit, and two members found before a
-    generator never lie on one of its cycles.
+    of their cyclic groups: each generator's powers of every member found so
+    far reach the whole orbit, up to the first power that returns the member,
+    and two members found before a generator never lie on one of its cycles.
     """
     members = [s]
-    for act, _, _ in walks:
+    for _, tables in powers:
         for i in range(len(members)):
             x = members[i]
-            y = act(x)
-            while y != x:
+            lo, hi = x & _LOW, x >> CHUNK_BITS
+            for t0, t1 in tables:
+                y = t0[lo] + t1[hi]
+                if y == x:
+                    break
                 members.append(y)
-                y = act(y)
     return members
 
 
 def orbit(s: int, group: GroupSpec) -> Orbit:
     """Closure of a subset under the group generators."""
-    ordered = tuple(sorted(_members(s, group._walks)))
+    ordered = tuple(sorted(_members(s, group._powers)))
     return Orbit(ordered[0], len(ordered), ordered)
 
 
 def orbit_rep(s: int, group: GroupSpec) -> int:
-    """Smallest mask in the orbit of a subset: its least image under each generator's powers in turn."""
-    for act, steps, _ in group._walks:
-        y = s
-        for _ in range(steps):
-            y = act(y)
+    """Smallest mask in the orbit of a subset: under each generator in turn, the
+    least of the images of its current least element, read from the tables."""
+    for _, tables in group._powers:
+        lo, hi = s & _LOW, s >> CHUNK_BITS
+        for t0, t1 in tables:
+            y = t0[lo] + t1[hi]
             if y < s:
                 s = y
     return s
@@ -278,7 +308,8 @@ class QuotientPoset:
     The orbits are enumerated on first use, by elements(), orbits or
     covers(); ascends() and expected_size() never enumerate them.  The size
     guard is checked at construction.  ascends() lists no orbit either: it
-    applies each generator's powers to each element once."""
+    reads each element's image under every non-identity power of each
+    generator once, from the group's chunk tables."""
 
     def __init__(self, n: int, group: GroupSpec):
         check_enum(n, QUOTIENT_LIMIT, "quotient_poset")
@@ -327,22 +358,27 @@ class QuotientPoset:
     def ascends(self, elements) -> bool:
         """True iff every element is the least mask of its orbit and lies below the next.
         The generators move disjoint supports: e is least iff no power of one lowers it,
-        and a <= b iff a lies in b off their supports and, on each, in a power of it on b."""
-        walks, limit, fixed = self.group._walks, 1 << self.n, self._fixed
+        and a <= b iff a lies in b off their supports and, on each, in a power of it on b.
+        Each image is t0[lo] + t1[hi] for e's two chunk indices, taken once per element
+        and not at all when no generator moves a point."""
+        powers, limit, fixed = self.group._powers, 1 << self.n, self._fixed
+        low, shift = _LOW, CHUNK_BITS
         below = 0
         for e in elements:
             if type(e) is not int or not 0 <= e < limit or below & fixed & ~e:
                 return False
-            for act, steps, support in walks:
-                part, y = below & support, e
-                fits = not part & ~e
-                for _ in range(steps):
-                    y = act(y)
-                    if y < e:
+            if powers:
+                lo, hi = e & low, e >> shift
+                for support, tables in powers:
+                    part = below & support
+                    fits = not part & ~e
+                    for t0, t1 in tables:
+                        y = t0[lo] + t1[hi]
+                        if y < e:
+                            return False
+                        fits = fits or not part & ~y
+                    if not fits:
                         return False
-                    fits = fits or not part & ~y
-                if not fits:
-                    return False
             below = e
         return True
 

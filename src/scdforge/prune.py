@@ -79,7 +79,9 @@ def prune_chains(bottoms: ChainBottoms, step: int, expected: int, *, levels: boo
     members whose orbits miss the pieces kept so far.  A chain's members lie
     in distinct orbits, so a selected chain leaves every orbit it meets kept:
     one mark per element ("its orbit has a kept member") decides selection and
-    pruning, and each orbit is walked once.  Elements are named by integers
+    pruning, and each orbit is walked once.  Once the kept pieces cover
+    `expected` orbits and every element is marked, the chains left cannot be
+    selected and are not scanned.  Elements are named by integers
     in which the rotation turns digits: masks, or with `levels` a chain
     power's base-k level numbers (k = width + 1, coordinate 0 most
     significant), whose order is the lexicographic order of level tuples.
@@ -101,6 +103,7 @@ def prune_chains(bottoms: ChainBottoms, step: int, expected: int, *, levels: boo
     cut, lift = base ** (digits - shift), base**shift  # x -> x % cut * lift + x // cut turns shift digits
     marks = bytearray(base**digits)
     picked = []
+    covered = 0
     mask = (1 << n) - 1
     for ci, p in enumerate(bottoms.packed):
         a, free = p >> n & mask, p & mask
@@ -136,9 +139,11 @@ def prune_chains(bottoms: ChainBottoms, step: int, expected: int, *, levels: boo
             reps.append(least)
         ranks = tuple(range(first, last + 1))
         picked.append(PrunedChain(ci, Chain(tuple(kept), ranks), Chain(tuple(reps), ranks)))
-    kept_total = sum(len(pc.kept) for pc in picked)
-    if kept_total != expected:
-        raise ConsistencyError(f"covered {kept_total} orbits but the quotient has {expected}")
+        covered += len(kept)
+        if covered == expected and 0 not in marks:
+            break  # every element is marked, so no later chain can be selected
+    if covered != expected:
+        raise ConsistencyError(f"covered {covered} orbits but the quotient has {expected}")
     return PrunedFamily(tuple(picked))
 
 

@@ -4,8 +4,9 @@ A target poset provides five members: elements(), rank(x),
 ascends(elements), total_rank and expected_size().  ascends(elements) is True
 iff every element of the sequence is a canonical element of the target (the
 least member of its orbit, in the target's own encoding) and each lies below
-the next, answered from one walk per element: a quotient applies each
-generator's powers to it once, a chain power reads its rotations once.  It is
+the next, answered from one pass over each element: a quotient reads its
+image under every non-identity power of each generator once, two lookups in
+that power's chunk tables, and a chain power reads its rotations once.  It is
 the target's only comparability test.  The verifier recomputes every rank and
 comparability itself and never trusts the construction's bookkeeping.
 

@@ -8,8 +8,9 @@ instead of the chunk-table encoder.  The exception is
 `ambient_chainpower`, which runs `greedy_prune` over every chain of the
 package's `gk_scd(n)` and restricts afterwards, to pin the chain-power
 construction that streams only the chains inside the power.  `greedy_prune`
-also uses the package's `orbit_rep`, once per chain element, to pin the
-streamed pruning pass that walks each orbit only once.
+names each chain element by `orbit_min`, a closure under the generators
+with `perm_apply` that has no size limit, to pin the streamed pruning pass
+that walks each orbit only once.
 `reflection_named_after_fold` names the reflection quotient in three passes:
 `core_quotient_part` writes each cell (u, v) as the local word u followed by
 `word_reverse` of v and sorts the chains, the relabel moves that word onto
@@ -231,6 +232,29 @@ def perm_apply(perm: tuple[int, ...], mask: int) -> int:
     return out
 
 
+def cycle_power(cycle, exponent: int, n: int) -> tuple[int, ...]:
+    """Image tuple of cycle^exponent on [n], one step of the cycle at a time."""
+    img = list(range(1, n + 1))
+    for _ in range(exponent % len(cycle)):
+        img = [cycle[(cycle.index(x) + 1) % len(cycle)] if x in cycle else x for x in img]
+    return tuple(img)
+
+
+def orbit_min(a: int, group) -> int:
+    """Least mask of a subset's orbit, by closure under the group's
+    generators with perm_apply; any n, any group of cycle powers."""
+    generators = [cycle_power(f.cycle, f.exponent, group.n) for f in group.factors]
+    members, frontier = {a}, [a]
+    while frontier:
+        x = frontier.pop()
+        for g in generators:
+            y = perm_apply(g, x)
+            if y not in members:
+                members.add(y)
+                frontier.append(y)
+    return min(members)
+
+
 def group_elements(generators, n: int) -> list[tuple[int, ...]]:
     """Full closure of a generator list, no structure assumed."""
     identity = tuple(range(1, n + 1))
@@ -320,12 +344,12 @@ def orbit_closure_ascends(poset: QuotientPoset, elements) -> bool:
     the previous element's orbit must lie inside it, as the group acts by
     automorphisms.  It pins the walk that applies each generator's powers to
     each element once."""
-    walks, limit = poset.group._walks, 1 << poset.n
+    powers, limit = poset.group._powers, 1 << poset.n
     below = None
     for e in elements:
         if type(e) is not int or not 0 <= e < limit:
             return False
-        members = _members(e, walks)
+        members = _members(e, powers)
         if min(members) != e:
             return False
         if below is not None:
@@ -383,7 +407,7 @@ def greedy_prune(chains, n: int, step: int) -> tuple[PrunedChain, ...]:
     touched_full, touched_kept = set(), set()
     picked = []
     for ci, chain in enumerate(chains):
-        reps = [orbit_rep(a, group) for a in chain.elements]
+        reps = [orbit_min(a, group) for a in chain.elements]
         if all(rep in touched_full for rep in reps):
             continue
         kept = [(a, rep) for a, rep in zip(chain.elements, reps) if rep not in touched_kept]

@@ -27,7 +27,7 @@ from scdforge.cli import (
     target_for_context,
 )
 from scdforge.gk import gk_decomposition
-from scdforge.groups import GroupSpec, QuotientPoset, parse_group_spec
+from scdforge.groups import GroupSpec, ParseError, QuotientPoset, parse_group_spec
 from scdforge.prune import quotient_scd, quotient_scd_cyclic
 from scdforge.reflect import reflection_scd
 from scdforge.verify import verify_decomposition
@@ -463,7 +463,7 @@ def _refuse_enumeration(monkeypatch):
     monkeypatch.setattr("scdforge.cli.gk_decomposition", refuse)
     monkeypatch.setattr("scdforge.cli.verify_decomposition", refuse)
     monkeypatch.setattr("scdforge.groups._members", refuse)
-    monkeypatch.setattr(GroupSpec, "_walks", property(refuse))
+    monkeypatch.setattr(GroupSpec, "_powers", property(refuse))
     monkeypatch.setattr(QuotientPoset, "orbits", property(refuse))
 
 
@@ -515,6 +515,15 @@ def test_group_integer_errors_name_a_position(capsysbinary, group, message):
     code, _, err = run_bytes(capsysbinary, ["quotient", "--n", "4", "--group", group])
     assert code == 2
     assert message in err and b"at position" in err
+
+
+@pytest.mark.parametrize("digit", ["\u0660", "\uff11", "\u00b2"], ids=["arabic-indic-zero", "fullwidth-one", "superscript-two"])
+def test_group_integers_are_ascii_digits(capsysbinary, digit):
+    # str.isdecimal() and int() take the first two: "(1\u0660 2)" once built the quotient by (10 2)
+    code, out, err = run_bytes(capsysbinary, ["quotient", "--n", "12", "--group", f"(1{digit} 2)"])
+    assert (code, out, err) == (2, b"", b"error: expected an integer (at position 2)\n")
+    with pytest.raises(ParseError, match=r"expected an integer \(at position 6\)"):
+        parse_group_spec(f"(1 2)^{digit}", 12)
 
 
 @pytest.mark.parametrize("command", ["orbits", "profile"])

@@ -1,4 +1,5 @@
 import copy
+import json
 import pickle
 import random
 
@@ -174,20 +175,25 @@ def test_bit_map_matches_the_bit_loop(n):
     assert [move(a) for a in masks] == [_moved(a, targets) for a in masks]
 
 
-@pytest.mark.parametrize("n", [*range(1, 13), 22, 23, 40, 64])
+@pytest.mark.parametrize("n", [*range(1, 14), 22, 23, 28, 40, 64])
 def test_element_text_matches_the_bit_loop(n):
-    # every mask up to n = 12 (one chunk, then two); sampled masks beyond
+    # the chain writer: every mask up to n = 13 (one chunk, then two), sampled masks beyond,
+    # in chains of one to five masks
     rng = random.Random(n)
-    text = element_text(n)
-    if n <= 12:
-        masks = range(1 << n)
+    write = element_text(n)
+    if n <= 13:
+        masks = list(range(1 << n))
     else:
         masks = [0, (1 << n) - 1] + [1 << i for i in range(n)] + [rng.getrandbits(n) for _ in range(500)]
-        masks += [a & ~0x7FF for a in masks]  # empty low chunk
-    for a in masks:
-        out = text(a)
+        masks += [a & ~0x7FF for a in masks] + [a & 0x7FF for a in masks]  # an empty low or high chunk
+    rng.shuffle(masks)
+    start = 0
+    while start < len(masks):
+        chain = tuple(masks[start:start + rng.randint(1, 5)])
+        start += len(chain)
+        out = write(chain)
         assert type(out) is bytes
-        assert out == ",".join(map(str, elements_of(a))).encode()
+        assert out == json.dumps([list(elements_of(a)) for a in chain], separators=(",", ":")).encode()
 
 
 def test_relabel_moves_each_bit_to_its_target():

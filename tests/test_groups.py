@@ -13,6 +13,7 @@ from oracles import (
     naive_orbit_ranks,
     naive_orbits,
     orbit_closure_ascends,
+    orbit_min,
     random_cycle_power_group,
     sampled_groups_with_fixed_points,
 )
@@ -354,7 +355,7 @@ def test_quotient_guard_fires_at_construction(monkeypatch):
         raise AssertionError("an orbit was walked")
 
     monkeypatch.setattr("scdforge.groups._members", refuse)
-    monkeypatch.setattr(GroupSpec, "_walks", property(refuse))
+    monkeypatch.setattr(GroupSpec, "_powers", property(refuse))
     with pytest.raises(ResourceLimitError):
         quotient_poset(23, GroupSpec.trivial(23))
     with pytest.raises(ResourceLimitError):
@@ -481,8 +482,9 @@ def test_quotient_orbits_against_naive_across_chunks(n):
 def test_members_lists_each_member_once():
     for spec in _crossing_groups(13):
         for a in range(1 << 13):
-            members = _members(a, spec._walks)
+            members = _members(a, spec._powers)
             assert len(set(members)) == len(members)
+            assert set(members) == _closure(a, spec.generators())
 
 
 def _closure(s, gens):
@@ -497,17 +499,36 @@ def _closure(s, gens):
     return members
 
 
-def test_orbit_at_30_matches_set_closure():
-    # three chunks: elements 1-11, 12-22 and 23-30
+def test_orbit_at_22_matches_set_closure():
+    # both chunks full: elements 1-11 and 12-22, cycles across the boundary
+    spec = parse_group_spec("(3 5 9 12 14)(10 11 13 21 16 17 18)^3 (1 22 19)(2 20)", 22)
+    gens = spec.generators()
+    rng = random.Random(22)
+    for _ in range(300):
+        a = rng.getrandbits(22) | 1 << rng.randrange(11) | 1 << rng.randrange(11, 22)
+        members = tuple(sorted(_closure(a, gens)))
+        assert orbit(a, spec) == groups.Orbit(members[0], len(members), members)
+        assert orbit_rep(a, spec) == members[0] == orbit_min(a, spec)
+        assert len(_members(a, spec._powers)) == len(members)
+
+
+@pytest.mark.parametrize("n", [23, 30, 64])
+def test_group_action_is_refused_above_the_quotient_limit(n):
+    # two 11-bit chunks cover QUOTIENT_LIMIT; beyond it no table is built, even for the trivial group
+    for spec in (GroupSpec.trivial(n), parse_group_spec(f"(1 2 {n})(3 4)", n)):
+        for act in (lambda: spec._powers, lambda: orbit_rep(5, spec), lambda: orbit(5, spec)):
+            with pytest.raises(ResourceLimitError, match="capped at n <= 22"):
+                act()
+
+
+def test_oracle_orbit_min_beyond_the_quotient_limit():
+    # the reference the pass at n > 22 is pinned against: three chunks, elements 1-11, 12-22 and 23-30
     spec = parse_group_spec("(3 5 9 12 14)(10 11 13 21 23 24 30)^3 (1 22 29)(2 27)", 30)
     gens = spec.generators()
     rng = random.Random(30)
     for _ in range(200):
         a = rng.getrandbits(30) | 1 << rng.randrange(11) | 1 << rng.randrange(11, 22) | 1 << rng.randrange(22, 30)
-        members = tuple(sorted(_closure(a, gens)))
-        assert orbit(a, spec) == groups.Orbit(members[0], len(members), members)
-        assert orbit_rep(a, spec) == members[0]
-        assert len(_members(a, spec._walks)) == len(members)
+        assert orbit_min(a, spec) == min(_closure(a, gens))
 
 
 def _count_apply_perm(monkeypatch):
@@ -523,18 +544,53 @@ def _count_apply_perm(monkeypatch):
 
 
 def test_action_tables_are_built_once_per_group(monkeypatch):
-    groups._action.cache_clear()  # start cold: earlier tests may have built these generators' tables
+    groups._power_tables.cache_clear()  # start cold: earlier tests may have built these generators' tables
     calls = _count_apply_perm(monkeypatch)
     spec = parse_group_spec("(1 2 3)(4 5 6 7)^2 (9 10 12)", 12)
     assert calls == []  # nothing is built before the first orbit
     orbit_rep(5, spec)
-    # one evaluation per single bit of [12] for each of the three generators
-    assert calls == [1 << b for b in range(12)] * 3
+    # one evaluation per single bit of [12] for each non-identity power: 2 + 1 + 2 of them
+    assert calls == [1 << b for b in range(12)] * 5
     calls.clear()
     orbit_rep(6, spec)
     orbit(7, spec)
-    quotient_poset(12, spec)
+    poset = quotient_poset(12, spec)
+    assert poset.ascends(sorted(poset.elements())[:3])
+    # another spec with the same generators, one written with an exponent past the length
+    same = parse_group_spec("(1 2 3)^4 (4 5 6 7)^6 (9 10 12)", 12)
+    assert same._powers == spec._powers
+    orbit_rep(6, same)
     assert calls == []
+
+
+@pytest.mark.parametrize("n, text", [
+    (1, None),
+    (5, "(1 2)(3 4 5)"),
+    (10, "(1 3 5 7)(2 4 6 8)^3 (9 10)^0"),
+    (11, "(1 2 3 4 5 6 7 8 9 10 11)^4"),
+    (12, "(1 2 3)(4 5 6 7)^2 (9 10 12)"),
+    (12, "(12 1 11 2)(3 10)^3 (4 9 5 8 6 7)^4"),
+    (22, "(3 5 9 12 14)(10 11 13 21 16 17 18)^3 (1 22 19)(2 20)"),
+    (22, "(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22)^6"),
+])
+def test_power_tables_match_apply_perm(n, text):
+    # every mask up to n = 12; at n = 22, masks with bits in both chunks
+    spec = parse_group_spec(text, n) if text else GroupSpec.trivial(n)
+    moving = [f for f in spec.factors if f.order() > 1]
+    assert len(spec._powers) == len(moving)
+    if n <= 12:
+        masks = range(1 << n)
+    else:
+        rng = random.Random(n)
+        masks = [(1 << n) - 1] + [rng.getrandbits(n) | 1 << rng.randrange(11) | 1 << rng.randrange(11, n) for _ in range(2000)]
+    for f, (support, tables) in zip(moving, spec._powers):
+        assert support == f.support_mask()
+        assert len(tables) == f.order() - 1
+        for j, (t0, t1) in enumerate(tables, 1):
+            perm = perm_from_cycle_power(f.cycle, f.exponent * j, n)
+            assert len(t0) == 1 << min(n, 11) and len(t1) == 1 << max(n - 11, 0)
+            for a in masks:
+                assert t0[a & 0x7FF] + t1[a >> 11] == apply_perm(perm, a), (f, j, a)
 
 
 def test_rotation_group_is_shared():

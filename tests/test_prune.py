@@ -1,4 +1,5 @@
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -371,3 +372,16 @@ def test_shadow_closure_small(n):
     scd = gk_scd(n)
     for step in divisors(n):
         assert shadow_closure_failures(scd, step) == [], (n, step)
+
+
+@pytest.mark.parametrize("n, step", [(12, 1), (12, 4), (14, 2), (9, 9)])
+def test_prune_stops_once_every_orbit_is_kept(n, step):
+    # every element lies on some chain, so once all are marked no later chain is read
+    bottoms = ChainBottoms(n)
+    read = []
+    streamed = SimpleNamespace(n=n, width=1, packed=(read.append(p) or p for p in bottoms.packed))
+    expected = burnside_count(n, rotation_group(n, step))
+    family = prune_chains(streamed, step, expected)
+    assert family == prune_chains(bottoms, step, expected)
+    assert len(read) == family.chains[-1].source + 1
+    assert len(read) < len(bottoms.packed) or step == n  # the trivial group keeps every chain

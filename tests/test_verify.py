@@ -313,20 +313,37 @@ def test_passing_certificate_walks_each_generator_once_per_element(monkeypatch, 
         raise AssertionError("the certificate listed an orbit")
 
     monkeypatch.setattr(groups, "_members", refuse)
-    applied = []  # one list of action arguments per generator
-    walks = []
-    for act, steps, support in target.group._walks:
-        applied.append([])
-        walks.append((lambda x, act=act, log=applied[-1]: log.append(x) or act(x), steps, support))
-    monkeypatch.setitem(target.group.__dict__, "_walks", tuple(walks))
+    reads = []  # per power of each generator, the indices read from its low and high chunk tables
+    powers = []
+    for support, tables in target.group._powers:
+        counted = []
+        for t0, t1 in tables:
+            reads.append(([], []))
+            counted.append((_CountedTable(t0, reads[-1][0]), _CountedTable(t1, reads[-1][1])))
+        powers.append((support, tuple(counted)))
+    monkeypatch.setitem(target.group.__dict__, "_powers", tuple(powers))
     tested, ascends = [], target.ascends
     monkeypatch.setattr(target, "ascends", lambda elems: tested.extend(elems) or ascends(elems))
     assert verify_decomposition(target, decomp).ok
     assert sorted(tested) == claimed
-    bound = sum(steps for _, steps, _ in walks)
-    assert sum(map(len, applied)) <= bound * len(claimed)
-    for args in applied:
-        assert set(claimed) <= set(args)
+    assert len(reads) == sum(f.order() - 1 for f in target.group.factors)
+    assert sum(len(low) for low, _ in reads) <= len(reads) * len(claimed)
+    for low, high in reads:
+        # the two lookups of one image are read in turn, so their indices pair up into the mask read
+        assert len(low) == len(high)
+        assert set(claimed) <= {lo | hi << 11 for lo, hi in zip(low, high)}
+
+
+class _CountedTable(list):
+    """A chunk table that logs each index read."""
+
+    def __init__(self, table, log):
+        super().__init__(table)
+        self.log = log
+
+    def __getitem__(self, index):
+        self.log.append(index)
+        return list.__getitem__(self, index)
 
 
 def test_element_equal_to_a_mask_in_another_type_verifies():
