@@ -1,12 +1,18 @@
-"""Write construct_goldens.json: the exit code, length and sha256 of stdout of
-every construct command in a grid of small inputs, and the interpreter
-version they were recorded with.
+"""Write construct_goldens.json: the exit code, length and sha256 of the
+output of three grids of small commands, and the interpreter version they
+were recorded with.
 
-The grid covers gk at n = 1..14; quotients by single cycles at every
-exponent (those that reduce to the identity included), by several factors
-and with fixed points, all at n <= 14; reflect with and without fixed
-points; and small chainpower shapes.  Run from the repository root, on the
-commit whose output is the contract:
+"commands" is every construct command: gk at n = 1..14; quotients by single
+cycles at every exponent (those that reduce to the identity included), by
+several factors and with fixed points, all at n <= 14; reflect with and
+without fixed points; and small chainpower shapes.  "listings" is orbits
+(text and --dot) and profile for the trivial group at n = 1..12 and for every
+group of the quotient and reflect commands.  "verify" is verify, in text and
+--json, of wrong documents: a boolean, quotient or reflection document from
+a construction with one chain dropped, one element replaced by a non-least
+member of its orbit, one element repeated or one chain split, each named by
+a stable label and pinned by its own sha256; its stderr is pinned too.  Run
+from the repository root, on the commit whose output is the contract:
 
     PYTHONPATH=src python3 tests/record_construct_goldens.py
 
@@ -95,17 +101,141 @@ def grid() -> list[list[str]]:
     return commands
 
 
-def outcome(argv) -> dict:
-    """Exit code, length and sha256 of the stdout of one in-process run."""
+def listings() -> list[list[str]]:
+    """orbits, orbits --dot and profile of the trivial group at n = 1..12 and of
+    each group that a quotient or reflect command of grid() names, in a fixed order."""
+    groups = [(n, None) for n in range(1, 13)]
+    for argv in grid():
+        if argv[0] in ("quotient", "reflect") and (int(argv[2]), argv[4]) not in groups:
+            groups.append((int(argv[2]), argv[4]))
+    commands = []
+    for n, text in groups:
+        group = ["--group", text] if text is not None else []
+        commands += [["orbits", "--n", str(n), *group], ["orbits", "--n", str(n), *group, "--dot"],
+                     ["profile", "--n", str(n), *group]]
+    return commands
+
+
+# the constructions the wrong documents start from: (kind, n, group)
+_SOURCES = [
+    *(("boolean", n, None) for n in (3, 4, 5, 6)),
+    ("quotient", 4, "(1 2 3 4)"),
+    ("quotient", 6, "(1 2 3 4)^2 (5 6)"),
+    ("quotient", 7, "(1 2 3)(4 5 6 7)^2"),
+    ("quotient", 8, "(1 3 5 7)(2 4 6 8)"),
+    ("quotient", 12, "(10 11 12)"),
+    ("quotient", 13, "(5 9 11 13)^2"),
+    ("reflection", 5, "(1 5)(2 4)"),
+    ("reflection", 6, "(1 6)(2 5)(3 4)"),
+    ("reflection", 7, "(2 6)(1 3)"),
+    ("reflection", 12, "(1 12)"),
+]
+
+
+def _source(kind: str, n: int, text: str | None):
+    """A construction's document as a JSON value, and its target's generators as image tuples."""
+    from scdforge.cli import build_document, target_for_context
+    from scdforge.gk import gk_decomposition
+    from scdforge.groups import perm_from_cycle_power
+    from scdforge.prune import quotient_scd
+    from scdforge.reflect import reflection_scd
+
+    decomp = {"boolean": lambda: gk_decomposition(n), "quotient": lambda: quotient_scd(n, text),
+              "reflection": lambda: reflection_scd(n, text)}[kind]()
+    group = target_for_context(decomp.context).group
+    return build_document(decomp), [perm_from_cycle_power(f.cycle, f.exponent, n) for f in group.factors]
+
+
+def _subset(mask: int) -> list[int]:
+    return [b + 1 for b in range(mask.bit_length()) if mask >> b & 1]
+
+
+def _image(perm, subset) -> list[int]:
+    return sorted(perm[x - 1] for x in subset)
+
+
+def wrong_documents() -> list[tuple[str, bytes]]:
+    """(label, canonical bytes) of each wrong document, in a fixed order: each
+    source with one chain dropped, one element repeated in place, one chain
+    split in two and, where the group moves an element, one element replaced
+    by another member of its orbit.  The stats are those of the changed chains."""
+    import random
+
+    from scdforge.cli import encode
+
+    documents = []
+    for kind, n, text in _SOURCES:
+        doc, perms = _source(kind, n, text)
+        source = f"{kind} n={n}" + (f" {text}" if text is not None else "")
+        chains = doc["chains"]
+        rng = random.Random(source)
+        mutants = []
+        i = rng.randrange(len(chains))
+        mutants.append((f"chain {i} dropped", chains[:i] + chains[i + 1:]))
+        i = rng.randrange(len(chains))
+        j = rng.randrange(len(chains[i]))
+        mutants.append((f"chain {i} element {j} repeated",
+                        chains[:i] + [chains[i][:j + 1] + chains[i][j:]] + chains[i + 1:]))
+        i = rng.choice([k for k, c in enumerate(chains) if len(c) > 1])
+        j = rng.randrange(1, len(chains[i]))
+        mutants.append((f"chain {i} split before element {j}",
+                        chains[:i] + [chains[i][:j], chains[i][j:]] + chains[i + 1:]))
+        moved = [(k, j, y) for k, c in enumerate(chains) for j, x in enumerate(c)
+                 for y in (_image(p, x) for p in perms) if y != x]
+        if moved:
+            i, j, y = rng.choice(moved)
+            mutants.append((f"chain {i} element {j} replaced by {y}",
+                            chains[:i] + [chains[i][:j] + [y] + chains[i][j + 1:]] + chains[i + 1:]))
+        for what, changed in mutants:
+            profile = [0] * (n + 1)
+            for c in changed:
+                for x in c:
+                    profile[len(x)] += 1
+            wrong = dict(doc, chains=changed, stats={"chain_count": len(changed), "element_count": sum(profile),
+                                                     "rank_profile": profile})
+            documents.append((f"{source}: {what}", encode(wrong)))
+    assert len({label for label, _ in documents}) == len(documents)
+    return documents
+
+
+def _run(argv) -> tuple[int, bytes, bytes]:
+    """Exit code, stdout and stderr of one in-process run."""
     from scdforge.cli import run
 
-    buffer = io.BytesIO()
-    out = io.TextIOWrapper(buffer, encoding="utf-8", newline="\n")
-    with contextlib.redirect_stdout(out):
+    streams = [io.BytesIO(), io.BytesIO()]
+    out, err = (io.TextIOWrapper(b, encoding="utf-8", newline="\n") for b in streams)
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run(list(argv))
         out.flush()
-    data = buffer.getvalue()
-    return {"code": code, "bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
+        err.flush()
+    return code, streams[0].getvalue(), streams[1].getvalue()
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def outcome(argv) -> dict:
+    """Exit code, length and sha256 of the stdout of one in-process run."""
+    code, data, _ = _run(argv)
+    return {"code": code, "bytes": len(data), "sha256": _digest(data)}
+
+
+def verify_outcomes(document: bytes) -> list[dict]:
+    """verify of a document, in text and in --json: the exit code and the
+    length and sha256 of stdout and of stderr of each run."""
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "document.json")
+        with open(path, "wb") as fh:
+            fh.write(document)
+        results = []
+        for flags in ([], ["--json"]):
+            code, data, err = _run(["verify", "--input", path, *flags])
+            results.append({"code": code, "bytes": len(data), "sha256": _digest(data),
+                            "stderr_bytes": len(err), "stderr_sha256": _digest(err)})
+    return results
 
 
 def main() -> int:
@@ -113,15 +243,26 @@ def main() -> int:
     goldens = {
         "python": platform.python_version(),
         "commands": [{"argv": argv, **outcome(argv)} for argv in commands],
+        "listings": [{"argv": argv, **outcome(argv)} for argv in listings()],
+        "verify": [{"label": label, "document": _digest(document), "outcomes": verify_outcomes(document)}
+                   for label, document in wrong_documents()],
     }
-    failed = [c["argv"] for c in goldens["commands"] if c["code"] != 0]
+    failed = [c["argv"] for c in goldens["commands"] + goldens["listings"] if c["code"] != 0]
     if failed:
         print(f"error: {len(failed)} command(s) did not exit 0, first {failed[0]}", file=sys.stderr)
         return 1
+    passed = [v["label"] for v in goldens["verify"] if any(o["code"] != 1 for o in v["outcomes"])]
+    if passed:
+        print(f"error: {len(passed)} wrong document(s) did not fail verify, first {passed[0]}", file=sys.stderr)
+        return 1
     with open(GOLDENS, "w", encoding="utf-8") as fh:
-        rows = ",\n".join("  " + json.dumps(c) for c in goldens["commands"])
-        fh.write(f'{{"python": {json.dumps(goldens["python"])}, "commands": [\n{rows}\n]}}\n')
-    print(f"{len(commands)} commands recorded with Python {goldens['python']}")
+        fh.write(f'{{"python": {json.dumps(goldens["python"])}')
+        for key in ("commands", "listings", "verify"):
+            rows = ",\n".join("  " + json.dumps(c) for c in goldens[key])
+            fh.write(f', "{key}": [\n{rows}\n]')
+        fh.write("}\n")
+    print(f"{len(commands)} construct commands, {len(goldens['listings'])} listings and "
+          f"{len(goldens['verify'])} wrong documents recorded with Python {goldens['python']}")
     return 0
 
 
