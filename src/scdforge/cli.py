@@ -354,17 +354,16 @@ def _cmd_orbits(args) -> int:
     if args.dot:
         print("digraph quotient {")
         print("  rankdir=BT;")
-        label = {o.rep: set_string(o.rep) for o in poset.orbits}
-        for o in poset.orbits:
-            print(f'  "{label[o.rep]}" [label="{label[o.rep]} x{o.size}"];')
+        label = {e: set_string(e) for e in poset.orbits}
+        for e in poset.orbits:
+            print(f'  "{label[e]}" [label="{label[e]} x{poset.orbit_size(e)}"];')
         for lower, upper in poset.covers():
             print(f'  "{label[lower]}" -> "{label[upper]}";')
         print("}")
         return 0
     print(f"orbits={poset.size()}")
-    for r, bucket in enumerate(poset.orbits_by_rank):
-        for o in bucket:
-            print(f"rank {r}: {set_string(o.rep)} size={o.size}")
+    for e in poset.orbits:
+        print(f"rank {e.bit_count()}: {set_string(e)} size={poset.orbit_size(e)}")
     return 0
 
 

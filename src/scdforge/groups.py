@@ -98,20 +98,13 @@ class GroupSpec(_Record):
             out *= f.order()
         return out
 
-    def generators(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(
-            perm_from_cycle_power(f.cycle, f.exponent, self.n)
-            for f in self.factors
-            if f.order() > 1
-        )
-
     @functools.cached_property
     def _powers(self):
         """(support, tables) per moving generator g, where tables holds the chunk
         tables (t0, t1) of each power g^j, j = 1 .. order - 1: the image of a
         mask e is t0[e & _LOW] + t1[e >> CHUNK_BITS].  Built on first use and
         refused above QUOTIENT_LIMIT, where two chunks no longer cover a mask;
-        not a field, so == and hash ignore it."""
+        not a field, so == and hash ignore it and the tables go with the spec."""
         if self.n > QUOTIENT_LIMIT:
             raise ResourceLimitError(f"group actions are capped at n <= {QUOTIENT_LIMIT}, got {self.n}")
         return tuple(
@@ -121,7 +114,6 @@ class GroupSpec(_Record):
         )
 
 
-@functools.lru_cache(maxsize=None)  # every GroupSpec with this generator on [n] shares its tables
 def _power_tables(n: int, cycle: tuple[int, ...], exponent: int):
     """The chunk table pair of each non-identity power of cycle^exponent on [n],
     built from apply_perm on single bits."""
@@ -207,17 +199,6 @@ def apply_perm(perm: tuple[int, ...], mask: int) -> int:
     return out
 
 
-class Orbit(_Record):
-    """Equivalence class of subsets; rep is the numerically smallest mask."""
-
-    __slots__ = ("rep", "size", "members")
-
-    def __init__(self, rep: int, size: int, members: tuple[int, ...]):
-        _set(self, "rep", rep)
-        _set(self, "size", size)
-        _set(self, "members", members)
-
-
 def _members(s: int, powers) -> list[int]:
     """The orbit of a subset, each member once, from a group's _powers.
 
@@ -237,12 +218,6 @@ def _members(s: int, powers) -> list[int]:
                     break
                 members.append(y)
     return members
-
-
-def orbit(s: int, group: GroupSpec) -> Orbit:
-    """Closure of a subset under the group generators."""
-    ordered = tuple(sorted(_members(s, group._powers)))
-    return Orbit(ordered[0], len(ordered), ordered)
 
 
 def orbit_rep(s: int, group: GroupSpec) -> int:
@@ -305,11 +280,11 @@ def burnside_count(n: int, group: GroupSpec) -> int:
 class QuotientPoset:
     """Orbits of B_n under a cycle-power group, ranked by subset size.
 
-    The orbits are enumerated on first use, by elements(), orbits or
-    covers(); ascends() and expected_size() never enumerate them.  The size
-    guard is checked at construction.  ascends() lists no orbit either: it
-    reads each element's image under every non-identity power of each
-    generator once, from the group's chunk tables."""
+    An orbit is its least mask: orbits is the tuple of those masks in (rank,
+    mask) order, enumerated on first use by elements(), size() or covers().
+    The size guard is checked at construction.  ascends(), orbit_size() and
+    expected_size() list no orbit: the first two read an element's images
+    under each non-identity power of each generator from its chunk tables."""
 
     def __init__(self, n: int, group: GroupSpec):
         check_enum(n, QUOTIENT_LIMIT, "quotient_poset")
@@ -320,25 +295,19 @@ class QuotientPoset:
         self._fixed, _ = factorize(n, group)  # the points that no generator moves
 
     @functools.cached_property
-    def orbits(self) -> tuple[Orbit, ...]:
+    def orbits(self) -> tuple[int, ...]:
+        """The least mask of each orbit, in (rank, mask) order: an ascending walk
+        of the masks meets each orbit first at its least member, which goes into
+        its rank's list, and marks the rest."""
+        powers = self.group._powers
         seen = bytearray(1 << self.n)
-        orbits = []
+        by_rank = [[] for _ in range(self.n + 1)]
         for a in range(1 << self.n):
-            if seen[a]:
-                continue
-            o = orbit(a, self.group)
-            for x in o.members:
-                seen[x] = 1
-            orbits.append(o)
-        orbits.sort(key=lambda o: (o.rep.bit_count(), o.rep))
-        return tuple(orbits)
-
-    @functools.cached_property
-    def orbits_by_rank(self) -> tuple[tuple[Orbit, ...], ...]:
-        by_rank: list[list[Orbit]] = [[] for _ in range(self.n + 1)]
-        for o in self.orbits:
-            by_rank[o.rep.bit_count()].append(o)
-        return tuple(tuple(bucket) for bucket in by_rank)
+            if not seen[a]:
+                for x in _members(a, powers):
+                    seen[x] = 1
+                by_rank[a.bit_count()].append(a)
+        return tuple(e for bucket in by_rank for e in bucket)
 
     @property
     def total_rank(self) -> int:
@@ -351,7 +320,15 @@ class QuotientPoset:
         return burnside_count(self.n, self.group)
 
     def elements(self):
-        return (o.rep for o in self.orbits)
+        return iter(self.orbits)
+
+    def orbit_size(self, e: int) -> int:
+        """The number of masks in e's orbit: the product over the generators of
+        e's period under each, the first power that returns it."""
+        lo, hi, size = e & _LOW, e >> CHUNK_BITS, 1
+        for _, tables in self.group._powers:
+            size *= next((j for j, (t0, t1) in enumerate(tables, 1) if t0[lo] + t1[hi] == e), len(tables) + 1)
+        return size
 
     rank = staticmethod(int.bit_count)
 
@@ -383,14 +360,13 @@ class QuotientPoset:
         return True
 
     def covers(self):
-        """Comparable pairs at adjacent ranks (the Hasse diagram edges)."""
-        for r in range(self.n):
-            for lower in self.orbits_by_rank[r]:
-                # the group acts by automorphisms: the orbits above are those of rep plus one element
-                a = lower.rep
-                uppers = {orbit_rep(a | 1 << i, self.group) for i in range(self.n) if not a >> i & 1}
-                for upper in sorted(uppers):
-                    yield a, upper
+        """Comparable pairs at adjacent ranks (the Hasse diagram edges), by lower
+        then upper element in (rank, mask) order."""
+        for a in self.orbits:
+            # the group acts by automorphisms: the orbits above are those of a plus one element
+            uppers = {orbit_rep(a | 1 << i, self.group) for i in range(self.n) if not a >> i & 1}
+            for upper in sorted(uppers):
+                yield a, upper
 
 
 def quotient_poset(n: int, group: GroupSpec) -> QuotientPoset:
@@ -424,14 +400,12 @@ def factorize(n: int, group: GroupSpec) -> tuple[int, tuple[CycleFactor, ...]]:
 __all__ = [
     "CycleFactor",
     "GroupSpec",
-    "Orbit",
     "ParseError",
     "QuotientPoset",
     "apply_perm",
     "burnside_count",
     "factorize",
     "necklace_ranks",
-    "orbit",
     "orbit_rep",
     "parse_group_spec",
     "perm_from_cycle_power",

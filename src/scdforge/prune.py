@@ -44,9 +44,9 @@ class ConsistencyError(RuntimeError):
     """The pruned family violated one of its own guarantees (never expected)."""
 
 
-@functools.lru_cache(maxsize=None)  # every caller shares one GroupSpec and its action tables
 def rotation_group(n: int, step: int) -> GroupSpec:
-    """The subgroup of S_n generated by the step-th power of the full rotation."""
+    """The subgroup of S_n generated by the step-th power of the full rotation,
+    a new GroupSpec per call: its action tables live and die with it."""
     return GroupSpec(n, (CycleFactor(tuple(range(1, n + 1)), step),))
 
 
@@ -179,9 +179,9 @@ def quotient_scd(n: int, group: GroupSpec | str) -> Decomposition:
 
     Fixed points contribute a plain Boolean factor and every rotated block a
     cyclic quotient, whose elements are moved onto the block and renamed to
-    the least member of their orbit under that block's rotation; the factors
-    are folded with the hook product, and the result is certified against the
-    orbit poset before returning.
+    the least member of their orbit under the group, whose other generators
+    fix the block's points; the factors are folded with the hook product, and
+    the result is certified against the orbit poset before returning.
     """
     check_enum(n, QUOTIENT_LIMIT, "quotient_scd")
     if isinstance(group, str):
@@ -195,7 +195,7 @@ def quotient_scd(n: int, group: GroupSpec | str) -> Decomposition:
     for f in factors:
         move = relabel_map([e - 1 for e in f.cycle])
         part = quotient_scd_cyclic(f.length, f.exponent)
-        parts.append(map_elements(part, lambda a, move=move, g=GroupSpec(n, (f,)): orbit_rep(move(a), g)))
+        parts.append(map_elements(part, lambda a, move=move: orbit_rep(move(a), group)))
     # the supports are disjoint, so a | b == a + b and the orbit of a union is
     # every union of factor orbit members: its least member is the union of
     # the factors' least members, and naming before the fold is naming after

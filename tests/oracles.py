@@ -21,6 +21,8 @@ does the same for a cycle-power quotient, by one `orbit_rep` under the whole
 group per element, to pin the construction that names each factor's orbits
 before the fold, and `staircase_peel` peels a whole diagonal `PBlock`, the
 form the package's peel by side length is checked against.
+The naive closures take a group's permutations from `generators`, built
+on the package's `perm_from_cycle_power`.
 `orbit_closure_ascends` decides a quotient's `ascends` by listing each
 element's orbit with the package's `_members` and scanning it, to pin the
 certificate that applies each generator's powers once per element.  The per-rank
@@ -70,7 +72,7 @@ from scdforge.core import (
     relabel_map,
 )
 from scdforge.gk import boolean_scd_on_support, gk_scd, predecessor
-from scdforge.groups import CycleFactor, GroupSpec, QuotientPoset, _members, factorize, orbit_rep
+from scdforge.groups import CycleFactor, GroupSpec, QuotientPoset, _members, factorize, orbit_rep, perm_from_cycle_power
 from scdforge.prune import PrunedChain, quotient_scd_cyclic, rotation_group
 from scdforge.reflect import PBlock, _transpositions, involution_group
 
@@ -255,6 +257,12 @@ def orbit_min(a: int, group) -> int:
     return min(members)
 
 
+def generators(group) -> tuple[tuple[int, ...], ...]:
+    """Image tuples of the group's generators that move a point, from the
+    package's perm_from_cycle_power, for the naive closures below."""
+    return tuple(perm_from_cycle_power(f.cycle, f.exponent, group.n) for f in group.factors if f.order() > 1)
+
+
 def group_elements(generators, n: int) -> list[tuple[int, ...]]:
     """Full closure of a generator list, no structure assumed."""
     identity = tuple(range(1, n + 1))
@@ -325,7 +333,7 @@ def naive_comparability(target):
     power, some rotation of a is componentwise at most b; for a product, each
     part is below the matching part."""
     if isinstance(target, QuotientPoset):
-        perms = group_elements(target.group.generators(), target.n)
+        perms = group_elements(generators(target.group), target.n)
         return lambda a, b: any(perm_apply(g, a) | b == b for g in perms)
     if isinstance(target, ChainPowerTarget):
         shifts = [j * target.step for j in range(target.m)]
@@ -601,7 +609,7 @@ def enumerated_profile_lines(n: int, group) -> list[str]:
     """What `profile` prints for the group, from the naive orbits: the counts
     by rank, whether they read the same backwards, and whether they rise to
     their first maximum and never rise after it."""
-    counts = naive_orbit_ranks(n, group.generators())
+    counts = naive_orbit_ranks(n, generators(group))
     peak = counts.index(max(counts))
     unimodal = all(a <= b for a, b in zip(counts[:peak], counts[1 : peak + 1])) and all(
         a >= b for a, b in zip(counts[peak:], counts[peak + 1 :])

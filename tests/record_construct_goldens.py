@@ -27,7 +27,9 @@ import io
 import json
 import os
 import platform
+import random
 import sys
+import tempfile
 
 GOLDENS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "construct_goldens.json")
 
@@ -146,10 +148,6 @@ def _source(kind: str, n: int, text: str | None):
     return build_document(decomp), [perm_from_cycle_power(f.cycle, f.exponent, n) for f in group.factors]
 
 
-def _subset(mask: int) -> list[int]:
-    return [b + 1 for b in range(mask.bit_length()) if mask >> b & 1]
-
-
 def _image(perm, subset) -> list[int]:
     return sorted(perm[x - 1] for x in subset)
 
@@ -159,8 +157,6 @@ def wrong_documents() -> list[tuple[str, bytes]]:
     source with one chain dropped, one element repeated in place, one chain
     split in two and, where the group moves an element, one element replaced
     by another member of its orbit.  The stats are those of the changed chains."""
-    import random
-
     from scdforge.cli import encode
 
     documents = []
@@ -224,8 +220,6 @@ def outcome(argv) -> dict:
 def verify_outcomes(document: bytes) -> list[dict]:
     """verify of a document, in text and in --json: the exit code and the
     length and sha256 of stdout and of stderr of each run."""
-    import tempfile
-
     with tempfile.TemporaryDirectory() as folder:
         path = os.path.join(folder, "document.json")
         with open(path, "wb") as fh:

@@ -288,9 +288,10 @@ def test_restriction_matches_ambient_orbits():
         canonical_levels(u, r) for u in itertools.product(range(k), repeat=m)
     }
     assert seen == expected
+    rotation = rotation_group(n, (k - 1) * r)
     for c in decomp.chains:
         for u in c.elements:
-            assert orbit_rep(level_mask(u, k), rotation_group(n, (k - 1) * r)) == min(
+            assert orbit_rep(level_mask(u, k), rotation) == min(
                 level_mask(tuple_rotate(u, j * r), k) for j in range(m)
             )
 

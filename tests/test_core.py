@@ -24,7 +24,7 @@ from scdforge.core import (
     set_string,
 )
 from scdforge.gk import Pairing, gk_decomposition
-from scdforge.groups import CycleFactor, GroupSpec, Orbit
+from scdforge.groups import CycleFactor, GroupSpec
 from scdforge.prune import PrunedChain, PrunedFamily
 from scdforge.reflect import PBlock
 from scdforge.verify import Failure, RankProfile, VerifyReport
@@ -233,9 +233,6 @@ RECORDS = [
      {}, [dict(n=0, factors=()), dict(n=4, factors=(CycleFactor((1, 2, 1)),)),
           dict(n=4, factors=(CycleFactor((1, 5)),)), dict(n=4, factors=(CycleFactor((1, 2), -1),)),
           dict(n=4, factors=(CycleFactor((1, 2)), CycleFactor((2, 3))))]),
-    (Orbit, dict(rep=1, size=3, members=(1, 2, 4)),
-     "Orbit(rep=1, size=3, members=(1, 2, 4))",
-     {}, []),
     (PrunedChain, dict(source=4, kept=_CHAIN, orbits=Chain((1,), (1,))),
      "PrunedChain(source=4, kept=Chain(elements=(1, 3), ranks=(1, 2)), orbits=Chain(elements=(1,), ranks=(1,)))",
      {}, []),

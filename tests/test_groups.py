@@ -1,5 +1,7 @@
+import gc
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -8,6 +10,7 @@ from oracles import (
     enumerated_rank_counts,
     every_cycle_power_group,
     full_rotations_ranks,
+    generators,
     group_element_ranks,
     group_elements,
     naive_orbit_ranks,
@@ -28,7 +31,6 @@ from scdforge.groups import (
     apply_perm,
     burnside_count,
     factorize,
-    orbit,
     orbit_rep,
     parse_group_spec,
     perm_from_cycle_power,
@@ -86,16 +88,35 @@ def test_apply_perm_examples():
 
 def test_orbit_examples():
     cyc4 = parse_group_spec("(1 2 3 4)", 4)
-    o = orbit(mask_of([1]), cyc4)
-    assert o.members == (1, 2, 4, 8)
-    assert o.rep == 1 and o.size == 4
+    poset = quotient_poset(4, cyc4)
+    assert sorted(_members(mask_of([3]), cyc4._powers)) == [1, 2, 4, 8]
+    assert orbit_rep(mask_of([3]), cyc4) == 1 and poset.orbit_size(1) == 4
 
-    o = orbit(mask_of([1, 3]), cyc4)
-    assert o.members == (mask_of([1, 3]), mask_of([2, 4]))
-    assert o.size == 2
+    assert sorted(_members(mask_of([2, 4]), cyc4._powers)) == [mask_of([1, 3]), mask_of([2, 4])]
+    assert orbit_rep(mask_of([2, 4]), cyc4) == mask_of([1, 3])
+    assert poset.orbit_size(mask_of([1, 3])) == poset.orbit_size(mask_of([2, 4])) == 2
 
-    assert orbit(0, cyc4) == orbit(0, GroupSpec.trivial(4))
-    assert orbit(0, cyc4).size == 1
+    trivial = quotient_poset(4, GroupSpec.trivial(4))
+    assert _members(0, cyc4._powers) == _members(0, trivial.group._powers) == [0]
+    assert poset.orbit_size(0) == trivial.orbit_size(0) == trivial.orbit_size(mask_of([2, 4])) == 1
+
+
+def _in_rank_order(masks):
+    return sorted(masks, key=lambda e: (e.bit_count(), e))
+
+
+def _assert_orbits_match(poset, naive):
+    """poset.orbits names each naive orbit by its least mask, in (rank, mask)
+    order; _members lists it, orbit_rep finds its least mask from every member
+    and orbit_size counts it."""
+    assert poset.orbits == tuple(_in_rank_order(min(s) for s in naive))
+    powers = poset.group._powers
+    for s in naive:
+        least = min(s)
+        members = _members(least, powers)
+        assert len(members) == len(set(members)) and set(members) == s
+        assert poset.orbit_size(least) == len(s)
+        assert all(orbit_rep(x, poset.group) == least for x in s)
 
 
 @pytest.mark.parametrize(
@@ -110,14 +131,14 @@ def test_orbit_examples():
 )
 def test_orbits_and_burnside_against_naive(n, text):
     spec = parse_group_spec(text, n)
-    gens = spec.generators()
+    gens = generators(spec)
     naive = naive_orbits(n, gens)
     assert burnside_count(n, spec) == len(naive)
     poset = quotient_poset(n, spec)
     assert poset.size() == len(naive)
-    assert {o.members for o in poset.orbits} == {tuple(sorted(s)) for s in naive}
-    total = sum(o.size for o in poset.orbits)
-    assert total == 1 << n
+    _assert_orbits_match(poset, naive)
+    assert list(poset.elements()) == list(poset.orbits)
+    assert sum(map(poset.orbit_size, poset.orbits)) == 1 << n
     # Burnside agrees with averaging over an order-agnostic closure too
     elements = group_elements(gens, n)
     assert len(elements) == spec.order()
@@ -139,12 +160,12 @@ def test_burnside_two_element_reflection_group():
     multi = parse_group_spec("(1 4)(2 3)", 4)
     assert multi.order() == 4
     assert burnside_count(4, multi) == 9
-    assert burnside_count(4, multi) == len(naive_orbits(4, multi.generators()))
+    assert burnside_count(4, multi) == len(naive_orbits(4, generators(multi)))
 
     two = involution_group(4, [(1, 4), (2, 3)])
     assert two.order() == 2
     assert burnside_count(4, two) == 10
-    assert burnside_count(4, two) == len(naive_orbits(4, two.generators()))
+    assert burnside_count(4, two) == len(naive_orbits(4, generators(two)))
 
 
 def _seven_rotations_at_64():
@@ -169,13 +190,13 @@ def test_burnside_count_of_a_large_group_needs_no_guard():
 @pytest.mark.parametrize("n", range(1, 9))
 def test_rank_counts_against_naive_orbits_of_every_group(n):
     for spec in every_cycle_power_group(n):
-        assert rank_counts(n, spec) == naive_orbit_ranks(n, spec.generators()), spec.text()
+        assert rank_counts(n, spec) == naive_orbit_ranks(n, generators(spec)), spec.text()
 
 
 @pytest.mark.parametrize("n", range(9, 15))
 def test_rank_counts_against_naive_orbits_of_sampled_groups(n):
     for spec in sampled_groups_with_fixed_points(n, 6):
-        assert rank_counts(n, spec) == naive_orbit_ranks(n, spec.generators()), spec.text()
+        assert rank_counts(n, spec) == naive_orbit_ranks(n, generators(spec)), spec.text()
 
 
 @pytest.mark.parametrize(
@@ -202,27 +223,34 @@ def test_orbit_rep_idempotent():
     for a in range(0, 1 << 7, 3):
         rep = orbit_rep(a, spec)
         assert orbit_rep(rep, spec) == rep
-        assert rep in orbit(a, spec).members
+        assert rep == min(_closure(a, generators(spec)))
+
+
+def _rank_buckets(poset):
+    """poset.orbits split by rank, once it is checked to be in (rank, mask) order."""
+    assert list(poset.orbits) == _in_rank_order(poset.orbits)
+    return [[e for e in poset.orbits if e.bit_count() == r] for r in range(poset.n + 1)]
 
 
 def test_quotient_profiles():
     from scdforge.reflect import involution_group
 
-    assert [len(b) for b in quotient_poset(4, parse_group_spec("(1 2 3 4)", 4)).orbits_by_rank] == [1, 1, 2, 1, 1]
-    assert [len(b) for b in quotient_poset(2, parse_group_spec("(1 2)", 2)).orbits_by_rank] == [1, 1, 1]
-    assert [len(b) for b in quotient_poset(3, GroupSpec.trivial(3)).orbits_by_rank] == [1, 3, 3, 1]
+    assert _rank_buckets(quotient_poset(4, parse_group_spec("(1 2 3 4)", 4))) == [[0], [1], [3, 5], [7], [15]]
+    assert _rank_buckets(quotient_poset(2, parse_group_spec("(1 2)", 2))) == [[0], [1], [3]]
+    assert _rank_buckets(quotient_poset(3, GroupSpec.trivial(3))) == [[0], [1, 2, 4], [3, 5, 6], [7]]
     two = involution_group(4, [(1, 4), (2, 3)])
-    assert [len(b) for b in quotient_poset(4, two).orbits_by_rank] == [1, 2, 4, 2, 1]
+    assert [len(b) for b in _rank_buckets(quotient_poset(4, two))] == [1, 2, 4, 2, 1]
 
 
 def test_quotient_leq_against_naive():
     spec = parse_group_spec("(1 2 3 4)^2 (5 6)", 6)
     poset = quotient_poset(6, spec)
     reps = list(poset.elements())
+    gens = generators(spec)
     for a in reps:
-        orb_a = orbit(a, spec).members
+        orb_a = _closure(a, gens)
         for b in reps:
-            orb_b = orbit(b, spec).members
+            orb_b = _closure(b, gens)
             naive = any(x | y == y for x in orb_a for y in orb_b)
             assert poset.ascends((a, b)) == naive
 
@@ -328,12 +356,13 @@ def test_quotient_covers_are_adjacent_comparables():
     ]:
         group = parse_group_spec(text, n) if text else GroupSpec.trivial(n)
         poset = quotient_poset(n, group)
+        buckets = _rank_buckets(poset)
         pairwise = [
-            (lower.rep, upper.rep)
+            (lower, upper)
             for r in range(n)
-            for lower in poset.orbits_by_rank[r]
-            for upper in poset.orbits_by_rank[r + 1]
-            if poset.ascends((lower.rep, upper.rep))
+            for lower in buckets[r]
+            for upper in buckets[r + 1]
+            if poset.ascends((lower, upper))
         ]
         assert list(poset.covers()) == pairwise, (n, text)
 
@@ -377,7 +406,7 @@ def test_quotient_poset_enumerates_on_first_use(monkeypatch):
     assert walks == []
     assert poset.size() == 14
     assert len(walks) == 14
-    assert poset.orbits[0].members == (0,)
+    assert poset.orbits[0] == 0 and poset.orbit_size(0) == 1
     assert len(walks) == 14
 
 
@@ -427,15 +456,16 @@ def test_block_split_is_an_order_isomorphism(n, text):
     spec = parse_group_spec(text, n)
     fixed, factors = factorize(n, spec)
     whole = quotient_poset(n, spec)
+    rotations = [rotation_group(f.length, f.exponent) for f in factors]
 
     def project(rep):
         parts = [rep & fixed]
-        for f in factors:
+        for f, rotation in zip(factors, rotations):
             local = 0
             for pos, element in enumerate(f.cycle):
                 if rep >> (element - 1) & 1:
                     local |= 1 << pos
-            parts.append(orbit_rep(local, rotation_group(f.length, f.exponent)))
+            parts.append(orbit_rep(local, rotation))
         return tuple(parts)
 
     reps = list(whole.elements())
@@ -472,10 +502,9 @@ def _crossing_groups(n):
 @pytest.mark.parametrize("n", [11, 12, 13])
 def test_quotient_orbits_against_naive_across_chunks(n):
     for spec in _crossing_groups(n):
-        naive = naive_orbits(n, spec.generators())
+        naive = naive_orbits(n, generators(spec))
         poset = quotient_poset(n, spec)
-        assert {o.members for o in poset.orbits} == {tuple(sorted(s)) for s in naive}
-        assert all(o.rep == o.members[0] and o.size == len(o.members) for o in poset.orbits)
+        _assert_orbits_match(poset, naive)
         assert poset.size() == burnside_count(n, spec)
 
 
@@ -484,7 +513,7 @@ def test_members_lists_each_member_once():
         for a in range(1 << 13):
             members = _members(a, spec._powers)
             assert len(set(members)) == len(members)
-            assert set(members) == _closure(a, spec.generators())
+            assert set(members) == _closure(a, generators(spec))
 
 
 def _closure(s, gens):
@@ -502,21 +531,22 @@ def _closure(s, gens):
 def test_orbit_at_22_matches_set_closure():
     # both chunks full: elements 1-11 and 12-22, cycles across the boundary
     spec = parse_group_spec("(3 5 9 12 14)(10 11 13 21 16 17 18)^3 (1 22 19)(2 20)", 22)
-    gens = spec.generators()
+    poset = QuotientPoset(22, spec)  # never enumerated here
+    gens = generators(spec)
     rng = random.Random(22)
     for _ in range(300):
         a = rng.getrandbits(22) | 1 << rng.randrange(11) | 1 << rng.randrange(11, 22)
-        members = tuple(sorted(_closure(a, gens)))
-        assert orbit(a, spec) == groups.Orbit(members[0], len(members), members)
+        members = sorted(_closure(a, gens))
+        assert sorted(_members(a, spec._powers)) == members
         assert orbit_rep(a, spec) == members[0] == orbit_min(a, spec)
-        assert len(_members(a, spec._powers)) == len(members)
+        assert poset.orbit_size(members[0]) == poset.orbit_size(a) == len(members)
 
 
 @pytest.mark.parametrize("n", [23, 30, 64])
 def test_group_action_is_refused_above_the_quotient_limit(n):
     # two 11-bit chunks cover QUOTIENT_LIMIT; beyond it no table is built, even for the trivial group
     for spec in (GroupSpec.trivial(n), parse_group_spec(f"(1 2 {n})(3 4)", n)):
-        for act in (lambda: spec._powers, lambda: orbit_rep(5, spec), lambda: orbit(5, spec)):
+        for act in (lambda: spec._powers, lambda: orbit_rep(5, spec)):
             with pytest.raises(ResourceLimitError, match="capped at n <= 22"):
                 act()
 
@@ -524,7 +554,7 @@ def test_group_action_is_refused_above_the_quotient_limit(n):
 def test_oracle_orbit_min_beyond_the_quotient_limit():
     # the reference the pass at n > 22 is pinned against: three chunks, elements 1-11, 12-22 and 23-30
     spec = parse_group_spec("(3 5 9 12 14)(10 11 13 21 23 24 30)^3 (1 22 29)(2 27)", 30)
-    gens = spec.generators()
+    gens = generators(spec)
     rng = random.Random(30)
     for _ in range(200):
         a = rng.getrandbits(30) | 1 << rng.randrange(11) | 1 << rng.randrange(11, 22) | 1 << rng.randrange(22, 30)
@@ -544,23 +574,50 @@ def _count_apply_perm(monkeypatch):
 
 
 def test_action_tables_are_built_once_per_group(monkeypatch):
-    groups._power_tables.cache_clear()  # start cold: earlier tests may have built these generators' tables
+    # once per GroupSpec: the tables are its own, so an equal spec builds its own copy
     calls = _count_apply_perm(monkeypatch)
     spec = parse_group_spec("(1 2 3)(4 5 6 7)^2 (9 10 12)", 12)
     assert calls == []  # nothing is built before the first orbit
     orbit_rep(5, spec)
     # one evaluation per single bit of [12] for each non-identity power: 2 + 1 + 2 of them
-    assert calls == [1 << b for b in range(12)] * 5
+    per_spec = [1 << b for b in range(12)] * 5
+    assert calls == per_spec
     calls.clear()
     orbit_rep(6, spec)
-    orbit(7, spec)
     poset = quotient_poset(12, spec)
+    assert poset.orbit_size(1) == 3 and poset.orbit_size(7) == 1
     assert poset.ascends(sorted(poset.elements())[:3])
-    # another spec with the same generators, one written with an exponent past the length
-    same = parse_group_spec("(1 2 3)^4 (4 5 6 7)^6 (9 10 12)", 12)
-    assert same._powers == spec._powers
-    orbit_rep(6, same)
     assert calls == []
+    # an equal spec, and one with the same generators written with exponents past the lengths
+    for other in (parse_group_spec(spec.text(), 12), parse_group_spec("(1 2 3)^4 (4 5 6 7)^6 (9 10 12)", 12)):
+        orbit_rep(6, other)
+        assert calls == per_spec
+        assert other._powers == spec._powers and other._powers is not spec._powers
+        orbit_rep(7, other)
+        assert calls == per_spec
+        calls.clear()
+
+
+def test_a_groups_tables_are_freed_with_it():
+    # no process-wide cache keeps a dropped spec's tables: 20 conjugates of an 18-cycle hold about 28 MB
+    rng = random.Random("conjugates of an 18-cycle")
+    specs = [GroupSpec(18, (CycleFactor(tuple(rng.sample(range(1, 19), 18)), 1),)) for _ in range(20)]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        posets = [quotient_poset(18, spec) for spec in specs]
+        for poset in posets:
+            least = orbit_rep(mask_of([1, 2, 5]), poset.group)
+            assert poset.orbit_size(least) == 18 and poset.ascends((0, 1, least))
+        held = tracemalloc.get_traced_memory()[0] - start
+        del specs, posets, poset
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert held > 20 << 20  # the tables were built
+    assert retained < 2 << 20
 
 
 @pytest.mark.parametrize("n, text", [
@@ -591,12 +648,6 @@ def test_power_tables_match_apply_perm(n, text):
             assert len(t0) == 1 << min(n, 11) and len(t1) == 1 << max(n - 11, 0)
             for a in masks:
                 assert t0[a & 0x7FF] + t1[a >> 11] == apply_perm(perm, a), (f, j, a)
-
-
-def test_rotation_group_is_shared():
-    from scdforge.prune import rotation_group
-
-    assert rotation_group(12, 3) is rotation_group(12, 3)
 
 
 def test_action_tables_leave_equality_and_hash_alone():

@@ -5,6 +5,7 @@ import pytest
 
 from oracles import (
     every_cycle_power_group,
+    generators,
     greedy_prune,
     in_chain_power,
     is_scd,
@@ -277,9 +278,9 @@ def test_quotient_scd_cyclic_normalizes_step():
 def test_chain_count_equals_middle_rank_orbits(n):
     for step in divisors(n):
         decomp = quotient_scd_cyclic(n, step)
-        middle = n // 2
+        middle, rotation = n // 2, rotation_group(n, step)
         middles = {
-            orbit_rep(a, rotation_group(n, step))
+            orbit_rep(a, rotation)
             for a in range(1 << n)
             if a.bit_count() == middle
         }
@@ -325,24 +326,30 @@ def test_naming_each_factor_matches_naming_after_the_fold_with_fixed_points(n):
 
 
 def test_quotient_scd_names_orbits_one_factor_at_a_time(monkeypatch):
-    # each factor's local quotient is named once, element by element, under that factor alone
-    factor_counts = []
+    # each factor's local quotient is named once, element by element, under the quotient's own group
+    named = []
     for module in (groups, prune):
         original = module.orbit_rep
-        monkeypatch.setattr(
-            module, "orbit_rep", lambda s, g, f=original: factor_counts.append(len(g.factors)) or f(s, g)
-        )
+        monkeypatch.setattr(module, "orbit_rep", lambda s, g, f=original: named.append((s, g)) or f(s, g))
     group = parse_group_spec("(1 5 9)(2 6 10 13)^2 (3 7)(4 8 11 12)^3", 14)
     decomp = quotient_scd(14, group)
     local = sum(quotient_scd_cyclic(f.length, f.exponent).element_count() for f in factorize(14, group)[1])
-    assert factor_counts == [1] * local
-    assert local == 4 + 10 + 3 + 6 < decomp.element_count() == burnside_count(14, group)
+    assert len(named) == local == 4 + 10 + 3 + 6 < decomp.element_count() == burnside_count(14, group)
+    assert all(g is group for _, g in named)
+    # factor by factor, each element of its local quotient moved onto the factor's cycle
+    moved = [
+        sum(1 << (f.cycle[i] - 1) for i in range(f.length) if a >> i & 1)
+        for f in factorize(14, group)[1]
+        for c in quotient_scd_cyclic(f.length, f.exponent).chains
+        for a in c.elements
+    ]
+    assert [s for s, _ in named] == moved
 
 
 def test_quotient_scd_against_dumb_checker():
     spec = parse_group_spec("(1 2 3)(4 5)", 5)
     decomp = quotient_scd(5, spec)
-    orbits = naive_orbits(5, spec.generators())
+    orbits = naive_orbits(5, generators(spec))
     rep_of = {}
     for orb in orbits:
         rep = min(orb)

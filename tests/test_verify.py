@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from oracles import naive_comparability, rotate, tuple_rotate
+from oracles import generators, naive_comparability, rotate, tuple_rotate
 from scdforge import groups
 from scdforge.chainpow import ChainPowerTarget, ChainProductTarget, chainpower_scd, chainproduct_scd
 from scdforge.core import Chain, Context, Decomposition, mask_of, product_scd
@@ -241,7 +241,7 @@ def _turn(target, e, rng):
     """Another element of the same rank: a group image of e (a member of its
     orbit, often not the least), or a rotated word when the group is trivial."""
     if isinstance(target, QuotientPoset):
-        gens = target.group.generators()
+        gens = generators(target.group)
         return apply_perm(rng.choice(gens), e) if gens else rotate(e, 1, target.n)
     if isinstance(target, ChainPowerTarget):
         return tuple_rotate(e, rng.randrange(1, target.m + 1))
