@@ -8,10 +8,11 @@ several factors and with fixed points, all at n <= 14; reflect with and
 without fixed points; and small chainpower shapes.  "listings" is orbits
 (text and --dot) and profile for the trivial group at n = 1..12 and for every
 group of the quotient and reflect commands.  "verify" is verify, in text and
---json, of wrong documents: a boolean, quotient or reflection document from
-a construction with one chain dropped, one element replaced by a non-least
-member of its orbit, one element repeated or one chain split, each named by
-a stable label and pinned by its own sha256; its stderr is pinned too.  Run
+--json, of wrong documents: a boolean, quotient, reflection, chainpower or
+product document from a construction with one chain dropped, one element
+replaced by a non-least member of its orbit, one element repeated, one chain
+split or its element_count off by one, each named by a stable label and
+pinned by its own sha256; its stderr is pinned too.  Run
 from the repository root, on the commit whose output is the contract:
 
     PYTHONPATH=src python3 tests/record_construct_goldens.py
@@ -118,7 +119,8 @@ def listings() -> list[list[str]]:
     return commands
 
 
-# the constructions the wrong documents start from: (kind, n, group)
+# the constructions the wrong documents start from: (kind, n, group) of the
+# subset kinds, and (kind, factor triples) of a chain power or a product
 _SOURCES = [
     *(("boolean", n, None) for n in (3, 4, 5, 6)),
     ("quotient", 4, "(1 2 3 4)"),
@@ -131,63 +133,83 @@ _SOURCES = [
     ("reflection", 6, "(1 6)(2 5)(3 4)"),
     ("reflection", 7, "(2 6)(1 3)"),
     ("reflection", 12, "(1 12)"),
+    ("chainpower", ((3, 4, 1),)),
+    ("chainpower", ((4, 3, 1),)),
+    ("chainpower", ((2, 6, 2),)),
+    ("product", ((3, 2, 1), (2, 3, 1))),
+    ("product", ((2, 4, 1), (3, 3, 2))),
 ]
 
 
-def _source(kind: str, n: int, text: str | None):
-    """A construction's document as a JSON value, and its target's generators as image tuples."""
+def _source(kind: str, *shape):
+    """A construction's label and document as a JSON value, and its target's
+    generators as functions from one element's JSON value to its image."""
+    from scdforge.chainpow import chainpower_scd, chainproduct_scd
     from scdforge.cli import build_document, target_for_context
     from scdforge.gk import gk_decomposition
     from scdforge.groups import perm_from_cycle_power
     from scdforge.prune import quotient_scd
     from scdforge.reflect import reflection_scd
 
+    if kind in ("chainpower", "product"):
+        (triples,) = shape
+        label = f"{kind} " + " x ".join(f"k={k} m={m} r={r}" for k, m, r in triples)
+        decomp = chainpower_scd(*triples[0]) if kind == "chainpower" else chainproduct_scd(triples)
+        target = target_for_context(decomp.context)
+        moves, offset = [], 0
+        for part in getattr(target, "parts", [target]):
+            # rotate this factor's levels by its step, the others stay
+            i, j, s = offset, offset + part.m, part.step
+            moves.append(lambda u, i=i, j=j, s=s: u[:i] + u[i + s:j] + u[i:i + s] + u[j:])
+            offset = j
+        return label, build_document(decomp), moves
+    n, text = shape
+    label = f"{kind} n={n}" + (f" {text}" if text is not None else "")
     decomp = {"boolean": lambda: gk_decomposition(n), "quotient": lambda: quotient_scd(n, text),
               "reflection": lambda: reflection_scd(n, text)}[kind]()
     group = target_for_context(decomp.context).group
-    return build_document(decomp), [perm_from_cycle_power(f.cycle, f.exponent, n) for f in group.factors]
-
-
-def _image(perm, subset) -> list[int]:
-    return sorted(perm[x - 1] for x in subset)
+    perms = [perm_from_cycle_power(f.cycle, f.exponent, n) for f in group.factors]
+    return label, build_document(decomp), [lambda x, p=p: sorted(p[e - 1] for e in x) for p in perms]
 
 
 def wrong_documents() -> list[tuple[str, bytes]]:
     """(label, canonical bytes) of each wrong document, in a fixed order: each
     source with one chain dropped, one element repeated in place, one chain
-    split in two and, where the group moves an element, one element replaced
-    by another member of its orbit.  The stats are those of the changed chains."""
+    split in two, where the group moves an element, one element replaced by
+    another member of its orbit, and last its own chains with element_count
+    off by one.  The other stats are those of the changed chains."""
     from scdforge.cli import encode
 
     documents = []
-    for kind, n, text in _SOURCES:
-        doc, perms = _source(kind, n, text)
-        source = f"{kind} n={n}" + (f" {text}" if text is not None else "")
+    for kind, *shape in _SOURCES:
+        source, doc, moves = _source(kind, *shape)
+        rank = len if kind in ("boolean", "quotient", "reflection") else sum
         chains = doc["chains"]
         rng = random.Random(source)
-        mutants = []
+        mutants = []  # (what, chains, element_count's error)
         i = rng.randrange(len(chains))
-        mutants.append((f"chain {i} dropped", chains[:i] + chains[i + 1:]))
+        mutants.append((f"chain {i} dropped", chains[:i] + chains[i + 1:], 0))
         i = rng.randrange(len(chains))
         j = rng.randrange(len(chains[i]))
         mutants.append((f"chain {i} element {j} repeated",
-                        chains[:i] + [chains[i][:j + 1] + chains[i][j:]] + chains[i + 1:]))
+                        chains[:i] + [chains[i][:j + 1] + chains[i][j:]] + chains[i + 1:], 0))
         i = rng.choice([k for k, c in enumerate(chains) if len(c) > 1])
         j = rng.randrange(1, len(chains[i]))
         mutants.append((f"chain {i} split before element {j}",
-                        chains[:i] + [chains[i][:j], chains[i][j:]] + chains[i + 1:]))
+                        chains[:i] + [chains[i][:j], chains[i][j:]] + chains[i + 1:], 0))
         moved = [(k, j, y) for k, c in enumerate(chains) for j, x in enumerate(c)
-                 for y in (_image(p, x) for p in perms) if y != x]
+                 for y in (move(x) for move in moves) if y != x]
         if moved:
             i, j, y = rng.choice(moved)
             mutants.append((f"chain {i} element {j} replaced by {y}",
-                            chains[:i] + [chains[i][:j] + [y] + chains[i][j + 1:]] + chains[i + 1:]))
-        for what, changed in mutants:
-            profile = [0] * (n + 1)
+                            chains[:i] + [chains[i][:j] + [y] + chains[i][j + 1:]] + chains[i + 1:], 0))
+        mutants.append(("element_count off by one", chains, 1))
+        for what, changed, error in mutants:
+            profile = [0] * len(doc["stats"]["rank_profile"])
             for c in changed:
                 for x in c:
-                    profile[len(x)] += 1
-            wrong = dict(doc, chains=changed, stats={"chain_count": len(changed), "element_count": sum(profile),
+                    profile[rank(x)] += 1
+            wrong = dict(doc, chains=changed, stats={"chain_count": len(changed), "element_count": sum(profile) + error,
                                                      "rank_profile": profile})
             documents.append((f"{source}: {what}", encode(wrong)))
     assert len({label for label, _ in documents}) == len(documents)

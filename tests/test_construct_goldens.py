@@ -42,7 +42,8 @@ def test_orbit_listings_and_profiles_match_the_goldens(goldens):
 def test_verify_of_wrong_documents_matches_the_goldens(goldens):
     documents = wrong_documents()
     assert len(documents) >= 30
-    assert {label.split()[0] for label, _ in documents} == {"boolean", "quotient", "reflection"}
+    assert {label.split()[0] for label, _ in documents} == {"boolean", "quotient", "reflection", "chainpower", "product"}
+    assert sum(label.endswith(": element_count off by one") for label, _ in documents) == 19
     assert [golden["label"] for golden in goldens["verify"]] == [label for label, _ in documents]
     for golden, (label, document) in zip(goldens["verify"], documents):
         assert _digest(document) == golden["document"], label
