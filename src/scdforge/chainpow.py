@@ -16,7 +16,6 @@ its canonical tuple, decoded once per orbit.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -149,11 +148,7 @@ def chainpower_scd(k: int, m: int, r: int = 1) -> Decomposition:
     """
     check_ground(_check_shape(k, m, r))
     _check_element_count([(k, m, r)])
-    return _chainpower(k, m, math.gcd(r, m))
-
-
-@functools.lru_cache(maxsize=None)
-def _chainpower(k: int, m: int, step: int) -> Decomposition:
+    step = math.gcd(r, m)
     n = (k - 1) * m
     expected = sum(necklace_ranks(k, m, step))
     # by the dichotomy these are exactly the Greene-Kleitman chains inside the power; keep

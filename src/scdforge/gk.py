@@ -14,15 +14,13 @@ in chain order, restricted to blockwise monotone bottoms for a chain power,
 and grows a chain only when it is asked for; the greedy pruning pass streams
 from it.  gk_scd is the boolean Decomposition of every chain of
 ChainBottoms(n), grown in that order, which is already the canonical one; it
-checks that they cover all 2^n subsets and caches the result, and it serves
-the gk command (as gk_decomposition), reflections and the exposition helpers.
-The Boolean factor of a quotient grows its chains from ChainBottoms without
-that cache and check.
+checks that they cover all 2^n subsets, builds them anew on every call, and
+serves the gk command (as gk_decomposition) and the exposition helpers.
+Quotients, reflections and chain powers grow their chains from ChainBottoms
+without that check.
 """
 
 from __future__ import annotations
-
-import functools
 
 from .core import _Record, _set
 from .core import (
@@ -171,7 +169,6 @@ class ChainBottoms:
         return self
 
 
-@functools.lru_cache(maxsize=None)
 def gk_scd(n: int) -> Decomposition:
     """The Greene-Kleitman SCD of B_n: every chain of ChainBottoms(n), grown,
     in its (rank, bottom) order."""
@@ -186,14 +183,13 @@ def gk_scd(n: int) -> Decomposition:
     return Decomposition(chains, Context(kind="boolean", total_rank=n, n=n))
 
 
-gk_decomposition = gk_scd  # the construct API's name for gk_scd: the same function, cache and all
+gk_decomposition = gk_scd  # the construct API's name for gk_scd: the same function object
 
 
 def boolean_scd_on_support(support: int) -> Decomposition:
     """The Greene-Kleitman SCD of the Boolean lattice over an arbitrary
     support mask, with elements written in the ambient ground set.  The
-    chains are grown from ChainBottoms, without gk_scd's cache and coverage
-    check."""
+    chains are grown from ChainBottoms, without gk_scd's coverage check."""
     positions = [e - 1 for e in elements_of(support)]
     f = len(positions)
     decomp = Decomposition(tuple(ChainBottoms(f)), Context(kind="boolean", total_rank=f, n=f))

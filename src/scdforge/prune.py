@@ -18,7 +18,6 @@ locally, and recombine with the hook product.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 
@@ -163,11 +162,7 @@ def quotient_scd_cyclic(n: int, step: int) -> Decomposition:
     check_enum(n, QUOTIENT_LIMIT, "quotient_scd_cyclic")
     if step < 1:
         raise ValueError("rotation step must be positive")
-    return _quotient_cyclic(n, math.gcd(step, n))
-
-
-@functools.lru_cache(maxsize=None)  # repeated factor shapes of quotient_scd build once
-def _quotient_cyclic(n: int, step: int) -> Decomposition:
+    step = math.gcd(step, n)
     group = rotation_group(n, step)
     family = prune_chains(ChainBottoms(n), step, burnside_count(n, group))
     context = Context(kind="quotient", total_rank=n, n=n, group=group.text())

@@ -23,6 +23,7 @@ from .core import (
     Chain,
     Context,
     Decomposition,
+    ENUM_LIMIT,
     QUOTIENT_LIMIT,
     check_enum,
     fold_products,
@@ -31,7 +32,7 @@ from .core import (
     make_decomposition,
     relabel_map,
 )
-from .gk import boolean_scd_on_support, gk_scd
+from .gk import ChainBottoms, boolean_scd_on_support
 from .groups import CycleFactor, GroupSpec, QuotientPoset, parse_group_spec, quotient_poset
 from .verify import certify
 
@@ -63,7 +64,8 @@ def build_blocks(k: int, scd: Decomposition | None = None) -> list[PBlock]:
     """One block per unordered pair of chains; diagonal blocks keep only
     the containment-ordered cells.  Total cell count is (4^k + 2^k) / 2."""
     if scd is None:
-        scd = gk_scd(k)
+        check_enum(k, ENUM_LIMIT, "build_blocks")
+        scd = ChainBottoms(k)  # the chains of gk_scd(k), in its order
     return [
         _block(i, j, scd.chains[i].elements, scd.chains[j].elements)
         for i in range(len(scd.chains))
@@ -141,7 +143,7 @@ def _orbit_chains(targets) -> list[Chain]:
     left, right = relabel_map(targets[:k]), relabel_map(targets[::-1][:k])
     sides = [
         (tuple(map(left, c.elements)), tuple(map(right, c.elements)), c.ranks)
-        for c in gk_scd(k).chains
+        for c in ChainBottoms(k)
     ]
     shapes = {}
     chains = []
@@ -175,7 +177,7 @@ def reflection_scd(n: int, rho: GroupSpec | str) -> Decomposition:
     pairs = _transpositions(rho)
     context = Context(kind="reflection", total_rank=n, n=n, group=rho.text())
     if not pairs:
-        return certify(reflection_poset(n, rho), Decomposition(gk_scd(n).chains, context))
+        return certify(reflection_poset(n, rho), Decomposition(tuple(ChainBottoms(n)), context))
     # local pair t (1-based) is (t, 2k+1-t), so the involution reverses the word
     targets = [a - 1 for a, _ in pairs] + [b - 1 for _, b in reversed(pairs)]
     chains = _orbit_chains(targets)

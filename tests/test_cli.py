@@ -26,7 +26,7 @@ from scdforge.cli import (
     run,
     target_for_context,
 )
-from scdforge.gk import gk_decomposition
+from scdforge.gk import chain_of, gk_decomposition
 from scdforge.groups import GroupSpec, ParseError, QuotientPoset, parse_group_spec
 from scdforge.prune import quotient_scd, quotient_scd_cyclic
 from scdforge.reflect import reflection_scd
@@ -438,6 +438,23 @@ def test_encode_peak_memory_is_a_few_document_lengths():
     finally:
         tracemalloc.stop()
     assert peak < 6 * len(data)
+
+
+def test_verify_of_a_one_chain_document_stays_within_its_memory_bound(tmp_path, capsysbinary):
+    # verify's failing route: one chain claimed of B_16, so 65,519 subsets are
+    # not covered; the bound is 10% above the 9.57 MiB peak it was set from
+    n = 16
+    decomp = Decomposition((chain_of(0, n),), Context(kind="boolean", total_rank=n, n=n))
+    path = write_doc(tmp_path, encode(decomp))
+    tracemalloc.start()
+    try:
+        code = run(["verify", "--input", path])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsysbinary.readouterr().err
+    assert code == 1 and err.startswith(b"failed: 65519 problem(s), 17 elements vs 65536 expected\n")
+    assert peak < 10.5 * 2**20, peak
 
 
 def test_resource_guard_exit_code(capsysbinary):

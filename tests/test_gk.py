@@ -213,7 +213,7 @@ def test_gk_scd_is_the_canonical_boolean_decomposition(n):
     context = Context(kind="boolean", total_rank=n, n=n)
     assert type(scd) is Decomposition and scd.context == context
     assert scd == make_decomposition(list(ChainBottoms(n)), context)
-    assert gk_decomposition is gk_scd and gk_decomposition(n) is scd
+    assert gk_decomposition is gk_scd and gk_decomposition(n) == scd
 
 
 def test_boolean_scd_on_support_is_in_canonical_order():

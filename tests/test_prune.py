@@ -1,4 +1,6 @@
+import gc
 import sys
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -17,7 +19,7 @@ from oracles import (
     sampled_groups_with_fixed_points,
     shadow_closure_failures,
 )
-from scdforge import chainpow, gk, groups, prune
+from scdforge import gk, groups, prune
 from scdforge.chainpow import canonical_levels, chainpower_scd
 from scdforge.core import mask_of
 from scdforge.gk import ChainBottoms, gk_decomposition, gk_scd, partner
@@ -28,6 +30,7 @@ from scdforge.prune import (
     quotient_scd_cyclic,
     rotation_group,
 )
+from scdforge.reflect import reflection_poset, reflection_scd
 from scdforge.verify import verify_decomposition
 
 
@@ -226,9 +229,10 @@ def test_prune_walks_each_orbit_once(monkeypatch, n, width, step):
         assert set(written.writes) == set().union(*covered)
 
 
-def test_quotients_and_chain_powers_build_no_gk_scd(monkeypatch):
+def test_constructions_build_no_gk_scd(monkeypatch):
     """Quotients, their fixed-point factor included, and chain powers stream
-    the greedy pass from sorted bottoms; gk_scd(n) serves only the gk path."""
+    the greedy pass from sorted bottoms, and reflections grow their half-cube
+    and Boolean chains from ChainBottoms; gk_scd(n) serves only the gk path."""
     built, passes = gk.gk_scd, []
 
     def refuse(n):
@@ -237,9 +241,6 @@ def test_quotients_and_chain_powers_build_no_gk_scd(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("scdforge.") and getattr(module, "gk_scd", None) is built:
             monkeypatch.setattr(module, "gk_scd", refuse)
-    # bypass the caches, so that earlier tests cannot answer for the pass
-    monkeypatch.setattr(prune, "_quotient_cyclic", prune._quotient_cyclic.__wrapped__)
-    monkeypatch.setattr(chainpow, "_chainpower", chainpow._chainpower.__wrapped__)
     run_pass = prune.prune_chains
     monkeypatch.setattr(prune, "prune_chains", lambda b, *rest, **kw: passes.append(b.n) or run_pass(b, *rest, **kw))
     with pytest.raises(AssertionError, match="off the gk path"):
@@ -248,6 +249,35 @@ def test_quotients_and_chain_powers_build_no_gk_scd(monkeypatch):
     assert quotient_scd(12, group).element_count() == burnside_count(12, group)
     assert chainpower_scd(3, 6, 1).element_count() == sum(necklace_ranks(3, 6, 1))
     assert passes == [6, 4, 12]
+    # with fixed points, without them, and with no transposition left
+    for n, text in [(9, "(1 9)(3 4)"), (8, "(1 8)(2 7)(3 6)(4 5)"), (7, "(2 5)^2")]:
+        rho = parse_group_spec(text, n)
+        assert reflection_scd(n, rho).element_count() == reflection_poset(n, rho).size()
+    assert passes == [6, 4, 12]  # and reflections run no pruning pass
+
+
+def test_results_are_freed_with_their_callers():
+    # no process-wide cache keeps a decomposition: a sweep over shapes leaves nothing behind
+    sweeps = [
+        lambda: [quotient_scd(n, f"({' '.join(map(str, range(1, n + 1)))})^2") for n in range(8, 14)],
+        lambda: [quotient_scd_cyclic(n, 1) for n in range(8, 15)],
+        lambda: [chainpower_scd(k, m) for k, m in [(3, 6), (4, 4), (2, 12)]],
+        lambda: [gk_decomposition(n) for n in range(8, 13)],
+    ]
+    retained = []
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for sweep in sweeps:
+            start = tracemalloc.get_traced_memory()[0]
+            results = sweep()
+            assert all(decomp.element_count() > 1 for decomp in results)
+            del results
+            gc.collect()
+            retained.append(tracemalloc.get_traced_memory()[0] - start)
+    finally:
+        tracemalloc.stop()
+    assert max(retained) < 16 << 10, retained
 
 
 @pytest.mark.parametrize("n", range(1, 11))

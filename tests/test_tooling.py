@@ -107,6 +107,24 @@ def test_cli_import_adds_no_heavy_modules():
     assert result.stdout.strip() == "[]"
 
 
+def test_src_keeps_no_process_wide_cache():
+    # a result lives and dies with its call and a group's tables with its
+    # GroupSpec: no functools.lru_cache or functools.cache, as a decorator or
+    # otherwise; an instance's cached_property dies with the instance
+    memos = {"lru_cache", "cache"}
+    found = []
+    for folder, _, files in os.walk(os.path.join(ROOT, "src")):
+        for file in sorted(f for f in files if f.endswith(".py")):
+            with open(os.path.join(folder, file), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                    found += [f"{file}:{node.lineno}" for alias in node.names if alias.name in memos]
+                elif isinstance(node, ast.Attribute) and node.attr in memos and getattr(node.value, "id", None) == "functools":
+                    found.append(f"{file}:{node.lineno}")
+    assert found == []
+
+
 def test_trace_targets_resolve():
     # perfbench/tracing.py rebinds these names on the scdforge modules; a missing
     # one would break the traced benchmark run, not any test of the package
