@@ -11,8 +11,10 @@ group of the quotient and reflect commands.  "verify" is verify, in text and
 --json, of wrong documents: a boolean, quotient, reflection, chainpower or
 product document from a construction with one chain dropped, one element
 replaced by a non-least member of its orbit, one element repeated, one chain
-split or its element_count off by one, each named by a stable label and
-pinned by its own sha256; its stderr is pinned too.  Run
+split, two adjacent elements of a chain swapped, or the last element of a
+chain moved to the end of another, or with its element_count or chain_count
+off by one or one rank_profile count moved up a rank, each named by a stable
+label and pinned by its own sha256; its stderr is pinned too.  Run
 from the repository root, on the commit whose output is the contract:
 
     PYTHONPATH=src python3 tests/record_construct_goldens.py
@@ -176,8 +178,12 @@ def wrong_documents() -> list[tuple[str, bytes]]:
     """(label, canonical bytes) of each wrong document, in a fixed order: each
     source with one chain dropped, one element repeated in place, one chain
     split in two, where the group moves an element, one element replaced by
-    another member of its orbit, and last its own chains with element_count
-    off by one.  The other stats are those of the changed chains."""
+    another member of its orbit; then its own chains with element_count off
+    by one, with chain_count off by one, and with one rank_profile count
+    moved to the next rank; then two adjacent elements of one chain swapped,
+    and the last element of one chain moved to the end of another, which
+    leave chains that are not saturated.  Every stat that is not off is
+    counted from the changed chains' elements, one element at a time."""
     from scdforge.cli import encode
 
     documents = []
@@ -186,30 +192,46 @@ def wrong_documents() -> list[tuple[str, bytes]]:
         rank = len if kind in ("boolean", "quotient", "reflection") else sum
         chains = doc["chains"]
         rng = random.Random(source)
-        mutants = []  # (what, chains, element_count's error)
+        mutants = []  # (what, chains, errors in the stats counted from them)
         i = rng.randrange(len(chains))
-        mutants.append((f"chain {i} dropped", chains[:i] + chains[i + 1:], 0))
+        mutants.append((f"chain {i} dropped", chains[:i] + chains[i + 1:], {}))
         i = rng.randrange(len(chains))
         j = rng.randrange(len(chains[i]))
         mutants.append((f"chain {i} element {j} repeated",
-                        chains[:i] + [chains[i][:j + 1] + chains[i][j:]] + chains[i + 1:], 0))
+                        chains[:i] + [chains[i][:j + 1] + chains[i][j:]] + chains[i + 1:], {}))
         i = rng.choice([k for k, c in enumerate(chains) if len(c) > 1])
         j = rng.randrange(1, len(chains[i]))
         mutants.append((f"chain {i} split before element {j}",
-                        chains[:i] + [chains[i][:j], chains[i][j:]] + chains[i + 1:], 0))
+                        chains[:i] + [chains[i][:j], chains[i][j:]] + chains[i + 1:], {}))
         moved = [(k, j, y) for k, c in enumerate(chains) for j, x in enumerate(c)
                  for y in (move(x) for move in moves) if y != x]
         if moved:
             i, j, y = rng.choice(moved)
             mutants.append((f"chain {i} element {j} replaced by {y}",
-                            chains[:i] + [chains[i][:j] + [y] + chains[i][j + 1:]] + chains[i + 1:], 0))
-        mutants.append(("element_count off by one", chains, 1))
-        for what, changed, error in mutants:
+                            chains[:i] + [chains[i][:j] + [y] + chains[i][j + 1:]] + chains[i + 1:], {}))
+        mutants.append(("element_count off by one", chains, {"element_count": 1}))
+        mutants.append(("chain_count off by one", chains, {"chain_count": 1}))
+        r = rng.choice([r for r, count in enumerate(doc["stats"]["rank_profile"][:-1]) if count])
+        mutants.append((f"rank_profile count at rank {r} moved to rank {r + 1}", chains, {"rank_profile": r}))
+        i = rng.choice([k for k, c in enumerate(chains) if len(c) > 1])
+        j = rng.randrange(len(chains[i]) - 1)
+        mutants.append((f"chain {i} elements {j} and {j + 1} swapped",
+                        chains[:i] + [chains[i][:j] + [chains[i][j + 1], chains[i][j]] + chains[i][j + 2:]]
+                        + chains[i + 1:], {}))
+        i = rng.choice([k for k, c in enumerate(chains) if len(c) > 1])
+        j = rng.choice([k for k in range(len(chains)) if k != i])
+        changed = [c[:-1] if k == i else c + [chains[i][-1]] if k == j else c for k, c in enumerate(chains)]
+        mutants.append((f"chain {i} last element moved to the end of chain {j}", changed, {}))
+        for what, changed, errors in mutants:
             profile = [0] * len(doc["stats"]["rank_profile"])
             for c in changed:
                 for x in c:
                     profile[rank(x)] += 1
-            wrong = dict(doc, chains=changed, stats={"chain_count": len(changed), "element_count": sum(profile) + error,
+            if "rank_profile" in errors:
+                profile[errors["rank_profile"]] -= 1
+                profile[errors["rank_profile"] + 1] += 1
+            wrong = dict(doc, chains=changed, stats={"chain_count": len(changed) + errors.get("chain_count", 0),
+                                                     "element_count": sum(profile) + errors.get("element_count", 0),
                                                      "rank_profile": profile})
             documents.append((f"{source}: {what}", encode(wrong)))
     assert len({label for label, _ in documents}) == len(documents)
