@@ -31,7 +31,7 @@ from .core import (
     make_decomposition,
 )
 from . import prune
-from .gk import ChainBottoms, gk_scd
+from .gk import ChainBottoms
 from .groups import necklace_ranks
 
 
@@ -161,7 +161,7 @@ def chainpower_scd(k: int, m: int, r: int = 1) -> Decomposition:
     # and bottom halves, which itertools.product lists in numeric order
     cut = k ** (m // 2)
     top, bottom = (list(itertools.product(range(k), repeat=d)) for d in (m - m // 2, m // 2))
-    chains = [Chain(tuple([top[x // cut] + bottom[x % cut] for x in c.elements]), c.ranks) for c in orbits]
+    chains = [Chain(tuple([top[x // cut] + bottom[x % cut] for x in c.elements]), c.rank) for c in orbits]
     context = Context(kind="chainpower", total_rank=n, k=k, m=m, r=step)
     return make_decomposition(chains, context)
 
@@ -173,7 +173,7 @@ def check_dichotomy(k: int, m: int) -> bool:
     if n > 18:
         raise ResourceLimitError(f"dichotomy scan is capped at (k-1)m <= 18, got {n}")
     inside = {level_mask(u, k) for u in itertools.product(range(k), repeat=m)}
-    for chain in gk_scd(n).chains:
+    for chain in ChainBottoms(n):
         flags = [a in inside for a in chain.elements]
         if any(flags) and not all(flags):
             return False

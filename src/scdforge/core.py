@@ -98,35 +98,27 @@ class _Record:
 
 
 class Chain(_Record):
-    """Ascending run of poset elements together with their ranks.
+    """Ascending run of poset elements and the rank of its bottom element.
 
-    Constructors produce saturated chains (consecutive ranks); the type stays
-    permissive so the verifier can represent and then reject broken chains.
+    Every construction produces saturated chains, so element i has rank
+    rank + i, and that is what the record means.  Beyond refusing an empty
+    chain the type stays permissive, so the verifier can hold a broken chain
+    and reject it; the verifier never reads rank.
     """
 
-    __slots__ = ("elements", "ranks")
+    __slots__ = ("elements", "rank")
 
-    def __init__(self, elements: tuple, ranks: tuple[int, ...]):
+    def __init__(self, elements: tuple, rank: int):
         if not elements:
             raise ValueError("empty chain")
-        if len(elements) != len(ranks):
-            raise ValueError("chain elements and ranks differ in length")
         _set(self, "elements", elements)
-        _set(self, "ranks", ranks)
-
-    @classmethod
-    def from_masks(cls, masks) -> "Chain":
-        masks = tuple(masks)
-        return cls(masks, tuple(m.bit_count() for m in masks))
+        _set(self, "rank", rank)
 
     def __len__(self):
         return len(self.elements)
 
     def __iter__(self):
         return iter(self.elements)
-
-    def is_saturated(self) -> bool:
-        return all(b == a + 1 for a, b in zip(self.ranks, self.ranks[1:]))
 
 
 def hook_chains(a: int, b: int) -> list[tuple[tuple[int, int], ...]]:
@@ -180,15 +172,18 @@ class Decomposition(_Record):
         return tuple(len(c) for c in self.chains)
 
     def rank_counts(self) -> tuple[int, ...]:
+        """The profile the chain records claim, each chain once at every rank
+        from its bottom's up; a decoded chain need not be saturated, so verify
+        counts a document's elements at their own ranks."""
         counts = [0] * (self.context.total_rank + 1)
         for c in self.chains:
-            for r in c.ranks:
+            for r in range(c.rank, c.rank + len(c)):
                 counts[r] += 1
         return tuple(counts)
 
 
 def _chain_key(chain: Chain):
-    return (chain.ranks[0], chain.elements[0])
+    return (chain.rank, chain.elements[0])
 
 
 def make_decomposition(chains, context: Context) -> Decomposition:
@@ -202,7 +197,7 @@ def make_decomposition(chains, context: Context) -> Decomposition:
 
 def map_elements(decomp: Decomposition, fn, context: Context | None = None) -> Decomposition:
     """Apply a rank-preserving relabeling to every element of a decomposition."""
-    chains = tuple(Chain(tuple(fn(e) for e in c.elements), c.ranks) for c in decomp.chains)
+    chains = tuple(Chain(tuple(fn(e) for e in c.elements), c.rank) for c in decomp.chains)
     return Decomposition(chains, context if context is not None else decomp.context)
 
 
@@ -295,7 +290,9 @@ def relabel_map(targets):
 
 
 def structural_problems(decomp: Decomposition) -> list[str]:
-    """Cheap intrinsic checks: saturation, symmetry, no repeated elements.
+    """Cheap intrinsic checks: symmetry and no repeated elements.  A chain
+    record is saturated by what it means, its ranks running up from its
+    bottom's.
 
     Coverage and comparability need the target poset and are the verifier's
     job; this catches malformed inputs to the product assembly.
@@ -304,9 +301,7 @@ def structural_problems(decomp: Decomposition) -> list[str]:
     total = decomp.context.total_rank
     seen = set()
     for c in decomp.chains:
-        if not c.is_saturated():
-            problems.append(f"chain {c.elements!r} is not saturated")
-        if c.ranks[0] + c.ranks[-1] != total:
+        if 2 * c.rank + len(c) - 1 != total:
             problems.append(f"chain {c.elements!r} is not symmetric for rank {total}")
         for e in c.elements:
             if e in seen:
@@ -319,7 +314,8 @@ def product_scd(dp: Decomposition, dq: Decomposition) -> Decomposition:
     """Symmetric chain decomposition of a product of two decomposed posets.
 
     Every pair of chains spans a rectangle, which the hooks split into
-    symmetric chains; elements of the result are (p, q) pairs and ranks add.
+    symmetric chains; elements of the result are (p, q) pairs and ranks add,
+    so a hook chain's bottom rank is its first cell's.
     """
     for d in (dp, dq):
         problems = structural_problems(d)
@@ -331,8 +327,8 @@ def product_scd(dp: Decomposition, dq: Decomposition) -> Decomposition:
         for d in dq.chains:
             for hook in hook_chains(len(c) - 1, len(d) - 1):
                 elems = tuple((c.elements[x], d.elements[y]) for x, y in hook)
-                ranks = tuple(c.ranks[x] + d.ranks[y] for x, y in hook)
-                chains.append(Chain(elems, ranks))
+                x, y = hook[0]
+                chains.append(Chain(elems, c.rank + d.rank + x + y))
     return make_decomposition(chains, Context(kind="product", total_rank=total))
 
 

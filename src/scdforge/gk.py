@@ -15,9 +15,9 @@ and grows a chain only when it is asked for; the greedy pruning pass streams
 from it.  gk_scd is the boolean Decomposition of every chain of
 ChainBottoms(n), grown in that order, which is already the canonical one; it
 checks that they cover all 2^n subsets, builds them anew on every call, and
-serves the gk command (as gk_decomposition) and the exposition helpers.
-Quotients, reflections and chain powers grow their chains from ChainBottoms
-without that check.
+serves only the gk command (as gk_decomposition) and the demos.  Quotients,
+reflections, chain powers and chainpow.check_dichotomy grow their chains
+from ChainBottoms without that check.
 """
 
 from __future__ import annotations
@@ -101,13 +101,13 @@ def predecessor(b: int, n: int) -> int | None:
 
 def _grow(bottom: int, free: int) -> Chain:
     # the chain from its bottom: add the free positions left to right
-    elems = [bottom]
+    elems, rank = [bottom], bottom.bit_count()
     while free:
         low = free & -free
         bottom |= low
         elems.append(bottom)
         free ^= low
-    return Chain.from_masks(elems)
+    return Chain(tuple(elems), rank)
 
 
 def chain_of(a: int, n: int) -> Chain:
@@ -197,13 +197,12 @@ def boolean_scd_on_support(support: int) -> Decomposition:
 
 
 def partner(x: int, chain: Chain) -> int:
-    """Mirror member of a symmetric chain: the element at rank N - rank(x)."""
-    bottom = chain.ranks[0]
-    total = bottom + chain.ranks[-1]
-    pos = x.bit_count() - bottom
+    """Mirror member of a symmetric chain: the element at rank N - rank(x),
+    as many steps below the top as x is above the bottom."""
+    pos = x.bit_count() - chain.rank
     if not 0 <= pos < len(chain) or chain.elements[pos] != x:
         raise ValueError(f"subset {x} is not on the chain")
-    return chain.elements[total - x.bit_count() - bottom]
+    return chain.elements[len(chain) - 1 - pos]
 
 
 __all__ = [

@@ -136,8 +136,7 @@ def prune_chains(bottoms: ChainBottoms, step: int, expected: int, *, levels: boo
                     least = y
                 y = y % cut * lift + y // cut
             reps.append(least)
-        ranks = tuple(range(first, last + 1))
-        picked.append(PrunedChain(ci, Chain(tuple(kept), ranks), Chain(tuple(reps), ranks)))
+        picked.append(PrunedChain(ci, Chain(tuple(kept), first), Chain(tuple(reps), first)))
         covered += len(kept)
         if covered == expected and 0 not in marks:
             break  # every element is marked, so no later chain can be selected

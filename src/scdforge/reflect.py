@@ -137,28 +137,27 @@ def _orbit_chains(targets) -> list[Chain]:
     (u, v) written as its orbit's name: u goes on targets[:k], the reverse of
     v on targets[k:], and the name is the smaller of that word and its mirror.
     Only a few block shapes occur, so each grid is built once per shape; the
-    half-cube chains are saturated, so a cell chain's ranks run up from its
+    half-cube chains are saturated, so a cell chain's bottom rank is its
     first cell's."""
     k = len(targets) // 2
     left, right = relabel_map(targets[:k]), relabel_map(targets[::-1][:k])
     sides = [
-        (tuple(map(left, c.elements)), tuple(map(right, c.elements)), c.ranks)
+        (tuple(map(left, c.elements)), tuple(map(right, c.elements)), c.rank, len(c) - 1)
         for c in ChainBottoms(k)
     ]
     shapes = {}
     chains = []
-    for i, (left_i, right_i, ranks_i) in enumerate(sides):
+    for i, (left_i, right_i, rank_i, side_i) in enumerate(sides):
         for j in range(i, len(sides)):
-            left_j, right_j, ranks_j = sides[j]
-            shape = (len(ranks_i) - 1, len(ranks_j) - 1, i == j)
+            left_j, right_j, rank_j, side_j = sides[j]
+            shape = (side_i, side_j, i == j)
             grids = shapes.get(shape)
             if grids is None:
                 grids = shapes[shape] = scd_of_diagonal_block(shape[0]) if i == j else hook_chains(*shape[:2])
             for grid in grids:
                 names = tuple([min(left_i[x] | right_j[y], left_j[y] | right_i[x]) for x, y in grid])
                 x, y = grid[0]
-                first = ranks_i[x] + ranks_j[y]
-                chains.append(Chain(names, tuple(range(first, first + len(grid)))))
+                chains.append(Chain(names, rank_i + rank_j + x + y))
     return chains
 
 

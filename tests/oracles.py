@@ -37,7 +37,8 @@ a word for blockwise monotone blocks, `mask_levels` reads such a word's
 levels by popcounts and `level_digits` a level
 number's by division, `tuple_ascends` is a chain-power target's `ascends`
 over tuples (the form its byte encoding is checked against),
-`is_symmetric_chain` restates the symmetry test, `chain_index` maps each
+`is_symmetric_chain` restates the symmetry test from the elements' own
+ranks, `chain_index` maps each
 subset to the number of its Greene-Kleitman chain, and
 `read_subset_reference` is the set-and-sort subset reader that `decode` keeps
 only to explain a subset its strict loop refuses, kept here as it was so that
@@ -161,9 +162,12 @@ def read_subset_reference(elems, n: int) -> int:
     return mask_of(elems) if n <= MASK_WIDTH_LIMIT else 0
 
 
-def is_symmetric_chain(chain: Chain, total_rank: int) -> bool:
-    """True iff the chain is saturated and its end ranks sum to the poset rank."""
-    return chain.is_saturated() and chain.ranks[0] + chain.ranks[-1] == total_rank
+def is_symmetric_chain(chain: Chain, total_rank: int, rank=int.bit_count) -> bool:
+    """True iff the chain's elements, ranked by `rank` and not by the record,
+    step up one rank at a time from its bottom to a top whose rank and the
+    bottom's sum to the poset rank."""
+    ranks = [rank(e) for e in chain.elements]
+    return ranks == list(range(ranks[0], ranks[0] + len(ranks))) and ranks[0] + ranks[-1] == total_rank
 
 
 def chain_index(scd) -> dict[int, int]:
@@ -399,10 +403,9 @@ def ambient_chainpower(k: int, m: int, step: int) -> list[Chain]:
     n = (k - 1) * m
     chains = []
     for pc in greedy_prune(gk_scd(n).chains, n, (k - 1) * step):
-        kept = [(a, r) for a, r in zip(pc.kept.elements, pc.kept.ranks) if in_chain_power(a, k, m)]
+        kept = [a for a in pc.kept.elements if in_chain_power(a, k, m)]
         if kept:
-            levels = tuple(canonical_levels(mask_levels(a, k, m), step) for a, _ in kept)
-            chains.append(Chain(levels, tuple(r for _, r in kept)))
+            chains.append(Chain(tuple(canonical_levels(mask_levels(a, k, m), step) for a in kept), kept[0].bit_count()))
     return chains
 
 
@@ -421,8 +424,8 @@ def greedy_prune(chains, n: int, step: int) -> tuple[PrunedChain, ...]:
         kept = [(a, rep) for a, rep in zip(chain.elements, reps) if rep not in touched_kept]
         touched_full.update(reps)
         touched_kept.update(rep for _, rep in kept)
-        kept_chain = Chain.from_masks(a for a, _ in kept)
-        orbit_chain = Chain(tuple(rep for _, rep in kept), kept_chain.ranks)
+        rank = kept[0][0].bit_count()
+        kept_chain, orbit_chain = (Chain(tuple(pair[i] for pair in kept), rank) for i in (0, 1))
         picked.append(PrunedChain(ci, kept_chain, orbit_chain))
     return tuple(picked)
 
@@ -493,7 +496,8 @@ def core_quotient_part(k: int) -> Decomposition:
             else:
                 grids = staircase_peel(PBlock(i, i, ci.elements, ci.elements, ()))
             for grid in grids:
-                chains.append(Chain.from_masks(ci.elements[x] | back(cj.elements[y]) for x, y in grid))
+                masks = tuple(ci.elements[x] | back(cj.elements[y]) for x, y in grid)
+                chains.append(Chain(masks, masks[0].bit_count()))
     return make_decomposition(chains, Context(kind="quotient", total_rank=2 * k, n=2 * k))
 
 

@@ -62,8 +62,8 @@ def test_01_greene_kleitman_correctness():
             assert len(scd.chains) == math.comb(n, n // 2)
             covered = 0
             for chain in scd.chains:
-                assert chain.is_saturated()
-                assert chain.ranks[0] + chain.ranks[-1] == n
+                assert [mask.bit_count() for mask in chain.elements] == list(range(chain.rank, chain.rank + len(chain)))
+                assert 2 * chain.rank + len(chain) - 1 == n
                 covered += len(chain)
             assert covered == 1 << n
             assert len({mask for chain in scd.chains for mask in chain.elements}) == 1 << n

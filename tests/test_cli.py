@@ -67,7 +67,7 @@ def test_quotient_document(capsysbinary):
     decomp, stats = decode(out)
     assert stats == {"chain_count": 2, "element_count": 6, "rank_profile": [1, 1, 2, 1, 1]}
     assert [c.elements for c in decomp.chains] == [(0, 1, 3, 7, 15), (5,)]
-    assert [c.ranks for c in decomp.chains] == [(0, 1, 2, 3, 4), (2,)]
+    assert [c.rank for c in decomp.chains] == [0, 2]
     assert decomp.context == Context(kind="quotient", total_rank=4, n=4, group="(1 2 3 4)")
 
 
@@ -81,7 +81,7 @@ def test_reflect_and_chainpower_commands(capsysbinary):
     assert json.loads(out)["context"] == {"kind": "chainpower", "k": 3, "m": 2, "r": 1}
     decomp, _ = decode(out)
     assert decomp.context == Context(kind="chainpower", total_rank=4, k=3, m=2, r=1)
-    assert decomp.chains[1] == Chain(((1, 1),), (2,))
+    assert decomp.chains[1] == Chain(((1, 1),), 2)
 
 
 @pytest.mark.parametrize("argv", [
@@ -316,7 +316,7 @@ def test_decode_reads_subsets_as_the_reference_reader_does(case):
     else:
         decomp, _ = decode(encode_raw(doc))
         assert decomp.chains[0].elements == tuple(masks)
-        assert decomp.chains[0].ranks == tuple(len(elems) for elems in chain)
+        assert decomp.chains[0].rank == len(chain[0])
 
 
 @pytest.mark.parametrize(
@@ -384,8 +384,8 @@ def _spread(n: int, width: int, seed: int) -> Decomposition:
 
 def _high_bits_only() -> Decomposition:
     # n = 40: every mask leaves the low chunk empty, and some the middle one too
-    chains = (Chain.from_masks([0]), Chain.from_masks([1 << 11, 1 << 11 | 1 << 39]),
-              Chain.from_masks([1 << 22, 1 << 22 | 1 << 30, 1 << 22 | 1 << 30 | 1 << 33]))
+    chains = (Chain((0,), 0), Chain((1 << 11, 1 << 11 | 1 << 39), 1),
+              Chain((1 << 22, 1 << 22 | 1 << 30, 1 << 22 | 1 << 30 | 1 << 33), 1))
     return Decomposition(chains, Context(kind="boolean", total_rank=40, n=40))
 
 

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import is_symmetric_chain
+from oracles import is_symmetric_chain, level_digits
+from scdforge.chainpow import ChainPowerTarget, ChainProductTarget, chainpower_scd, chainproduct_scd
 from scdforge.core import (
     Chain,
     Context,
@@ -23,11 +24,11 @@ from scdforge.core import (
     relabel_map,
     set_string,
 )
-from scdforge.gk import Pairing, gk_decomposition
-from scdforge.groups import CycleFactor, GroupSpec
-from scdforge.prune import PrunedChain, PrunedFamily
-from scdforge.reflect import PBlock
-from scdforge.verify import Failure, RankProfile, VerifyReport
+from scdforge.gk import ChainBottoms, Pairing, boolean_scd_on_support, gk_decomposition
+from scdforge.groups import CycleFactor, GroupSpec, parse_group_spec, quotient_poset
+from scdforge.prune import PrunedChain, PrunedFamily, prune_chains, quotient_scd, quotient_scd_cyclic
+from scdforge.reflect import PBlock, reflection_poset, reflection_scd
+from scdforge.verify import Failure, ProductTarget, RankProfile, VerifyReport
 
 
 def test_rank_examples():
@@ -44,17 +45,21 @@ def test_mask_round_trip():
 
 
 def test_symmetric_chain_examples():
-    full_b2 = Chain.from_masks([0, 1, 3])
+    full_b2 = Chain((0, 1, 3), 0)
     assert is_symmetric_chain(full_b2, 2)
-    singleton = Chain.from_masks([mask_of([1, 3])])
+    singleton = Chain((mask_of([1, 3]),), 2)
     assert is_symmetric_chain(singleton, 4)  # 2 + 2 = 4
-    lopsided = Chain.from_masks([1, 3])
+    lopsided = Chain((1, 3), 1)
     assert not is_symmetric_chain(lopsided, 4)
+    # the elements' ranks decide, not the record's
+    assert not is_symmetric_chain(Chain((0, 3), 0), 2)  # skips rank 1
+    assert not is_symmetric_chain(Chain((0, 1, 3), 1), 4)
+    assert is_symmetric_chain(Chain(((0,), (1,), (2,)), 5), 2, sum)
 
 
 def test_empty_chain_rejected():
     with pytest.raises(ValueError, match="empty chain"):
-        Chain((), ())
+        Chain((), 0)
 
 
 def test_hook_chains_small():
@@ -102,7 +107,7 @@ def test_product_of_two_b1_copies_looks_like_b2():
 
 def test_product_with_singleton_factor_is_isomorphic():
     point = Decomposition(
-        (Chain(("pt",), (0,)),), Context(kind="product", total_rank=0)
+        (Chain(("pt",), 0),), Context(kind="product", total_rank=0)
     )
     dq = gk_decomposition(2)
     prod = product_scd(point, dq)
@@ -132,17 +137,61 @@ def test_product_chain_count_matches_middle_rank():
         # every symmetric chain crosses the middle rank of the product
         middle = (n_p + n_q) // 2
         middle_count = sum(
-            1 for c in prod.chains for r in c.ranks if r == middle
+            1 for c in prod.chains for p, q in c.elements if p.bit_count() + q.bit_count() == middle
         )
         assert middle_count == len(prod.chains)
+        for c in prod.chains:
+            assert [p.bit_count() + q.bit_count() for p, q in c.elements] == list(range(c.rank, c.rank + len(c)))
+
+
+def _constructions():
+    """(label, chains, rank function of their elements) over a small grid of
+    every construction, the greedy pass's pieces included."""
+    for n in range(1, 9):
+        trivial = quotient_poset(n, GroupSpec.trivial(n))
+        yield f"gk {n}", gk_decomposition(n).chains, trivial.rank
+        for step in [d for d in range(1, n + 1) if n % d == 0]:
+            decomp = quotient_scd_cyclic(n, step)
+            yield f"cyclic {n}/{step}", decomp.chains, int.bit_count
+            family = prune_chains(ChainBottoms(n), step, decomp.element_count())
+            yield f"pieces {n}/{step}", [c for pc in family.chains for c in (pc.kept, pc.orbits)], int.bit_count
+    yield "support", boolean_scd_on_support(mask_of([2, 3, 5, 8, 9])).chains, int.bit_count
+    for n, text in [(6, "(1 2 3 4)^2"), (7, "(1 2 3)(4 5 6 7)^2"), (9, "(2 5 7)(1 9)"), (10, "(2 4 6)(7 8)(9 10)^2")]:
+        yield f"quotient {n} {text}", quotient_scd(n, text).chains, quotient_poset(n, parse_group_spec(text, n)).rank
+    for n, text in [(6, "(1 6)(2 5)(3 4)"), (7, "(2 6)(1 3)"), (9, "(1 9)"), (5, "(2 4)^2")]:
+        yield f"reflect {n} {text}", reflection_scd(n, text).chains, reflection_poset(n, parse_group_spec(text, n)).rank
+    for k, m, r in [(2, 6, 1), (3, 4, 2), (4, 3, 1), (5, 2, 1)]:
+        decomp = chainpower_scd(k, m, r)
+        yield f"chainpower {k} {m} {r}", decomp.chains, ChainPowerTarget(k, m, r).rank
+        n, step = (k - 1) * m, (k - 1) * r
+        family = prune_chains(ChainBottoms(n, k - 1), step, decomp.element_count(), levels=True)
+        pieces = [c for pc in family.chains for c in (pc.kept, pc.orbits)]
+        yield f"level pieces {k} {m} {r}", pieces, lambda x, k=k, m=m: sum(level_digits(x, k, m))
+    triples = [(3, 2, 1), (2, 3, 1), (2, 2, 2)]
+    yield "chainproduct", chainproduct_scd(triples).chains, ChainProductTarget(triples).rank
+    necklaces = quotient_poset(4, GroupSpec(4, (CycleFactor((1, 2, 3, 4)),)))
+    pairs = ProductTarget(necklaces, quotient_poset(3, GroupSpec.trivial(3)))
+    yield "product", product_scd(quotient_scd_cyclic(4, 1), gk_decomposition(3)).chains, pairs.rank
+
+
+def test_every_chain_is_saturated_from_its_recorded_bottom_rank():
+    # the stats and the canonical order rest on rank: each element's own rank is the bottom's plus its place
+    for label, chains, rank in _constructions():
+        assert chains, label
+        for c in chains:
+            assert [rank(e) for e in c.elements] == list(range(c.rank, c.rank + len(c))), (label, c)
 
 
 def test_product_rejects_broken_input():
+    # a two-element chain from rank 0 ends at rank 1, which is not symmetric for rank 2
     bad = Decomposition(
-        (Chain((0, 3), (0, 2)),), Context(kind="boolean", total_rank=2, n=2)
+        (Chain((0, 3), 0),), Context(kind="boolean", total_rank=2, n=2)
     )
-    with pytest.raises(ValueError, match="invalid input"):
+    with pytest.raises(ValueError, match="invalid input decomposition: chain .* is not symmetric for rank 2"):
         product_scd(bad, gk_decomposition(1))
+    repeated = Decomposition((Chain((0, 1, 3), 0), Chain((1,), 1)), Context(kind="boolean", total_rank=2, n=2))
+    with pytest.raises(ValueError, match="invalid input decomposition: element 1 appears twice"):
+        product_scd(gk_decomposition(1), repeated)
 
 
 @given(st.integers(min_value=0, max_value=8), st.integers(min_value=0, max_value=8))
@@ -203,23 +252,23 @@ def test_relabel_moves_each_bit_to_its_target():
     assert moved.context == local.context
     for c, d in zip(local.chains, moved.chains):
         assert d.elements == tuple(_moved(a, targets) for a in c.elements)
-        assert d.ranks == c.ranks
+        assert d.rank == c.rank
 
 
-_CHAIN = Chain((1, 3), (1, 2))
-_PIECE = PrunedChain(4, _CHAIN, Chain((1,), (1,)))
+_CHAIN = Chain((1, 3), 1)
+_PIECE = PrunedChain(4, _CHAIN, Chain((1,), 1))
 
 # (record, its fields in order, its repr, the fields that a shorter call leaves
 # at their defaults, calls that must raise ValueError)
 RECORDS = [
-    (Chain, dict(elements=(1, 3), ranks=(1, 2)),
-     "Chain(elements=(1, 3), ranks=(1, 2))",
-     {}, [dict(elements=(), ranks=()), dict(elements=(1,), ranks=(1, 2)), dict(elements=(0, 1), ranks=(0,))]),
+    (Chain, dict(elements=(1, 3), rank=1),
+     "Chain(elements=(1, 3), rank=1)",
+     {}, [dict(elements=(), rank=0)]),
     (Context, dict(kind="quotient", total_rank=4, n=4, group="(1 2)", k=3, m=2, r=1, factors=((2, 2, 1),)),
      "Context(kind='quotient', total_rank=4, n=4, group='(1 2)', k=3, m=2, r=1, factors=((2, 2, 1),))",
      dict(n=None, group=None, k=None, m=None, r=None, factors=None), []),
     (Decomposition, dict(chains=(_CHAIN,), context=Context("boolean", 1, n=1)),
-     "Decomposition(chains=(Chain(elements=(1, 3), ranks=(1, 2)),), context=Context(kind='boolean', "
+     "Decomposition(chains=(Chain(elements=(1, 3), rank=1),), context=Context(kind='boolean', "
      "total_rank=1, n=1, group=None, k=None, m=None, r=None, factors=None))",
      {}, []),
     (Pairing, dict(n=3, subset=6, partner={2: 1}, paired_members=2, paired_nonmembers=1),
@@ -233,12 +282,12 @@ RECORDS = [
      {}, [dict(n=0, factors=()), dict(n=4, factors=(CycleFactor((1, 2, 1)),)),
           dict(n=4, factors=(CycleFactor((1, 5)),)), dict(n=4, factors=(CycleFactor((1, 2), -1),)),
           dict(n=4, factors=(CycleFactor((1, 2)), CycleFactor((2, 3))))]),
-    (PrunedChain, dict(source=4, kept=_CHAIN, orbits=Chain((1,), (1,))),
-     "PrunedChain(source=4, kept=Chain(elements=(1, 3), ranks=(1, 2)), orbits=Chain(elements=(1,), ranks=(1,)))",
+    (PrunedChain, dict(source=4, kept=_CHAIN, orbits=Chain((1,), 1)),
+     "PrunedChain(source=4, kept=Chain(elements=(1, 3), rank=1), orbits=Chain(elements=(1,), rank=1))",
      {}, []),
     (PrunedFamily, dict(chains=(_PIECE,)),
-     "PrunedFamily(chains=(PrunedChain(source=4, kept=Chain(elements=(1, 3), ranks=(1, 2)), "
-     "orbits=Chain(elements=(1,), ranks=(1,))),))",
+     "PrunedFamily(chains=(PrunedChain(source=4, kept=Chain(elements=(1, 3), rank=1), "
+     "orbits=Chain(elements=(1,), rank=1)),))",
      {}, []),
     (PBlock, dict(i=0, j=1, rows=(0, 1), cols=(2,), cells=((0, 2), (1, 2))),
      "PBlock(i=0, j=1, rows=(0, 1), cols=(2,), cells=((0, 2), (1, 2)))",

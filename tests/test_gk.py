@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -131,14 +134,14 @@ def test_gk_scd_partitions_and_indexes(n):
     assert len(scd.chains) == math.comb(n, n // 2)
     seen = set()
     for chain in scd.chains:
-        assert chain.ranks[0] + chain.ranks[-1] == n
-        assert chain.is_saturated()
+        assert [mask.bit_count() for mask in chain.elements] == list(range(chain.rank, chain.rank + len(chain)))
+        assert 2 * chain.rank + len(chain) - 1 == n
         for mask in chain.elements:
             assert mask not in seen
             seen.add(mask)
     assert seen == set(range(1 << n))
     # longest chains first; equal lengths by ascending bottom mask
-    order = [(c.ranks[0], c.elements[0]) for c in scd.chains]
+    order = [(c.elements[0].bit_count(), c.elements[0]) for c in scd.chains]
     assert order == sorted(order)
 
 
@@ -221,6 +224,20 @@ def test_boolean_scd_on_support_is_in_canonical_order():
     decomp = boolean_scd_on_support(support)
     assert decomp == make_decomposition(decomp.chains, decomp.context)
     assert {e for c in decomp.chains for e in c.elements} == {a for a in range(1 << 9) if a & ~support == 0}
+
+
+def test_gk_scd_holds_elements_and_bottom_ranks_only():
+    # a chain is its elements and its bottom's rank: 3.67 MiB, 4.66 MiB with a ranks tuple per chain
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        scd = gk_scd(16)
+        held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert scd.element_count() == 1 << 16
+    assert held < 4 << 20, held
 
 
 def test_gk_scd_guards():

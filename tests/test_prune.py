@@ -92,7 +92,10 @@ def test_pruned_family_invariants(n):
             window = source.elements[lo : lo + len(pc.kept)]
             assert window == pc.kept.elements
             # symmetric: mirrors stay kept
-            assert pc.kept.ranks[0] + pc.kept.ranks[-1] == n
+            bottom = pc.kept.rank
+            assert [mask.bit_count() for mask in pc.kept.elements] == list(range(bottom, bottom + len(pc.kept)))
+            assert pc.orbits.rank == bottom
+            assert 2 * bottom + len(pc.kept) - 1 == n
             for mask in pc.kept.elements:
                 assert partner(mask, source) in pc.kept.elements
             for rep in pc.orbits.elements:
@@ -119,37 +122,58 @@ def _power_chains(k, m):
         return [c for c in gk_scd(n).chains if in_chain_power(c.elements[0], k, m)]
     # the streamed chains, grown and then sorted by their (rank, bottom)
     bottoms = ChainBottoms(n, k - 1)
-    return sorted((bottoms[i] for i in range(len(bottoms))), key=lambda c: (c.ranks[0], c.elements[0]))
+    return sorted((bottoms[i] for i in range(len(bottoms))), key=lambda c: (c.elements[0].bit_count(), c.elements[0]))
+
+
+@pytest.fixture(scope="module")
+def reference_passes():
+    """The reference pass greedy_prune over a chain power's chains against
+    rotation by each step dividing m, as {step: pieces}: computed once per
+    (k, m) and shared by the tests of this module."""
+    passes = {}
+
+    def reference(k, m):
+        if (k, m) not in passes:
+            n, chains = (k - 1) * m, _power_chains(k, m)
+            passes[k, m] = {step: greedy_prune(chains, n, (k - 1) * step) for step in divisors(m)}
+        return passes[k, m]
+
+    return reference
+
+
+def _ranks(chain):
+    """The ranks a chain record claims: one up per element from its bottom's."""
+    return tuple(range(chain.rank, chain.rank + len(chain)))
 
 
 def _read_by_levels(family, k, m):
-    """Each piece with its names read as level tuples."""
+    """Each piece with its names read as level tuples and its claimed ranks."""
     return [
-        (pc.source, tuple(level_digits(x, k, m) for x in pc.kept.elements), pc.kept.ranks,
-         tuple(level_digits(x, k, m) for x in pc.orbits.elements), pc.orbits.ranks)
+        (pc.source, tuple(level_digits(x, k, m) for x in pc.kept.elements), _ranks(pc.kept),
+         tuple(level_digits(x, k, m) for x in pc.orbits.elements), _ranks(pc.orbits))
         for pc in family
     ]
 
 
 def _reference_by_levels(family, k, m, step):
-    """The reference pieces with the kept masks read as level tuples and the
-    orbits as the least rotation of those."""
+    """The reference pieces with the kept masks read as level tuples, the
+    orbits as the least rotation of those, and both pieces' ranks as the
+    kept masks' sizes."""
     return [
-        (pc.source, tuple(mask_levels(a, k, m) for a in pc.kept.elements), pc.kept.ranks,
-         tuple(canonical_levels(mask_levels(a, k, m), step) for a in pc.kept.elements), pc.orbits.ranks)
+        (pc.source, tuple(mask_levels(a, k, m) for a in pc.kept.elements), ranks,
+         tuple(canonical_levels(mask_levels(a, k, m), step) for a in pc.kept.elements), ranks)
         for pc in family
+        for ranks in [tuple(a.bit_count() for a in pc.kept.elements)]
     ]
 
 
 @pytest.mark.parametrize("k, m", CHAIN_POWER_SHAPES + [(24, 1), (13, 2), (7, 4), (5, 6)])
-def test_prune_matches_the_reference_pass_on_chain_powers(k, m):
+def test_prune_matches_the_reference_pass_on_chain_powers(reference_passes, k, m):
     # by masks up to n = 12, and by level numbers at every size
     n = (k - 1) * m
     bottoms = ChainBottoms(n, k - 1)
-    chains = _power_chains(k, m)
-    for step in divisors(m):
+    for step, reference in reference_passes(k, m).items():
         expected = sum(necklace_ranks(k, m, step))
-        reference = greedy_prune(chains, n, (k - 1) * step)
         if n <= 12:
             assert prune_chains(bottoms, (k - 1) * step, expected).chains == reference, step
         got = prune_chains(bottoms, (k - 1) * step, expected, levels=True).chains
@@ -157,15 +181,13 @@ def test_prune_matches_the_reference_pass_on_chain_powers(k, m):
 
 
 @pytest.mark.parametrize("k, m", [(2, 12), (3, 9), (4, 6), (7, 4), (5, 6), (24, 1), (65, 1)])
-def test_level_names_decode_to_the_canonical_levels_of_the_reference_piece(k, m):
+def test_level_names_decode_to_the_canonical_levels_of_the_reference_piece(reference_passes, k, m):
     """Every name the level-number pass gives, read as m base-k digits, is
     the level tuple of the reference pass's kept mask, and every orbit name
     is canonical_levels of it; the orbit names are the canonical tuples."""
     n = (k - 1) * m
-    chains = _power_chains(k, m)
-    for step in divisors(m):
+    for step, reference in reference_passes(k, m).items():
         family = prune_chains(ChainBottoms(n, k - 1), (k - 1) * step, sum(necklace_ranks(k, m, step)), levels=True)
-        reference = greedy_prune(chains, n, (k - 1) * step)
         assert [pc.source for pc in family.chains] == [pc.source for pc in reference]
         for pc, ref in zip(family.chains, reference):
             for x, rep, a in zip(pc.kept.elements, pc.orbits.elements, ref.kept.elements):

@@ -34,8 +34,9 @@ def test_block_rank_arithmetic():
     for k in range(1, 5):
         scd = gk_scd(k)
         for block in build_blocks(k, scd):
-            r_i = scd.chains[block.i].ranks[0]
-            r_j = scd.chains[block.j].ranks[0]
+            r_i = scd.chains[block.i].elements[0].bit_count()
+            r_j = scd.chains[block.j].elements[0].bit_count()
+            assert (r_i, r_j) == (scd.chains[block.i].rank, scd.chains[block.j].rank)
             ranks = [u.bit_count() + v.bit_count() for u, v in block.cells]
             assert min(ranks) == r_i + r_j
             assert max(ranks) == 2 * k - (r_i + r_j)
