@@ -27,8 +27,8 @@ from .core import (
     QUOTIENT_LIMIT,
     ResourceLimitError,
     check_ground,
-    fold_products,
     make_decomposition,
+    product_scd,
 )
 from . import prune
 from .gk import ChainBottoms
@@ -203,10 +203,9 @@ def chainproduct_scd(factors) -> Decomposition:
     triples = _normalize_factors(factors)
     _check_element_count(triples)
     parts = [chainpower_scd(k, m, r) for k, m, r in triples]
-    combined = fold_products(parts, operator.add)
-    total = sum((k - 1) * m for k, m, _ in triples)
-    context = Context(kind="product", total_rank=total, factors=triples)
-    return make_decomposition(combined.chains, context)
+    combined = product_scd(*parts, join=operator.add)
+    context = Context(kind="product", total_rank=combined.context.total_rank, factors=triples)
+    return Decomposition(combined.chains, context)  # already in canonical order
 
 
 class ChainProductTarget:

@@ -174,10 +174,15 @@ class Decomposition(_Record):
     def rank_counts(self) -> tuple[int, ...]:
         """The profile the chain records claim, each chain once at every rank
         from its bottom's up; a decoded chain need not be saturated, so verify
-        counts a document's elements at their own ranks."""
-        counts = [0] * (self.context.total_rank + 1)
+        counts a document's elements at their own ranks.  A chain whose claimed
+        ranks run past total_rank raises ValueError."""
+        total = self.context.total_rank
+        counts = [0] * (total + 1)
         for c in self.chains:
-            for r in range(c.rank, c.rank + len(c)):
+            top = c.rank + len(c) - 1
+            if top > total:
+                raise ValueError(f"chain {c.elements!r} claims ranks {c.rank}..{top} past the top rank {total}")
+            for r in range(c.rank, top + 1):
                 counts[r] += 1
         return tuple(counts)
 
@@ -195,10 +200,10 @@ def make_decomposition(chains, context: Context) -> Decomposition:
     return Decomposition(tuple(sorted(chains, key=_chain_key)), context)
 
 
-def map_elements(decomp: Decomposition, fn, context: Context | None = None) -> Decomposition:
+def map_elements(decomp: Decomposition, fn) -> Decomposition:
     """Apply a rank-preserving relabeling to every element of a decomposition."""
     chains = tuple(Chain(tuple(fn(e) for e in c.elements), c.rank) for c in decomp.chains)
-    return Decomposition(chains, context if context is not None else decomp.context)
+    return Decomposition(chains, decomp.context)
 
 
 def chunk_tables(fn, n: int) -> list[list[int]]:
@@ -310,36 +315,31 @@ def structural_problems(decomp: Decomposition) -> list[str]:
     return problems
 
 
-def product_scd(dp: Decomposition, dq: Decomposition) -> Decomposition:
-    """Symmetric chain decomposition of a product of two decomposed posets.
-
-    Every pair of chains spans a rectangle, which the hooks split into
-    symmetric chains; elements of the result are (p, q) pairs and ranks add,
-    so a hook chain's bottom rank is its first cell's.
+def product_scd(first: Decomposition, *rest: Decomposition, join=lambda p, q: (p, q)) -> Decomposition:
+    """Symmetric chain decomposition of a product of decomposed posets, folded
+    left to right.  Every pair of chains spans a rectangle, which the hooks
+    split into symmetric chains; cell (x, y) holds join(p[x], q[y]), by default
+    the pair, and ranks add.  Each factor is checked once, up front, and the
+    chains are sorted once, at the end.
     """
-    for d in (dp, dq):
+    factors = (first, *rest)
+    for d in factors:
         problems = structural_problems(d)
         if problems:
             raise ValueError("invalid input decomposition: " + problems[0])
-    total = dp.context.total_rank + dq.context.total_rank
-    chains = []
-    for c in dp.chains:
-        for d in dq.chains:
-            for hook in hook_chains(len(c) - 1, len(d) - 1):
-                elems = tuple((c.elements[x], d.elements[y]) for x, y in hook)
-                x, y = hook[0]
-                chains.append(Chain(elems, c.rank + d.rank + x + y))
-    return make_decomposition(chains, Context(kind="product", total_rank=total))
-
-
-def fold_products(parts, join) -> Decomposition:
-    """Fold decompositions left to right with the hook product, merging each
-    (p, q) element pair into one element with join(p, q)."""
-    combined = parts[0]
-    for part in parts[1:]:
-        paired = product_scd(combined, part)
-        combined = map_elements(paired, lambda e: join(e[0], e[1]), paired.context)
-    return combined
+    chains = first.chains
+    for part in rest:
+        grids, folded = {}, []  # one hook grid per shape
+        for c in chains:
+            for d in part.chains:
+                p, q, shape = c.elements, d.elements, (len(c) - 1, len(d) - 1)
+                if shape not in grids:
+                    grids[shape] = hook_chains(*shape)
+                for hook in grids[shape]:
+                    x, y = hook[0]
+                    folded.append(Chain(tuple([join(p[a], q[b]) for a, b in hook]), c.rank + d.rank + x + y))
+        chains = folded
+    return make_decomposition(chains, Context(kind="product", total_rank=sum(d.context.total_rank for d in factors)))
 
 
 __all__ = [
@@ -352,7 +352,6 @@ __all__ = [
     "chunk_tables",
     "element_text",
     "elements_of",
-    "fold_products",
     "full_mask",
     "hook_chains",
     "make_decomposition",

@@ -29,9 +29,9 @@ from .core import (
     QUOTIENT_LIMIT,
     bit_map,
     check_enum,
-    fold_products,
     make_decomposition,
     map_elements,
+    product_scd,
     relabel_map,
 )
 from .gk import ChainBottoms, boolean_scd_on_support
@@ -193,9 +193,9 @@ def quotient_scd(n: int, group: GroupSpec | str) -> Decomposition:
     # the supports are disjoint, so a | b == a + b and the orbit of a union is
     # every union of factor orbit members: its least member is the union of
     # the factors' least members, and naming before the fold is naming after
-    combined = fold_products(parts, operator.or_)
+    combined = product_scd(*parts, join=operator.or_)
     context = Context(kind="quotient", total_rank=n, n=n, group=group.text())
-    return certify(quotient_poset(n, group), make_decomposition(combined.chains, context))
+    return certify(quotient_poset(n, group), Decomposition(combined.chains, context))  # already in canonical order
 
 
 __all__ = [

@@ -26,10 +26,10 @@ from .core import (
     ENUM_LIMIT,
     QUOTIENT_LIMIT,
     check_enum,
-    fold_products,
     full_mask,
     hook_chains,
     make_decomposition,
+    product_scd,
     relabel_map,
 )
 from .gk import ChainBottoms, boolean_scd_on_support
@@ -185,7 +185,7 @@ def reflection_scd(n: int, rho: GroupSpec | str) -> Decomposition:
         # rho fixes the fixed block, which is disjoint from the moved support, so
         # naming before the fold is the same as naming after: a|f < b|f iff a < b
         moved = Decomposition(tuple(chains), Context(kind="reflection", total_rank=len(targets)))
-        chains = fold_products([moved, boolean_scd_on_support(fixed)], operator.or_).chains
+        chains = product_scd(moved, boolean_scd_on_support(fixed), join=operator.or_).chains
     return certify(reflection_poset(n, rho), make_decomposition(chains, context))
 
 

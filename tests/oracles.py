@@ -20,7 +20,9 @@ each cell through two half-word tables as it is built.  `named_after_fold`
 does the same for a cycle-power quotient, by one `orbit_rep` under the whole
 group per element, to pin the construction that names each factor's orbits
 before the fold, and `staircase_peel` peels a whole diagonal `PBlock`, the
-form the package's peel by side length is checked against.
+form the package's peel by side length is checked against.  Both folds go
+through `pairwise_fold`, the pair product followed by a pass that joins each
+pair, to pin `product_scd`'s fold that writes each joined element once.
 The naive closures take a group's permutations from `generators`, built
 on the package's `perm_from_cycle_power`.
 `orbit_closure_ascends` decides a quotient's `ascends` by listing each
@@ -64,12 +66,12 @@ from scdforge.core import (
     Decomposition,
     bit_map,
     elements_of,
-    fold_products,
     full_mask,
     hook_chains,
     make_decomposition,
     map_elements,
     mask_of,
+    product_scd,
     relabel_map,
 )
 from scdforge.gk import boolean_scd_on_support, gk_scd, predecessor
@@ -501,6 +503,15 @@ def core_quotient_part(k: int) -> Decomposition:
     return make_decomposition(chains, Context(kind="quotient", total_rank=2 * k, n=2 * k))
 
 
+def pairwise_fold(parts, join) -> Decomposition:
+    """The factors folded left to right by the pair product, each step's
+    (p, q) pairs then merged by a second pass with join(p, q)."""
+    combined = parts[0]
+    for part in parts[1:]:
+        combined = map_elements(product_scd(combined, part), lambda e: join(*e))
+    return combined
+
+
 def reflection_named_after_fold(n: int, rho) -> Decomposition:
     """The reflection quotient relabelled, folded with the fixed block, and
     only then named, by one orbit_rep per element."""
@@ -511,23 +522,27 @@ def reflection_named_after_fold(n: int, rho) -> Decomposition:
     fixed = full_mask(n) & ~sum(1 << t for t in targets)
     if fixed:
         parts.append(boolean_scd_on_support(fixed))
-    combined = fold_products(parts, operator.or_)
+    combined = pairwise_fold(parts, operator.or_)
     canonical = map_elements(combined, lambda a: orbit_rep(a, two_element))
     context = Context(kind="reflection", total_rank=n, n=n, group=rho.text())
     return make_decomposition(canonical.chains, context)
+
+
+def relabelled_parts(n: int, group) -> list[Decomposition]:
+    """The parts of a cycle-power quotient before any naming: the fixed
+    block's Boolean factor, then each factor's quotient moved onto its cycle."""
+    fixed, factors = factorize(n, group)
+    parts = [boolean_scd_on_support(fixed)] if fixed else []
+    for f in factors:
+        parts.append(map_elements(quotient_scd_cyclic(f.length, f.exponent), relabel_map([e - 1 for e in f.cycle])))
+    return parts
 
 
 def named_after_fold(n: int, group) -> Decomposition:
     """The cycle-power quotient with every factor relabelled onto its block,
     folded, and only then named, by one orbit_rep under the whole group per
     element."""
-    fixed, factors = factorize(n, group)
-    parts = []
-    if fixed:
-        parts.append(boolean_scd_on_support(fixed))
-    for f in factors:
-        parts.append(map_elements(quotient_scd_cyclic(f.length, f.exponent), relabel_map([e - 1 for e in f.cycle])))
-    combined = fold_products(parts, operator.or_)
+    combined = pairwise_fold(relabelled_parts(n, group), operator.or_)
     canonical = map_elements(combined, lambda a: orbit_rep(a, group))
     context = Context(kind="quotient", total_rank=n, n=n, group=group.text())
     return make_decomposition(canonical.chains, context)

@@ -429,6 +429,17 @@ def test_encode_decode_round_trip():
         assert verify_decomposition(target_for_context(rebuilt.context), rebuilt).ok
 
 
+def test_encode_refuses_a_decoded_chain_whose_claimed_ranks_pass_the_top():
+    # the chain's record claims ranks 2..4 from its bottom {1,2}, past n = 3: a ValueError naming it, not an IndexError
+    doc = (b'{"chains":[[[1,2],[1,2,3],[1]],[[2],[2,3]],[[3],[1,3]]],"context":{"kind":"boolean","n":3},'
+           b'"schema":"scdforge/1","stats":{"chain_count":3,"element_count":8,"rank_profile":[1,3,3,1]}}')
+    decomp, _ = decode(doc)
+    with pytest.raises(ValueError, match=r"^chain \(3, 7, 1\) claims ranks 2\.\.4 past the top rank 3$"):
+        decomp.rank_counts()
+    with pytest.raises(ValueError, match=r"^chain \(3, 7, 1\) claims ranks"):
+        encode(decomp)
+
+
 def test_encode_peak_memory_is_a_few_document_lengths():
     decomp = gk_decomposition(14)
     tracemalloc.start()

@@ -1,5 +1,6 @@
 import copy
 import json
+import operator
 import pickle
 import random
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import is_symmetric_chain, level_digits
+from oracles import is_symmetric_chain, level_digits, pairwise_fold, relabelled_parts
 from scdforge.chainpow import ChainPowerTarget, ChainProductTarget, chainpower_scd, chainproduct_scd
 from scdforge.core import (
     Chain,
@@ -18,6 +19,7 @@ from scdforge.core import (
     element_text,
     elements_of,
     hook_chains,
+    make_decomposition,
     map_elements,
     mask_of,
     product_scd,
@@ -192,6 +194,23 @@ def test_product_rejects_broken_input():
     repeated = Decomposition((Chain((0, 1, 3), 0), Chain((1,), 1)), Context(kind="boolean", total_rank=2, n=2))
     with pytest.raises(ValueError, match="invalid input decomposition: element 1 appears twice"):
         product_scd(gk_decomposition(1), repeated)
+    # every factor of a longer fold is checked, the last one too
+    with pytest.raises(ValueError, match="invalid input decomposition: chain .* is not symmetric for rank 2"):
+        product_scd(gk_decomposition(1), gk_decomposition(1), bad)
+
+
+@pytest.mark.parametrize("parts, join", [
+    ([chainpower_scd(*t) for t in [(2, 2, 1), (3, 2, 1), (2, 3, 3)]], operator.add),
+    (relabelled_parts(9, parse_group_spec("(1 2 3)(5 6 7 8)^2", 9)), operator.or_),
+    (relabelled_parts(10, parse_group_spec("(2 4 6)(7 8)(9 10)^2", 10)), operator.or_),
+    ([quotient_scd_cyclic(6, 2)], operator.or_),
+], ids=["chainproduct-3", "quotient-9", "quotient-10", "one-factor"])
+def test_product_fold_matches_the_pairwise_fold(parts, join):
+    # one pass writing join(p, q) per cell gives the chains of pair products joined afterwards
+    ctx = Context(kind="product", total_rank=sum(p.context.total_rank for p in parts))
+    folded = product_scd(*parts, join=join)
+    assert folded.context == ctx
+    assert make_decomposition(folded.chains, ctx) == make_decomposition(pairwise_fold(parts, join).chains, ctx)
 
 
 @given(st.integers(min_value=0, max_value=8), st.integers(min_value=0, max_value=8))

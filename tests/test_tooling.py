@@ -196,6 +196,15 @@ def test_traced_quotient_names_orbits_per_factor(tmp_path):
     assert 0 < calls < json.loads(stdout)["stats"]["element_count"]
 
 
+def test_traced_quotient_folds_its_parts_in_one_product(tmp_path):
+    # the fixed point 8 and the two rotated blocks are three parts: one product_scd folds them all, and
+    # map_elements runs once per part (the fixed block's relabel and each factor's naming), not per fold step
+    trace, _ = _traced(tmp_path, ["quotient", "--n", "8", "--group", "(1 2 3)(4 5 6 7)^2"])
+    calls = {name: sum(span["calls"] for span in _spans_named(trace["spans"], name))
+             for name in ("core.product_scd", "core.map_elements")}
+    assert calls == {"core.product_scd": 1, "core.map_elements": 3}
+
+
 @pytest.mark.parametrize("argv", [
     ("quotient", "--n", "8", "--group", "(1 2 3)(4 5 6 7)^2"),
     ("reflect", "--n", "9", "--group", "(1 9)(3 4)"),
