@@ -33,6 +33,7 @@ from .core import (
 from . import prune
 from .gk import ChainBottoms
 from .groups import necklace_ranks
+from .verify import certify
 
 
 def _check_shape(k: int, m: int, r: int = 1) -> int:
@@ -139,21 +140,20 @@ class ChainPowerTarget:
 
 
 def chainpower_scd(k: int, m: int, r: int = 1) -> Decomposition:
-    """SCD of the rotation quotient of a chain power.
+    """SCD of the rotation quotient of a chain power, certified against its
+    ChainPowerTarget.
 
     Grow only the Greene-Kleitman chains that lie inside the embedded power,
     prune them against rotation by (k-1)r, and report elements as canonical
-    level tuples.  The power is capped at 2^QUOTIENT_LIMIT elements and its
-    ambient ground at the mask width, not by the size of the ambient lattice.
+    level tuples.  The target caps the power at 2^QUOTIENT_LIMIT elements,
+    and the ambient ground at the mask width, before any chain is grown.
     """
-    check_ground(_check_shape(k, m, r))
-    _check_element_count([(k, m, r)])
-    step = math.gcd(r, m)
-    n = (k - 1) * m
-    expected = sum(necklace_ranks(k, m, step))
+    target = ChainPowerTarget(k, m, r)
+    n, step = target.total_rank, target.step
+    check_ground(n)
     # by the dichotomy these are exactly the Greene-Kleitman chains inside the power; keep
     # only the orbit pieces, so that the kept pieces are freed before any tuple is built
-    family = prune.prune_chains(ChainBottoms(n, k - 1), (k - 1) * step, expected, levels=True)
+    family = prune.prune_chains(ChainBottoms(n, k - 1), (k - 1) * step, target.expected_size(), levels=True)
     orbits = [pc.orbits for pc in family.chains]
     del family
     # an orbit's least level number is its least tuple in lexicographic order,
@@ -162,8 +162,9 @@ def chainpower_scd(k: int, m: int, r: int = 1) -> Decomposition:
     cut = k ** (m // 2)
     top, bottom = (list(itertools.product(range(k), repeat=d)) for d in (m - m // 2, m // 2))
     chains = [Chain(tuple([top[x // cut] + bottom[x % cut] for x in c.elements]), c.rank) for c in orbits]
+    del orbits, top, bottom  # freed before the certificate builds its universe
     context = Context(kind="chainpower", total_rank=n, k=k, m=m, r=step)
-    return make_decomposition(chains, context)
+    return certify(target, make_decomposition(chains, context))
 
 
 def check_dichotomy(k: int, m: int) -> bool:
@@ -197,8 +198,10 @@ def _normalize_factors(factors) -> tuple[tuple[int, int, int], ...]:
 def chainproduct_scd(factors) -> Decomposition:
     """SCD of a product of chain-power rotation quotients.
 
-    Each factor (k, m, r) contributes its own quotient; factors are folded
-    with the hook product and elements are the concatenated level tuples.
+    Each factor (k, m, r) contributes its own certified quotient; factors are
+    folded with the hook product and elements are the concatenated level
+    tuples.  No command builds it, so the fold is not certified: pass it and
+    a ChainProductTarget to verify.certify.
     """
     triples = _normalize_factors(factors)
     _check_element_count(triples)

@@ -10,8 +10,9 @@ the bytes are those json.dumps would give for the whole document.  decode()
 is its inverse and returns the Decomposition and the document's stats.  It
 checks every value as it reads it, each subset of an n within the 64-bit mask
 width in one strict loop that calls _read_subset only to name the problem of
-a subset it refuses.  Every construct subcommand re-verifies its result
-against an independently defined target before emitting anything.
+a subset it refuses.  Each construct subcommand only writes what its builder
+returns: the builder guards, builds and certifies it against an
+independently defined target.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .gk import gk_decomposition
 from .groups import GroupSpec, ParseError, parse_group_spec, quotient_poset, rank_counts
 from .prune import quotient_scd
 from .reflect import reflection_poset, reflection_scd
-from .verify import VerificationError, certify, rank_profile, verify_decomposition
+from .verify import VerificationError, rank_profile, verify_decomposition
 
 SCHEMA_ID = "scdforge/1"
 
@@ -295,6 +296,7 @@ def decode(data: bytes | str) -> tuple[Decomposition, dict]:
 
 
 def target_for_context(ctx: Context):
+    """The target verify checks a decoded document against."""
     kind = ctx.kind
     if kind == "boolean":
         return quotient_poset(ctx.n, GroupSpec.trivial(ctx.n))
@@ -313,38 +315,15 @@ def _render_element(e, ctx: Context) -> str:
     return "(" + ",".join(str(x) for x in e) + ")"
 
 
-def _emit(decomp: Decomposition, args) -> None:
-    if getattr(args, "text", False):
+def _emit(decomp: Decomposition, args) -> int:
+    """Write a construct command's result, which its builder has certified."""
+    if args.text:
         print(f"chains={len(decomp.chains)}")
         for c in decomp.chains:
             print(" < ".join(_render_element(e, decomp.context) for e in c.elements))
     else:
         sys.stdout.buffer.write(encode(decomp))
         sys.stdout.buffer.flush()
-
-
-def _cmd_gk(args) -> int:
-    # the target guards the ground size before any chain is built
-    target = quotient_poset(args.n, GroupSpec.trivial(args.n))
-    _emit(certify(target, gk_decomposition(args.n)), args)
-    return 0
-
-
-def _cmd_quotient(args) -> int:
-    decomp = quotient_scd(args.n, args.group)  # verifies internally
-    _emit(decomp, args)
-    return 0
-
-
-def _cmd_reflect(args) -> int:
-    decomp = reflection_scd(args.n, args.group)  # verifies internally
-    _emit(decomp, args)
-    return 0
-
-
-def _cmd_chainpower(args) -> int:
-    target = ChainPowerTarget(args.k, args.m, args.r)
-    _emit(certify(target, chainpower_scd(args.k, args.m, args.r)), args)
     return 0
 
 
@@ -410,34 +389,31 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="scdforge", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(p):
+    def add_construct(p, build):
         fmt = p.add_mutually_exclusive_group()
         fmt.add_argument("--json", action="store_true", help="canonical JSON (default)")
         fmt.add_argument("--text", action="store_true", help="plain text chains")
+        p.set_defaults(func=lambda args: _emit(build(args), args))
 
     p = sub.add_parser("gk", help="Greene-Kleitman SCD of B_n")
     p.add_argument("--n", type=int, required=True)
-    add_format(p)
-    p.set_defaults(func=_cmd_gk)
+    add_construct(p, lambda a: gk_decomposition(a.n))
 
     p = sub.add_parser("quotient", help="SCD of B_n modulo powers of disjoint cycles")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--group", required=True, help='cycles with powers, e.g. "(1 2 3 4)^2 (5 6)"')
-    add_format(p)
-    p.set_defaults(func=_cmd_quotient)
+    add_construct(p, lambda a: quotient_scd(a.n, a.group))
 
     p = sub.add_parser("reflect", help="SCD of B_n modulo a product of disjoint transpositions")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--group", required=True, help='transpositions, e.g. "(1 4)(2 3)"')
-    add_format(p)
-    p.set_defaults(func=_cmd_reflect)
+    add_construct(p, lambda a: reflection_scd(a.n, a.group))
 
     p = sub.add_parser("chainpower", help="SCD of a chain power modulo coordinate rotation")
     p.add_argument("--k", type=int, required=True, help="levels of the chain")
     p.add_argument("--m", type=int, required=True, help="number of coordinates")
     p.add_argument("--r", type=int, default=1, help="rotation step (default 1)")
-    add_format(p)
-    p.set_defaults(func=_cmd_chainpower)
+    add_construct(p, lambda a: chainpower_scd(a.k, a.m, a.r))
 
     p = sub.add_parser("orbits", help="orbit poset of B_n under a group")
     p.add_argument("--n", type=int, required=True)

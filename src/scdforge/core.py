@@ -9,8 +9,7 @@ every function is pure, so results can be shared freely across threads.
 from __future__ import annotations
 
 MASK_WIDTH_LIMIT = 64   # subsets stay machine-word sized
-ENUM_LIMIT = 28         # operations that walk all of B_n refuse beyond this
-QUOTIENT_LIMIT = 22     # operations that also build orbit structure
+QUOTIENT_LIMIT = 22     # operations that enumerate B_n or its orbits refuse beyond this
 CHUNK_BITS = 11         # two chunks cover QUOTIENT_LIMIT: a mask's image is two lookups; 2048 entries at most
 
 
@@ -320,7 +319,7 @@ def product_scd(first: Decomposition, *rest: Decomposition, join=lambda p, q: (p
     left to right.  Every pair of chains spans a rectangle, which the hooks
     split into symmetric chains; cell (x, y) holds join(p[x], q[y]), by default
     the pair, and ranks add.  Each factor is checked once, up front, and the
-    chains are sorted once, at the end.
+    chains are sorted once, at the end; the product is not certified.
     """
     factors = (first, *rest)
     for d in factors:

@@ -14,10 +14,10 @@ in chain order, restricted to blockwise monotone bottoms for a chain power,
 and grows a chain only when it is asked for; the greedy pruning pass streams
 from it.  gk_scd is the boolean Decomposition of every chain of
 ChainBottoms(n), grown in that order, which is already the canonical one; it
-checks that they cover all 2^n subsets, builds them anew on every call, and
-serves only the gk command (as gk_decomposition) and the demos.  Quotients,
-reflections, chain powers and chainpow.check_dichotomy grow their chains
-from ChainBottoms without that check.
+guards n and certifies the chains against B_n before returning, builds them
+anew on every call, and serves only the gk command (as gk_decomposition) and
+the demos.  Quotients, reflections, chain powers and chainpow.check_dichotomy
+grow their chains from ChainBottoms without that certificate.
 """
 
 from __future__ import annotations
@@ -27,14 +27,14 @@ from .core import (
     Chain,
     Context,
     Decomposition,
-    ENUM_LIMIT,
-    check_enum,
     check_ground,
     elements_of,
     full_mask,
     map_elements,
     relabel_map,
 )
+from .groups import GroupSpec, quotient_poset
+from .verify import certify
 
 
 class Pairing(_Record):
@@ -171,16 +171,10 @@ class ChainBottoms:
 
 def gk_scd(n: int) -> Decomposition:
     """The Greene-Kleitman SCD of B_n: every chain of ChainBottoms(n), grown,
-    in its (rank, bottom) order."""
-    check_enum(n, ENUM_LIMIT, "gk_scd")
-    chains = tuple(ChainBottoms(n))
-    covered = bytearray(1 << n)
-    for chain in chains:
-        for mask in chain.elements:
-            covered[mask] = 1
-    if sum(map(len, chains)) != 1 << n or 0 in covered:
-        raise AssertionError("chains do not partition the subset lattice")
-    return Decomposition(chains, Context(kind="boolean", total_rank=n, n=n))
+    in its (rank, bottom) order, certified against B_n as the quotient by the
+    trivial group, whose construction guards n before any chain is grown."""
+    target = quotient_poset(n, GroupSpec.trivial(n))
+    return certify(target, Decomposition(tuple(ChainBottoms(n)), Context(kind="boolean", total_rank=n, n=n)))
 
 
 gk_decomposition = gk_scd  # the construct API's name for gk_scd: the same function object
@@ -189,7 +183,8 @@ gk_decomposition = gk_scd  # the construct API's name for gk_scd: the same funct
 def boolean_scd_on_support(support: int) -> Decomposition:
     """The Greene-Kleitman SCD of the Boolean lattice over an arbitrary
     support mask, with elements written in the ambient ground set.  The
-    chains are grown from ChainBottoms, without gk_scd's coverage check."""
+    chains are grown from ChainBottoms and not certified: this is a factor
+    that quotient_scd and reflection_scd fold and then certify."""
     positions = [e - 1 for e in elements_of(support)]
     f = len(positions)
     decomp = Decomposition(tuple(ChainBottoms(f)), Context(kind="boolean", total_rank=f, n=f))

@@ -156,7 +156,8 @@ def quotient_scd_cyclic(n: int, step: int) -> Decomposition:
     """SCD of B_n modulo rotation by step (normalized to gcd(step, n)).
 
     step = n is the trivial group, for which the Greene-Kleitman chains come
-    back unchanged with singleton orbits.
+    back unchanged with singleton orbits.  Not certified: quotient_scd folds
+    it and certifies the whole quotient.
     """
     check_enum(n, QUOTIENT_LIMIT, "quotient_scd_cyclic")
     if step < 1:

@@ -23,7 +23,6 @@ from .core import (
     Chain,
     Context,
     Decomposition,
-    ENUM_LIMIT,
     QUOTIENT_LIMIT,
     check_enum,
     full_mask,
@@ -60,16 +59,17 @@ def _block(i: int, j: int, rows, cols) -> PBlock:
     return PBlock(i, j, tuple(rows), tuple(cols), cells)
 
 
-def build_blocks(k: int, scd: Decomposition | None = None) -> list[PBlock]:
-    """One block per unordered pair of chains; diagonal blocks keep only
-    the containment-ordered cells.  Total cell count is (4^k + 2^k) / 2."""
-    if scd is None:
-        check_enum(k, ENUM_LIMIT, "build_blocks")
-        scd = ChainBottoms(k)  # the chains of gk_scd(k), in its order
+def build_blocks(k: int) -> list[PBlock]:
+    """One block per unordered pair of chains of the half cube B_k, in the
+    order of gk_scd(k); diagonal blocks keep only the containment-ordered
+    cells.  Total cell count is (4^k + 2^k) / 2, so k is capped at half of
+    the largest reflection's n."""
+    check_enum(k, QUOTIENT_LIMIT // 2, "build_blocks")
+    chains = ChainBottoms(k)
     return [
-        _block(i, j, scd.chains[i].elements, scd.chains[j].elements)
-        for i in range(len(scd.chains))
-        for j in range(i, len(scd.chains))
+        _block(i, j, chains[i].elements, chains[j].elements)
+        for i in range(len(chains))
+        for j in range(i, len(chains))
     ]
 
 

@@ -17,7 +17,7 @@ from oracles import (
     sampled_groups_with_fixed_points,
 )
 from scdforge.chainpow import chainpower_scd, chainproduct_scd
-from scdforge.core import Chain, Context, Decomposition, map_elements, relabel_map
+from scdforge.core import Chain, Context, Decomposition, make_decomposition, map_elements, relabel_map
 from scdforge.cli import (
     DecodeError,
     build_document,
@@ -30,7 +30,7 @@ from scdforge.gk import chain_of, gk_decomposition
 from scdforge.groups import GroupSpec, ParseError, QuotientPoset, parse_group_spec
 from scdforge.prune import quotient_scd, quotient_scd_cyclic
 from scdforge.reflect import reflection_scd
-from scdforge.verify import verify_decomposition
+from scdforge.verify import VerificationError, verify_decomposition
 
 
 def run_bytes(capsysbinary, argv):
@@ -475,10 +475,10 @@ def test_resource_guard_exit_code(capsysbinary):
 
 
 def test_gk_guard_runs_before_any_chain_is_built(capsysbinary, monkeypatch):
-    def refuse(n):
-        raise AssertionError("gk_decomposition ran before the size guard")
+    def refuse(*args):
+        raise AssertionError("a chain was grown before the size guard")
 
-    monkeypatch.setattr("scdforge.cli.gk_decomposition", refuse)
+    monkeypatch.setattr("scdforge.gk.ChainBottoms", refuse)
     code, _, err = run_bytes(capsysbinary, ["gk", "--n", "23"])
     assert code == 3
     assert b"capped" in err
@@ -488,8 +488,9 @@ def _refuse_enumeration(monkeypatch):
     def refuse(*args):
         raise AssertionError("enumerated before the size guard")
 
-    monkeypatch.setattr("scdforge.cli.gk_decomposition", refuse)
-    monkeypatch.setattr("scdforge.cli.verify_decomposition", refuse)
+    monkeypatch.setattr("scdforge.gk.ChainBottoms", refuse)
+    monkeypatch.setattr("scdforge.cli.verify_decomposition", refuse)  # verify's own call
+    monkeypatch.setattr("scdforge.verify.verify_decomposition", refuse)  # each builder's certificate
     monkeypatch.setattr("scdforge.groups._members", refuse)
     monkeypatch.setattr(GroupSpec, "_powers", property(refuse))
     monkeypatch.setattr(QuotientPoset, "orbits", property(refuse))
@@ -518,15 +519,40 @@ def test_verify_guards_boolean_targets_before_any_orbit(tmp_path, capsysbinary, 
 
 
 def test_construct_that_fails_its_check_exits_1(capsysbinary, monkeypatch):
-    def drop_a_chain(k, m, r):
-        decomp = chainpower_scd(k, m, r)
+    def drop_a_chain(chains, context):
+        decomp = make_decomposition(chains, context)
         return Decomposition(decomp.chains[1:], decomp.context)
 
-    monkeypatch.setattr("scdforge.cli.chainpower_scd", drop_a_chain)
+    monkeypatch.setattr("scdforge.chainpow.make_decomposition", drop_a_chain)
     code, out, err = run_bytes(capsysbinary, ["chainpower", "--k", "3", "--m", "2"])
     assert code == 1
     assert out == b""
     assert err.startswith(b"error: failed:")
+
+
+def _drop_first_chain(build):
+    def dropped(*args, **kwargs):
+        out = build(*args, **kwargs)
+        return Decomposition(out.chains[1:], out.context) if isinstance(out, Decomposition) else list(out)[1:]
+
+    return dropped
+
+
+def test_every_command_builder_certifies_its_result(monkeypatch):
+    # each construct command writes its builder's result as it is: a chain dropped
+    # inside the builder must fail the builder's own certificate
+    builders = [
+        ("scdforge.gk.ChainBottoms", lambda: gk_decomposition(6)),
+        ("scdforge.prune.product_scd", lambda: quotient_scd(7, "(1 2 3)(4 5)")),
+        ("scdforge.reflect.make_decomposition", lambda: reflection_scd(7, "(1 7)(2 5)")),
+        ("scdforge.chainpow.make_decomposition", lambda: chainpower_scd(3, 4, 1)),
+    ]
+    for name, build in builders:
+        with monkeypatch.context() as patch:
+            module, attr = name.rsplit(".", 1)
+            patch.setattr(name, _drop_first_chain(getattr(sys.modules[module], attr)))
+            with pytest.raises(VerificationError, match="not-covered"):
+                build()
 
 
 def test_parse_error_exit_code(capsysbinary):

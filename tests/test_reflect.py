@@ -6,7 +6,7 @@ import pytest
 from oracles import pair_mask, reflection_named_after_fold, staircase_peel, word_reverse
 from scdforge import cli, reflect
 from scdforge.cli import run, target_for_context
-from scdforge.core import mask_of
+from scdforge.core import ResourceLimitError, mask_of
 from scdforge.gk import gk_decomposition, gk_scd
 from scdforge.groups import ParseError, parse_group_spec, quotient_poset
 from scdforge.prune import quotient_scd
@@ -32,14 +32,27 @@ def test_build_blocks_counts():
 
 def test_block_rank_arithmetic():
     for k in range(1, 5):
-        scd = gk_scd(k)
-        for block in build_blocks(k, scd):
+        scd = gk_scd(k)  # build_blocks pairs its chains, in its order
+        for block in build_blocks(k):
             r_i = scd.chains[block.i].elements[0].bit_count()
             r_j = scd.chains[block.j].elements[0].bit_count()
             assert (r_i, r_j) == (scd.chains[block.i].rank, scd.chains[block.j].rank)
             ranks = [u.bit_count() + v.bit_count() for u, v in block.cells]
             assert min(ranks) == r_i + r_j
             assert max(ranks) == 2 * k - (r_i + r_j)
+
+
+def test_half_cube_and_gk_guards_run_before_any_chain(monkeypatch):
+    # build_blocks(12) needs 2^23 + 2^11 cells; both refuse at the guard, not in ChainBottoms
+    def refuse(*args):
+        raise AssertionError("chains grown before the size guard")
+
+    monkeypatch.setattr("scdforge.reflect.ChainBottoms", refuse)
+    monkeypatch.setattr("scdforge.gk.ChainBottoms", refuse)
+    with pytest.raises(ResourceLimitError, match=r"build_blocks .* capped at n <= 11, got 12"):
+        build_blocks(12)
+    with pytest.raises(ResourceLimitError, match=r"capped at n <= 22, got 23"):
+        gk_scd(23)
 
 
 def test_diagonal_singleton():

@@ -205,6 +205,24 @@ def test_traced_quotient_folds_its_parts_in_one_product(tmp_path):
     assert calls == {"core.product_scd": 1, "core.map_elements": 3}
 
 
+def _callers_of(spans, name, caller="root"):
+    """(the name of the enclosing span, calls) of every span with the given name."""
+    for span in spans:
+        if span["name"] == name:
+            yield caller, span["calls"]
+        yield from _callers_of(span["children"], name, span["name"])
+
+
+@pytest.mark.parametrize("argv, builder", [
+    (("gk", "--n", "12"), "gk.gk_scd"),
+    (("chainpower", "--k", "3", "--m", "4"), "chainpow.chainpower_scd"),
+], ids=["gk", "chainpower"])
+def test_traced_builder_certifies_its_own_result(tmp_path, argv, builder):
+    # the one certificate runs inside the builder; the CLI only writes what it returns
+    trace, _ = _traced(tmp_path, argv)
+    assert list(_callers_of(trace["spans"], "verify.verify_decomposition")) == [(builder, 1)]
+
+
 @pytest.mark.parametrize("argv", [
     ("quotient", "--n", "8", "--group", "(1 2 3)(4 5 6 7)^2"),
     ("reflect", "--n", "9", "--group", "(1 9)(3 4)"),
