@@ -196,19 +196,18 @@ def _normalize_factors(factors) -> tuple[tuple[int, int, int], ...]:
 
 
 def chainproduct_scd(factors) -> Decomposition:
-    """SCD of a product of chain-power rotation quotients.
+    """SCD of a product of chain-power rotation quotients, certified against
+    its ChainProductTarget.
 
     Each factor (k, m, r) contributes its own certified quotient; factors are
     folded with the hook product and elements are the concatenated level
-    tuples.  No command builds it, so the fold is not certified: pass it and
-    a ChainProductTarget to verify.certify.
+    tuples.  The target checks the factors and their element count first.
     """
-    triples = _normalize_factors(factors)
-    _check_element_count(triples)
-    parts = [chainpower_scd(k, m, r) for k, m, r in triples]
+    target = ChainProductTarget(factors)
+    parts = [chainpower_scd(k, m, r) for k, m, r in target.triples]
     combined = product_scd(*parts, join=operator.add)
-    context = Context(kind="product", total_rank=combined.context.total_rank, factors=triples)
-    return Decomposition(combined.chains, context)  # already in canonical order
+    context = Context(kind="product", total_rank=combined.context.total_rank, factors=target.triples)
+    return certify(target, Decomposition(combined.chains, context))  # already in canonical order
 
 
 class ChainProductTarget:

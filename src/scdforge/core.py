@@ -207,7 +207,9 @@ def map_elements(decomp: Decomposition, fn) -> Decomposition:
 
 def chunk_tables(fn, n: int) -> list[list[int]]:
     """One table per CHUNK_BITS-wide chunk of [n], lowest chunk first, of an
-    additive map on masks: table i holds fn of every mask of chunk i.
+    additive map on masks: table i holds fn of every mask of chunk i.  There
+    are at least two, so exactly two up to QUOTIENT_LIMIT bits: below 12 bits
+    the high chunk is empty and its table is [0].
 
     fn(a | b) must equal fn(a) + fn(b) for disjoint a and b, as it does when
     fn sends disjoint masks to disjoint images (then + is |) or adds a value
@@ -215,7 +217,7 @@ def chunk_tables(fn, n: int) -> list[list[int]]:
     table doubles once per bit by adding that bit's image.
     """
     tables = []
-    for lo in range(0, n, CHUNK_BITS):
+    for lo in range(0, max(n, CHUNK_BITS + 1), CHUNK_BITS):
         table = [0]
         for b in range(lo, min(lo + CHUNK_BITS, n)):
             image = fn(1 << b)
@@ -227,12 +229,10 @@ def chunk_tables(fn, n: int) -> list[list[int]]:
 def bit_map(fn, n: int):
     """Table-driven form of an additive map on masks of [n], from its
     chunk_tables: the returned function adds one table lookup per chunk, so
-    at most two for n <= QUOTIENT_LIMIT.
+    two for n <= QUOTIENT_LIMIT.
     """
     tables = chunk_tables(fn, n)
     low, shift = (1 << CHUNK_BITS) - 1, CHUNK_BITS
-    if len(tables) == 1:
-        return tables[0].__getitem__
     if len(tables) == 2:
         t0, t1 = tables
         return lambda mask: t0[mask & low] + t1[mask >> shift]
@@ -252,21 +252,16 @@ def element_text(n: int):
     element arrays as ASCII bytes, each mask written as
     ",".join(map(str, elements_of(mask))).
 
-    Each CHUNK_BITS-wide chunk has one table of comma-joined element numbers,
-    already offset by the chunk's position.  One chunk is one lookup per
-    mask.  With two, the high table's non-empty entries carry their leading
-    comma, each mask is t0[low] + t1[high] in one list per chain, and one
-    replace per chain drops the comma of a mask whose low chunk is empty.
-    Beyond two, each mask joins its non-empty lookups with b",".
+    Each chunk of chunk_tables has one table of comma-joined element numbers,
+    already offset by the chunk's position.  With two chunks, the high table's
+    non-empty entries carry their leading comma, each mask is t0[low] +
+    t1[high] in one list per chain, and one replace per chain drops the comma
+    of a mask whose low chunk is empty.  Beyond two, each mask joins its
+    non-empty lookups with b",".
     """
-    tables = [
-        [",".join(map(str, elements_of(v << lo))).encode() for v in range(1 << min(CHUNK_BITS, n - lo))]
-        for lo in range(0, n, CHUNK_BITS)
-    ]
+    tables = [[",".join(map(str, elements_of(mask))).encode() for mask in table]
+              for table in chunk_tables(lambda bit: bit, n)]
     low, shift = (1 << CHUNK_BITS) - 1, CHUNK_BITS
-    if len(tables) == 1:
-        one = tables[0].__getitem__
-        return lambda masks: b"[[" + b"],[".join(map(one, masks)) + b"]]"
     if len(tables) == 2:
         t0, t1 = tables[0], [b"," + t if t else t for t in tables[1]]
 

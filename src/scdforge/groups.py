@@ -120,8 +120,7 @@ def _power_tables(n: int, cycle: tuple[int, ...], exponent: int):
     powers = []
     for j in range(1, len(cycle) // math.gcd(exponent, len(cycle))):
         perm = perm_from_cycle_power(cycle, exponent * j, n)
-        t0, *high = chunk_tables(lambda bit: apply_perm(perm, bit), n)
-        powers.append((t0, high[0] if high else [0]))  # below 12 bits the high chunk is always 0
+        powers.append(tuple(chunk_tables(lambda bit: apply_perm(perm, bit), n)))  # (t0, t1), as n <= QUOTIENT_LIMIT
     return tuple(powers)
 
 

@@ -1,4 +1,4 @@
-"""Quotients of B_n by rotation groups, by pruning the Greene-Kleitman chains.
+"""Quotients of B_n by cycle-power groups, by pruning the Greene-Kleitman chains.
 
 For the group generated by rotation-by-step (step dividing n), walk the
 Greene-Kleitman chains in order: select a chain when one of its members lies
@@ -11,9 +11,9 @@ whole Greene-Kleitman SCD (gk_scd) is never built.  It names elements by
 integers in which the rotation is a digit rotation: masks of B_n, or the
 base-k level numbers of a chain power, and its marks are one bytearray
 indexed by that name.  The kept pieces project to a symmetric chain
-decomposition of the quotient.  Arbitrary products of disjoint cycle powers
-reduce to this: split off the fixed points, quotient each rotated block
-locally, and recombine with the hook product.
+decomposition of the quotient.  quotient_scd builds every quotient by disjoint
+cycle powers, a rotation being one cycle: split off the fixed points, prune
+each rotated block on its own ground set, and recombine with the hook product.
 """
 
 from __future__ import annotations
@@ -29,13 +29,12 @@ from .core import (
     QUOTIENT_LIMIT,
     bit_map,
     check_enum,
-    make_decomposition,
     map_elements,
     product_scd,
     relabel_map,
 )
 from .gk import ChainBottoms, boolean_scd_on_support
-from .groups import CycleFactor, GroupSpec, burnside_count, factorize, orbit_rep, parse_group_spec, quotient_poset
+from .groups import CycleFactor, GroupSpec, factorize, necklace_ranks, orbit_rep, parse_group_spec, quotient_poset
 from .verify import certify
 
 
@@ -153,30 +152,26 @@ def _level_number(n: int, width: int):
 
 
 def quotient_scd_cyclic(n: int, step: int) -> Decomposition:
-    """SCD of B_n modulo rotation by step (normalized to gcd(step, n)).
+    """SCD of B_n modulo rotation by step (normalized to gcd(step, n)): the
+    quotient_scd of that rotation group, certified with it.
 
     step = n is the trivial group, for which the Greene-Kleitman chains come
-    back unchanged with singleton orbits.  Not certified: quotient_scd folds
-    it and certifies the whole quotient.
+    back unchanged with singleton orbits.
     """
     check_enum(n, QUOTIENT_LIMIT, "quotient_scd_cyclic")
     if step < 1:
         raise ValueError("rotation step must be positive")
-    step = math.gcd(step, n)
-    group = rotation_group(n, step)
-    family = prune_chains(ChainBottoms(n), step, burnside_count(n, group))
-    context = Context(kind="quotient", total_rank=n, n=n, group=group.text())
-    return make_decomposition([pc.orbits for pc in family.chains], context)
+    return quotient_scd(n, rotation_group(n, math.gcd(step, n)))
 
 
 def quotient_scd(n: int, group: GroupSpec | str) -> Decomposition:
     """SCD of B_n modulo a group generated by powers of disjoint cycles.
 
-    Fixed points contribute a plain Boolean factor and every rotated block a
-    cyclic quotient, whose elements are moved onto the block and renamed to
-    the least member of their orbit under the group, whose other generators
-    fix the block's points; the factors are folded with the hook product, and
-    the result is certified against the orbit poset before returning.
+    Fixed points contribute a plain Boolean factor and every rotated block its
+    own pruned Greene-Kleitman chains, whose orbits are moved onto the block
+    and renamed to the least member of their orbit under the group, whose
+    other generators fix the block's points; the factors are folded with the
+    hook product, and the result is certified against the orbit poset.
     """
     check_enum(n, QUOTIENT_LIMIT, "quotient_scd")
     if isinstance(group, str):
@@ -188,8 +183,9 @@ def quotient_scd(n: int, group: GroupSpec | str) -> Decomposition:
     if fixed:
         parts.append(boolean_scd_on_support(fixed))
     for f in factors:
+        family = prune_chains(ChainBottoms(f.length), f.exponent, sum(necklace_ranks(2, f.length, f.exponent)))
+        part = Decomposition(tuple(pc.orbits for pc in family.chains), Context(kind="quotient", total_rank=f.length))
         move = relabel_map([e - 1 for e in f.cycle])
-        part = quotient_scd_cyclic(f.length, f.exponent)
         parts.append(map_elements(part, lambda a, move=move: orbit_rep(move(a), group)))
     # the supports are disjoint, so a | b == a + b and the orbit of a union is
     # every union of factor orbit members: its least member is the union of

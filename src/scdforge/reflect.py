@@ -24,7 +24,9 @@ from .core import (
     Context,
     Decomposition,
     QUOTIENT_LIMIT,
+    ResourceLimitError,
     check_enum,
+    check_ground,
     full_mask,
     hook_chains,
     make_decomposition,
@@ -64,7 +66,10 @@ def build_blocks(k: int) -> list[PBlock]:
     order of gk_scd(k); diagonal blocks keep only the containment-ordered
     cells.  Total cell count is (4^k + 2^k) / 2, so k is capped at half of
     the largest reflection's n."""
-    check_enum(k, QUOTIENT_LIMIT // 2, "build_blocks")
+    check_ground(k)
+    if k > QUOTIENT_LIMIT // 2:
+        raise ResourceLimitError(f"build_blocks holds (4^k + 2^k)/2 cells of B_k x B_k and is capped at k <= "
+                                 f"{QUOTIENT_LIMIT // 2}, got {k}")
     chains = ChainBottoms(k)
     return [
         _block(i, j, chains[i].elements, chains[j].elements)

@@ -546,6 +546,9 @@ def test_every_command_builder_certifies_its_result(monkeypatch):
         ("scdforge.prune.product_scd", lambda: quotient_scd(7, "(1 2 3)(4 5)")),
         ("scdforge.reflect.make_decomposition", lambda: reflection_scd(7, "(1 7)(2 5)")),
         ("scdforge.chainpow.make_decomposition", lambda: chainpower_scd(3, 4, 1)),
+        # the two library builders no command runs: a rotation quotient and a chain-power product
+        ("scdforge.prune.product_scd", lambda: quotient_scd_cyclic(7, 1)),
+        ("scdforge.chainpow.product_scd", lambda: chainproduct_scd([(3, 2, 1), (2, 3, 1)])),
     ]
     for name, build in builders:
         with monkeypatch.context() as patch:

@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 from oracles import is_symmetric_chain, level_digits, pairwise_fold, relabelled_parts
 from scdforge.chainpow import ChainPowerTarget, ChainProductTarget, chainpower_scd, chainproduct_scd
 from scdforge.core import (
+    CHUNK_BITS,
     Chain,
     Context,
     Decomposition,
     bit_map,
     bit_string,
+    chunk_tables,
     element_text,
     elements_of,
     hook_chains,
@@ -225,9 +227,19 @@ def _moved(mask: int, targets) -> int:
     return sum(1 << t for i, t in enumerate(targets) if mask >> i & 1)
 
 
+def test_chunk_tables_are_two_up_to_the_quotient_limit():
+    # one layout for every mask a group action or a relabelling reads: below 12 bits the high table is [0]
+    for n in range(23):
+        tables = chunk_tables(lambda bit: bit, n)
+        assert len(tables) == 2, n
+        assert tables[0] == list(range(1 << min(n, CHUNK_BITS)))
+        assert tables[1] == [v << CHUNK_BITS for v in range(1 << max(n - CHUNK_BITS, 0))]
+    assert len(chunk_tables(lambda bit: bit, 23)) == 3
+
+
 @pytest.mark.parametrize("n", [1, 8, 11, 12, 22, 23, 64])
 def test_bit_map_matches_the_bit_loop(n):
-    # one chunk up to n = 11, two up to 22, the chunk loop beyond
+    # two chunks up to n = 22, the high one empty up to 11; the chunk loop beyond
     rng = random.Random(n)
     targets = rng.sample(range(64), n)
     calls = []
@@ -245,7 +257,7 @@ def test_bit_map_matches_the_bit_loop(n):
 
 @pytest.mark.parametrize("n", [*range(1, 14), 22, 23, 28, 40, 64])
 def test_element_text_matches_the_bit_loop(n):
-    # the chain writer: every mask up to n = 13 (one chunk, then two), sampled masks beyond,
+    # the chain writer: every mask up to n = 13 (an empty high chunk, then not), sampled masks beyond,
     # in chains of one to five masks
     rng = random.Random(n)
     write = element_text(n)

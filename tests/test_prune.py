@@ -379,22 +379,25 @@ def test_naming_each_factor_matches_naming_after_the_fold_with_fixed_points(n):
 
 def test_quotient_scd_names_orbits_one_factor_at_a_time(monkeypatch):
     # each factor's local quotient is named once, element by element, under the quotient's own group
+    group = parse_group_spec("(1 5 9)(2 6 10 13)^2 (3 7)(4 8 11 12)^3", 14)
+    factors = factorize(14, group)[1]
+    # the reference is built before orbit_rep is watched, as quotient_scd_cyclic names its own orbits
+    local = [quotient_scd_cyclic(f.length, f.exponent) for f in factors]
+    # factor by factor, each element of its local quotient moved onto the factor's cycle
+    moved = [
+        sum(1 << (f.cycle[i] - 1) for i in range(f.length) if a >> i & 1)
+        for f, part in zip(factors, local)
+        for c in part.chains
+        for a in c.elements
+    ]
     named = []
     for module in (groups, prune):
         original = module.orbit_rep
         monkeypatch.setattr(module, "orbit_rep", lambda s, g, f=original: named.append((s, g)) or f(s, g))
-    group = parse_group_spec("(1 5 9)(2 6 10 13)^2 (3 7)(4 8 11 12)^3", 14)
     decomp = quotient_scd(14, group)
-    local = sum(quotient_scd_cyclic(f.length, f.exponent).element_count() for f in factorize(14, group)[1])
-    assert len(named) == local == 4 + 10 + 3 + 6 < decomp.element_count() == burnside_count(14, group)
+    count = sum(part.element_count() for part in local)
+    assert len(named) == count == 4 + 10 + 3 + 6 < decomp.element_count() == burnside_count(14, group)
     assert all(g is group for _, g in named)
-    # factor by factor, each element of its local quotient moved onto the factor's cycle
-    moved = [
-        sum(1 << (f.cycle[i] - 1) for i in range(f.length) if a >> i & 1)
-        for f in factorize(14, group)[1]
-        for c in quotient_scd_cyclic(f.length, f.exponent).chains
-        for a in c.elements
-    ]
     assert [s for s, _ in named] == moved
 
 

@@ -49,7 +49,8 @@ def test_half_cube_and_gk_guards_run_before_any_chain(monkeypatch):
 
     monkeypatch.setattr("scdforge.reflect.ChainBottoms", refuse)
     monkeypatch.setattr("scdforge.gk.ChainBottoms", refuse)
-    with pytest.raises(ResourceLimitError, match=r"build_blocks .* capped at n <= 11, got 12"):
+    cells = r"build_blocks holds \(4\^k \+ 2\^k\)/2 cells of B_k x B_k and is capped at k <= 11, got 12$"
+    with pytest.raises(ResourceLimitError, match=cells):
         build_blocks(12)
     with pytest.raises(ResourceLimitError, match=r"capped at n <= 22, got 23"):
         gk_scd(23)

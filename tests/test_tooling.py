@@ -197,12 +197,13 @@ def test_traced_quotient_names_orbits_per_factor(tmp_path):
 
 
 def test_traced_quotient_folds_its_parts_in_one_product(tmp_path):
-    # the fixed point 8 and the two rotated blocks are three parts: one product_scd folds them all, and
-    # map_elements runs once per part (the fixed block's relabel and each factor's naming), not per fold step
+    # the fixed point 8 and the two rotated blocks are three parts: one product_scd folds them all,
+    # map_elements runs once per part (the fixed block's relabel and each factor's naming), not per fold
+    # step, and the chains are sorted once, by the fold, not once per rotated block as well
     trace, _ = _traced(tmp_path, ["quotient", "--n", "8", "--group", "(1 2 3)(4 5 6 7)^2"])
     calls = {name: sum(span["calls"] for span in _spans_named(trace["spans"], name))
-             for name in ("core.product_scd", "core.map_elements")}
-    assert calls == {"core.product_scd": 1, "core.map_elements": 3}
+             for name in ("core.product_scd", "core.map_elements", "core.make_decomposition")}
+    assert calls == {"core.product_scd": 1, "core.map_elements": 3, "core.make_decomposition": 1}
 
 
 def _callers_of(spans, name, caller="root"):
