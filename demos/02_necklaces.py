@@ -6,7 +6,6 @@ The trimmed pieces project to symmetric chains of the quotient.
 """
 
 from scdforge import (
-    bit_string,
     burnside_count,
     quotient_poset,
     quotient_scd_cyclic,
@@ -20,11 +19,13 @@ from scdforge.prune import prune_chains, rotation_group
 
 n = 6
 group = rotation_group(n, 1)
-# the pass streams the chains from their sorted bottoms and checks the Burnside count
-family = prune_chains(ChainBottoms(n), 1, burnside_count(n, group))
+# the pass streams the chains from their sorted bottoms, rotates by one position,
+# and checks its pieces against its own count of the necklaces; it names each
+# subset by its word b_1...b_n read as a binary number
+family = prune_chains(ChainBottoms(n), 1)
 print(f"pruning B_{n} modulo full rotation:")
 for pc in family.chains:
-    kept = " < ".join(bit_string(m, n) for m in pc.kept.elements)
+    kept = " < ".join(format(x, f"0{n}b") for x in pc.kept.elements)
     print(f"  chain {pc.source}: kept {kept}")
 
 decomp = quotient_scd_cyclic(n, 1)

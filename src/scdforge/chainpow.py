@@ -8,10 +8,11 @@ ambient lattice stays inside the embedded power or misses it, as its bottom
 does, so pruning only the chains grown from bottoms inside the power against
 that rotation gives the ambient quotient's pruned decomposition restricted to
 the chain power, without building the ambient lattice.  The bottoms come from
-gk.ChainBottoms with blocks of k-1 bits, and the pass is prune.prune_chains
-over base-k level numbers, coordinate 0 most significant: integer order is
-the lexicographic order of level tuples, so the least number of an orbit is
-its canonical tuple, decoded once per orbit.
+gk.ChainBottoms with blocks of k-1 bits, and the pass is prune.prune_chains,
+the one the quotients of B_n run, rotating by r whole blocks: it names each
+element by its base-k level number, coordinate 0 most significant, whose
+integer order is the lexicographic order of level tuples, so the least number
+of an orbit is its canonical tuple, decoded once per orbit.
 """
 
 from __future__ import annotations
@@ -144,7 +145,7 @@ def chainpower_scd(k: int, m: int, r: int = 1) -> Decomposition:
     ChainPowerTarget.
 
     Grow only the Greene-Kleitman chains that lie inside the embedded power,
-    prune them against rotation by (k-1)r, and report elements as canonical
+    prune them against rotation by r blocks, and report elements as canonical
     level tuples.  The target caps the power at 2^QUOTIENT_LIMIT elements,
     and the ambient ground at the mask width, before any chain is grown.
     """
@@ -153,7 +154,7 @@ def chainpower_scd(k: int, m: int, r: int = 1) -> Decomposition:
     check_ground(n)
     # by the dichotomy these are exactly the Greene-Kleitman chains inside the power; keep
     # only the orbit pieces, so that the kept pieces are freed before any tuple is built
-    family = prune.prune_chains(ChainBottoms(n, k - 1), (k - 1) * step, target.expected_size(), levels=True)
+    family = prune.prune_chains(ChainBottoms(n, k - 1), step)
     orbits = [pc.orbits for pc in family.chains]
     del family
     # an orbit's least level number is its least tuple in lexicographic order,

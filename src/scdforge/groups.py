@@ -21,6 +21,7 @@ from .core import (
     check_ground,
     chunk_tables,
     full_mask,
+    mask_of,
 )
 
 _LOW = (1 << CHUNK_BITS) - 1  # a mask's low chunk; mask >> CHUNK_BITS is its high one
@@ -53,10 +54,7 @@ class CycleFactor(_Record):
         return self.length // math.gcd(self.exponent, self.length)
 
     def support_mask(self) -> int:
-        out = 0
-        for e in self.cycle:
-            out |= 1 << (e - 1)
-        return out
+        return mask_of(self.cycle)
 
     def text(self) -> str:
         body = "(" + " ".join(str(e) for e in self.cycle) + ")"

@@ -7,10 +7,10 @@ the members whose orbits miss the previously kept pieces.  A selected chain
 leaves every orbit it meets kept, so one mark per element, "its orbit has a
 kept member", decides both.  The pass streams the chains from their bottoms,
 sorted by (rank, bottom), and grows each one only while scanning it, so the
-whole Greene-Kleitman SCD (gk_scd) is never built.  It names elements by
-integers in which the rotation is a digit rotation: masks of B_n, or the
-base-k level numbers of a chain power, and its marks are one bytearray
-indexed by that name.  The kept pieces project to a symmetric chain
+whole Greene-Kleitman SCD (gk_scd) is never built.  It names each element
+by its base-k level number, in which the rotation is a digit rotation (for
+B_n, k = 2 and the word b_1...b_n read in binary), and its marks are one
+bytearray indexed by that name.  The kept pieces project to a symmetric chain
 decomposition of the quotient.  quotient_scd builds every quotient by disjoint
 cycle powers, a rotation being one cycle: split off the fixed points, prune
 each rotated block on its own ground set, and recombine with the hook product.
@@ -68,35 +68,32 @@ class PrunedFamily(_Record):
         _set(self, "chains", chains)
 
 
-def prune_chains(bottoms: ChainBottoms, step: int, expected: int, *, levels: bool = False) -> PrunedFamily:
+def prune_chains(bottoms: ChainBottoms, shift: int) -> PrunedFamily:
     """The greedy pass over the chains of `bottoms`, in their order, against
-    rotation by step.
+    rotation by `shift` whole blocks.
 
-    A chain is selected when some member's orbit under rotation by step misses
-    every previously selected chain in full; its kept piece consists of the
-    members whose orbits miss the pieces kept so far.  A chain's members lie
-    in distinct orbits, so a selected chain leaves every orbit it meets kept:
-    one mark per element ("its orbit has a kept member") decides selection and
-    pruning, and each orbit is walked once.  Once the kept pieces cover
-    `expected` orbits and every element is marked, the chains left cannot be
-    selected and are not scanned.  Elements are named by integers
-    in which the rotation turns digits: masks, or with `levels` a chain
-    power's base-k level numbers (k = width + 1, coordinate 0 most
-    significant), whose order is the lexicographic order of level tuples.
-    A chain grows from its bottom's name by each free bit's place value.
-    Self-check: every kept piece is a symmetric chain, no orbit is covered
-    twice, and the pieces cover `expected` orbits, all those of the chains'
-    union.
+    A chain is selected when some member's orbit misses every previously
+    selected chain in full; its kept piece consists of the members whose
+    orbits miss the pieces kept so far.  A chain's members lie in distinct
+    orbits, so a selected chain leaves every orbit it meets kept: one mark
+    per element ("its orbit has a kept member") decides selection and
+    pruning, and each orbit is walked once.  An element is named by its
+    base-(width+1) level number, coordinate 0 most significant, so that the
+    rotation turns digits and integer order is the lexicographic order of
+    level tuples; for B_n (width 1) that is the word b_1...b_n read in
+    binary.  A chain grows from its bottom's name by each free bit's place
+    value.  The orbits number sum(necklace_ranks(width + 1, blocks, shift)):
+    once the kept pieces cover that many and every element is marked, the
+    chains left cannot be selected and are not scanned.  Self-check: every
+    kept piece is a symmetric chain, no orbit is covered twice, and the
+    pieces cover every orbit.
     """
     n, width = bottoms.n, bottoms.width
-    if step < 1 or n % step:
-        raise ValueError(f"rotation step must divide the ground size, got {step} for n={n}")
-    if step % width:
-        raise ValueError(f"rotation step must be a multiple of the block width {width}, got {step}")
-    if levels:
-        base, digits, shift, name = width + 1, n // width, step // width, _level_number(n, width)
-    else:
-        base, digits, shift, name = 2, n, step, int  # a mask names itself
+    base, digits = width + 1, n // width
+    if not 0 < shift <= digits or digits % shift:
+        raise ValueError(f"rotation must divide the number of blocks, got {shift} for {digits}")
+    expected = sum(necklace_ranks(base, digits, shift))
+    name = _level_number(n, width)
     place = {1 << b: name(1 << b) for b in range(n)}
     cut, lift = base ** (digits - shift), base**shift  # x -> x % cut * lift + x // cut turns shift digits
     marks = bytearray(base**digits)
@@ -183,9 +180,9 @@ def quotient_scd(n: int, group: GroupSpec | str) -> Decomposition:
     if fixed:
         parts.append(boolean_scd_on_support(fixed))
     for f in factors:
-        family = prune_chains(ChainBottoms(f.length), f.exponent, sum(necklace_ranks(2, f.length, f.exponent)))
+        family = prune_chains(ChainBottoms(f.length), f.exponent)
         part = Decomposition(tuple(pc.orbits for pc in family.chains), Context(kind="quotient", total_rank=f.length))
-        move = relabel_map([e - 1 for e in f.cycle])
+        move = relabel_map([e - 1 for e in reversed(f.cycle)])  # level bit i stands for cycle[length - 1 - i]
         parts.append(map_elements(part, lambda a, move=move: orbit_rep(move(a), group)))
     # the supports are disjoint, so a | b == a + b and the orbit of a union is
     # every union of factor orbit members: its least member is the union of

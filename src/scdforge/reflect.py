@@ -190,7 +190,8 @@ def reflection_scd(n: int, rho: GroupSpec | str) -> Decomposition:
         # rho fixes the fixed block, which is disjoint from the moved support, so
         # naming before the fold is the same as naming after: a|f < b|f iff a < b
         moved = Decomposition(tuple(chains), Context(kind="reflection", total_rank=len(targets)))
-        chains = product_scd(moved, boolean_scd_on_support(fixed), join=operator.or_).chains
+        combined = product_scd(moved, boolean_scd_on_support(fixed), join=operator.or_)
+        return certify(reflection_poset(n, rho), Decomposition(combined.chains, context))  # already in canonical order
     return certify(reflection_poset(n, rho), make_decomposition(chains, context))
 
 

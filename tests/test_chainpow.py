@@ -12,6 +12,7 @@ from oracles import (
     tuple_ascends,
     tuple_rotate,
 )
+from scdforge import prune
 from scdforge.chainpow import (
     ChainPowerTarget,
     ChainProductTarget,
@@ -107,16 +108,14 @@ def test_chainpower_fixture_3_2_1():
 
 
 def test_chainpower_k2_matches_subset_quotient():
-    for m in [2, 3, 4, 5]:
-        tuples = chainpower_scd(2, m, 1)
-        masks = quotient_scd_cyclic(m, 1)
-
-        def orbit_name(rep):
-            return canonical_levels(mask_levels(rep, 2, m), 1)
-
-        left = sorted(tuple(c.elements) for c in tuples.chains)
-        right = sorted(tuple(orbit_name(e) for e in c.elements) for c in masks.chains)
-        assert left == right
+    # the two builders run the same pass on the same chains, so they agree at every step
+    for m in range(1, 13):
+        for r in [d for d in range(1, m + 1) if m % d == 0]:
+            tuples = chainpower_scd(2, m, r)
+            masks = quotient_scd_cyclic(m, r)
+            left = sorted(tuple(c.elements) for c in tuples.chains)
+            right = sorted(tuple(canonical_levels(mask_levels(e, 2, m), r) for e in c.elements) for c in masks.chains)
+            assert left == right, (m, r)
 
 
 def test_chainpower_4_2_verifies():
@@ -308,17 +307,20 @@ def test_restricted_pruning_matches_ambient(k, m):
         assert chainpower_scd(k, m, step) == make_decomposition(ambient_chainpower(k, m, step), context)
 
 
-def test_prune_checks_the_orbit_count():
-    # (3, 3) at n = 6 by masks and by level numbers; (7, 4), (5, 6) and (24, 1)
-    # lie beyond QUOTIENT_LIMIT at n = 24, where only level numbers are marked
-    for k, m, levels in ((3, 3, False), (3, 3, True), (7, 4, True), (5, 6, True), (24, 1, True)):
+def test_prune_checks_the_orbit_count(monkeypatch):
+    # B_6 and (3, 3) at n = 6; (7, 4), (5, 6) and (24, 1) lie beyond QUOTIENT_LIMIT at n = 24.
+    # The pass counts the orbits itself; a count off by one either way must fail its self-check
+    counted = prune.necklace_ranks
+    for k, m in ((2, 6), (3, 3), (7, 4), (5, 6), (24, 1)):
         bottoms = ChainBottoms((k - 1) * m, k - 1)
         expected = sum(necklace_ranks(k, m, 1))
-        family = prune_chains(bottoms, k - 1, expected, levels=levels)
+        family = prune_chains(bottoms, 1)
         assert sum(len(pc.kept) for pc in family.chains) == expected
-        for wrong in (expected - 1, expected + 1):
-            with pytest.raises(ConsistencyError, match="orbits"):
-                prune_chains(bottoms, k - 1, wrong, levels=levels)
+        for off in (-1, 1):
+            with monkeypatch.context() as patch:
+                patch.setattr(prune, "necklace_ranks", lambda *args, off=off: counted(*args) + (off,))
+                with pytest.raises(ConsistencyError, match=f"covered {expected} orbits but the quotient has {expected + off}"):
+                    prune_chains(bottoms, 1)
 
 
 @pytest.mark.parametrize("k, m", [(24, 1), (13, 2), (7, 4), (5, 6), (3, 12), (4, 11), (65, 1)])

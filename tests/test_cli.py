@@ -544,7 +544,9 @@ def test_every_command_builder_certifies_its_result(monkeypatch):
     builders = [
         ("scdforge.gk.ChainBottoms", lambda: gk_decomposition(6)),
         ("scdforge.prune.product_scd", lambda: quotient_scd(7, "(1 2 3)(4 5)")),
-        ("scdforge.reflect.make_decomposition", lambda: reflection_scd(7, "(1 7)(2 5)")),
+        # a reflection with fixed points takes the fold's order; one without sorts its own chains
+        ("scdforge.reflect.product_scd", lambda: reflection_scd(7, "(1 7)(2 5)")),
+        ("scdforge.reflect.make_decomposition", lambda: reflection_scd(6, "(1 6)(2 5)(3 4)")),
         ("scdforge.chainpow.make_decomposition", lambda: chainpower_scd(3, 4, 1)),
         # the two library builders no command runs: a rotation quotient and a chain-power product
         ("scdforge.prune.product_scd", lambda: quotient_scd_cyclic(7, 1)),

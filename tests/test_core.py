@@ -157,7 +157,7 @@ def _constructions():
         for step in [d for d in range(1, n + 1) if n % d == 0]:
             decomp = quotient_scd_cyclic(n, step)
             yield f"cyclic {n}/{step}", decomp.chains, int.bit_count
-            family = prune_chains(ChainBottoms(n), step, decomp.element_count())
+            family = prune_chains(ChainBottoms(n), step)
             yield f"pieces {n}/{step}", [c for pc in family.chains for c in (pc.kept, pc.orbits)], int.bit_count
     yield "support", boolean_scd_on_support(mask_of([2, 3, 5, 8, 9])).chains, int.bit_count
     for n, text in [(6, "(1 2 3 4)^2"), (7, "(1 2 3)(4 5 6 7)^2"), (9, "(2 5 7)(1 9)"), (10, "(2 4 6)(7 8)(9 10)^2")]:
@@ -167,8 +167,7 @@ def _constructions():
     for k, m, r in [(2, 6, 1), (3, 4, 2), (4, 3, 1), (5, 2, 1)]:
         decomp = chainpower_scd(k, m, r)
         yield f"chainpower {k} {m} {r}", decomp.chains, ChainPowerTarget(k, m, r).rank
-        n, step = (k - 1) * m, (k - 1) * r
-        family = prune_chains(ChainBottoms(n, k - 1), step, decomp.element_count(), levels=True)
+        family = prune_chains(ChainBottoms((k - 1) * m, k - 1), r)
         pieces = [c for pc in family.chains for c in (pc.kept, pc.orbits)]
         yield f"level pieces {k} {m} {r}", pieces, lambda x, k=k, m=m: sum(level_digits(x, k, m))
     triples = [(3, 2, 1), (2, 3, 1), (2, 2, 2)]

@@ -18,9 +18,11 @@ from oracles import (
     rotate,
     sampled_groups_with_fixed_points,
     shadow_closure_failures,
+    tuple_rotate,
+    word_reverse,
 )
 from scdforge import gk, groups, prune
-from scdforge.chainpow import canonical_levels, chainpower_scd
+from scdforge.chainpow import canonical_levels, chainpower_scd, level_mask
 from scdforge.core import mask_of
 from scdforge.gk import ChainBottoms, gk_decomposition, gk_scd, partner
 from scdforge.groups import burnside_count, factorize, necklace_ranks, orbit_rep, parse_group_spec, quotient_poset
@@ -40,7 +42,27 @@ def divisors(n):
 
 def pruned(n, step):
     """The streamed pass over B_n against rotation by step."""
-    return prune_chains(ChainBottoms(n), step, burnside_count(n, rotation_group(n, step)))
+    return prune_chains(ChainBottoms(n), step)
+
+
+def words(xs, n):
+    """Level names of B_n written as the words b_1...b_n they read."""
+    return tuple(format(x, f"0{n}b") for x in xs)
+
+
+def check_against_reference(family, reference, k, m, step):
+    """The pass's pieces against the reference pass's: the same sources, and
+    kept pieces whose names, read back as words of B_((k-1)m), are the
+    reference's kept masks with the same ranks; every orbit name is the least
+    level number of the orbit of the reference's orbit name, that is its
+    least rotation by multiples of step read as a level tuple."""
+    assert [(pc.source, pc.kept.rank, tuple(level_mask(level_digits(x, k, m), k) for x in pc.kept.elements))
+            for pc in family.chains] == [(pc.source, pc.kept.rank, pc.kept.elements) for pc in reference]
+    for pc, ref in zip(family.chains, reference):
+        assert (pc.orbits.rank, len(pc.orbits)) == (ref.orbits.rank, len(ref.orbits)) == (pc.kept.rank, len(pc.kept))
+        for x, a in zip(pc.orbits.elements, ref.orbits.elements):
+            u = mask_levels(a, k, m)
+            assert level_digits(x, k, m) == min(tuple_rotate(u, j) for j in range(0, m, step))
 
 
 def test_rotate_and_rep():
@@ -53,25 +75,33 @@ def test_rotate_and_rep():
 def test_prune_n3_full_rotation():
     family = pruned(3, 1)
     assert [pc.source for pc in family.chains] == [0]
-    assert family.chains[0].orbits.elements == (0, 1, 3, 7)
+    assert words(family.chains[0].kept.elements, 3) == ("000", "100", "110", "111")
+    assert words(family.chains[0].orbits.elements, 3) == ("000", "001", "011", "111")
 
 
 def test_prune_n4_full_rotation():
     family = pruned(4, 1)
     assert [pc.source for pc in family.chains] == [0, 2]
-    assert family.chains[0].orbits.elements == (0, 1, 3, 7, 15)
-    assert family.chains[1].kept.elements == (mask_of([1, 3]),)
-    assert family.chains[1].orbits.elements == (mask_of([1, 3]),)
+    assert words(family.chains[0].orbits.elements, 4) == ("0000", "0001", "0011", "0111", "1111")
+    assert words(family.chains[1].kept.elements, 4) == ("1010",)  # the subset {1, 3}
+    assert words(family.chains[1].orbits.elements, 4) == ("0101",)  # its least rotation, {2, 4}
 
 
 def test_prune_n4_half_rotation():
     family = pruned(4, 2)
     assert [pc.source for pc in family.chains] == [0, 1, 2, 4]
-    assert [pc.orbits.elements for pc in family.chains] == [
-        (0, 1, 3, 7, 15),
-        (2, 6, 11),
-        (5,),
-        (10,),
+    assert [words(pc.kept.elements, 4) for pc in family.chains] == [
+        ("0000", "1000", "1100", "1110", "1111"),
+        ("0100", "0110", "0111"),
+        ("1010",),
+        ("0101",),
+    ]
+    # each orbit {b1b2b3b4, b3b4b1b2} is named by its lesser word
+    assert [words(pc.orbits.elements, 4) for pc in family.chains] == [
+        ("0000", "0010", "0011", "1011", "1111"),
+        ("0001", "0110", "0111"),
+        ("1010",),
+        ("0101",),
     ]
 
 
@@ -87,17 +117,18 @@ def test_pruned_family_invariants(n):
             source = scd.chains[pc.source]
             # the streamed source index names the same chain, grown on demand
             assert grown[pc.source] == source
-            # the kept piece is a contiguous window of its source chain
-            lo = source.elements.index(pc.kept.elements[0])
-            window = source.elements[lo : lo + len(pc.kept)]
-            assert window == pc.kept.elements
+            # the kept piece, its names read back as masks, is a contiguous window of its source chain
+            kept = tuple(word_reverse(x, n) for x in pc.kept.elements)
+            lo = source.elements.index(kept[0])
+            window = source.elements[lo : lo + len(kept)]
+            assert window == kept
             # symmetric: mirrors stay kept
             bottom = pc.kept.rank
-            assert [mask.bit_count() for mask in pc.kept.elements] == list(range(bottom, bottom + len(pc.kept)))
+            assert [mask.bit_count() for mask in kept] == list(range(bottom, bottom + len(kept)))
             assert pc.orbits.rank == bottom
-            assert 2 * bottom + len(pc.kept) - 1 == n
-            for mask in pc.kept.elements:
-                assert partner(mask, source) in pc.kept.elements
+            assert 2 * bottom + len(kept) - 1 == n
+            for mask in kept:
+                assert partner(mask, source) in kept
             for rep in pc.orbits.elements:
                 assert rep not in seen
                 seen.add(rep)
@@ -108,7 +139,7 @@ def test_pruned_family_invariants(n):
 def test_prune_matches_the_reference_pass(n):
     scd = gk_scd(n)
     for step in divisors(n):
-        assert pruned(n, step).chains == greedy_prune(scd.chains, n, step), step
+        check_against_reference(pruned(n, step), greedy_prune(scd.chains, n, step), 2, n, step)
 
 
 # every chain power with (k-1)m <= 12, then four beyond QUOTIENT_LIMIT
@@ -141,43 +172,11 @@ def reference_passes():
     return reference
 
 
-def _ranks(chain):
-    """The ranks a chain record claims: one up per element from its bottom's."""
-    return tuple(range(chain.rank, chain.rank + len(chain)))
-
-
-def _read_by_levels(family, k, m):
-    """Each piece with its names read as level tuples and its claimed ranks."""
-    return [
-        (pc.source, tuple(level_digits(x, k, m) for x in pc.kept.elements), _ranks(pc.kept),
-         tuple(level_digits(x, k, m) for x in pc.orbits.elements), _ranks(pc.orbits))
-        for pc in family
-    ]
-
-
-def _reference_by_levels(family, k, m, step):
-    """The reference pieces with the kept masks read as level tuples, the
-    orbits as the least rotation of those, and both pieces' ranks as the
-    kept masks' sizes."""
-    return [
-        (pc.source, tuple(mask_levels(a, k, m) for a in pc.kept.elements), ranks,
-         tuple(canonical_levels(mask_levels(a, k, m), step) for a in pc.kept.elements), ranks)
-        for pc in family
-        for ranks in [tuple(a.bit_count() for a in pc.kept.elements)]
-    ]
-
-
 @pytest.mark.parametrize("k, m", CHAIN_POWER_SHAPES + [(24, 1), (13, 2), (7, 4), (5, 6)])
 def test_prune_matches_the_reference_pass_on_chain_powers(reference_passes, k, m):
-    # by masks up to n = 12, and by level numbers at every size
-    n = (k - 1) * m
-    bottoms = ChainBottoms(n, k - 1)
+    bottoms = ChainBottoms((k - 1) * m, k - 1)
     for step, reference in reference_passes(k, m).items():
-        expected = sum(necklace_ranks(k, m, step))
-        if n <= 12:
-            assert prune_chains(bottoms, (k - 1) * step, expected).chains == reference, step
-        got = prune_chains(bottoms, (k - 1) * step, expected, levels=True).chains
-        assert _read_by_levels(got, k, m) == _reference_by_levels(reference, k, m, step), step
+        check_against_reference(prune_chains(bottoms, step), reference, k, m, step)
 
 
 @pytest.mark.parametrize("k, m", [(2, 12), (3, 9), (4, 6), (7, 4), (5, 6), (24, 1), (65, 1)])
@@ -187,7 +186,7 @@ def test_level_names_decode_to_the_canonical_levels_of_the_reference_piece(refer
     is canonical_levels of it; the orbit names are the canonical tuples."""
     n = (k - 1) * m
     for step, reference in reference_passes(k, m).items():
-        family = prune_chains(ChainBottoms(n, k - 1), (k - 1) * step, sum(necklace_ranks(k, m, step)), levels=True)
+        family = prune_chains(ChainBottoms(n, k - 1), step)
         assert [pc.source for pc in family.chains] == [pc.source for pc in reference]
         for pc, ref in zip(family.chains, reference):
             for x, rep, a in zip(pc.kept.elements, pc.orbits.elements, ref.kept.elements):
@@ -196,13 +195,15 @@ def test_level_names_decode_to_the_canonical_levels_of_the_reference_piece(refer
 
 
 def test_prune_refuses_a_step_off_the_blocks():
+    # the rotation is counted in whole blocks and must divide their number
     bottoms = ChainBottoms(12, 3)
-    for step in (1, 2, 4):  # each divides 12, none is a multiple of the width 3
-        for levels in (False, True):
-            with pytest.raises(ValueError, match="multiple of the block width"):
-                prune_chains(bottoms, step, 1, levels=levels)
+    for shift in (0, -1, 3, 5, 8, 12):  # four blocks of width 3
+        with pytest.raises(ValueError, match="must divide the number of blocks, got .* for 4"):
+            prune_chains(bottoms, shift)
+    for shift in (1, 2, 4):
+        assert sum(len(pc.kept) for pc in prune_chains(bottoms, shift).chains) == sum(necklace_ranks(4, 4, shift))
     with pytest.raises(ValueError, match="must divide"):
-        prune_chains(bottoms, 9, 1, levels=True)
+        prune_chains(ChainBottoms(0), 1)  # no blocks to rotate
 
 
 class _WriteOnce(bytearray):
@@ -218,37 +219,29 @@ class _WriteOnce(bytearray):
         bytearray.__setitem__(self, i, value)
 
 
-# B_n by (n, step); then chain powers (7, 4) and (5, 6) at n = 24, beyond
-# QUOTIENT_LIMIT, by (n, width, bit step), marked by level number
-@pytest.mark.parametrize("n, width, step", [
+# B_n by (n, shift); then chain powers (7, 4) and (5, 6) at n = 24, beyond
+# QUOTIENT_LIMIT, by (n, width, shift); every one marked by level number
+@pytest.mark.parametrize("n, width, shift", [
     pytest.param(12, 1, 1, id="12-1"),
     pytest.param(12, 1, 4, id="12-4"),
     pytest.param(16, 1, 2, id="16-2"),
-    pytest.param(24, 6, 6, id="24-6-6"),
-    pytest.param(24, 4, 8, id="24-4-8"),
+    pytest.param(24, 6, 1, id="24-6-6"),  # these two ids give the rotation in bits
+    pytest.param(24, 4, 2, id="24-4-8"),
 ])
-def test_prune_walks_each_orbit_once(monkeypatch, n, width, step):
+def test_prune_walks_each_orbit_once(monkeypatch, n, width, shift):
     """Each orbit a kept piece covers is walked once: every name in it is
     marked exactly once, so the writes are the members of the covered orbits."""
     marks = []
     monkeypatch.setattr(prune, "bytearray", lambda size: marks.append(_WriteOnce(size)) or marks[-1], raising=False)
-    levels = width > 1
-    if levels:
-        k, m = width + 1, n // width
-        expected = sum(necklace_ranks(k, m, step // width))
-        orbit_of = lambda x: {level_digits(x, k, m)[j:] + level_digits(x, k, m)[:j] for j in range(0, m, step // width)}
-    else:
-        expected = burnside_count(n, rotation_group(n, step))
-        orbit_of = lambda x: {rotate(x, j, n) for j in range(0, n, step)}
-    family = prune_chains(ChainBottoms(n, width), step, expected, levels=levels)
+    k, m = width + 1, n // width
+    expected = sum(necklace_ranks(k, m, shift))
+    orbit_of = lambda x: {tuple_rotate(level_digits(x, k, m), j) for j in range(0, m, shift)}
+    family = prune_chains(ChainBottoms(n, width), shift)
     [written] = marks
     covered = [orbit_of(x) for pc in family.chains for x in pc.orbits.elements]
     assert len(covered) == expected
     assert len(written.writes) == sum(map(len, covered)) == len(written)  # every orbit is covered
-    if levels:
-        assert {level_digits(x, k, m) for x in written.writes} == set().union(*covered)
-    else:
-        assert set(written.writes) == set().union(*covered)
+    assert {level_digits(x, k, m) for x in written.writes} == set().union(*covered)
 
 
 def test_constructions_build_no_gk_scd(monkeypatch):
@@ -383,12 +376,15 @@ def test_quotient_scd_names_orbits_one_factor_at_a_time(monkeypatch):
     factors = factorize(14, group)[1]
     # the reference is built before orbit_rep is watched, as quotient_scd_cyclic names its own orbits
     local = [quotient_scd_cyclic(f.length, f.exponent) for f in factors]
-    # factor by factor, each element of its local quotient moved onto the factor's cycle
+    # factor by factor, each orbit of its local quotient, named by its least word b_1...b_L
+    # (its least level number), moved onto the factor's cycle
     moved = [
-        sum(1 << (f.cycle[i] - 1) for i in range(f.length) if a >> i & 1)
+        sum(1 << (f.cycle[i] - 1) for i in range(f.length) if b >> i & 1)
         for f, part in zip(factors, local)
         for c in part.chains
         for a in c.elements
+        for b in [min({rotate(a, j, f.length) for j in range(0, f.length, f.exponent)},
+                      key=lambda b: word_reverse(b, f.length))]
     ]
     named = []
     for module in (groups, prune):
@@ -442,8 +438,7 @@ def test_prune_stops_once_every_orbit_is_kept(n, step):
     bottoms = ChainBottoms(n)
     read = []
     streamed = SimpleNamespace(n=n, width=1, packed=(read.append(p) or p for p in bottoms.packed))
-    expected = burnside_count(n, rotation_group(n, step))
-    family = prune_chains(streamed, step, expected)
-    assert family == prune_chains(bottoms, step, expected)
+    family = prune_chains(streamed, step)
+    assert family == prune_chains(bottoms, step)
     assert len(read) == family.chains[-1].source + 1
     assert len(read) < len(bottoms.packed) or step == n  # the trivial group keeps every chain

@@ -259,13 +259,23 @@ def test_seed_0_documents_match_the_goldens(capsysbinary, monkeypatch):
         assert (len(data), hashlib.sha256(data).hexdigest()) == (golden["bytes"], golden["sha256"]), cmd.name
 
 
+# the sha256 of each demo's stdout, so that a demo whose printout drifts fails
+DEMO_STDOUT_SHA256 = {
+    "01_bracketing_and_chains.py": "c45b9c439604250b1195a548feea2927f75ffdee7b8360010eef2ace4dc3a451",
+    "02_necklaces.py": "0fd1a1083b4e10e15a332986afef2fdaa73f06b66fad672d69d01b020fb300f0",
+    "03_cycle_power_groups.py": "fefa6324435fc44023cb199b2ef6187c49233de03418b5de39d6d609e20ead63",
+    "04_reflections.py": "2b6e88aea493242261dbc80a9f96c8ba6139fdcfa4be53b1a838c21bcac0556e",
+    "05_chain_powers.py": "630e93190f80010e7168caa947f090307a77cdd70f6c57398e747c922e768a21",
+    "06_documents_and_cli.py": "e35f0596e8a40bad9975dd47b2f35c4ccabf0f47ca190ebc4c2ed796460b6ea0",
+}
+
+
 @pytest.mark.parametrize("demo", DEMOS)
 def test_demos_run(demo):
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
-    result = subprocess.run(
-        [sys.executable, os.path.join(ROOT, "demos", demo)], env=env, capture_output=True, text=True
-    )
-    assert result.returncode == 0, result.stderr
+    result = subprocess.run([sys.executable, os.path.join(ROOT, "demos", demo)], env=env, capture_output=True)
+    assert result.returncode == 0, result.stderr.decode()
+    assert hashlib.sha256(result.stdout).hexdigest() == DEMO_STDOUT_SHA256[demo], result.stdout.decode()
 
 
 def test_documents_demo_prints_the_same_bytes_twice(tmp_path):
