@@ -7,19 +7,19 @@ a staircase triangle (peeled border by border).
 """
 
 from scdforge import bit_string, reflection_scd, set_string
-from scdforge.gk import gk_scd
-from scdforge.reflect import build_blocks, scd_of_diagonal_block, standard_reflection
+from scdforge.reflect import half_blocks, standard_reflection
 
 k = 3
-blocks = build_blocks(k)
-print(f"half cube B_{k} has {len(gk_scd(k).chains)} chains,"
-      f" giving {len(blocks)} blocks and {sum(len(b.cells) for b in blocks)} orbit names")
+blocks = list(half_blocks(k))  # (chain i, chain j, grids), one chain object on the diagonal
+diagonal = [(ci, grids) for ci, cj, grids in blocks if ci is cj]
+print(f"half cube B_{k} has {len(diagonal)} chains,"
+      f" giving {len(blocks)} blocks and {sum(len(g) for *_, grids in blocks for g in grids)} orbit names")
 
-diag = next(b for b in blocks if b.i == b.j == 0)
-print(f"\npeeling the staircase over chain 0 (length {len(diag.rows)}):")
-for grid in scd_of_diagonal_block(len(diag.rows) - 1):
+chain, grids = diagonal[0]
+print(f"\npeeling the staircase over chain 0 (length {len(chain)}):")
+for grid in grids:
     cells = " < ".join(
-        f"({bit_string(diag.rows[x], k)},{bit_string(diag.rows[y], k)})" for x, y in grid
+        f"({bit_string(chain.elements[x], k)},{bit_string(chain.elements[y], k)})" for x, y in grid
     )
     print(f"  {cells}")
 

@@ -8,8 +8,8 @@ construction can be certified by a construction-independent verifier.
 
 The package exports the construct and verify API.  Documents live in
 scdforge.cli; the exposition helpers (bracket pairings, chain walks, level
-embeddings, half-word blocks, orbit listings) stay in the modules that define
-them.
+embeddings, the half-cube block walk that the reflection builder runs, orbit
+listings) stay in the modules that define them.
 """
 
 from .chainpow import ChainPowerTarget, ChainProductTarget, chainpower_scd, chainproduct_scd

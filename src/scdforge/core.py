@@ -354,5 +354,4 @@ __all__ = [
     "product_scd",
     "relabel_map",
     "set_string",
-    "structural_problems",
 ]

@@ -6,7 +6,8 @@ v u^rev} and can be named by the ordered pair (u, v) where u comes before v in
 a total order built from an SCD of the half cube: earlier chain first, and
 containment within a chain.  Pairs drawn from two different chains fill a full
 rectangle, which the hooks decompose; pairs drawn from one chain form a
-staircase triangle, which peels into symmetric border chains.
+staircase triangle, which peels into symmetric border chains.  half_blocks is
+the one walk over these blocks, each pair of chains with its grids.
 
 Each cell (u, v) is written straight as its orbit in the ambient ground set
 through two half-word tables: L puts u on the moved elements of the first
@@ -18,15 +19,12 @@ from __future__ import annotations
 
 import operator
 
-from .core import _Record, _set
 from .core import (
     Chain,
     Context,
     Decomposition,
     QUOTIENT_LIMIT,
-    ResourceLimitError,
     check_enum,
-    check_ground,
     full_mask,
     hook_chains,
     make_decomposition,
@@ -36,46 +34,6 @@ from .core import (
 from .gk import ChainBottoms, boolean_scd_on_support
 from .groups import CycleFactor, GroupSpec, QuotientPoset, parse_group_spec, quotient_poset
 from .verify import certify
-
-
-class PBlock(_Record):
-    """All ordered pairs drawn from chains i <= j of the half-cube SCD."""
-
-    __slots__ = ("i", "j", "rows", "cols", "cells")
-
-    def __init__(self, i: int, j: int, rows: tuple[int, ...], cols: tuple[int, ...], cells: tuple[tuple[int, int], ...]):
-        _set(self, "i", i)
-        _set(self, "j", j)
-        _set(self, "rows", rows)
-        _set(self, "cols", cols)
-        _set(self, "cells", cells)
-
-
-def _block(i: int, j: int, rows, cols) -> PBlock:
-    if i < j:
-        cells = tuple((u, v) for u in rows for v in cols)
-    else:
-        cells = tuple(
-            (rows[x], rows[y]) for x in range(len(rows)) for y in range(x, len(rows))
-        )
-    return PBlock(i, j, tuple(rows), tuple(cols), cells)
-
-
-def build_blocks(k: int) -> list[PBlock]:
-    """One block per unordered pair of chains of the half cube B_k, in the
-    order of gk_scd(k); diagonal blocks keep only the containment-ordered
-    cells.  Total cell count is (4^k + 2^k) / 2, so k is capped at half of
-    the largest reflection's n."""
-    check_ground(k)
-    if k > QUOTIENT_LIMIT // 2:
-        raise ResourceLimitError(f"build_blocks holds (4^k + 2^k)/2 cells of B_k x B_k and is capped at k <= "
-                                 f"{QUOTIENT_LIMIT // 2}, got {k}")
-    chains = ChainBottoms(k)
-    return [
-        _block(i, j, chains[i].elements, chains[j].elements)
-        for i in range(len(chains))
-        for j in range(i, len(chains))
-    ]
 
 
 def scd_of_diagonal_block(side: int) -> list[tuple[tuple[int, int], ...]]:
@@ -95,6 +53,29 @@ def scd_of_diagonal_block(side: int) -> list[tuple[tuple[int, int], ...]]:
         cells += [(x, hi) for x in range(lo + 1, hi + 1)]
         chains.append(tuple(cells))
     return chains
+
+
+def half_blocks(k: int):
+    """The blocks of the half cube B_k: for each pair of its chains i <= j,
+    in the order of ChainBottoms(k), the two chains and the grids that split
+    the block's cells (x, y), the pairs of their x-th and y-th half-words.
+
+    Two chains fill a rectangle, split by the hooks; one chain, yielded as
+    the same object on both sides, fills the staircase x <= y, peeled by
+    scd_of_diagonal_block.  Each chain is grown once and each grid built
+    once per shape.  The blocks hold (4^k + 2^k)/2 cells, so k is capped at
+    half of the largest reflection's n before any chain grows.
+    """
+    check_enum(k, QUOTIENT_LIMIT // 2, "half_blocks")
+    chains = list(ChainBottoms(k))
+    shapes = {}
+    for i, ci in enumerate(chains):
+        for cj in chains[i:]:
+            shape = (len(ci) - 1, len(cj) - 1, ci is cj)
+            grids = shapes.get(shape)
+            if grids is None:
+                grids = shapes[shape] = scd_of_diagonal_block(shape[0]) if ci is cj else hook_chains(*shape[:2])
+            yield ci, cj, grids
 
 
 def standard_reflection(n: int) -> GroupSpec:
@@ -141,28 +122,21 @@ def _orbit_chains(targets) -> list[Chain]:
     """The chains of the half-word blocks over the moved elements, each cell
     (u, v) written as its orbit's name: u goes on targets[:k], the reverse of
     v on targets[k:], and the name is the smaller of that word and its mirror.
-    Only a few block shapes occur, so each grid is built once per shape; the
-    half-cube chains are saturated, so a cell chain's bottom rank is its
-    first cell's."""
+    Each half-cube chain is relabelled once, keyed by its bottom, when the
+    walk's first row meets it; the half-cube chains are saturated, so a cell
+    chain's bottom rank is its first cell's."""
     k = len(targets) // 2
     left, right = relabel_map(targets[:k]), relabel_map(targets[::-1][:k])
-    sides = [
-        (tuple(map(left, c.elements)), tuple(map(right, c.elements)), c.rank, len(c) - 1)
-        for c in ChainBottoms(k)
-    ]
-    shapes = {}
+    sides = {}
     chains = []
-    for i, (left_i, right_i, rank_i, side_i) in enumerate(sides):
-        for j in range(i, len(sides)):
-            left_j, right_j, rank_j, side_j = sides[j]
-            shape = (side_i, side_j, i == j)
-            grids = shapes.get(shape)
-            if grids is None:
-                grids = shapes[shape] = scd_of_diagonal_block(shape[0]) if i == j else hook_chains(*shape[:2])
-            for grid in grids:
-                names = tuple([min(left_i[x] | right_j[y], left_j[y] | right_i[x]) for x, y in grid])
-                x, y = grid[0]
-                chains.append(Chain(names, rank_i + rank_j + x + y))
+    for ci, cj, grids in half_blocks(k):
+        if cj.elements[0] not in sides:
+            sides[cj.elements[0]] = tuple(map(left, cj.elements)), tuple(map(right, cj.elements))
+        (left_i, right_i), (left_j, right_j) = sides[ci.elements[0]], sides[cj.elements[0]]
+        for grid in grids:
+            names = tuple([min(left_i[x] | right_j[y], left_j[y] | right_i[x]) for x, y in grid])
+            x, y = grid[0]
+            chains.append(Chain(names, ci.rank + cj.rank + x + y))
     return chains
 
 
@@ -196,8 +170,7 @@ def reflection_scd(n: int, rho: GroupSpec | str) -> Decomposition:
 
 
 __all__ = [
-    "PBlock",
-    "build_blocks",
+    "half_blocks",
     "involution_group",
     "reflection_poset",
     "reflection_scd",

@@ -19,10 +19,11 @@ every element named by one `orbit_rep`.  It pins the construction that names
 each cell through two half-word tables as it is built.  `named_after_fold`
 does the same for a cycle-power quotient, by one `orbit_rep` under the whole
 group per element, to pin the construction that names each factor's orbits
-before the fold, and `staircase_peel` peels a whole diagonal `PBlock`, the
-form the package's peel by side length is checked against.  Both folds go
-through `pairwise_fold`, the pair product followed by a pass that joins each
-pair, to pin `product_scd`'s fold that writes each joined element once.
+before the fold, and `staircase_peel` peels the cells over a diagonal chain's
+elements, which the package's peel by side length is checked against.  Both
+folds go through `pairwise_fold`, the pair product followed by a pass that
+joins each pair, to pin `product_scd`'s fold that writes each joined element
+once.
 The naive closures take a group's permutations from `generators`, built
 on the package's `perm_from_cycle_power`.
 `orbit_closure_ascends` decides a quotient's `ascends` by listing each
@@ -77,7 +78,7 @@ from scdforge.core import (
 from scdforge.gk import boolean_scd_on_support, gk_scd, predecessor
 from scdforge.groups import CycleFactor, GroupSpec, QuotientPoset, _members, factorize, orbit_rep, perm_from_cycle_power
 from scdforge.prune import PrunedChain, quotient_scd_cyclic, rotation_group
-from scdforge.reflect import PBlock, _transpositions, involution_group
+from scdforge.reflect import _transpositions, involution_group
 
 
 def rotate(mask: int, steps: int, n: int) -> int:
@@ -469,18 +470,17 @@ def word_reverse(mask: int, width: int) -> int:
     return out
 
 
-def staircase_peel(block: PBlock) -> list[tuple[tuple[int, int], ...]]:
-    """The borders of the staircase over a diagonal block, peeled from the
-    block itself: the top row then the right column of what is left."""
-    if block.i != block.j:
-        raise ValueError("not a diagonal block")
-    side = len(block.rows) - 1
+def staircase_peel(rows) -> list[tuple[tuple[int, int], ...]]:
+    """The borders of the staircase {(x, y): x <= y} over a diagonal chain's
+    elements, peeled from its cells: the top row then the right column of
+    what is left."""
+    left = {(x, y) for x in range(len(rows)) for y in range(x, len(rows))}
     chains = []
-    for d in range(side // 2 + 1):
-        lo, hi = d, side - d
-        cells = [(lo, y) for y in range(lo, hi + 1)]
-        cells += [(x, hi) for x in range(lo + 1, hi + 1)]
+    while left:
+        lo, hi = min(x for x, _ in left), max(y for _, y in left)
+        cells = sorted(c for c in left if c[0] == lo) + sorted(c for c in left if c[1] == hi and c[0] != lo)
         chains.append(tuple(cells))
+        left -= set(cells)
     return chains
 
 
@@ -496,7 +496,7 @@ def core_quotient_part(k: int) -> Decomposition:
             if i < j:
                 grids = hook_chains(len(ci) - 1, len(cj) - 1)
             else:
-                grids = staircase_peel(PBlock(i, i, ci.elements, ci.elements, ()))
+                grids = staircase_peel(ci.elements)
             for grid in grids:
                 masks = tuple(ci.elements[x] | back(cj.elements[y]) for x, y in grid)
                 chains.append(Chain(masks, masks[0].bit_count()))

@@ -356,6 +356,100 @@ def test_decode_rejects_float_stats():
         decode(encode_raw(doc))
 
 
+def _quotient_doc():
+    return build_document(quotient_scd_cyclic(4, 1))
+
+
+def _product_doc():
+    return build_document(chainproduct_scd([(2, 2, 1), (3, 3, 1)]))
+
+
+_DELETE = object()
+
+
+def _edit(doc, path, value):
+    """doc with the value at path (a tuple of keys and indices) replaced, or
+    deleted when value is _DELETE."""
+    *parents, last = path
+    inner = doc
+    for key in parents:
+        inner = inner[key]
+    if value is _DELETE:
+        del inner[last]
+    else:
+        inner[last] = value
+    return doc
+
+
+_KINDS = "boolean, quotient, reflection, chainpower, product"
+
+# one case for each check of decode's envelope, with the full message it raises
+ENVELOPE_CASES = {
+    "array": (_quotient_doc, lambda d: [d], "/: must be an object"),
+    "no-stats": (_quotient_doc, lambda d: _edit(d, ("stats",), _DELETE), "/: missing required key 'stats'"),
+    "extra-key": (_quotient_doc, lambda d: _edit(d, ("extra",), 1), "/: unexpected key 'extra'"),
+    "bad-kind": (_quotient_doc, lambda d: _edit(d, ("context", "kind"), "necklace"), f"/context/kind: must be one of {_KINDS}"),
+    "int-kind": (_quotient_doc, lambda d: _edit(d, ("context", "kind"), 1), f"/context/kind: must be one of {_KINDS}"),
+    "no-kind": (_quotient_doc, lambda d: _edit(d, ("context", "kind"), _DELETE), "/context: missing required key 'kind'"),
+    "n-zero": (_quotient_doc, lambda d: _edit(d, ("context", "n"), 0), "/context/n: must be >= 1"),
+    "n-true": (_quotient_doc, lambda d: _edit(d, ("context", "n"), True), "/context/n: must be an integer"),
+    "int-group": (_quotient_doc, lambda d: _edit(d, ("context", "group"), 12), "/context/group: must be a string"),
+    "no-group": (_quotient_doc, lambda d: _edit(d, ("context", "group"), _DELETE),
+                 "/context: kind 'quotient' requires 'group'"),
+    "extra-stat": (_quotient_doc, lambda d: _edit(d, ("stats", "extra"), 1), "/stats: unexpected key 'extra'"),
+    "no-chains": (_quotient_doc, lambda d: _edit(d, ("chains",), []), "/chains: must have at least 1 item(s)"),
+    "float-profile": (_quotient_doc, lambda d: _edit(d, ("stats", "rank_profile", 0), 1.0),
+                      "/stats/rank_profile/0: must be an integer"),
+    "no-factors": (_product_doc, lambda d: _edit(d, ("context", "factors"), []),
+                   "/context/factors: must have at least 1 item(s)"),
+    "short-factor": (_product_doc, lambda d: _edit(d, ("context", "factors", 0), [2, 2]),
+                     "/context/factors/0: must be a [k, m, r] triple"),
+    "factor-k-1": (_product_doc, lambda d: _edit(d, ("context", "factors", 0, 0), 1),
+                   "/context/factors/0/0: must be >= 2"),
+}
+
+
+@pytest.mark.parametrize("name", ENVELOPE_CASES)
+def test_decode_names_each_envelope_problem_in_full(tmp_path, capsysbinary, name):
+    build, mutate, message = ENVELOPE_CASES[name]
+    data = encode_raw(mutate(build()))
+    with pytest.raises(DecodeError) as caught:
+        decode(data)
+    assert str(caught.value) == message
+    if name in ("array", "no-kind", "factor-k-1"):
+        code, out, err = run_bytes(capsysbinary, ["verify", "--input", write_doc(tmp_path, data)])
+        assert (code, out, err) == (2, b"", f"error: {message}\n".encode())
+
+
+def _reversed_keys(value):
+    if isinstance(value, dict):
+        return {key: _reversed_keys(value[key]) for key in reversed(list(value))}
+    if isinstance(value, list):
+        return [_reversed_keys(v) for v in value]
+    return value
+
+
+@pytest.mark.parametrize("decomp", [
+    gk_decomposition(4),
+    quotient_scd(5, "(1 2 3)(4 5)"),
+    reflection_scd(5, "(1 5)(2 3)"),
+    chainpower_scd(3, 2, 1),
+    chainproduct_scd([(2, 2, 1), (3, 1, 1)]),
+], ids=lambda d: d.context.kind)
+def test_loose_formatting_decodes_as_the_canonical_form(tmp_path, capsysbinary, decomp):
+    canonical = encode(decomp)
+    loose = (json.dumps(_reversed_keys(json.loads(canonical)), indent=1) + "\n").encode()
+    assert loose.startswith(b'{\n "stats": {\n  "rank_profile": [') and b"\n" in loose[:-1]
+    assert decode(loose) == decode(canonical)
+    outputs = []
+    for name, data in (("canonical", canonical), ("loose", loose)):
+        path = tmp_path / name
+        path.write_bytes(data)
+        outputs.append(run_bytes(capsysbinary, ["verify", "--input", str(path)]))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0
+
+
 @pytest.mark.parametrize(
     "context, width",
     [

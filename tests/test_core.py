@@ -31,7 +31,7 @@ from scdforge.core import (
 from scdforge.gk import ChainBottoms, Pairing, boolean_scd_on_support, gk_decomposition
 from scdforge.groups import CycleFactor, GroupSpec, parse_group_spec, quotient_poset
 from scdforge.prune import PrunedChain, PrunedFamily, prune_chains, quotient_scd, quotient_scd_cyclic
-from scdforge.reflect import PBlock, reflection_poset, reflection_scd
+from scdforge.reflect import reflection_poset, reflection_scd
 from scdforge.verify import Failure, ProductTarget, RankProfile, VerifyReport
 
 
@@ -318,9 +318,6 @@ RECORDS = [
     (PrunedFamily, dict(chains=(_PIECE,)),
      "PrunedFamily(chains=(PrunedChain(source=4, kept=Chain(elements=(1, 3), rank=1), "
      "orbits=Chain(elements=(1,), rank=1)),))",
-     {}, []),
-    (PBlock, dict(i=0, j=1, rows=(0, 1), cols=(2,), cells=((0, 2), (1, 2))),
-     "PBlock(i=0, j=1, rows=(0, 1), cols=(2,), cells=((0, 2), (1, 2)))",
      {}, []),
     (Failure, dict(kind="not-covered", witness=(1, 2), detail="x"),
      "Failure(kind='not-covered', witness=(1, 2), detail='x')",

@@ -11,8 +11,7 @@ from scdforge.gk import gk_decomposition, gk_scd
 from scdforge.groups import ParseError, parse_group_spec, quotient_poset
 from scdforge.prune import quotient_scd
 from scdforge.reflect import (
-    PBlock,
-    build_blocks,
+    half_blocks,
     involution_group,
     reflection_poset,
     reflection_scd,
@@ -22,48 +21,62 @@ from scdforge.reflect import (
 from scdforge.verify import verify_decomposition
 
 
-def test_build_blocks_counts():
+def _cells(ci, cj, grids):
+    """The (u, v) pairs of half-words that a block's grids cover, in grid order."""
+    return [(ci.elements[x], cj.elements[y]) for grid in grids for x, y in grid]
+
+
+def test_half_blocks_counts():
     for k, cell_total in [(1, 3), (2, 10), (3, 36), (4, 136), (5, 528), (6, 2080)]:
-        blocks = build_blocks(k)
+        blocks = list(half_blocks(k))
         t = len(gk_scd(k).chains)
         assert len(blocks) == t * (t + 1) // 2
-        assert sum(len(b.cells) for b in blocks) == cell_total == (4**k + 2**k) // 2
+        for ci, cj, grids in blocks:  # the grids cover the rectangle, or the staircase x <= y, once
+            cells = [c for grid in grids for c in grid]
+            block = {(x, y) for x in range(len(ci)) for y in range(len(cj)) if ci is not cj or x <= y}
+            assert len(cells) == len(block) and set(cells) == block
+        assert sum(len(_cells(*b)) for b in blocks) == cell_total == (4**k + 2**k) // 2
 
 
 def test_block_rank_arithmetic():
     for k in range(1, 5):
-        scd = gk_scd(k)  # build_blocks pairs its chains, in its order
-        for block in build_blocks(k):
-            r_i = scd.chains[block.i].elements[0].bit_count()
-            r_j = scd.chains[block.j].elements[0].bit_count()
-            assert (r_i, r_j) == (scd.chains[block.i].rank, scd.chains[block.j].rank)
-            ranks = [u.bit_count() + v.bit_count() for u, v in block.cells]
+        scd = gk_scd(k)  # half_blocks pairs its chains, in its order
+        blocks = list(half_blocks(k))
+        assert [(ci, cj) for ci, cj, _ in blocks] == [
+            (c, d) for i, c in enumerate(scd.chains) for d in scd.chains[i:]
+        ]
+        for ci, cj, grids in blocks:
+            r_i, r_j = ci.elements[0].bit_count(), cj.elements[0].bit_count()
+            assert (r_i, r_j) == (ci.rank, cj.rank)
+            ranks = [u.bit_count() + v.bit_count() for u, v in _cells(ci, cj, grids)]
             assert min(ranks) == r_i + r_j
             assert max(ranks) == 2 * k - (r_i + r_j)
 
 
 def test_half_cube_and_gk_guards_run_before_any_chain(monkeypatch):
-    # build_blocks(12) needs 2^23 + 2^11 cells; both refuse at the guard, not in ChainBottoms
+    # half_blocks(12) walks 2^23 + 2^11 cells; both refuse at the guard, not in ChainBottoms
     def refuse(*args):
         raise AssertionError("chains grown before the size guard")
 
     monkeypatch.setattr("scdforge.reflect.ChainBottoms", refuse)
     monkeypatch.setattr("scdforge.gk.ChainBottoms", refuse)
-    cells = r"build_blocks holds \(4\^k \+ 2\^k\)/2 cells of B_k x B_k and is capped at k <= 11, got 12$"
+    cells = r"^half_blocks enumerates all of B_n and is capped at n <= 11, got 12$"
     with pytest.raises(ResourceLimitError, match=cells):
-        build_blocks(12)
+        next(half_blocks(12))
     with pytest.raises(ResourceLimitError, match=r"capped at n <= 22, got 23"):
         gk_scd(23)
 
 
 def test_diagonal_singleton():
-    block = PBlock(0, 0, (5,), (5,), ((5, 5),))
-    assert scd_of_diagonal_block(len(block.rows) - 1) == [((0, 0),)]
+    assert scd_of_diagonal_block(0) == [((0, 0),)]
+    ci, cj, grids = list(half_blocks(2))[-1]  # over chain 1 of B_2: the single half-word 01
+    assert ci is cj and ci.elements == (2,)
+    assert grids == [((0, 0),)]
 
 
 def test_diagonal_peel_b2_top_chain():
-    block = build_blocks(2)[0]  # over chain 0: 00 < 10 < 11
-    grids = scd_of_diagonal_block(len(block.rows) - 1)
+    ci, cj, grids = next(half_blocks(2))  # over chain 0: 00 < 10 < 11
+    assert ci is cj and ci.elements == (0, 1, 3)
     assert grids == [
         ((0, 0), (0, 1), (0, 2), (1, 2), (2, 2)),
         ((1, 1),),
@@ -71,8 +84,8 @@ def test_diagonal_peel_b2_top_chain():
 
 
 def test_diagonal_peel_odd_side():
-    block = build_blocks(3)[0]  # over chain 0, of length 4
-    grids = scd_of_diagonal_block(len(block.rows) - 1)
+    ci, cj, grids = next(half_blocks(3))  # over chain 0, of length 4
+    assert ci is cj and len(ci) == 4
     assert sorted(len(g) for g in grids) == [3, 7]
     cells = {c for g in grids for c in g}
     assert cells == {(x, y) for x in range(4) for y in range(x, 4)}
@@ -80,12 +93,13 @@ def test_diagonal_peel_odd_side():
 
 @pytest.mark.parametrize("k", range(1, 7))
 def test_peel_by_side_matches_the_peel_of_the_block(k):
-    diagonal = [b for b in build_blocks(k) if b.i == b.j]
+    diagonal = [(ci, grids) for ci, cj, grids in half_blocks(k) if ci is cj]
     assert len(diagonal) == len(gk_scd(k).chains)
-    for block in diagonal:
-        grids = scd_of_diagonal_block(len(block.rows) - 1)
-        assert grids == staircase_peel(block)
-        assert sorted((block.rows[x], block.rows[y]) for g in grids for x, y in g) == sorted(block.cells)
+    for chain, grids in diagonal:
+        rows = chain.elements
+        assert grids == scd_of_diagonal_block(len(rows) - 1) == staircase_peel(rows)
+        cells = [(rows[x], rows[y]) for x in range(len(rows)) for y in range(x, len(rows))]
+        assert sorted(_cells(chain, chain, grids)) == sorted(cells)
 
 
 def test_peel_rejects_a_negative_side():
@@ -95,10 +109,9 @@ def test_peel_rejects_a_negative_side():
 
 @pytest.mark.parametrize("k", range(1, 7))
 def test_pairing_map_is_a_bijection_onto_orbits(k):
-    blocks = build_blocks(k)
     images = set()
-    for block in blocks:
-        for u, v in block.cells:
+    for block in half_blocks(k):
+        for u, v in _cells(*block):
             word = pair_mask(u, v, k)
             rep = min(word, word_reverse(word, 2 * k))
             assert rep not in images
@@ -110,8 +123,8 @@ def test_pairing_map_is_a_bijection_onto_orbits(k):
 
 @pytest.mark.parametrize("k", range(1, 7))
 def test_pairing_map_preserves_order(k):
-    for block in build_blocks(k):
-        cells = block.cells
+    for block in half_blocks(k):
+        cells = _cells(*block)
         for u1, v1 in cells:
             for u2, v2 in cells:
                 if u1 | u2 == u2 and v1 | v2 == v2:
