@@ -360,11 +360,13 @@ def _cmd_verify(args) -> int:
         decomp, stats = decode(fh.read())
     target = target_for_context(decomp.context)
     report = verify_decomposition(target, decomp)
-    # a decoded chain need not be saturated: count each element at its own rank
-    profile = [0] * (decomp.context.total_rank + 1)
-    for c in decomp.chains:
-        for r in map(target.rank, c.elements):
-            profile[r] += 1
+    if report.ok:  # every chain rises one rank at a time from its first element's, the rank decode gave it
+        profile = list(decomp.rank_counts())
+    else:  # a decoded chain need not be saturated: count each element at its own rank
+        profile = [0] * (decomp.context.total_rank + 1)
+        for c in decomp.chains:
+            for r in map(target.rank, c.elements):
+                profile[r] += 1
     stats_ok = (
         stats["chain_count"] == len(decomp.chains)
         and stats["element_count"] == decomp.element_count()

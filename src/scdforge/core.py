@@ -8,6 +8,8 @@ every function is pure, so results can be shared freely across threads.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 MASK_WIDTH_LIMIT = 64   # subsets stay machine-word sized
 QUOTIENT_LIMIT = 22     # operations that enumerate B_n or its orbits refuse beyond this
 CHUNK_BITS = 11         # two chunks cover QUOTIENT_LIMIT: a mask's image is two lookups; 2048 entries at most
@@ -165,25 +167,27 @@ class Decomposition(_Record):
         _set(self, "context", context)
 
     def element_count(self) -> int:
-        return sum(len(c) for c in self.chains)
+        return sum([len(c.elements) for c in self.chains])
 
     def chain_sizes(self) -> tuple[int, ...]:
-        return tuple(len(c) for c in self.chains)
+        return tuple([len(c.elements) for c in self.chains])
 
     def rank_counts(self) -> tuple[int, ...]:
         """The profile the chain records claim, each chain once at every rank
         from its bottom's up; a decoded chain need not be saturated, so verify
         counts a document's elements at their own ranks.  A chain whose claimed
-        ranks run past total_rank raises ValueError."""
+        ranks run past total_rank raises ValueError.  Each chain adds 1 at its
+        bottom's rank and takes it back one above its top, and the prefix sums
+        of those steps are the counts: one pass over the chain records."""
         total = self.context.total_rank
-        counts = [0] * (total + 1)
+        steps = [0] * (total + 2)
         for c in self.chains:
-            top = c.rank + len(c) - 1
-            if top > total:
-                raise ValueError(f"chain {c.elements!r} claims ranks {c.rank}..{top} past the top rank {total}")
-            for r in range(c.rank, top + 1):
-                counts[r] += 1
-        return tuple(counts)
+            above = c.rank + len(c.elements)
+            if above > total + 1:
+                raise ValueError(f"chain {c.elements!r} claims ranks {c.rank}..{above - 1} past the top rank {total}")
+            steps[c.rank] += 1
+            steps[above] -= 1
+        return tuple(accumulate(steps[:-1]))
 
 
 def _chain_key(chain: Chain):
@@ -326,7 +330,7 @@ def product_scd(first: Decomposition, *rest: Decomposition, join=lambda p, q: (p
         grids, folded = {}, []  # one hook grid per shape
         for c in chains:
             for d in part.chains:
-                p, q, shape = c.elements, d.elements, (len(c) - 1, len(d) - 1)
+                p, q, shape = c.elements, d.elements, (len(c.elements) - 1, len(d.elements) - 1)
                 if shape not in grids:
                     grids[shape] = hook_chains(*shape)
                 for hook in grids[shape]:

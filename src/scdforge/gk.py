@@ -22,6 +22,8 @@ grow their chains from ChainBottoms without that certificate.
 
 from __future__ import annotations
 
+from itertools import islice
+
 from .core import _Record, _set
 from .core import (
     Chain,
@@ -116,27 +118,39 @@ def chain_of(a: int, n: int) -> Chain:
     return _grow(p.paired_members, full_mask(n) & ~p.paired)
 
 
-def _bottoms(n: int, width: int):
-    """Yield (rank << n | bottom) << n | free for every subset of [n] whose
-    members are all matched and whose blocks of width bits are each ones
-    followed by zeros; bottom is that subset, rank its size.
+_SLICE = 1 << 12  # prefixes rewritten at a time by _bottoms
 
-    Words are built left to right; a member may only close the nearest open
-    non-member, and one at a position that does not start a block may only
-    follow a member.  The non-members still open at the end are the free
-    positions.  Width 1 puts no block constraint: every bottom of B_n.
+
+def _bottoms(n: int, width: int) -> list[int]:
+    """The sorted list of (rank << n | bottom) << n | free for every subset
+    of [n] whose members are all matched and whose blocks of width bits are
+    each ones followed by zeros; bottom is that subset, rank its size.
+
+    Words are built left to right, one position at a time for every prefix
+    at once, each prefix packed as its word will be, with its unclosed
+    non-members in place of the free positions.  A member may only close the
+    nearest unclosed non-member, and one at a position that does not start a
+    block may only follow a member.  The non-members still open at the end
+    are the free positions.  Width 1 puts no block constraint: every bottom
+    of B_n.  The list of prefixes is the only one held whole: the prefixes
+    that take a member are appended from a generator, and those that take a
+    non-member are rewritten in place, a slice at a time.
     """
-    stack = [(0, 0, 0)]  # (next position, members so far, unclosed non-members)
-    while stack:
-        i, members, unclosed = stack.pop()
-        if i == n:
-            yield (members.bit_count() << n | members) << n | unclosed
-            continue
-        bit = 1 << i
-        stack.append((i + 1, members, unclosed | bit))
-        if unclosed and (i % width == 0 or members >> (i - 1) & 1):
-            nearest = 1 << (unclosed.bit_length() - 1)
-            stack.append((i + 1, members | bit, unclosed ^ nearest))
+    low, one = full_mask(n), 1 << 2 * n
+    words = [0]
+    for i in range(n):
+        m, bit, close = len(words), 1 << i, one | 1 << n + i  # close: one more member, at position i
+        if i % width == 0:
+            words.extend(w + close - (1 << (w & low).bit_length() - 1) for w in islice(words, m) if w & low)
+        else:
+            words.extend(w + close - (1 << (w & low).bit_length() - 1)
+                         for w in islice(words, m) if w & low and w >> n + i - 1 & 1)
+        for lo in range(0, m, _SLICE):
+            hi = min(lo + _SLICE, m)
+            # | and not +: an int made by + keeps room for a carry digit, 48 bytes in place of 32 at n = 20
+            words[lo:hi] = [w | bit for w in words[lo:hi]]
+    words.sort()
+    return words
 
 
 class ChainBottoms:
@@ -155,7 +169,7 @@ class ChainBottoms:
     def __init__(self, n: int, width: int = 1):
         self.n = n
         self.width = width
-        self.packed = sorted(_bottoms(n, width))
+        self.packed = _bottoms(n, width)
 
     def __len__(self) -> int:
         return len(self.packed)

@@ -24,7 +24,9 @@ from .core import (
     Context,
     Decomposition,
     QUOTIENT_LIMIT,
+    ResourceLimitError,
     check_enum,
+    check_ground,
     full_mask,
     hook_chains,
     make_decomposition,
@@ -66,7 +68,10 @@ def half_blocks(k: int):
     once per shape.  The blocks hold (4^k + 2^k)/2 cells, so k is capped at
     half of the largest reflection's n before any chain grows.
     """
-    check_enum(k, QUOTIENT_LIMIT // 2, "half_blocks")
+    check_ground(k)
+    if k > QUOTIENT_LIMIT // 2:
+        raise ResourceLimitError(f"half_blocks walks the (4^k + 2^k)/2 = {(4 ** k + 2 ** k) // 2} cells of B_k x B_k"
+                                 f" and is capped at k <= {QUOTIENT_LIMIT // 2}, got k = {k}")
     chains = list(ChainBottoms(k))
     shapes = {}
     for i, ci in enumerate(chains):
@@ -134,7 +139,7 @@ def _orbit_chains(targets) -> list[Chain]:
             sides[cj.elements[0]] = tuple(map(left, cj.elements)), tuple(map(right, cj.elements))
         (left_i, right_i), (left_j, right_j) = sides[ci.elements[0]], sides[cj.elements[0]]
         for grid in grids:
-            names = tuple([min(left_i[x] | right_j[y], left_j[y] | right_i[x]) for x, y in grid])
+            names = tuple([a if (a := left_i[x] | right_j[y]) < (b := left_j[y] | right_i[x]) else b for x, y in grid])
             x, y = grid[0]
             chains.append(Chain(names, ci.rank + cj.rank + x + y))
     return chains

@@ -7,18 +7,25 @@ least member of its orbit, in the target's own encoding) and each lies below
 the next, answered from one pass over each element: a quotient reads its
 image under every non-identity power of each generator once, two lookups in
 that power's chunk tables, and a chain power reads its rotations once.  It is
-the target's only comparability test.  The verifier recomputes every rank and
-comparability itself and never trusts the construction's bookkeeping.
+the target's only comparability test.  The verifier tests every
+comparability and reads every rank it needs itself, and never trusts the
+construction's bookkeeping.
 
 A family of chains partitions the target into symmetric chains as soon as
 every element is canonical, no element repeats, every chain steps up one rank
 at a time through comparable elements with end ranks summing to total_rank,
 and the elements number exactly expected_size(): distinct canonical elements
 name distinct orbits, and a Burnside count of the orbits equals the true one,
-so by pigeonhole every orbit is covered exactly once.  That certificate makes
-one ascends() call per chain, which tests each claimed element once.
-Only when it fails does the verifier enumerate elements() to name every
-problem, testing each failing step with ascends() on the pair, so the reports
+so by pigeonhole every orbit is covered exactly once.  The steps need only
+the ranks of a chain's two ends: in every target two distinct comparable
+elements have different ranks (canonical orbit representatives of a
+quotient, canonical tuples of a chain power under the componentwise order,
+pairs of a product coordinatewise), so along a chain that ascends without a
+repeat the ranks rise strictly, and len - 1 rises that add up to len - 1 are
+each one.  That certificate makes one ascends() call and two rank() calls
+per chain, and tests each claimed element once.  Only when it fails does the
+verifier enumerate elements() to name every problem, reading every element's
+rank and testing each failing step with ascends() on the pair, so the reports
 of both routes are the same.
 """
 
@@ -100,7 +107,11 @@ def verify_decomposition(target, decomp: Decomposition) -> VerifyReport:
 
 
 def _certified(target, decomp: Decomposition, count: int) -> bool:
-    """The pigeonhole certificate of the module docstring over `count` elements; False on any doubt."""
+    """The pigeonhole certificate of the module docstring over `count`
+    elements; False on any doubt.  Each chain's ranks are read at its two
+    ends only: the end-rank rule accepts a chain with a repeat, such as
+    (a, a, c) with c two ranks above a, and the global repeat check,
+    len(seen) == count, refuses it."""
     if count != target.expected_size():
         return False
     ascends, rank, total = target.ascends, target.rank, target.total_rank
@@ -109,9 +120,8 @@ def _certified(target, decomp: Decomposition, count: int) -> bool:
         elems = chain.elements
         if not ascends(elems):
             return False
-        ranks = list(map(rank, elems))
-        low = ranks[0]
-        if low + ranks[-1] != total or ranks != list(range(low, low + len(ranks))):
+        low, high = rank(elems[0]), rank(elems[-1])
+        if low + high != total or high - low != len(elems) - 1:
             return False
         seen.update(elems)
     return len(seen) == count

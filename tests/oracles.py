@@ -4,7 +4,9 @@ Everything here is deliberately dumb and independent of the package's fast
 paths: interval scans instead of the matching stack, generic permutation
 closure instead of the disjoint-factor shortcuts, exhaustive set algebra
 instead of canonical representatives, and `json.dumps` of the whole document
-instead of the chunk-table encoder.  The exception is
+instead of the chunk-table encoder, its stats counted by
+`rank_counts_reference` one rank at a time instead of by the package's
+difference array over the chain records.  The exception is
 `ambient_chainpower`, which runs `greedy_prune` over every chain of the
 package's `gk_scd(n)` and restricts afterwards, to pin the chain-power
 construction that streams only the chains inside the power.  `greedy_prune`
@@ -433,6 +435,21 @@ def greedy_prune(chains, n: int, step: int) -> tuple[PrunedChain, ...]:
     return tuple(picked)
 
 
+def rank_counts_reference(decomp: Decomposition) -> tuple[int, ...]:
+    """Decomposition.rank_counts one rank at a time: each chain record adds 1
+    at every rank from its bottom's up, and the first chain whose ranks run
+    past total_rank raises the ValueError that names it."""
+    total = decomp.context.total_rank
+    counts = [0] * (total + 1)
+    for c in decomp.chains:
+        top = c.rank + len(c.elements) - 1
+        if top > total:
+            raise ValueError(f"chain {c.elements!r} claims ranks {c.rank}..{top} past the top rank {total}")
+        for r in range(c.rank, top + 1):
+            counts[r] += 1
+    return tuple(counts)
+
+
 def reference_document(decomp: Decomposition) -> dict:
     """A decomposition's document, built as a plain JSON value."""
     ctx = decomp.context
@@ -449,8 +466,8 @@ def reference_document(decomp: Decomposition) -> dict:
         chains = [[list(e) for e in c.elements] for c in decomp.chains]
     stats = {
         "chain_count": len(decomp.chains),
-        "element_count": decomp.element_count(),
-        "rank_profile": list(decomp.rank_counts()),
+        "element_count": sum(len(c.elements) for c in decomp.chains),
+        "rank_profile": list(rank_counts_reference(decomp)),
     }
     return {"schema": "scdforge/1", "context": context, "chains": chains, "stats": stats}
 

@@ -12,12 +12,13 @@ from oracles import (
     enumerated_profile_lines,
     every_cycle_power_group,
     full_rotations_ranks,
+    rank_counts_reference,
     read_subset_reference,
     reference_bytes,
     sampled_groups_with_fixed_points,
 )
 from scdforge.chainpow import chainpower_scd, chainproduct_scd
-from scdforge.core import Chain, Context, Decomposition, make_decomposition, map_elements, relabel_map
+from scdforge.core import Chain, Context, Decomposition, elements_of, make_decomposition, map_elements, relabel_map
 from scdforge.cli import (
     DecodeError,
     build_document,
@@ -532,6 +533,39 @@ def test_encode_refuses_a_decoded_chain_whose_claimed_ranks_pass_the_top():
         decomp.rank_counts()
     with pytest.raises(ValueError, match=r"^chain \(3, 7, 1\) claims ranks"):
         encode(decomp)
+
+
+@st.composite
+def chain_records(draw):
+    """Random chain records over B_n: decoded chains of random subsets, not
+    saturated, or records whose rank need not be their first element's; some
+    run past the top rank."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    if draw(st.booleans()):
+        chains = draw(st.lists(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=n + 2), min_size=1, max_size=10))
+        doc = {
+            "schema": "scdforge/1",
+            "context": {"kind": "boolean", "n": n},
+            "chains": [[list(elements_of(mask)) for mask in c] for c in chains],
+            "stats": {"chain_count": 1, "element_count": 1, "rank_profile": [1]},
+        }
+        return decode(encode(doc))[0]
+    records = draw(st.lists(st.tuples(st.integers(0, n + 1), st.integers(1, n + 2)), min_size=1, max_size=10))
+    chains = tuple(Chain(tuple(range(length)), rank) for rank, length in records)
+    return Decomposition(chains, Context(kind="boolean", total_rank=n, n=n))
+
+
+@given(chain_records())
+def test_rank_counts_match_the_per_rank_reference(decomp):
+    # the difference array counts what the per-rank loop counts, and refuses the same first chain past the top
+    try:
+        expected = rank_counts_reference(decomp)
+    except ValueError as e:
+        with pytest.raises(ValueError) as raised:
+            decomp.rank_counts()
+        assert str(raised.value) == str(e)
+    else:
+        assert decomp.rank_counts() == expected
 
 
 def test_encode_peak_memory_is_a_few_document_lengths():

@@ -237,6 +237,62 @@ def test_count_preserving_mutation_fails_the_certificate(case):
     assert report.to_dict() == _enumerated(target, mutant).to_dict()
 
 
+def _ends_fit_and_steps_ascend(target, decomp: Decomposition) -> bool:
+    """Every chain ascends and its end ranks pass the certificate's rule, so
+    only the repeat check is left to refuse the decomposition."""
+    return all(
+        target.ascends(c.elements)
+        and target.rank(c.elements[0]) + target.rank(c.elements[-1]) == target.total_rank
+        and target.rank(c.elements[-1]) - target.rank(c.elements[0]) == len(c.elements) - 1
+        for c in decomp.chains
+    )
+
+
+def _middle_lowered(target, decomp: Decomposition) -> Decomposition:
+    """The first chain of three or more elements, with its middle element
+    replaced by its lower neighbour: a repeat inside the chain."""
+    chains = list(decomp.chains)
+    i = next(i for i, c in enumerate(chains) if len(c.elements) >= 3)
+    elems = list(chains[i].elements)
+    j = len(elems) // 2
+    elems[j] = elems[j - 1]
+    chains[i] = Chain(tuple(elems), chains[i].rank)
+    return Decomposition(tuple(chains), decomp.context)
+
+
+def _bottom_taken_from_another_chain(target, decomp: Decomposition) -> Decomposition:
+    """The first chain of two or more elements, with its bottom replaced by
+    an element of another chain at the same rank that also lies below the
+    chain's second element: a repeat across chains."""
+    chains = list(decomp.chains)
+    for i, c in enumerate(chains):
+        if len(c.elements) < 2:
+            continue
+        low, second = target.rank(c.elements[0]), c.elements[1]
+        for d in chains:
+            if d is c:
+                continue
+            for e in d.elements:
+                if target.rank(e) == low and target.ascends((e, second)):
+                    chains[i] = Chain((e,) + c.elements[1:], c.rank)
+                    return Decomposition(tuple(chains), decomp.context)
+    raise AssertionError("no element of another chain lies below a second element")
+
+
+@pytest.mark.parametrize("mutate", [_middle_lowered, _bottom_taken_from_another_chain])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_a_repeat_that_keeps_the_end_ranks_fails_the_certificate(case, mutate):
+    # the end-rank rule leans on the repeat check: these mutants pass every per-chain check
+    decomp, target = CASES[case]()
+    mutant = mutate(target, decomp)
+    assert mutant.element_count() == target.expected_size()
+    assert _ends_fit_and_steps_ascend(target, mutant)
+    assert not _certified(target, mutant, mutant.element_count())
+    report = verify_decomposition(target, mutant)
+    assert not report.ok
+    assert report == _enumerated(target, mutant)
+
+
 def _turn(target, e, rng):
     """Another element of the same rank: a group image of e (a member of its
     orbit, often not the least), or a rotated word when the group is trivial."""
@@ -332,6 +388,16 @@ def test_passing_certificate_walks_each_generator_once_per_element(monkeypatch, 
         # the two lookups of one image are read in turn, so their indices pair up into the mask read
         assert len(low) == len(high)
         assert set(claimed) <= {lo | hi << 11 for lo, hi in zip(low, high)}
+
+
+@pytest.mark.parametrize("case", ["gk", "reflection"])
+def test_certificate_reads_the_ranks_of_each_chains_two_ends(monkeypatch, case):
+    decomp, target = WALKED[case]()
+    read = []
+    rank = target.rank
+    monkeypatch.setattr(target, "rank", lambda e: read.append(e) or rank(e))
+    assert verify_decomposition(target, decomp).ok
+    assert read == [e for c in decomp.chains for e in (c.elements[0], c.elements[-1])]
 
 
 class _CountedTable(list):
