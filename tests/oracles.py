@@ -437,12 +437,14 @@ def greedy_prune(chains, n: int, step: int) -> tuple[PrunedChain, ...]:
 
 def rank_counts_reference(decomp: Decomposition) -> tuple[int, ...]:
     """Decomposition.rank_counts one rank at a time: each chain record adds 1
-    at every rank from its bottom's up, and the first chain whose ranks run
-    past total_rank raises the ValueError that names it."""
+    at every rank from its bottom's up, and the first chain whose ranks start
+    below 0 or run past total_rank raises the ValueError that names it."""
     total = decomp.context.total_rank
     counts = [0] * (total + 1)
     for c in decomp.chains:
         top = c.rank + len(c.elements) - 1
+        if c.rank < 0:
+            raise ValueError(f"chain {c.elements!r} claims ranks {c.rank}..{top} below rank 0")
         if top > total:
             raise ValueError(f"chain {c.elements!r} claims ranks {c.rank}..{top} past the top rank {total}")
         for r in range(c.rank, top + 1):

@@ -539,10 +539,11 @@ def test_encode_refuses_a_decoded_chain_whose_claimed_ranks_pass_the_top():
 def chain_records(draw):
     """Random chain records over B_n: decoded chains of random subsets, not
     saturated, or records whose rank need not be their first element's; some
-    run past the top rank."""
+    run past the top rank, and some records start below rank 0."""
     n = draw(st.integers(min_value=1, max_value=8))
     if draw(st.booleans()):
-        chains = draw(st.lists(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=n + 2), min_size=1, max_size=10))
+        subsets = st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=n + 2)
+        chains = draw(st.lists(subsets, min_size=1, max_size=10))
         doc = {
             "schema": "scdforge/1",
             "context": {"kind": "boolean", "n": n},
@@ -550,14 +551,14 @@ def chain_records(draw):
             "stats": {"chain_count": 1, "element_count": 1, "rank_profile": [1]},
         }
         return decode(encode(doc))[0]
-    records = draw(st.lists(st.tuples(st.integers(0, n + 1), st.integers(1, n + 2)), min_size=1, max_size=10))
+    records = draw(st.lists(st.tuples(st.integers(-1, n + 1), st.integers(1, n + 2)), min_size=1, max_size=10))
     chains = tuple(Chain(tuple(range(length)), rank) for rank, length in records)
     return Decomposition(chains, Context(kind="boolean", total_rank=n, n=n))
 
 
 @given(chain_records())
 def test_rank_counts_match_the_per_rank_reference(decomp):
-    # the difference array counts what the per-rank loop counts, and refuses the same first chain past the top
+    # the difference array counts what the per-rank loop counts, and refuses the same first chain out of range
     try:
         expected = rank_counts_reference(decomp)
     except ValueError as e:
@@ -566,6 +567,13 @@ def test_rank_counts_match_the_per_rank_reference(decomp):
         assert str(raised.value) == str(e)
     else:
         assert decomp.rank_counts() == expected
+
+
+def test_rank_counts_refuses_a_chain_below_rank_0():
+    # a library record may claim any rank: one below 0 is named, not wrapped onto the top ranks
+    decomp = Decomposition((Chain((0, 1), 0), Chain((1, 2), -1)), Context(kind="boolean", total_rank=3, n=3))
+    with pytest.raises(ValueError, match=r"^chain \(1, 2\) claims ranks -1\.\.0 below rank 0$"):
+        decomp.rank_counts()
 
 
 def test_encode_peak_memory_is_a_few_document_lengths():

@@ -60,7 +60,8 @@ def test_half_cube_and_gk_guards_run_before_any_chain(monkeypatch):
 
     monkeypatch.setattr("scdforge.reflect.ChainBottoms", refuse)
     monkeypatch.setattr("scdforge.gk.ChainBottoms", refuse)
-    cells = r"^half_blocks walks the \(4\^k \+ 2\^k\)/2 = 8390656 cells of B_k x B_k and is capped at k <= 11, got k = 12$"
+    cells = (r"^half_blocks walks the \(4\^k \+ 2\^k\)/2 = 8390656 cells of B_k x B_k"
+             r" and is capped at k <= 11, got k = 12$")
     with pytest.raises(ResourceLimitError, match=cells):
         next(half_blocks(12))
     with pytest.raises(ValueError, match=r"^ground set size must be >= 1, got 0$"):
