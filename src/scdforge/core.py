@@ -175,11 +175,11 @@ class Decomposition(_Record):
     def rank_counts(self) -> tuple[int, ...]:
         """The profile the chain records claim, each chain once at every rank
         from its bottom's up; a decoded chain need not be saturated, so verify
-        counts a document's elements at their own ranks.  A chain whose claimed
-        ranks run past total_rank, or start below 0, raises ValueError.  Each
-        chain adds 1 at its bottom's rank and takes it back one above its top,
-        and the prefix sums of those steps are the counts: one pass over the
-        chain records."""
+        counts a failing document's elements at their own ranks.  A chain
+        whose claimed ranks run past total_rank, or start below 0, raises
+        ValueError.  Each chain adds 1 at its bottom's rank and takes it back
+        one above its top, and the prefix sums of those steps are the counts:
+        one pass over the chain records."""
         total = self.context.total_rank
         steps = [0] * (total + 2)
         for c in self.chains:
