@@ -8,11 +8,13 @@ straight from its elements, each subset's text from one table lookup per
 11-bit chunk of its mask, and leaves only the context and stats to json.dumps;
 the bytes are those json.dumps would give for the whole document.  decode()
 is its inverse and returns the Decomposition and the document's stats.  It
-checks every value as it reads it, each subset of an n within the 64-bit mask
-width in one strict loop that calls _read_subset only to name the problem of
-a subset it refuses.  Each construct subcommand only writes what its builder
-returns: the builder guards, builds and certifies it against an
-independently defined target.
+has two routes.  A canonical subset document, as encode() writes it, is read
+from its bytes: json.loads sees only the context and stats, and each chain's
+masks are kept only if encode's tables write exactly the chain's text.  Any
+other document goes to the JSON-tree route, which checks every value as it
+reads it and names the first problem.  Each construct subcommand only writes
+what its builder returns: the builder guards, builds and certifies it
+against an independently defined target.
 """
 
 from __future__ import annotations
@@ -61,6 +63,8 @@ _REQUIRED_CONTEXT = {
 _CONTEXT_MINIMUM = {"n": 1, "k": 2, "m": 1, "r": 1}
 _CONTEXT_KEYS = ("kind", "group", "factors", *_CONTEXT_MINIMUM)
 _SUBSET_KINDS = ("boolean", "quotient", "reflection")
+_CANONICAL_PREFIX = b'{"chains":[[['  # up to the first subset's text
+_CANONICAL_TAIL = b'],"context":'
 
 
 def _canonical_json(value) -> str:
@@ -150,8 +154,7 @@ def _check_int(value, pointer: str, minimum: int | None = None) -> None:
 
 
 def _read_subset(elems, n: int) -> int:
-    """The mask of one subset of [n]; raises DecodeError naming its first problem.
-    decode's strict loop accepts exactly the subsets this accepts."""
+    """The mask of one subset of [n]; raises DecodeError naming its first problem."""
     if type(elems) is not list or not set(map(type, elems)) <= {int}:
         raise DecodeError("subset must be an array of integers")
     distinct = sorted(set(elems))
@@ -183,31 +186,26 @@ def decode(data: bytes | str) -> tuple[Decomposition, dict]:
     """Read a document into its Decomposition and its stats object, checking
     each value as it is read.
 
-    For n up to the mask width, a subset is read in one strict loop: a list
-    whose entries are JSON integers rising strictly within 1..n, each ORing
-    in its bit from a table built once per document, with no set, sort or
-    call per subset.  The first entry that breaks the loop goes to
-    _read_subset, which only names the problem.
+    A canonical boolean, quotient or reflection document given as bytes, with
+    n up to the mask width, is read from its text by _decode_text.  Anything
+    else, and any document that route does not fully understand, is read
+    from its JSON value by _decode_tree, whose result or error is the one
+    every document gets.
 
     Raises DecodeError whose message starts with the JSON pointer of the
     first offending value, the elements in chain order after the context and
     stats.  Integers must be JSON integers: booleans and floats, 1.0
     included, are rejected.  A subset document whose n passes the 64-bit mask
     width raises check_ground's ValueError once _read_subset has read its
-    elements; it gets no bit table.
+    elements.
     """
-    try:
-        if isinstance(data, bytes):
-            data = data.decode("utf-8")
-        doc = json.loads(data)
-    except json.JSONDecodeError as e:
-        raise DecodeError(f"/: not valid JSON ({e.msg} at line {e.lineno})") from None
-    except UnicodeDecodeError:
-        raise DecodeError("/: not valid UTF-8") from None
-    except RecursionError:
-        raise DecodeError("/: nesting too deep") from None
-    except ValueError as e:  # an integer literal beyond the interpreter's digit limit
-        raise DecodeError(f"/: not valid JSON ({e})") from None
+    decoded = _decode_text(data) if isinstance(data, bytes) else None
+    return decoded if decoded is not None else _decode_tree(data)
+
+
+def _check_envelope(doc) -> tuple[dict, dict]:
+    """The context and stats objects of a document's JSON value, checked in
+    order: the top-level keys, the schema, the context, then the stats."""
     _check_object(doc, "/", _DOCUMENT_KEYS, _DOCUMENT_KEYS)
     if doc["schema"] != SCHEMA_ID:
         _fail("/schema", f"must be {SCHEMA_ID!r}")
@@ -237,54 +235,13 @@ def decode(data: bytes | str) -> tuple[Decomposition, dict]:
     _check_int(stats["element_count"], "/stats/element_count", 1)
     for i, count in enumerate(_check_array(stats["rank_profile"], "/stats/rank_profile")):
         _check_int(count, f"/stats/rank_profile/{i}")
+    return ctx, stats
 
-    if kind in _SUBSET_KINDS:
-        read, shape, rank, total = _read_subset, ctx["n"], int.bit_count, ctx["n"]
-    else:
-        triples = ctx["factors"] if kind == "product" else [(ctx["k"], ctx["m"], ctx["r"])]
-        shape = [(k, m) for k, m, _ in triples]
-        read, rank, total = _read_levels, sum, sum((k - 1) * m for k, m in shape)
-    chains = []
-    raw_chains = _check_array(doc["chains"], "/chains", 1)
-    if kind in _SUBSET_KINDS and ctx["n"] <= MASK_WIDTH_LIMIT:
-        # the strict loop; bit[e] is element e's mask
-        n = ctx["n"]
-        bit = [0, *(1 << i for i in range(n))]
-        for ci, chain in enumerate(raw_chains):
-            elements = []
-            for elems in _check_array(chain, f"/chains/{ci}", 1):
-                if type(elems) is list:
-                    mask = prev = 0
-                    for e in elems:
-                        if type(e) is not int or not prev < e <= n:
-                            break
-                        mask |= bit[e]
-                        prev = e
-                    else:
-                        elements.append(mask)
-                        continue
-                pointer = f"/chains/{ci}/{len(elements)}"
-                try:
-                    _read_subset(elems, n)
-                except DecodeError as e:
-                    _fail(pointer, str(e))
-                raise AssertionError(f"{pointer}: _read_subset accepts a subset the strict loop refused")
-            chains.append(Chain(tuple(elements), rank(elements[0])))
-    else:
-        for ci, chain in enumerate(raw_chains):
-            chain = _check_array(chain, f"/chains/{ci}", 1)
-            elements = []
-            try:
-                for elems in chain:
-                    elements.append(read(elems, shape))
-            except DecodeError as e:
-                _fail(f"/chains/{ci}/{len(elements)}", str(e))
-            chains.append(Chain(tuple(elements), rank(elements[0])))
-    if kind in _SUBSET_KINDS:
-        check_ground(ctx["n"])
-    context = Context(
-        kind=kind,
-        total_rank=total,
+
+def _context(ctx: dict, total_rank: int) -> Context:
+    return Context(
+        kind=ctx["kind"],
+        total_rank=total_rank,
         n=ctx.get("n"),
         group=ctx.get("group"),
         k=ctx.get("k"),
@@ -292,7 +249,90 @@ def decode(data: bytes | str) -> tuple[Decomposition, dict]:
         r=ctx.get("r"),
         factors=tuple(tuple(t) for t in ctx["factors"]) if "factors" in ctx else None,
     )
-    return Decomposition(tuple(chains), context), stats
+
+
+def _decode_text(data: bytes) -> tuple[Decomposition, dict] | None:
+    """decode() of a canonical subset document with n <= MASK_WIDTH_LIMIT, or
+    None for any other.  Only the tail after the chains is parsed as JSON, and
+    it must hold the keys "context", "schema" and "stats" and pass the
+    envelope checks.  Each subset's tokens map to bits through a table of the
+    n element numbers, and a chain is kept only if element_text(n) writes
+    exactly its text: so the chains' bytes are the masks' canonical text,
+    which _decode_tree would read as the same masks."""
+    start, end = len(_CANONICAL_PREFIX), data.find(_CANONICAL_TAIL)
+    # the chains' text runs from start to end - 2, where the last chain's "]]" begins
+    if not data.startswith(_CANONICAL_PREFIX) or end < 0 or not data.endswith(b"]]", start, end):
+        return None
+    try:
+        doc = json.loads("{" + data[end + 2:].decode("utf-8"))
+    except (ValueError, RecursionError):  # not UTF-8, not JSON, or an integer past the digit limit
+        return None
+    if list(doc) != ["context", "schema", "stats"]:
+        return None
+    doc["chains"] = None  # read below; the envelope checks only the other keys' values
+    try:
+        ctx, stats = _check_envelope(doc)
+    except DecodeError:
+        return None
+    if ctx["kind"] not in _SUBSET_KINDS or ctx["n"] > MASK_WIDTH_LIMIT:
+        return None
+    n = ctx["n"]
+    write = element_text(n)
+    bit = {b"%d" % e: 1 << e - 1 for e in range(1, n + 1)}
+    bit[b""] = 0  # the empty subset, and an empty token that the text check refuses
+    get = bit.__getitem__
+    chains = []
+    try:
+        texts = data[start : end - 2].split(b"]],[[")
+        texts.reverse()  # popped in chain order, so each chain's text is freed once read
+        while texts:
+            text = texts.pop()
+            masks = [sum(map(get, subset.split(b","))) for subset in text.split(b"],[")]
+            if write(masks)[2:-2] != text:
+                return None
+            chains.append(Chain(tuple(masks), masks[0].bit_count()))
+    except (KeyError, IndexError):  # a token not in bit, or repeated ones whose sum passes bit n - 1
+        return None
+    return Decomposition(tuple(chains), _context(ctx, n)), stats
+
+
+def _decode_tree(data: bytes | str) -> tuple[Decomposition, dict]:
+    """decode() of any document, from its JSON value: the envelope, then each
+    element in chain order, each subset by _read_subset and each level tuple
+    by _read_levels."""
+    try:
+        if isinstance(data, bytes):
+            data = data.decode("utf-8")
+        doc = json.loads(data)
+    except json.JSONDecodeError as e:
+        raise DecodeError(f"/: not valid JSON ({e.msg} at line {e.lineno})") from None
+    except UnicodeDecodeError:
+        raise DecodeError("/: not valid UTF-8") from None
+    except RecursionError:
+        raise DecodeError("/: nesting too deep") from None
+    except ValueError as e:  # an integer literal beyond the interpreter's digit limit
+        raise DecodeError(f"/: not valid JSON ({e})") from None
+    ctx, stats = _check_envelope(doc)
+    kind = ctx["kind"]
+    if kind in _SUBSET_KINDS:
+        read, shape, rank, total = _read_subset, ctx["n"], int.bit_count, ctx["n"]
+    else:
+        triples = ctx["factors"] if kind == "product" else [(ctx["k"], ctx["m"], ctx["r"])]
+        shape = [(k, m) for k, m, _ in triples]
+        read, rank, total = _read_levels, sum, sum((k - 1) * m for k, m in shape)
+    chains = []
+    for ci, chain in enumerate(_check_array(doc["chains"], "/chains", 1)):
+        chain = _check_array(chain, f"/chains/{ci}", 1)
+        elements = []
+        try:
+            for elems in chain:
+                elements.append(read(elems, shape))
+        except DecodeError as e:
+            _fail(f"/chains/{ci}/{len(elements)}", str(e))
+        chains.append(Chain(tuple(elements), rank(elements[0])))
+    if kind in _SUBSET_KINDS:
+        check_ground(ctx["n"])
+    return Decomposition(tuple(chains), _context(ctx, total)), stats
 
 
 def target_for_context(ctx: Context):

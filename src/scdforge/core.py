@@ -254,23 +254,34 @@ def bit_map(fn, n: int):
     return apply
 
 
+def _text_tables(n: int) -> list[list[bytes]]:
+    """element_text's tables, one per chunk of chunk_tables: entry m of table
+    i holds b"," before each element number of chunk i's mask m.  Each table
+    doubles once per bit, as chunk_tables' do, one concatenation per entry."""
+    tables = []
+    for lo in range(0, max(n, CHUNK_BITS + 1), CHUNK_BITS):
+        table = [b""]
+        for e in range(lo + 1, min(lo + CHUNK_BITS, n) + 1):
+            item = b",%d" % e
+            table += [t + item for t in table]
+        tables.append(table)
+    return tables
+
+
 def element_text(n: int):
     """Table-driven writer of a chain of masks of [n]: its JSON array of
     element arrays as ASCII bytes, each mask written as
     ",".join(map(str, elements_of(mask))).
 
-    Each chunk of chunk_tables has one table of comma-joined element numbers,
-    already offset by the chunk's position.  With two chunks, the high table's
-    non-empty entries carry their leading comma, each mask is t0[low] +
-    t1[high] in one list per chain, and one replace per chain drops the comma
-    of a mask whose low chunk is empty.  Beyond two, each mask joins its
-    non-empty lookups with b",".
+    The tables are _text_tables(n).  With two chunks, the low table drops its
+    leading commas, each mask is t0[low] + t1[high] in one list per chain, and
+    one replace per chain drops the comma of a mask whose low chunk is empty.
+    Beyond two, each mask joins its lookups and drops the first comma.
     """
-    tables = [[",".join(map(str, elements_of(mask))).encode() for mask in table]
-              for table in chunk_tables(lambda bit: bit, n)]
+    tables = _text_tables(n)
     low, shift = (1 << CHUNK_BITS) - 1, CHUNK_BITS
     if len(tables) == 2:
-        t0, t1 = tables[0], [b"," + t if t else t for t in tables[1]]
+        t0, t1 = [t[1:] for t in tables[0]], tables[1]
 
         def two(masks) -> bytes:
             text = b"[[" + b"],[".join([t0[e & low] + t1[e >> shift] for e in masks]) + b"]]"
@@ -281,11 +292,9 @@ def element_text(n: int):
     def text(mask: int) -> bytes:
         parts = []
         for table in tables:
-            part = table[mask & low]
-            if part:
-                parts.append(part)
+            parts.append(table[mask & low])
             mask >>= shift
-        return b",".join(parts)
+        return b"".join(parts)[1:]
 
     return lambda masks: b"[[" + b"],[".join(map(text, masks)) + b"]]"
 

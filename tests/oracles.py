@@ -45,9 +45,9 @@ over tuples (the form its byte encoding is checked against),
 `is_symmetric_chain` restates the symmetry test from the elements' own
 ranks, `chain_index` maps each
 subset to the number of its Greene-Kleitman chain, and
-`read_subset_reference` is the set-and-sort subset reader that `decode` keeps
-only to explain a subset its strict loop refuses, kept here as it was so that
-the loop is checked against it.  `shadow_closure_failures` scans that index for
+`read_subset_reference` is the set-and-sort subset reader that `decode`'s
+JSON-tree route reads every subset with, kept here as it was so that both
+of decode's routes are checked against it.  `shadow_closure_failures` scans that index for
 the lemma the pruning rests on; it is one more exception to the independence
 above, as it uses the package's `orbit_rep` and `predecessor`.
 """

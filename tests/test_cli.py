@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -17,6 +18,7 @@ from oracles import (
     reference_bytes,
     sampled_groups_with_fixed_points,
 )
+from scdforge import cli
 from scdforge.chainpow import chainpower_scd, chainproduct_scd
 from scdforge.core import Chain, Context, Decomposition, elements_of, make_decomposition, map_elements, relabel_map
 from scdforge.cli import (
@@ -300,42 +302,145 @@ def test_decode_reads_subsets_as_the_reference_reader_does(case):
         "chains": [chain],
         "stats": {"chain_count": 1, "element_count": 1, "rank_profile": [1]},
     }
-    masks = []
-    for i, elems in enumerate(chain):
-        try:
-            masks.append(read_subset_reference(elems, n))
-        except DecodeError as e:
-            with pytest.raises(DecodeError) as got:
-                decode(encode_raw(doc))
-            assert str(got.value) == f"/chains/0/{i}: {e}"
-            return
-    if n > 64:
-        with pytest.raises(ValueError) as got:
-            decode(encode_raw(doc))
-        assert type(got.value) is ValueError
-        assert str(got.value) == f"ground set size capped at 64, got {n}"
-    else:
-        decomp, _ = decode(encode_raw(doc))
-        assert decomp.chains[0].elements == tuple(masks)
-        assert decomp.chains[0].rank == len(chain[0])
+    # canonical bytes (the text route, or the tree route for what it refuses) and loose ones (the tree route)
+    for data in (encode(doc), encode_raw(doc)):
+        masks = []
+        for i, elems in enumerate(chain):
+            try:
+                masks.append(read_subset_reference(elems, n))
+            except DecodeError as e:
+                with pytest.raises(DecodeError) as got:
+                    decode(data)
+                assert str(got.value) == f"/chains/0/{i}: {e}"
+                break
+        else:
+            if n > 64:
+                with pytest.raises(ValueError) as got:
+                    decode(data)
+                assert type(got.value) is ValueError
+                assert str(got.value) == f"ground set size capped at 64, got {n}"
+            else:
+                decomp, _ = decode(data)
+                assert decomp.chains[0].elements == tuple(masks)
+                assert decomp.chains[0].rank == len(chain[0])
 
 
-@pytest.mark.parametrize(
-    "decomp",
-    [
-        gk_decomposition(10),
-        quotient_scd(8, "(1 2 3 4)^2 (5 6)"),
-        reflection_scd(6, "(1 6)(2 5)(3 4)"),
-        reflection_scd(7, "(1 4)(2 3)"),
-    ],
-    ids=["gk10", "quotient", "reflect", "reflect-fixed-points"],
-)
-def test_decode_reads_valid_subsets_without_the_explainer(monkeypatch, decomp):
-    def explainer(elems, n):
-        raise AssertionError(f"explainer called on {elems!r}")
+def _canonical_documents():
+    """(label, canonical bytes) of documents of every subset kind: the
+    constructions at n = 1..12, and at n = 16, 18, 22, 23 and 64 the chains of
+    B_9 on random bits of [n], bit n - 1 among them, under each kind's context."""
+    documents = []
+    for n in range(1, 13):
+        ends = "".join(f"({i} {n + 1 - i})" for i in range(1, n // 2 + 1)) or "(1)"
+        for decomp in (gk_decomposition(n), quotient_scd_cyclic(n, 1), reflection_scd(n, ends)):
+            documents.append((f"{decomp.context.kind} n={n}", encode(decomp)))
+    for n in (16, 18, 22, 23, 64):
+        rng = random.Random(n)
+        targets = sorted(rng.sample(range(n - 1), 8)) + [n - 1]
+        chains = map_elements(gk_decomposition(9), relabel_map(targets)).chains
+        for kind, group in (("boolean", None), ("quotient", f"(1 {n})"), ("reflection", f"(2 {n - 1})")):
+            context = Context(kind=kind, total_rank=n, n=n, group=group)
+            documents.append((f"{kind} n={n}", encode(Decomposition(chains, context))))
+    return documents
 
-    monkeypatch.setattr("scdforge.cli._read_subset", explainer)
-    assert decode(encode(decomp))[0] == decomp
+
+def _tokens(data: bytes):
+    """(start, end) of every element number in a document's chains."""
+    chains = data[: data.index(b'],"context":')]
+    return [(m.start(), m.end()) for m in re.finditer(rb"\d+", chains)]
+
+
+def _replace_token(text):
+    def edit(data, rng):
+        i, j = rng.choice(_tokens(data))
+        return data[:i] + text(data[i:j]) + data[j:]
+    return edit
+
+
+def _changed_digit(data, rng):
+    i, j = rng.choice(_tokens(data))
+    k = rng.randrange(i, j)
+    return data[:k] + rng.choice([d for d in b"0123456789" if d != data[k]]).to_bytes(1, "big") + data[k + 1:]
+
+
+def _swapped_tokens(data, rng):
+    pairs = [(a, b) for a, b in zip(_tokens(data), _tokens(data)[1:]) if data[a[1]:b[0]] == b","]
+    if not pairs:
+        return data + b" "
+    (i, j), (k, m) = rng.choice(pairs)
+    return data[:i] + data[k:m] + b"," + data[i:j] + data[m:]
+
+
+def _moved_bracket(data, rng):
+    # one bracket of the chains array taken out and a bracket put in elsewhere in it
+    start, end = len(b'{"chains":['), data.index(b'],"context":')
+    i = rng.choice([i for i in range(start, end) if data[i] in b"[]"])
+    data = data[:i] + data[i + 1:]
+    j = rng.randrange(start, end - 1)
+    return data[:j] + rng.choice([b"[", b"]"]) + data[j:]
+
+
+def _tail(data, rewrite):
+    end = data.index(b'],"context":')
+    tail = rewrite(json.loads(b"{" + data[end + 2:]))
+    return data[: end + 1] + b"," + json.dumps(tail, separators=(",", ":")).encode()[1:] + b"\n"
+
+
+BYTE_EDITS = {
+    "changed digit": _changed_digit,
+    "swapped tokens": _swapped_tokens,
+    "repeated token": _replace_token(lambda t: t + b"," + t),
+    "leading zero": _replace_token(lambda t: b"0" + t),
+    "space": lambda data, rng: (lambda i: data[:i] + b" " + data[i:])(rng.randrange(1, len(data))),
+    "true": _replace_token(lambda t: b"true"),
+    "float": _replace_token(lambda t: b"1.0"),
+    "minus one": _replace_token(lambda t: b"-1"),
+    "65": _replace_token(lambda t: b"65"),
+    "empty token": _replace_token(lambda t: b""),
+    "moved bracket": _moved_bracket,
+    "chains cut short": lambda data, rng: data[: len(b'{"chains":[[[')] + data[data.index(b'],"context":') :],
+    "reordered tail keys": lambda data, rng: _tail(data, lambda d: dict(reversed(d.items()))),
+    "second chains key": lambda data, rng: _tail(data, lambda d: {**d, "chains": [[[1]]]}),
+    "chain_count off": lambda data, rng: _tail(data, lambda d: _edit(d, ("stats", "chain_count"), 99)),
+    "no UTF-8": lambda data, rng: data.replace(b'"scdforge/1"', b'"scdforge/1\xed\xa0\x80"'),
+    "trailing bytes": lambda data, rng: data + rng.choice([b"x", b"{}", b"]", b"\n\n", b"\x00"]),
+}
+
+
+def _outcome(read, data):
+    try:
+        return read(data)
+    except Exception as e:  # the two routes must raise the same type with the same message
+        return type(e), str(e)
+
+
+def test_the_text_route_gives_the_tree_routes_result():
+    # the JSON-tree route is the reference: a canonical document and each byte edit of it decode to the same
+    # Decomposition and stats, or raise the same exception, on both routes
+    for label, data in _canonical_documents():
+        assert cli._decode_text(data) == cli._decode_tree(data), label
+        rng = random.Random(label)
+        for name, edit in BYTE_EDITS.items():
+            edited = edit(data, rng)
+            while edited == data:  # a bracket put back where it was
+                edited = edit(data, rng)
+            assert _outcome(decode, edited) == _outcome(cli._decode_tree, edited), (label, name, edited)
+
+
+@pytest.mark.parametrize("n", [65, 10**9])
+def test_a_wide_canonical_document_builds_no_token_table(monkeypatch, n):
+    # the text route refuses n > 64 before any table: the tree route reads it and refuses the width
+    data = (b'{"chains":[[[],[1]],[[%d]]],"context":{"kind":"boolean","n":%d},"schema":"scdforge/1",'
+            b'"stats":{"chain_count":2,"element_count":3,"rank_profile":[1,2]}}\n' % (n, n))
+
+    def refuse(n):
+        raise AssertionError(f"element_text({n}) built")
+
+    monkeypatch.setattr("scdforge.cli.element_text", refuse)
+    assert cli._decode_text(data) is None
+    with pytest.raises(ValueError) as caught:
+        decode(data)
+    assert (type(caught.value), str(caught.value)) == (ValueError, f"ground set size capped at 64, got {n}")
 
 
 def test_verify_reports_a_bad_level_before_the_chain_power_guard(tmp_path, capsysbinary):
@@ -585,6 +690,20 @@ def test_encode_peak_memory_is_a_few_document_lengths():
     finally:
         tracemalloc.stop()
     assert peak < 6 * len(data)
+
+
+def test_decode_peak_memory_on_the_gk16_document():
+    # the text route holds the chains' texts and the result, not a JSON tree; the bound is 10% above the
+    # 3.29 MiB peak it was set from (15.71 MiB when decode built the document's JSON tree)
+    data = encode(gk_decomposition(16))
+    tracemalloc.start()
+    try:
+        decomp, _ = decode(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(decomp.chains) == 12870
+    assert peak < 3.62 * 2**20, peak
 
 
 def test_verify_of_a_one_chain_document_stays_within_its_memory_bound(tmp_path, capsysbinary):

@@ -27,6 +27,7 @@ from scdforge.core import (
     product_scd,
     relabel_map,
     set_string,
+    _text_tables,
 )
 from scdforge.gk import ChainBottoms, Pairing, boolean_scd_on_support, gk_decomposition
 from scdforge.groups import CycleFactor, GroupSpec, parse_group_spec, quotient_poset
@@ -252,6 +253,15 @@ def test_bit_map_matches_the_bit_loop(n):
     assert calls == [1 << b for b in range(n)]
     masks = [0, (1 << n) - 1] + [1 << i for i in range(n)] + [rng.getrandbits(n) for _ in range(500)]
     assert [move(a) for a in masks] == [_moved(a, targets) for a in masks]
+
+
+@pytest.mark.parametrize("n", [*range(1, 23), 23, 33, 64])
+def test_text_tables_match_the_join_form(n):
+    # the doubled tables, entry by entry, against joining elements_of over chunk_tables' masks
+    tables = _text_tables(n)
+    assert len(tables) == len(chunk_tables(lambda bit: bit, n))
+    for table, masks in zip(tables, chunk_tables(lambda bit: bit, n)):
+        assert table == [b"," + ",".join(map(str, elements_of(mask))).encode() if mask else b"" for mask in masks]
 
 
 @pytest.mark.parametrize("n", [*range(1, 14), 22, 23, 28, 40, 64])

@@ -2,7 +2,9 @@
 outside the tests, the package exports exactly the construct and verify API,
 the CLI imports no third-party code and no dataclass machinery, every function
 the benchmark trace binds onto still exists and is still called on a traced
-run, the seed-0 benchmark documents match their goldens, and the demos run."""
+run, the seed-0 benchmark documents match their goldens, the subset
+documents among them and among the construct goldens decode from their
+text alone, and the demos run."""
 
 import ast
 import hashlib
@@ -18,7 +20,8 @@ import types
 import pytest
 
 import scdforge
-from scdforge.cli import run
+from record_construct_goldens import grid
+from scdforge.cli import decode, encode, run
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(scdforge.__path__))
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -237,8 +240,23 @@ def test_traced_construct_writes_through_encode(tmp_path, argv):
     assert trace["counters"]["cli.doc_bytes"] == len(stdout) > 0
 
 
+def _refuse_the_tree_route(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the JSON-tree route was reached")
+
+    monkeypatch.setattr("scdforge.cli._decode_tree", refuse)
+    monkeypatch.setattr("scdforge.cli._read_subset", refuse)
+
+
+def _decodes_from_its_text(data: bytes) -> bool:
+    # with the tree route refused: the result re-encodes to the same bytes, stats included
+    decomp, stats = decode(data)
+    return encode(decomp) == data and stats == json.loads(b"{" + data[data.index(b'],"context":') + 2 :])["stats"]
+
+
 def test_seed_0_documents_match_the_goldens(capsysbinary, monkeypatch):
-    # the benchmark checks its goldens only on its own runs; this catches a drift in tier-1
+    # the benchmark checks its goldens only on its own runs; this catches a drift in tier-1.  Each document
+    # of a subset kind is then read from its bytes alone, as test_golden_documents_decode_from_their_text does
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", os.path.join(ROOT, "perfbench", "workloads.py")
     )
@@ -252,11 +270,31 @@ def test_seed_0_documents_match_the_goldens(capsysbinary, monkeypatch):
     commands += [c for c in workloads.commands_for("roundtrip", seed) if c.name == "gk16"]
     commands += workloads.commands_for("quotients", seed)
     assert sorted(c.name for c in commands) == sorted(goldens)  # every golden, reflection18 included
+    subset_documents = {}
     for cmd in commands:
         assert run(list(cmd.argv)) == 0, cmd.name
         data = capsysbinary.readouterr().out
         golden = goldens[cmd.name]
         assert (len(data), hashlib.sha256(data).hexdigest()) == (golden["bytes"], golden["sha256"]), cmd.name
+        if cmd.argv[0] != "chainpower":
+            subset_documents[cmd.name] = data
+    assert sorted(subset_documents) == ["gk16", "multifactor18", "reflection18", "rotation18"]
+    _refuse_the_tree_route(monkeypatch)
+    for name, data in subset_documents.items():
+        assert _decodes_from_its_text(data), name
+
+
+def test_golden_documents_decode_from_their_text(capsysbinary, monkeypatch):
+    # every construct-golden document of a subset kind is read from its bytes alone: neither the JSON-tree
+    # route nor _read_subset runs
+    argvs = [argv for argv in grid() if argv[0] in ("gk", "quotient", "reflect") and "--text" not in argv]
+    documents = []
+    for argv in argvs:
+        assert run(argv) == 0, argv
+        documents.append((argv, capsysbinary.readouterr().out))
+    _refuse_the_tree_route(monkeypatch)
+    for argv, data in documents:
+        assert _decodes_from_its_text(data), argv
 
 
 # the sha256 of each demo's stdout, so that a demo whose printout drifts fails
