@@ -14,7 +14,9 @@ masks are kept only if encode's tables write exactly the chain's text.  Any
 other document goes to the JSON-tree route, which checks every value as it
 reads it and names the first problem.  Each construct subcommand only writes
 what its builder returns: the builder guards, builds and certifies it
-against an independently defined target.
+against an independently defined target.  Line output, the --text chains
+and the orbits listing and DOT graph, is written up to 4096 lines at a time;
+a listing's set labels are read from chunk_tables, as encode's subsets are.
 """
 
 from __future__ import annotations
@@ -24,9 +26,11 @@ import gc
 import json
 import os
 import sys
+from itertools import islice
 
 from .chainpow import ChainPowerTarget, ChainProductTarget, chainpower_scd
 from .core import (
+    CHUNK_BITS,
     MASK_WIDTH_LIMIT,
     Chain,
     Context,
@@ -34,9 +38,9 @@ from .core import (
     ResourceLimitError,
     bit_string,
     check_ground,
+    chunk_tables,
     element_text,
     mask_of,
-    set_string,
 )
 from .gk import gk_decomposition
 from .groups import GroupSpec, ParseError, parse_group_spec, quotient_poset, rank_counts
@@ -349,18 +353,21 @@ def target_for_context(ctx: Context):
     return ChainProductTarget(ctx.factors)
 
 
-def _render_element(e, ctx: Context) -> str:
-    if isinstance(e, int):
-        return bit_string(e, ctx.n)
-    return "(" + ",".join(str(x) for x in e) + ")"
+def _write_lines(lines) -> None:
+    """Write each line and a newline to stdout, up to 4096 lines per write."""
+    lines = iter(lines)
+    while batch := list(islice(lines, 4096)):
+        sys.stdout.write("\n".join(batch) + "\n")
 
 
 def _emit(decomp: Decomposition, args) -> int:
     """Write a construct command's result, which its builder has certified."""
     if args.text:
+        ctx = decomp.context
+        word = ((lambda mask: bit_string(mask, ctx.n)) if ctx.kind in _SUBSET_KINDS
+                else lambda levels: "(" + ",".join(map(str, levels)) + ")")
         print(f"chains={len(decomp.chains)}")
-        for c in decomp.chains:
-            print(" < ".join(_render_element(e, decomp.context) for e in c.elements))
+        _write_lines(" < ".join(map(word, c.elements)) for c in decomp.chains)
     else:
         sys.stdout.buffer.write(encode(decomp))
         sys.stdout.buffer.flush()
@@ -370,19 +377,20 @@ def _emit(decomp: Decomposition, args) -> int:
 def _cmd_orbits(args) -> int:
     group = parse_group_spec(args.group, args.n) if args.group is not None else GroupSpec.trivial(args.n)
     poset = quotient_poset(args.n, group)
+    # n <= QUOTIENT_LIMIT now, so two tables: a set's text is two lookups, as set_string writes it
+    t0, t1 = chunk_tables(lambda bit: ",%d" % bit.bit_length(), args.n)
+    low = (1 << CHUNK_BITS) - 1
+    text = lambda e: "{" + (t0[e & low] + t1[e >> CHUNK_BITS])[1:] + "}"
     if args.dot:
         print("digraph quotient {")
         print("  rankdir=BT;")
-        label = {e: set_string(e) for e in poset.orbits}
-        for e in poset.orbits:
-            print(f'  "{label[e]}" [label="{label[e]} x{poset.orbit_size(e)}"];')
-        for lower, upper in poset.covers():
-            print(f'  "{label[lower]}" -> "{label[upper]}";')
+        label = {e: text(e) for e in poset.orbits}
+        _write_lines(f'  "{label[e]}" [label="{label[e]} x{poset.orbit_size(e)}"];' for e in poset.orbits)
+        _write_lines(f'  "{label[lower]}" -> "{label[upper]}";' for lower, upper in poset.covers())
         print("}")
         return 0
     print(f"orbits={poset.size()}")
-    for e in poset.orbits:
-        print(f"rank {e.bit_count()}: {set_string(e)} size={poset.orbit_size(e)}")
+    _write_lines(f"rank {e.bit_count()}: {text(e)} size={poset.orbit_size(e)}" for e in poset.orbits)
     return 0
 
 

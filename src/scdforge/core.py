@@ -45,7 +45,9 @@ def mask_of(elements) -> int:
 
 
 def elements_of(mask: int) -> tuple[int, ...]:
-    """Sorted 1-based elements of a mask."""
+    """Sorted 1-based elements of a mask; a negative mask raises ValueError."""
+    if mask < 0:
+        raise ValueError(f"mask must be >= 0, got {mask}")
     out = []
     while mask:
         low = mask & -mask
@@ -55,8 +57,8 @@ def elements_of(mask: int) -> tuple[int, ...]:
 
 
 def bit_string(mask: int, n: int) -> str:
-    """Render as the binary word b_1 b_2 ... b_n."""
-    return "".join("1" if mask >> i & 1 else "0" for i in range(n))
+    """Render as the binary word b_1 b_2 ... b_n: bin() of the low n bits under a marker bit, reversed."""
+    return bin(mask & (1 << n) - 1 | 1 << n)[:2:-1] if n > 0 else ""
 
 
 def set_string(mask: int) -> str:
@@ -212,22 +214,24 @@ def map_elements(decomp: Decomposition, fn) -> Decomposition:
     return Decomposition(chains, decomp.context)
 
 
-def chunk_tables(fn, n: int) -> list[list[int]]:
+def chunk_tables(fn, n: int) -> list[list]:
     """One table per CHUNK_BITS-wide chunk of [n], lowest chunk first, of an
     additive map on masks: table i holds fn of every mask of chunk i.  There
     are at least two, so exactly two up to QUOTIENT_LIMIT bits: below 12 bits
-    the high chunk is empty and its table is [0].
+    the high chunk is empty and its table holds only the empty image.
 
     fn(a | b) must equal fn(a) + fn(b) for disjoint a and b, as it does when
-    fn sends disjoint masks to disjoint images (then + is |) or adds a value
-    per bit.  fn is evaluated on single bits only, in order: each chunk's
-    table doubles once per bit by adding that bit's image.
+    fn sends disjoint masks to disjoint images (then + is |), adds a value
+    per bit, or writes a text per bit (then + concatenates in bit order).
+    fn is evaluated on single bits only, in order: each chunk's table starts
+    from the empty image images[0] * 0 (0 for n = 0) and doubles once per bit.
     """
+    images = [fn(1 << b) for b in range(n)]
+    empty = images[0] * 0 if images else 0
     tables = []
     for lo in range(0, max(n, CHUNK_BITS + 1), CHUNK_BITS):
-        table = [0]
-        for b in range(lo, min(lo + CHUNK_BITS, n)):
-            image = fn(1 << b)
+        table = [empty]
+        for image in images[lo : lo + CHUNK_BITS]:
             table += [v + image for v in table]
         tables.append(table)
     return tables
@@ -254,31 +258,19 @@ def bit_map(fn, n: int):
     return apply
 
 
-def _text_tables(n: int) -> list[list[bytes]]:
-    """element_text's tables, one per chunk of chunk_tables: entry m of table
-    i holds b"," before each element number of chunk i's mask m.  Each table
-    doubles once per bit, as chunk_tables' do, one concatenation per entry."""
-    tables = []
-    for lo in range(0, max(n, CHUNK_BITS + 1), CHUNK_BITS):
-        table = [b""]
-        for e in range(lo + 1, min(lo + CHUNK_BITS, n) + 1):
-            item = b",%d" % e
-            table += [t + item for t in table]
-        tables.append(table)
-    return tables
-
-
 def element_text(n: int):
     """Table-driven writer of a chain of masks of [n]: its JSON array of
     element arrays as ASCII bytes, each mask written as
     ",".join(map(str, elements_of(mask))).
 
-    The tables are _text_tables(n).  With two chunks, the low table drops its
-    leading commas, each mask is t0[low] + t1[high] in one list per chain, and
-    one replace per chain drops the comma of a mask whose low chunk is empty.
-    Beyond two, each mask joins its lookups and drops the first comma.
+    The tables are chunk_tables of the map sending element e's bit to b",e":
+    entry m of table i holds b"," before each element number of chunk i's
+    mask m.  With two chunks, the low table drops its leading commas, each
+    mask is t0[low] + t1[high] in one list per chain, and one replace per
+    chain drops the comma of a mask whose low chunk is empty.  Beyond two,
+    each mask joins its lookups and drops the first comma.
     """
-    tables = _text_tables(n)
+    tables = chunk_tables(lambda bit: b",%d" % bit.bit_length(), n)
     low, shift = (1 << CHUNK_BITS) - 1, CHUNK_BITS
     if len(tables) == 2:
         t0, t1 = [t[1:] for t in tables[0]], tables[1]

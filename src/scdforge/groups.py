@@ -285,8 +285,6 @@ class QuotientPoset:
 
     def __init__(self, n: int, group: GroupSpec):
         check_enum(n, QUOTIENT_LIMIT, "quotient_poset")
-        if group.n != n:
-            raise ValueError("group is over a different ground set")
         self.n = n
         self.group = group
         self._fixed, _ = factorize(n, group)  # the points that no generator moves

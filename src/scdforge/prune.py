@@ -173,8 +173,6 @@ def quotient_scd(n: int, group: GroupSpec | str) -> Decomposition:
     check_enum(n, QUOTIENT_LIMIT, "quotient_scd")
     if isinstance(group, str):
         group = parse_group_spec(group, n)
-    if group.n != n:
-        raise ValueError("group is over a different ground set")
     fixed, factors = factorize(n, group)
     parts = []
     if fixed:

@@ -37,7 +37,8 @@ every group element, and the closed necklace formula.  The seeded group
 generators at the end supply the groups the tests sweep.
 
 The helpers at the top serve the tests alone: `rotate`, `tuple_rotate` and
-`pair_mask` act on masks and level tuples bit by bit, `in_chain_power` tests
+`pair_mask` act on masks and level tuples bit by bit, `bit_string_reference`
+writes a mask's binary word one bit at a time, `in_chain_power` tests
 a word for blockwise monotone blocks, `mask_levels` reads such a word's
 levels by popcounts and `level_digits` a level
 number's by division, `tuple_ascends` is a chain-power target's `ascends`
@@ -102,6 +103,11 @@ def tuple_rotate(u: tuple[int, ...], steps: int) -> tuple[int, ...]:
 def pair_mask(u: int, v: int, k: int) -> int:
     """The word u followed by the reverse of v, as a subset of [2k]."""
     return u | sum(1 << (2 * k - 1 - i) for i in range(k) if v >> i & 1)
+
+
+def bit_string_reference(mask: int, n: int) -> str:
+    """The word b_1 b_2 ... b_n of a mask, one bit at a time ("" for n <= 0)."""
+    return "".join("1" if mask >> i & 1 else "0" for i in range(n))
 
 
 def in_chain_power(mask: int, k: int, m: int) -> bool:

@@ -5,7 +5,8 @@ were recorded with.
 "commands" is every construct command: gk at n = 1..14; quotients by single
 cycles at every exponent (those that reduce to the identity included), by
 several factors and with fixed points, all at n <= 14; reflect with and
-without fixed points; and small chainpower shapes.  "listings" is orbits
+without fixed points; small chainpower shapes; and --text once per kind and
+for words of 12 and 13 bits.  "listings" is orbits
 (text and --dot) and profile for the trivial group at n = 1..12 and for every
 group of the quotient and reflect commands.  "verify" is verify, in text and
 --json, of wrong documents: a boolean, quotient, reflection, chainpower or
@@ -101,6 +102,9 @@ def grid() -> list[list[str]]:
         ["quotient", "--n", "6", "--group", "(1 2 3 4 5 6)", "--text"],
         ["reflect", "--n", "5", "--group", "(1 5)(2 4)", "--text"],
         ["chainpower", "--k", "3", "--m", "3", "--r", "1", "--text"],
+        # words of 12 bits or more, so the high chunk is written too
+        ["gk", "--n", "12", "--text"],
+        ["quotient", "--n", "13", "--group", "(5 9 11 13)^2", "--text"],
     ]
     assert len({tuple(c) for c in commands}) == len(commands)
     return commands

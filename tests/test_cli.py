@@ -20,7 +20,16 @@ from oracles import (
 )
 from scdforge import cli
 from scdforge.chainpow import chainpower_scd, chainproduct_scd
-from scdforge.core import Chain, Context, Decomposition, elements_of, make_decomposition, map_elements, relabel_map
+from scdforge.core import (
+    Chain,
+    Context,
+    Decomposition,
+    elements_of,
+    make_decomposition,
+    map_elements,
+    relabel_map,
+    set_string,
+)
 from scdforge.cli import (
     DecodeError,
     build_document,
@@ -870,6 +879,18 @@ def test_orbits_dot(capsys):
     assert '"{1}" -> "{1,2}"' in out
 
 
+@pytest.mark.parametrize("n", [12, 13])
+def test_orbit_labels_match_set_string(capsys, n):
+    # the trivial group's orbits are every mask, in (rank, mask) order: both chunk tables, each label
+    masks = sorted(range(1 << n), key=lambda a: (a.bit_count(), a))
+    assert run(["orbits", "--n", str(n)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [f"orbits={1 << n}"] + [f"rank {a.bit_count()}: {set_string(a)} size=1" for a in masks]
+    assert run(["orbits", "--n", str(n), "--dot"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2:2 + len(masks)] == [f'  "{set_string(a)}" [label="{set_string(a)} x1"];' for a in masks]
+
+
 def test_profile_output(capsys):
     assert run(["profile", "--n", "4", "--group", "(1 2 3 4)"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -977,9 +998,12 @@ def test_process_entry_matches_run(capsysbinary, monkeypatch, documents, argv, e
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize("argv", [["verify", "--input", "good"], ["profile", "--n", "4"]], ids=["verify", "profile"])
+@pytest.mark.parametrize("argv", [
+    ["verify", "--input", "good"], ["profile", "--n", "4"], ["orbits", "--n", "12"], ["gk", "--n", "12", "--text"],
+], ids=["verify", "profile", "orbits", "text"])
 def test_closed_stdout_is_a_write_error(documents, argv, unbuffered):
-    # buffered, the output reaches the pipe only at main()'s flush
+    # buffered, a short output reaches the pipe only at main()'s flush; a long one
+    # fails in run(), at a batch of lines, and main()'s flush adds no second line
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import is_symmetric_chain, level_digits, pairwise_fold, relabelled_parts
+from oracles import bit_string_reference, is_symmetric_chain, level_digits, pairwise_fold, relabelled_parts
 from scdforge.chainpow import ChainPowerTarget, ChainProductTarget, chainpower_scd, chainproduct_scd
 from scdforge.core import (
     CHUNK_BITS,
@@ -27,7 +27,6 @@ from scdforge.core import (
     product_scd,
     relabel_map,
     set_string,
-    _text_tables,
 )
 from scdforge.gk import ChainBottoms, Pairing, boolean_scd_on_support, gk_decomposition
 from scdforge.groups import CycleFactor, GroupSpec, parse_group_spec, quotient_poset
@@ -47,6 +46,26 @@ def test_mask_round_trip():
     assert bit_string(mask_of([1, 3]), 4) == "1010"
     assert set_string(mask_of([1, 3])) == "{1,3}"
     assert set_string(0) == "{}"
+
+
+def test_bit_string_matches_the_bit_loop():
+    # every mask up to n = 14, then negative masks, masks with bits above n, and n <= 0, which give ""
+    for n in range(15):
+        assert [bit_string(a, n) for a in range(1 << n)] == [bit_string_reference(a, n) for a in range(1 << n)], n
+    rng = random.Random(0)
+    masks = [-1, -2, -3, -(1 << 70), -rng.getrandbits(80), 1 << 70, rng.getrandbits(80), rng.getrandbits(80) << 13]
+    for n in (-2, -1, 0, 1, 5, 13, 64, 90):
+        assert [bit_string(a, n) for a in masks] == [bit_string_reference(a, n) for a in masks], n
+    assert bit_string(-2, 3) == "011"
+    assert bit_string(5, -1) == bit_string(5, 0) == ""
+
+
+@pytest.mark.parametrize("mask", [-1, -3, -(1 << 64)])
+def test_a_negative_mask_has_no_elements(mask):
+    # refused at once, where the bit loop would never reach 0
+    for write in (elements_of, set_string, boolean_scd_on_support):
+        with pytest.raises(ValueError, match=f"mask must be >= 0, got {mask}$"):
+            write(mask)
 
 
 def test_symmetric_chain_examples():
@@ -257,11 +276,21 @@ def test_bit_map_matches_the_bit_loop(n):
 
 @pytest.mark.parametrize("n", [*range(1, 23), 23, 33, 64])
 def test_text_tables_match_the_join_form(n):
-    # the doubled tables, entry by entry, against joining elements_of over chunk_tables' masks
-    tables = _text_tables(n)
-    assert len(tables) == len(chunk_tables(lambda bit: bit, n))
-    for table, masks in zip(tables, chunk_tables(lambda bit: bit, n)):
-        assert table == [b"," + ",".join(map(str, elements_of(mask))).encode() if mask else b"" for mask in masks]
+    # the text tables element_text reads, entry by entry, against joining elements_of over
+    # chunk_tables' masks; each starts from the empty image, b"" here, "" for str texts
+    calls = []
+
+    def fn(bit):
+        calls.append(bit)
+        return b",%d" % bit.bit_length()
+
+    tables = chunk_tables(fn, n)
+    assert calls == [1 << b for b in range(n)]
+    masks = chunk_tables(lambda bit: bit, n)
+    assert len(tables) == len(masks)
+    for table, chunk in zip(tables, masks):
+        assert table == [b"," + ",".join(map(str, elements_of(mask))).encode() if mask else b"" for mask in chunk]
+    assert chunk_tables(lambda bit: ",%d" % bit.bit_length(), n) == [[t.decode() for t in table] for table in tables]
 
 
 @pytest.mark.parametrize("n", [*range(1, 14), 22, 23, 28, 40, 64])
