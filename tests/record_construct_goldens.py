@@ -12,10 +12,13 @@ group of the quotient and reflect commands.  "verify" is verify, in text and
 --json, of wrong documents: a boolean, quotient, reflection, chainpower or
 product document from a construction with one chain dropped, one element
 replaced by a non-least member of its orbit, one element repeated, one chain
-split, two adjacent elements of a chain swapped, or the last element of a
-chain moved to the end of another, or with its element_count or chain_count
-off by one or one rank_profile count moved up a rank, each named by a stable
-label and pinned by its own sha256; its stderr is pinned too.  Run
+split, two adjacent elements of a chain swapped, the last element of a
+chain moved to the end of another, an element moved into the middle of
+another chain, two elements of one rank exchanged across chains, or one
+number of an element shifted by one onto another element, or with its
+element_count or chain_count off by one or one rank_profile count moved up a
+rank, each named by a stable label and pinned by its own sha256; its stderr
+is pinned too.  Run
 from the repository root, on the commit whose output is the contract:
 
     PYTHONPATH=src python3 tests/record_construct_goldens.py
@@ -178,6 +181,22 @@ def _source(kind: str, *shape):
     return label, build_document(decomp), [lambda x, p=p: sorted(p[e - 1] for e in x) for p in perms]
 
 
+def _below(x, y, moves, subsets: bool) -> bool:
+    """Whether some image of x under the group the moves generate lies below
+    y: inside it as a set, or level by level as a tuple."""
+    orbit, todo = {tuple(x)}, [x]
+    while todo:
+        z = todo.pop()
+        for move in moves:
+            image = move(z)
+            if tuple(image) not in orbit:
+                orbit.add(tuple(image))
+                todo.append(image)
+    if subsets:
+        return any(set(a) <= set(y) for a in orbit)
+    return any(all(u <= v for u, v in zip(a, y)) for a in orbit)
+
+
 def wrong_documents() -> list[tuple[str, bytes]]:
     """(label, canonical bytes) of each wrong document, in a fixed order: each
     source with one chain dropped, one element repeated in place, one chain
@@ -186,8 +205,14 @@ def wrong_documents() -> list[tuple[str, bytes]]:
     by one, with chain_count off by one, and with one rank_profile count
     moved to the next rank; then two adjacent elements of one chain swapped,
     and the last element of one chain moved to the end of another, which
-    leave chains that are not saturated.  Every stat that is not off is
-    counted from the changed chains' elements, one element at a time."""
+    leave chains that are not saturated; then three that keep some step
+    between adjacent ranks, so the verifier tests that step's comparability:
+    an element moved into another chain just above an element one rank
+    below it, two elements of one rank exchanged between chains where that
+    leaves a step whose elements are not comparable, and one
+    number of an element shifted by one onto another element of the
+    document.  Every stat that is not off is counted from the changed
+    chains' elements, one element at a time."""
     from scdforge.cli import encode
 
     documents = []
@@ -226,6 +251,38 @@ def wrong_documents() -> list[tuple[str, bytes]]:
         j = rng.choice([k for k in range(len(chains)) if k != i])
         changed = [c[:-1] if k == i else c + [chains[i][-1]] if k == j else c for k, c in enumerate(chains)]
         mutants.append((f"chain {i} last element moved to the end of chain {j}", changed, {}))
+        # three that keep a step between adjacent ranks, so the verifier tests its comparability
+        spots = {}  # rank -> (chain, position) of each element above another in its chain
+        for k, c in enumerate(chains):
+            for p in range(1, len(c)):
+                spots.setdefault(rank(c[p]), []).append((k, p))
+        i, j = rng.choice([(k, j) for k, c in enumerate(chains) for j, x in enumerate(c)
+                           if any(h != k for h, _ in spots.get(rank(x), ()))])
+        k, p = rng.choice([(h, p) for h, p in spots[rank(chains[i][j])] if h != i])
+        changed = [c[:j] + c[j + 1:] if h == i else c[:p] + [chains[i][j]] + c[p:] if h == k else c
+                   for h, c in enumerate(chains)]
+        mutants.append((f"chain {i} element {j} moved into chain {k} before element {p}",
+                        [c for c in changed if c], {}))
+        level = {}  # rank -> (chain, position) of each element
+        for k, c in enumerate(chains):
+            for h, y in enumerate(c):
+                level.setdefault(rank(y), []).append((k, h))
+        places = [(k, h) for group in level.values() for k, h in group if any(g != k for g, _ in group)]
+        for _ in range(100):  # the first draw that leaves a step not comparable, if one does
+            i, j = rng.choice(places)
+            k, h = rng.choice([(g, h) for g, h in level[rank(chains[i][j])] if g != i])
+            changed = [list(c) for c in chains]
+            changed[i][j], changed[k][h] = chains[k][h], chains[i][j]
+            if not all(_below(x, y, moves, rank is len) for c in (changed[i], changed[k]) for x, y in zip(c, c[1:])):
+                mutants.append((f"chain {i} element {j} exchanged with chain {k} element {h}", changed, {}))
+                break
+        present = {tuple(x) for c in chains for x in c}
+        shifts = [(k, j, t, d) for k, c in enumerate(chains) for j, x in enumerate(c) for t in range(len(x))
+                  for d in (-1, 1) if tuple(x[:t] + [x[t] + d] + x[t + 1:]) in present]
+        i, j, t, d = rng.choice(shifts)
+        x = chains[i][j]
+        changed = chains[:i] + [chains[i][:j] + [x[:t] + [x[t] + d] + x[t + 1:]] + chains[i][j + 1:]] + chains[i + 1:]
+        mutants.append((f"chain {i} element {j} number {t} shifted from {x[t]} to {x[t] + d}", changed, {}))
         for what, changed, errors in mutants:
             profile = [0] * len(doc["stats"]["rank_profile"])
             for c in changed:

@@ -46,6 +46,9 @@ def test_verify_of_wrong_documents_matches_the_goldens(goldens):
     for what in (": element_count off by one", ": chain_count off by one", " moved to rank ", " swapped",
                  " last element moved to the end of chain "):
         assert sum(what in label for label, _ in documents) == 19, what
+    # the mutants that reach the comparability test; one exchange leaves every step comparable and is not drawn
+    for what, count in ((" moved into chain ", 19), (" exchanged with chain ", 18), (" shifted from ", 19)):
+        assert sum(what in label for label, _ in documents) == count, what
     assert [golden["label"] for golden in goldens["verify"]] == [label for label, _ in documents]
     for golden, (label, document) in zip(goldens["verify"], documents):
         assert _digest(document) == golden["document"], label
