@@ -106,7 +106,11 @@ class ChainPowerTarget:
     def rank(self, u) -> int:
         return sum(u)
 
-    def ascends(self, tuples) -> bool:
+    def failing_runs(self, runs) -> list[int]:
+        """The indices, ascending, of the runs that do not ascend."""
+        return [i for i, run in enumerate(runs) if not self._ascends(run)]
+
+    def _ascends(self, tuples) -> bool:
         """True iff every element is a canonical level tuple and each lies
         below the next.  Each tuple is read once as bytes, `_width` per level
         so that every level's top bit is free, and its rotations are the
@@ -228,20 +232,20 @@ class ChainProductTarget:
     def rank(self, u) -> int:
         return sum(u)
 
-    def ascends(self, tuples) -> bool:
-        """True iff every element is a tuple of the full length and each
-        part's sequence ascends in its own target; x <= x holds there, so a
-        part may stay put while another rises."""
+    def failing_runs(self, runs) -> list[int]:
+        """The indices, ascending, of the runs that do not ascend: a run ascends
+        iff every element is a tuple of the full length and each part's sequence
+        ascends in its own target; x <= x holds there, so a part may stay put
+        while another rises.  Each part tests every run in one call."""
         size = sum(part.m for part in self.parts)
-        for u in tuples:
-            if type(u) is not tuple or len(u) != size:
-                return False
+        runs = [tuple(run) for run in runs]
+        failing = {i for i, run in enumerate(runs) if any(type(u) is not tuple or len(u) != size for u in run)}
+        kept = [() if i in failing else run for i, run in enumerate(runs)]
         i = 0
         for part in self.parts:
-            if not part.ascends([u[i : i + part.m] for u in tuples]):
-                return False
+            failing.update(part.failing_runs([[u[i : i + part.m] for u in run] for run in kept]))
             i += part.m
-        return True
+        return sorted(failing)
 
     def expected_size(self) -> int:
         out = 1

@@ -8,8 +8,12 @@ counting (Burnside) and factorization cheap and exact.
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import math
+import sys
+from array import array
 
 from .core import (
     CHUNK_BITS,
@@ -25,6 +29,7 @@ from .core import (
 )
 
 _LOW = (1 << CHUNK_BITS) - 1  # a mask's low chunk; mask >> CHUNK_BITS is its high one
+_SLICE = 1 << 15  # QuotientPoset.failing_runs packs whole runs until a slice holds this many lanes
 
 
 class ParseError(ValueError):
@@ -110,6 +115,79 @@ class GroupSpec(_Record):
             for f in self.factors
             if f.order() > 1
         )
+
+    @functools.cached_property
+    def _shifts(self):
+        """(support, steps) per moving generator g, in _powers' order, where steps
+        holds, for each power g^j, j = 1 .. order - 1, the (mask, shift) pairs that
+        carry a mask's bits to their images: the image of e is the union of
+        e & mask moved up by shift over them (down by -shift when it is negative),
+        the points off the support with shift 0.  The lanes of failing_runs read
+        these; the walks over single masks read _powers."""
+        full = full_mask(self.n)
+        out = []
+        for f in self.factors:
+            if f.order() > 1:
+                support, steps = f.support_mask(), []
+                for j in range(1, f.order()):
+                    perm = perm_from_cycle_power(f.cycle, f.exponent * j, self.n)
+                    moves = {0: full & ~support}
+                    for x in f.cycle:
+                        moves[perm[x - 1] - x] = moves.get(perm[x - 1] - x, 0) | 1 << (x - 1)
+                    steps.append(tuple((mask, shift) for shift, mask in moves.items() if mask))
+                out.append((support, tuple(steps)))
+        return tuple(out)
+
+
+def _lane_image(x: int, steps) -> int:
+    """The image of every 32-bit lane of x under one power, from that power's
+    (mask, shift) steps in GroupSpec._shifts with each mask repeated in every lane."""
+    image = 0
+    for mask, shift in steps:
+        part = x & mask
+        image |= part << shift if shift > 0 else part >> -shift if shift else part
+    return image
+
+
+def _packed(runs, n: int) -> int | None:
+    """The elements of the runs in 32-bit lanes of one integer, the first in the
+    lowest lane; None unless every element is an int in [0, 2^n)."""
+    flat = list(itertools.chain.from_iterable(runs))
+    if not set(map(type, flat)) <= {int}:
+        return None
+    try:
+        words = array("I", flat)
+    except OverflowError:  # below 0 or above 32 bits
+        return None
+    if sys.byteorder == "big":
+        words.byteswap()
+    x = int.from_bytes(words, "little")
+    return None if x & int.from_bytes((-1 << n & 0xFFFFFFFF).to_bytes(4, "little") * len(flat), "little") else x
+
+
+class _Repeats:
+    """Masks repeated in every 32-bit lane, for the slices of one failing_runs
+    call.  Most steps move single bits, and those masks are kept from slice to
+    slice at the width of the widest so far: x & mask ignores the lanes above x."""
+
+    def __init__(self):
+        self.width, self.wide, self.ones, self.bits = 0, 0, 0, {}
+
+    def fit(self, lanes: int) -> int:
+        """Make the next slice `lanes` wide; return 1 in each of its lanes."""
+        if self.width < lanes:
+            # runs of up to 32 elements keep every slice below _SLICE + 32 lanes
+            self.width = lanes if lanes < _SLICE else max(lanes, _SLICE + 32)
+            self.wide, self.bits = int.from_bytes(b"\1\0\0\0" * self.width, "little"), {}
+        self.ones = self.wide >> 32 * (self.width - lanes)
+        return self.ones
+
+    def __call__(self, mask: int) -> int:
+        if mask & mask - 1:
+            return mask * self.ones
+        if mask not in self.bits:
+            self.bits[mask] = self.wide << mask.bit_length() - 1
+        return self.bits[mask]
 
 
 def _power_tables(n: int, cycle: tuple[int, ...], exponent: int):
@@ -327,32 +405,68 @@ class QuotientPoset:
 
     rank = staticmethod(int.bit_count)
 
-    def ascends(self, elements) -> bool:
-        """True iff every element is the least mask of its orbit and lies below the next.
-        The generators move disjoint supports: e is least iff no power of one lowers it,
-        and a <= b iff a lies in b off their supports and, on each, in a power of it on b.
-        Each image is t0[lo] + t1[hi] for e's two chunk indices, taken once per element
-        and not at all when no generator moves a point."""
-        powers, limit, fixed = self.group._powers, 1 << self.n, self._fixed
-        low, shift = _LOW, CHUNK_BITS
-        below = 0
-        for e in elements:
-            if type(e) is not int or not 0 <= e < limit or below & fixed & ~e:
-                return False
-            if powers:
-                lo, hi = e & low, e >> shift
-                for support, tables in powers:
-                    part = below & support
-                    fits = not part & ~e
-                    for t0, t1 in tables:
-                        y = t0[lo] + t1[hi]
-                        if y < e:
-                            return False
-                        fits = fits or not part & ~y
-                    if not fits:
-                        return False
-            below = e
-        return True
+    def failing_runs(self, runs) -> list[int]:
+        """The indices, ascending, of the runs that do not ascend: a run ascends iff
+        every element is the least mask of its orbit and lies below the next.  The
+        generators move disjoint supports: e is least iff no power of one lowers
+        it, and a <= b iff a lies in b off their supports and, on each, in b or a
+        power of it on b.  Whole runs are packed into slices of about _SLICE
+        32-bit lanes of one integer, every element once, and each non-identity
+        power's image of a slice is read with shift-and-mask steps from
+        GroupSpec._shifts: with G bit 31 of every lane, ((Y | G) - X) & G keeps G
+        where a lane's image is not smaller, and (G - Z) & G where Z is zero."""
+        failing, batch, size, first = [], [], 0, 0
+        repeat = _Repeats()
+        for index, run in enumerate(runs):
+            batch.append(tuple(run))
+            size += len(batch[-1])
+            if size >= _SLICE:
+                failing += [first + i for i in self._failing_slice(batch, repeat)]
+                batch, size, first = [], 0, index + 1
+        if batch:
+            failing += [first + i for i in self._failing_slice(batch, repeat)]
+        return failing
+
+    def _failing_slice(self, runs, repeat: "_Repeats") -> list[int]:
+        """failing_runs on one slice of runs, by their positions in it."""
+        bad = set()
+        x = _packed(runs, self.n)
+        if x is None:  # some element is not an int in [0, 2^n): the runs that hold one fail
+            limit = 1 << self.n
+            # type() rather than isinstance(): bool is an int subclass
+            bad = {i for i, run in enumerate(runs) if not all(type(e) is int and 0 <= e < limit for e in run)}
+            runs = [() if i in bad else run for i, run in enumerate(runs)]
+            x = _packed(runs, self.n)
+        lengths = list(map(len, runs))
+        lanes = sum(lengths)
+        if not lanes:
+            return sorted(bad)
+        # G on the first lane of each run, which no step ends at
+        head = {k: b"\0\0\0\x80" + bytes(4 * k - 4) if k else b"" for k in set(lengths)}
+        heads = int.from_bytes(b"".join(map(head.__getitem__, lengths)), "little")
+        ones = repeat.fit(lanes)
+        guard = ones << 31
+        below = (x << 32) & ones * 0xFFFFFFFF  # each lane's lower neighbour in the run, moved into its lane
+        part = below & self._fixed * ones
+        steps = (guard - (part ^ part & x)) & guard
+        ok = guard
+        for support, powers in self.group._shifts:
+            part = below & support * ones
+            fits = (guard - (part ^ part & x)) & guard
+            for moves in powers:
+                y = _lane_image(x, [(repeat(mask), shift) for mask, shift in moves])
+                ok &= ((y | guard) - x) & guard
+                fits |= (guard - (part ^ part & y)) & guard
+            steps &= fits
+        ok &= steps | heads
+        if ok != guard:
+            starts = list(itertools.accumulate(lengths, initial=0))
+            missed = ((guard ^ ok) >> 31).to_bytes(4 * lanes, "little")
+            at = missed.find(1)
+            while at >= 0:
+                bad.add(bisect.bisect_right(starts, at // 4) - 1)
+                at = missed.find(1, at + 4)
+        return sorted(bad)
 
     def covers(self):
         """Comparable pairs at adjacent ranks (the Hasse diagram edges), by lower

@@ -108,18 +108,18 @@ def verify_decomposition(target, decomp: Decomposition) -> VerifyReport:
 
 def _certified(target, decomp: Decomposition, count: int) -> bool:
     """The pigeonhole certificate of the module docstring over `count`
-    elements; False on any doubt.  Each chain's ranks are read at its two
-    ends only: the end-rank rule accepts a chain with a repeat, such as
-    (a, a, c) with c two ranks above a, and the global repeat check,
-    len(seen) == count, refuses it."""
+    elements; False on any doubt.  One failing_runs() call tests every chain's
+    elements, then each chain's ranks are read at its two ends only: the
+    end-rank rule accepts a chain with a repeat, such as (a, a, c) with c two
+    ranks above a, and the global repeat check, len(seen) == count, refuses it."""
     if count != target.expected_size():
         return False
-    ascends, rank, total = target.ascends, target.rank, target.total_rank
+    if target.failing_runs(chain.elements for chain in decomp.chains):
+        return False
+    rank, total = target.rank, target.total_rank
     seen = set()
     for chain in decomp.chains:
         elems = chain.elements
-        if not ascends(elems):
-            return False
         low, high = rank(elems[0]), rank(elems[-1])
         if low + high != total or high - low != len(elems) - 1:
             return False
@@ -127,32 +127,47 @@ def _certified(target, decomp: Decomposition, count: int) -> bool:
     return len(seen) == count
 
 
+def _rising(target, elems) -> int:
+    """The number of steps of a chain before its first rank that does not rise by one."""
+    ranks = [target.rank(e) for e in elems]
+    return next((i for i in range(len(elems) - 1) if ranks[i + 1] != ranks[i] + 1), len(elems) - 1)
+
+
 def _enumerated(target, decomp: Decomposition) -> VerifyReport:
     """Enumerate the target and report every problem of the decomposition."""
     # each element maps to itself: a claimed element may equal one in another type (True for mask 1),
-    # which ascends() rejects, so comparability is tested on the target's own copies
+    # which failing_runs() rejects, so comparability is tested on the target's own copies
     universe = {e: e for e in target.elements()}
     total = target.total_rank
+    inside = [all(e in universe for e in chain.elements) for chain in decomp.chains]
+    # one call tests, as pairs, the steps of each chain inside the target below its first rank
+    # that does not rise by one; each chain's report reads the verdicts of its own steps in order
+    failing = set(target.failing_runs(
+        (universe[a], universe[b])
+        for chain, whole in zip(decomp.chains, inside) if whole
+        for a, b in zip(chain.elements, chain.elements[1:_rising(target, chain.elements) + 1])
+    ))
     failures = []
     counts = Counter()
-    for chain in decomp.chains:
+    step = 0
+    for chain, whole in zip(decomp.chains, inside):
         elems = chain.elements
-        alien = [e for e in elems if e not in universe]
+        alien = [] if whole else [e for e in elems if e not in universe]
         for e in alien:
             failures.append(Failure("not-covered", e, "not an element of the target"))
         counts.update(e for e in elems if e in universe)
         if alien:
             continue
-        ranks = [target.rank(e) for e in elems]
-        for i in range(len(elems) - 1):
-            if ranks[i + 1] != ranks[i] + 1:
-                failures.append(Failure("not-saturated", (elems[i], elems[i + 1])))
-                break
-            if not target.ascends((universe[elems[i]], universe[elems[i + 1]])):
-                failures.append(Failure("not-comparable", (elems[i], elems[i + 1])))
-                break
-        if ranks[0] + ranks[-1] != total:
-            failures.append(Failure("not-symmetric", (elems[0], elems[-1]), f"rank sum {ranks[0] + ranks[-1]} != {total}"))
+        rising = _rising(target, elems)
+        bad = next((i for i in range(rising) if step + i in failing), None)
+        step += rising
+        if bad is not None:
+            failures.append(Failure("not-comparable", (elems[bad], elems[bad + 1])))
+        elif rising < len(elems) - 1:
+            failures.append(Failure("not-saturated", (elems[rising], elems[rising + 1])))
+        low, high = target.rank(elems[0]), target.rank(elems[-1])
+        if low + high != total:
+            failures.append(Failure("not-symmetric", (elems[0], elems[-1]), f"rank sum {low + high} != {total}"))
     for e in sorted(universe.keys() - counts.keys()):
         failures.append(Failure("not-covered", e))
     for e, c in counts.items():
@@ -211,14 +226,16 @@ class ProductTarget:
     def rank(self, pair) -> int:
         return self.left.rank(pair[0]) + self.right.rank(pair[1])
 
-    def ascends(self, pairs) -> bool:
-        """True iff every element is a pair and each coordinate's sequence
-        ascends in its own target; x <= x holds there, so a coordinate may
-        stay put while the other rises."""
-        for pair in pairs:
-            if type(pair) is not tuple or len(pair) != 2:
-                return False
-        return self.left.ascends([p[0] for p in pairs]) and self.right.ascends([p[1] for p in pairs])
+    def failing_runs(self, runs) -> list[int]:
+        """The indices, ascending, of the runs that do not ascend: a run ascends
+        iff every element is a pair and each coordinate's sequence ascends in its
+        own target; x <= x holds there, so a coordinate may stay put while the
+        other rises.  Each coordinate's target tests every run in one call."""
+        runs = [tuple(run) for run in runs]
+        malformed = {i for i, run in enumerate(runs) if any(type(p) is not tuple or len(p) != 2 for p in run)}
+        kept = [() if i in malformed else run for i, run in enumerate(runs)]
+        return sorted(malformed.union(self.left.failing_runs([tuple(p[0] for p in run) for run in kept]),
+                                      self.right.failing_runs([tuple(p[1] for p in run) for run in kept])))
 
     def expected_size(self) -> int:
         return self.left.expected_size() * self.right.expected_size()

@@ -28,9 +28,12 @@ joins each pair, to pin `product_scd`'s fold that writes each joined element
 once.
 The naive closures take a group's permutations from `generators`, built
 on the package's `perm_from_cycle_power`.
-`orbit_closure_ascends` decides a quotient's `ascends` by listing each
-element's orbit with the package's `_members` and scanning it, to pin the
-certificate that applies each generator's powers once per element.  The per-rank
+`orbit_closure_ascends` decides whether a run ascends in a quotient by
+listing each element's orbit with the package's `_members` and scanning it,
+and `table_ascends` is the quotient's former test, which read each element's
+images under every power from its chunk tables once: both pin the batch test
+`failing_runs`, which reads the images of whole slices of elements at once
+in 32-bit lanes.  The per-rank
 orbit counts have three references that share nothing with the package's
 cycle-index count: counting enumerated orbits by rank, Burnside's lemma over
 every group element, and the closed necklace formula.  The seeded group
@@ -41,7 +44,7 @@ The helpers at the top serve the tests alone: `rotate`, `tuple_rotate` and
 writes a mask's binary word one bit at a time, `in_chain_power` tests
 a word for blockwise monotone blocks, `mask_levels` reads such a word's
 levels by popcounts and `level_digits` a level
-number's by division, `tuple_ascends` is a chain-power target's `ascends`
+number's by division, `tuple_ascends` is a chain-power target's order test
 over tuples (the form its byte encoding is checked against),
 `is_symmetric_chain` restates the symmetry test from the elements' own
 ranks, `chain_index` maps each
@@ -64,6 +67,7 @@ import random
 from scdforge.chainpow import ChainPowerTarget, ChainProductTarget, canonical_levels
 from scdforge.cli import DecodeError
 from scdforge.core import (
+    CHUNK_BITS,
     MASK_WIDTH_LIMIT,
     Chain,
     Context,
@@ -142,7 +146,7 @@ def level_digits(x: int, k: int, m: int) -> tuple[int, ...]:
 
 
 def tuple_ascends(target: ChainPowerTarget, tuples) -> bool:
-    """ChainPowerTarget.ascends over tuples: each element an int tuple of
+    """ChainPowerTarget's test of one run, over tuples: each element an int tuple of
     length m with levels in 0..k-1, equal to the least of its rotations by
     multiples of the step, and some rotation of the previous element lying
     componentwise at or below it."""
@@ -362,7 +366,7 @@ def naive_comparability(target):
 
 
 def orbit_closure_ascends(poset: QuotientPoset, elements) -> bool:
-    """QuotientPoset.ascends by listing orbits: each element must be an int
+    """QuotientPoset's test of one run by listing orbits: each element must be an int
     mask of [n] equal to the least member of its orbit, and some member of
     the previous element's orbit must lie inside it, as the group acts by
     automorphisms.  It pins the walk that applies each generator's powers to
@@ -383,6 +387,37 @@ def orbit_closure_ascends(poset: QuotientPoset, elements) -> bool:
                 return False
         below = members
     return True
+
+
+def table_ascends(poset: QuotientPoset, elements) -> bool:
+    """QuotientPoset's order test one element at a time, as the package ran it
+    before its lanes: each image read from its power's chunk tables, t0[lo] +
+    t1[hi], once per element.  e is least iff no power of a generator lowers
+    it, and a <= b iff a lies in b off the supports and, on each, in b or a
+    power of it on b."""
+    powers, limit, fixed = poset.group._powers, 1 << poset.n, poset._fixed
+    below = 0
+    for e in elements:
+        if type(e) is not int or not 0 <= e < limit or below & fixed & ~e:
+            return False
+        lo, hi = e & ((1 << CHUNK_BITS) - 1), e >> CHUNK_BITS
+        for support, tables in powers:
+            part = below & support
+            fits = not part & ~e
+            for t0, t1 in tables:
+                y = t0[lo] + t1[hi]
+                if y < e:
+                    return False
+                fits = fits or not part & ~y
+            if not fits:
+                return False
+        below = e
+    return True
+
+
+def ascends(target, elements) -> bool:
+    """Whether one run ascends in a verification target, by its batch test."""
+    return not target.failing_runs([tuple(elements)])
 
 
 def naive_tuple_orbits(k: int, m: int, step: int) -> list[frozenset]:

@@ -370,8 +370,10 @@ def _ascends_inputs(target, rng, exhaustive):
 
 def _agree(target, exhaustive):
     rng = random.Random(f"ascends {target.k} {target.m} {target.step}")
-    for seq in _ascends_inputs(target, rng, exhaustive):
-        assert target.ascends(seq) == tuple_ascends(target, seq), (target.k, target.m, target.step, seq)
+    runs = list(_ascends_inputs(target, rng, exhaustive))
+    failing = set(target.failing_runs(runs))
+    for i, seq in enumerate(runs):
+        assert (i not in failing) == tuple_ascends(target, seq), (target.k, target.m, target.step, seq)
 
 
 @pytest.mark.parametrize("m", range(1, 9))

@@ -1,11 +1,15 @@
 import gc
+import itertools
 import math
 import random
+import sys
 import tracemalloc
+from array import array
 
 import pytest
 
 from oracles import (
+    ascends,
     cycle_count,
     enumerated_rank_counts,
     every_cycle_power_group,
@@ -19,9 +23,10 @@ from oracles import (
     orbit_min,
     random_cycle_power_group,
     sampled_groups_with_fixed_points,
+    table_ascends,
 )
 from scdforge import groups
-from scdforge.core import ResourceLimitError, mask_of
+from scdforge.core import CHUNK_BITS, ResourceLimitError, mask_of
 from scdforge.groups import (
     CycleFactor,
     GroupSpec,
@@ -37,6 +42,8 @@ from scdforge.groups import (
     quotient_poset,
     rank_counts,
 )
+from scdforge.prune import quotient_scd
+from scdforge.reflect import reflection_poset, reflection_scd
 
 
 def test_parse_single_cycle():
@@ -252,7 +259,7 @@ def test_quotient_leq_against_naive():
         for b in reps:
             orb_b = _closure(b, gens)
             naive = any(x | y == y for x in orb_a for y in orb_b)
-            assert poset.ascends((a, b)) == naive
+            assert ascends(poset, (a, b)) == naive
 
 
 def _identity_powers(n):
@@ -269,12 +276,12 @@ def test_ascends_matches_orbit_closure_on_every_pair(n):
     rng = random.Random(f"every pair {n}")
     specs = [*every_cycle_power_group(n), *_identity_powers(n)]
     specs += [random_cycle_power_group(n, rng) for _ in range(4)]
+    runs = [(a,) for a in range(1 << n)] + list(itertools.product(range(1 << n), repeat=2))
     for spec in specs:
         poset = quotient_poset(n, spec)
-        for a in range(1 << n):
-            assert poset.ascends((a,)) == orbit_closure_ascends(poset, (a,)), (spec, a)
-            for b in range(1 << n):
-                assert poset.ascends((a, b)) == orbit_closure_ascends(poset, (a, b)), (spec, a, b)
+        failing = set(poset.failing_runs(runs))
+        for i, run in enumerate(runs):
+            assert (i not in failing) == orbit_closure_ascends(poset, run), (spec, run)
 
 
 def _odd_element(n, rng):
@@ -308,13 +315,124 @@ def test_ascends_matches_orbit_closure_on_random_groups():
     for _ in range(1000):
         n = rng.randrange(1, 10)
         poset = quotient_poset(n, random_cycle_power_group(n, rng))
-        for _ in range(80):
-            seq = _ascends_input(poset, rng)
+        seqs = [_ascends_input(poset, rng) for _ in range(80)]
+        failing = poset.failing_runs(seqs)
+        assert poset.failing_runs(map(iter, seqs)) == failing
+        for i, seq in enumerate(seqs):
             expected = orbit_closure_ascends(poset, seq)
-            assert poset.ascends(seq) == expected, (poset.group, seq)
-            assert poset.ascends(iter(seq)) == expected
+            assert (i not in failing) == expected, (poset.group, seq)
             answers.append(expected)
     assert 0.2 < sum(answers) / len(answers) < 0.8
+
+
+def _mutated(poset, run, rng):
+    """The run with one change each: an odd element (a bool, a float, -1, 2^n,
+    2^31 or 2^32) in place of one, two adjacent elements swapped, a random
+    mask appended, an element replaced by another member of its orbit, an
+    element repeated, and one element alone."""
+    n, i = poset.n, rng.randrange(len(run))
+    out = [run[:i] + (odd,) + run[i + 1 :] for odd in (True, 1.0, -1, 1 << n, 1 << 31, 1 << 32)]
+    if len(run) > 1:
+        j = rng.randrange(len(run) - 1)
+        out.append(run[:j] + (run[j + 1], run[j]) + run[j + 2 :])
+    out.append(run + (rng.randrange(1 << n),))
+    others = [m for m in _members(run[i], poset.group._powers) if m != run[i]]
+    if others:
+        out.append(run[:i] + (rng.choice(others),) + run[i + 1 :])
+    out += [run[: i + 1] + run[i:], (run[i],)]
+    return out
+
+
+def _agrees_with_the_table_walk(poset, runs) -> int:
+    """failing_runs on all the runs in one call against the former walk, run by run."""
+    failing = poset.failing_runs(runs)
+    expected = [i for i, run in enumerate(runs) if not table_ascends(poset, run)]
+    if failing != expected:
+        first = min(set(failing) ^ set(expected))
+        raise AssertionError((poset.group, runs[first], first in failing))
+    return len(runs)
+
+
+def _built_and_mutated(poset, decomp, rng) -> int:
+    runs = [c.elements for c in decomp.chains]
+    return _agrees_with_the_table_walk(poset, runs + [m for run in runs for m in _mutated(poset, run, rng)])
+
+
+WORKLOAD_GROUPS = [  # the benchmark's seed-0 groups at n = 18
+    "(13 14 2 5 9 8 7 15 18 6 4 11 16 3 17 1 10 12)",
+    "(10 4 3 15 14 11) (6 8 9 2 12 17)^2 (16 5 18 13)",
+]
+WORKLOAD_REFLECTION = "(1 14)(2 4)(3 18)(5 9)(6 7)(8 15)(10 13)(11 17)(12 16)"
+BOUNDARY_GROUP = "(3 5 9 12 14)(10 11 13 21 16 17 18)^3 (1 22 19)(2 20)"  # both chunks full at n = 22
+
+
+def test_failing_runs_matches_the_table_walk():
+    rng = random.Random("lanes against the table walk")
+    tested = 0
+    for n in range(1, 8):
+        for spec in every_cycle_power_group(n):
+            tested += _built_and_mutated(quotient_poset(n, spec), quotient_scd(n, spec), rng)
+    for _ in range(40):
+        n = rng.randrange(1, 13)
+        spec = random_cycle_power_group(n, rng)
+        tested += _built_and_mutated(quotient_poset(n, spec), quotient_scd(n, spec), rng)
+    for n, text in [(18, WORKLOAD_GROUPS[0]), (18, WORKLOAD_GROUPS[1]), (22, BOUNDARY_GROUP)]:
+        spec = parse_group_spec(text, n)
+        tested += _built_and_mutated(quotient_poset(n, spec), quotient_scd(n, spec), rng)
+    poset = reflection_poset(18, parse_group_spec(WORKLOAD_REFLECTION, 18))
+    tested += _built_and_mutated(poset, reflection_scd(18, WORKLOAD_REFLECTION), rng)
+    assert tested > 20000
+
+
+def test_failing_runs_matches_the_table_walk_on_every_pair_at_6():
+    pairs = list(itertools.product(range(1 << 6), repeat=2))
+    for spec in every_cycle_power_group(6):
+        _agrees_with_the_table_walk(quotient_poset(6, spec), pairs)
+
+
+def test_failing_runs_is_the_same_wherever_a_slice_ends():
+    # slices hold whole runs: the one that reaches _SLICE lanes closes a slice, at each of its offsets
+    spec = parse_group_spec(WORKLOAD_GROUPS[0], 18)
+    poset = quotient_poset(18, spec)
+    runs = [c.elements for c in quotient_scd(18, spec).chains]
+    longest = max(runs, key=len)
+    swapped = longest[:5] + (longest[6], longest[5]) + longest[7:]
+    assert all(table_ascends(poset, run) for run in runs)
+    for run in (longest, swapped):
+        for k in range(len(run) + 1):
+            filler, size = [], 0
+            for other in itertools.cycle(runs):  # every one ascends
+                if size + len(other) > groups._SLICE - k:
+                    break
+                filler.append(other)
+                size += len(other)
+            filler += [(0,)] * (groups._SLICE - k - size)
+            tail = [run, swapped, (0, 1 << 18), (1 << 18,)] + runs[:50]
+            expected = [len(filler) + i for i, other in enumerate(tail) if not table_ascends(poset, other)]
+            assert poset.failing_runs(filler + tail) == expected, (len(run), k)
+
+
+def _lane_images_agree(spec, masks):
+    """Each power's image of the masks, packed in lanes, against t0[lo] + t1[hi]."""
+    x = groups._packed([masks], spec.n)
+    ones = int.from_bytes(b"\1\0\0\0" * len(masks), "little")
+    assert len(spec._powers) == len(spec._shifts)
+    for (support, tables), (same, steps) in zip(spec._powers, spec._shifts):
+        assert same == support and len(tables) == len(steps)
+        for (t0, t1), moves in zip(tables, steps):
+            words = array("I", groups._lane_image(x, [(mask * ones, shift) for mask, shift in moves]).to_bytes(4 * len(masks), "little"))
+            if sys.byteorder == "big":
+                words.byteswap()
+            assert list(words) == [t0[e & (1 << CHUNK_BITS) - 1] + t1[e >> CHUNK_BITS] for e in masks], spec
+
+
+def test_lane_images_match_the_chunk_tables():
+    rng = random.Random("lane images")
+    for _ in range(60):
+        n = rng.randrange(1, 13)
+        _lane_images_agree(random_cycle_power_group(n, rng), range(1 << n))
+    for spec in [parse_group_spec(BOUNDARY_GROUP, 22)] + [random_cycle_power_group(22, rng) for _ in range(20)]:
+        _lane_images_agree(spec, [rng.getrandbits(22) for _ in range(3000)])
 
 
 @pytest.mark.parametrize(
@@ -344,7 +462,7 @@ def test_quotient_covers_are_adjacent_comparables():
     assert (mask_of([1]), mask_of([1, 3])) in covers
     for lower, upper in covers:
         assert poset.rank(upper) == poset.rank(lower) + 1
-        assert poset.ascends((lower, upper))
+        assert ascends(poset, (lower, upper))
     for n, text in [
         (5, None),
         (6, "(1 2 3 4 5 6)"),
@@ -362,7 +480,7 @@ def test_quotient_covers_are_adjacent_comparables():
             for r in range(n)
             for lower in buckets[r]
             for upper in buckets[r + 1]
-            if poset.ascends((lower, upper))
+            if ascends(poset, (lower, upper))
         ]
         assert list(poset.covers()) == pairwise, (n, text)
 
@@ -479,12 +597,13 @@ def test_block_split_is_an_order_isomorphism(n, text):
         ))
         for f in factors
     ]
-    for ra, ia in zip(reps, images):
-        for rb, ib in zip(reps, images):
-            componentwise = (ia[0] | ib[0] == ib[0]) and all(
-                lp.ascends((xa, xb)) for lp, xa, xb in zip(locals_posets, ia[1:], ib[1:])
-            )
-            assert whole.ascends((ra, rb)) == componentwise, (ra, rb)
+    pairs = list(itertools.product(range(len(reps)), repeat=2))
+    failing = set(whole.failing_runs([(reps[a], reps[b]) for a, b in pairs]))
+    local_failing = [set(lp.failing_runs([(images[a][j], images[b][j]) for a, b in pairs]))
+                     for j, lp in enumerate(locals_posets, 1)]
+    for i, (a, b) in enumerate(pairs):
+        componentwise = images[a][0] | images[b][0] == images[b][0] and all(i not in f for f in local_failing)
+        assert (i not in failing) == componentwise, (reps[a], reps[b])
 
 
 def _crossing_groups(n):
@@ -586,7 +705,7 @@ def test_action_tables_are_built_once_per_group(monkeypatch):
     orbit_rep(6, spec)
     poset = quotient_poset(12, spec)
     assert poset.orbit_size(1) == 3 and poset.orbit_size(7) == 1
-    assert poset.ascends(sorted(poset.elements())[:3])
+    assert ascends(poset, sorted(poset.elements())[:3])
     assert calls == []
     # an equal spec, and one with the same generators written with exponents past the lengths
     for other in (parse_group_spec(spec.text(), 12), parse_group_spec("(1 2 3)^4 (4 5 6 7)^6 (9 10 12)", 12)):
@@ -609,7 +728,7 @@ def test_a_groups_tables_are_freed_with_it():
         posets = [quotient_poset(18, spec) for spec in specs]
         for poset in posets:
             least = orbit_rep(mask_of([1, 2, 5]), poset.group)
-            assert poset.orbit_size(least) == 18 and poset.ascends((0, 1, least))
+            assert poset.orbit_size(least) == 18 and ascends(poset, (0, 1, least))
         held = tracemalloc.get_traced_memory()[0] - start
         del specs, posets, poset
         gc.collect()

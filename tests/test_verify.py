@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from oracles import generators, naive_comparability, rotate, tuple_rotate
+from oracles import ascends, generators, naive_comparability, rotate, tuple_rotate
 from scdforge import groups
 from scdforge.chainpow import ChainPowerTarget, ChainProductTarget, chainpower_scd, chainproduct_scd
 from scdforge.core import Chain, Context, Decomposition, mask_of, product_scd
@@ -139,10 +139,10 @@ def test_product_target():
     assert prod.total_rank == 3
     assert prod.expected_size() == 8
     assert prod.rank((3, 1)) == 3
-    assert prod.ascends(((1, 0), (3, 1)))
-    assert not prod.ascends(((2, 1), (1, 1)))
-    assert prod.ascends(((1, 0), (1, 1), (3, 1)))
-    assert not prod.ascends(((1, 0), (3, 0), (2, 1)))
+    assert ascends(prod, ((1, 0), (3, 1)))
+    assert not ascends(prod, ((2, 1), (1, 1)))
+    assert ascends(prod, ((1, 0), (1, 1), (3, 1)))
+    assert not ascends(prod, ((1, 0), (3, 0), (2, 1)))
     assert len(list(prod.elements())) == 8
 
 
@@ -241,7 +241,7 @@ def _ends_fit_and_steps_ascend(target, decomp: Decomposition) -> bool:
     """Every chain ascends and its end ranks pass the certificate's rule, so
     only the repeat check is left to refuse the decomposition."""
     return all(
-        target.ascends(c.elements)
+        ascends(target, c.elements)
         and target.rank(c.elements[0]) + target.rank(c.elements[-1]) == target.total_rank
         and target.rank(c.elements[-1]) - target.rank(c.elements[0]) == len(c.elements) - 1
         for c in decomp.chains
@@ -273,7 +273,7 @@ def _bottom_taken_from_another_chain(target, decomp: Decomposition) -> Decomposi
             if d is c:
                 continue
             for e in d.elements:
-                if target.rank(e) == low and target.ascends((e, second)):
+                if target.rank(e) == low and ascends(target, (e, second)):
                     chains[i] = Chain((e,) + c.elements[1:], c.rank)
                     return Decomposition(tuple(chains), decomp.context)
     raise AssertionError("no element of another chain lies below a second element")
@@ -361,33 +361,24 @@ WALKED = {
 
 
 @pytest.mark.parametrize("case", sorted(WALKED))
-def test_passing_certificate_walks_each_generator_once_per_element(monkeypatch, case):
+def test_passing_certificate_tests_each_element_once_in_lanes(monkeypatch, case):
     decomp, target = WALKED[case]()
     claimed = sorted(e for c in decomp.chains for e in c.elements)
 
     def refuse(*args):
-        raise AssertionError("the certificate listed an orbit")
+        raise AssertionError("the certificate walked an orbit")
 
     monkeypatch.setattr(groups, "_members", refuse)
-    reads = []  # per power of each generator, the indices read from its low and high chunk tables
-    powers = []
-    for support, tables in target.group._powers:
-        counted = []
-        for t0, t1 in tables:
-            reads.append(([], []))
-            counted.append((_CountedTable(t0, reads[-1][0]), _CountedTable(t1, reads[-1][1])))
-        powers.append((support, tuple(counted)))
-    monkeypatch.setitem(target.group.__dict__, "_powers", tuple(powers))
-    tested, ascends = [], target.ascends
-    monkeypatch.setattr(target, "ascends", lambda elems: tested.extend(elems) or ascends(elems))
+    monkeypatch.setattr(groups, "orbit_rep", refuse)
+    packed, images = [], [0]
+    pack, image = groups._packed, groups._lane_image
+    monkeypatch.setattr(groups, "_packed", lambda runs, n: packed.append([e for r in runs for e in r]) or pack(runs, n))
+    monkeypatch.setattr(groups, "_lane_image", lambda *args: images.__setitem__(0, images[0] + 1) or image(*args))
+    monkeypatch.setattr(groups, "_SLICE", 100)  # several slices
     assert verify_decomposition(target, decomp).ok
-    assert sorted(tested) == claimed
-    assert len(reads) == sum(f.order() - 1 for f in target.group.factors)
-    assert sum(len(low) for low, _ in reads) <= len(reads) * len(claimed)
-    for low, high in reads:
-        # the two lookups of one image are read in turn, so their indices pair up into the mask read
-        assert len(low) == len(high)
-        assert set(claimed) <= {lo | hi << 11 for lo, hi in zip(low, high)}
+    assert sorted(e for elements in packed for e in elements) == claimed
+    assert len(packed) > 1 and all(len(elements) >= 100 for elements in packed[:-1])
+    assert images[0] == len(packed) * sum(f.order() - 1 for f in target.group.factors)
 
 
 @pytest.mark.parametrize("case", ["gk", "reflection"])
@@ -398,18 +389,6 @@ def test_certificate_reads_the_ranks_of_each_chains_two_ends(monkeypatch, case):
     monkeypatch.setattr(target, "rank", lambda e: read.append(e) or rank(e))
     assert verify_decomposition(target, decomp).ok
     assert read == [e for c in decomp.chains for e in (c.elements[0], c.elements[-1])]
-
-
-class _CountedTable(list):
-    """A chunk table that logs each index read."""
-
-    def __init__(self, table, log):
-        super().__init__(table)
-        self.log = log
-
-    def __getitem__(self, index):
-        self.log.append(index)
-        return list.__getitem__(self, index)
 
 
 def test_element_equal_to_a_mask_in_another_type_verifies():
@@ -444,17 +423,19 @@ WALK_TARGETS = {
 
 @pytest.mark.parametrize("case", sorted(WALK_TARGETS))
 def test_walk_agrees_with_the_enumeration(case):
-    # ascends() walks each element's orbit once; on a pair it is the order itself,
-    # and it rejects a pair as soon as either element is not canonical
+    # on one element failing_runs() is canonicity, on a pair the order itself, and it
+    # rejects a pair as soon as either element is not canonical; all pairs go in one call
     target = WALK_TARGETS[case]()
     leq = naive_comparability(target)
     candidates = list(_candidates(target))
-    canonical = [e for e in candidates if target.ascends((e,))]
+    lone = set(target.failing_runs([(e,) for e in candidates]))
+    canonical = [e for i, e in enumerate(candidates) if i not in lone]
     assert canonical == sorted(target.elements())
     accepted = set(canonical)
-    for a in candidates:
-        expected = [a in accepted and b in accepted and leq(a, b) for b in candidates]
-        assert [target.ascends((a, b)) for b in candidates] == expected
+    pairs = list(itertools.product(candidates, repeat=2))
+    failing = set(target.failing_runs(pairs))
+    expected = [a in accepted and b in accepted and leq(a, b) for a, b in pairs]
+    assert [i not in failing for i in range(len(pairs))] == expected
 
 
 MALFORMED = [
@@ -481,8 +462,8 @@ MALFORMED = [
 def test_walk_rejects_malformed_elements(case, element):
     target = WALK_TARGETS[case]()
     bottom = min(target.elements())  # below every element of these targets
-    assert not target.ascends((element,))
-    assert not target.ascends((bottom, element))
+    assert not ascends(target, (element,))
+    assert not ascends(target, (bottom, element))
 
 
 @pytest.mark.parametrize("case", sorted(WALK_TARGETS))
@@ -491,15 +472,17 @@ def test_ascends_checks_every_step_and_position(case):
     leq = naive_comparability(target)
     canonical = sorted(target.elements())
     rng = random.Random(f"triples {case}")
+    triples = []
     for _ in range(200):
         a = rng.choice(canonical)
         b = rng.choice([x for x in canonical if leq(a, x)] if rng.random() < 0.7 else canonical)
         c = rng.choice([x for x in canonical if leq(b, x)] if rng.random() < 0.7 else canonical)
-        assert target.ascends((a, b, c)) == (leq(a, b) and leq(b, c)), (a, b, c)
+        triples.append((a, b, c))
     # the least and greatest elements bound every other one
     good = (canonical[0], canonical[len(canonical) // 2], canonical[-1])
-    assert target.ascends(good)
     non_canonical = next(e for e in _candidates(target) if e not in set(canonical))
-    for bad in [e for c, e in MALFORMED if c == case] + [non_canonical]:
-        for i in range(3):
-            assert not target.ascends(good[:i] + (bad,) + good[i + 1 :]), (bad, i)
+    bad = [good[:i] + (e,) + good[i + 1 :] for e in [e for c, e in MALFORMED if c == case] + [non_canonical] for i in range(3)]
+    failing = set(target.failing_runs(triples + [good] + bad))
+    for i, (a, b, c) in enumerate(triples):
+        assert (i not in failing) == (leq(a, b) and leq(b, c)), (a, b, c)
+    assert failing - set(range(len(triples))) == set(range(len(triples) + 1, len(triples) + 1 + len(bad)))
