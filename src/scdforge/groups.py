@@ -118,32 +118,33 @@ class GroupSpec(_Record):
 
     @functools.cached_property
     def _shifts(self):
-        """(support, steps) per moving generator g, in _powers' order, where steps
-        holds, for each power g^j, j = 1 .. order - 1, the (mask, shift) pairs that
-        carry a mask's bits to their images: the image of e is the union of
-        e & mask moved up by shift over them (down by -shift when it is negative),
-        the points off the support with shift 0.  The lanes of failing_runs read
-        these; the walks over single masks read _powers."""
+        """(support, powers) per moving generator g, in _powers' order, where
+        powers holds the moves of each power g^j, j = 1 .. order - 1: the
+        (mask, shift) pairs that carry a mask's bits to their images, so that the
+        image of e is the union over them of e & mask moved up by shift (down by
+        -shift when it is negative), the points off the support with shift 0.
+        The lanes of failing_runs read these; the walks over single masks read
+        _powers."""
         full = full_mask(self.n)
         out = []
         for f in self.factors:
             if f.order() > 1:
-                support, steps = f.support_mask(), []
+                support, powers = f.support_mask(), []
                 for j in range(1, f.order()):
                     perm = perm_from_cycle_power(f.cycle, f.exponent * j, self.n)
                     moves = {0: full & ~support}
                     for x in f.cycle:
                         moves[perm[x - 1] - x] = moves.get(perm[x - 1] - x, 0) | 1 << (x - 1)
-                    steps.append(tuple((mask, shift) for shift, mask in moves.items() if mask))
-                out.append((support, tuple(steps)))
+                    powers.append(tuple((mask, shift) for shift, mask in moves.items() if mask))
+                out.append((support, tuple(powers)))
         return tuple(out)
 
 
-def _lane_image(x: int, steps) -> int:
+def _lane_image(x: int, moves) -> int:
     """The image of every 32-bit lane of x under one power, from that power's
-    (mask, shift) steps in GroupSpec._shifts with each mask repeated in every lane."""
+    (mask, shift) moves in GroupSpec._shifts with each mask repeated in every lane."""
     image = 0
-    for mask, shift in steps:
+    for mask, shift in moves:
         part = x & mask
         image |= part << shift if shift > 0 else part >> -shift if shift else part
     return image
@@ -167,7 +168,7 @@ def _packed(runs, n: int) -> int | None:
 
 class _Repeats:
     """Masks repeated in every 32-bit lane, for the slices of one failing_runs
-    call.  Most steps move single bits, and those masks are kept from slice to
+    call.  Most moves carry single bits, and those masks are kept from slice to
     slice at the width of the widest so far: x & mask ignores the lanes above x."""
 
     def __init__(self):
@@ -176,7 +177,7 @@ class _Repeats:
     def fit(self, lanes: int) -> int:
         """Make the next slice `lanes` wide; return 1 in each of its lanes."""
         if self.width < lanes:
-            # runs of up to 32 elements keep every slice below _SLICE + 32 lanes
+            # a slice passes _SLICE by less than its last run, and runs are short
             self.width = lanes if lanes < _SLICE else max(lanes, _SLICE + 32)
             self.wide, self.bits = int.from_bytes(b"\1\0\0\0" * self.width, "little"), {}
         self.ones = self.wide >> 32 * (self.width - lanes)
@@ -357,9 +358,13 @@ class QuotientPoset:
 
     An orbit is its least mask: orbits is the tuple of those masks in (rank,
     mask) order, enumerated on first use by elements(), size() or covers().
-    The size guard is checked at construction.  ascends(), orbit_size() and
-    expected_size() list no orbit: the first two read an element's images
-    under each non-identity power of each generator from its chunk tables."""
+    The size guard is checked at construction.  failing_runs(), orbit_size()
+    and expected_size() list no orbit.  orbit_size(), like orbit_rep and
+    _members, walks one mask and reads its images under each non-identity
+    power of each generator from the chunk tables of GroupSpec._powers;
+    failing_runs() reads the images of a whole slice of masks at once, packed
+    in 32-bit lanes, through the shift masks of GroupSpec._shifts, derived
+    from the same factors and pinned equal to the tables by the tests."""
 
     def __init__(self, n: int, group: GroupSpec):
         check_enum(n, QUOTIENT_LIMIT, "quotient_poset")
@@ -412,9 +417,9 @@ class QuotientPoset:
         it, and a <= b iff a lies in b off their supports and, on each, in b or a
         power of it on b.  Whole runs are packed into slices of about _SLICE
         32-bit lanes of one integer, every element once, and each non-identity
-        power's image of a slice is read with shift-and-mask steps from
+        power's image of a slice is read with the shifts and masks of
         GroupSpec._shifts: with G bit 31 of every lane, ((Y | G) - X) & G keeps G
-        where a lane's image is not smaller, and (G - Z) & G where Z is zero."""
+        where a lane of Y is not below X, and (G - Z) & G where a lane of Z is 0."""
         failing, batch, size, first = [], [], 0, 0
         repeat = _Repeats()
         for index, run in enumerate(runs):
@@ -446,9 +451,9 @@ class QuotientPoset:
         heads = int.from_bytes(b"".join(map(head.__getitem__, lengths)), "little")
         ones = repeat.fit(lanes)
         guard = ones << 31
-        below = (x << 32) & ones * 0xFFFFFFFF  # each lane's lower neighbour in the run, moved into its lane
+        below = x << 32  # each lane's lower neighbour in the run, moved into its lane; masks drop the top
         part = below & self._fixed * ones
-        steps = (guard - (part ^ part & x)) & guard
+        steps = (guard - (part ^ part & x)) & guard  # G where the step into the lane holds so far
         ok = guard
         for support, powers in self.group._shifts:
             part = below & support * ones

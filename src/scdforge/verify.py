@@ -1,15 +1,17 @@
 """Construction-independent certification of claimed decompositions.
 
 A target poset provides five members: elements(), rank(x),
-ascends(elements), total_rank and expected_size().  ascends(elements) is True
-iff every element of the sequence is a canonical element of the target (the
-least member of its orbit, in the target's own encoding) and each lies below
-the next, answered from one pass over each element: a quotient reads its
-image under every non-identity power of each generator once, two lookups in
-that power's chunk tables, and a chain power reads its rotations once.  It is
-the target's only comparability test.  The verifier tests every
-comparability and reads every rank it needs itself, and never trusts the
-construction's bookkeeping.
+failing_runs(runs), total_rank and expected_size().  failing_runs(runs)
+returns the indices, ascending, of the runs that do not ascend, none when
+all do; a run ascends iff every element is a canonical element of the target
+(the least member of its orbit, in the target's own encoding) and each lies
+below the next.  It is the target's only comparability test, and it sees
+every run at once: a quotient packs slices of whole runs, about 2^15
+elements each, into 32-bit lanes of one integer and reads each non-identity
+power's image of a slice with a few shifts and masks, and a chain power
+reads each element's rotations once.  The verifier tests every comparability
+and reads every rank it needs itself, and never trusts the construction's
+bookkeeping.
 
 A family of chains partitions the target into symmetric chains as soon as
 every element is canonical, no element repeats, every chain steps up one rank
@@ -22,11 +24,12 @@ elements have different ranks (canonical orbit representatives of a
 quotient, canonical tuples of a chain power under the componentwise order,
 pairs of a product coordinatewise), so along a chain that ascends without a
 repeat the ranks rise strictly, and len - 1 rises that add up to len - 1 are
-each one.  That certificate makes one ascends() call and two rank() calls
-per chain, and tests each claimed element once.  Only when it fails does the
-verifier enumerate elements() to name every problem, reading every element's
-rank and testing each failing step with ascends() on the pair, so the reports
-of both routes are the same.
+each one.  That certificate makes one failing_runs() call over every chain
+and two rank() calls per chain, and tests each claimed element once.  Only
+when it fails does the verifier enumerate elements() to name every problem,
+reading every element's rank and passing every step it tests, as a pair, to
+one failing_runs() call, whose verdicts each chain's report reads in order,
+so the reports of both routes are the same.
 """
 
 from __future__ import annotations
