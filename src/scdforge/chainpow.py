@@ -236,14 +236,15 @@ class ChainProductTarget:
         """The indices, ascending, of the runs that do not ascend: a run ascends
         iff every element is a tuple of the full length and each part's sequence
         ascends in its own target; x <= x holds there, so a part may stay put
-        while another rises.  Each part tests every run in one call."""
+        while another rises.  Each part tests, in one call, the runs that no
+        earlier part has failed."""
         size = sum(part.m for part in self.parts)
         runs = [tuple(run) for run in runs]
         failing = {i for i, run in enumerate(runs) if any(type(u) is not tuple or len(u) != size for u in run)}
-        kept = [() if i in failing else run for i, run in enumerate(runs)]
         i = 0
         for part in self.parts:
-            failing.update(part.failing_runs([[u[i : i + part.m] for u in run] for run in kept]))
+            failing.update(part.failing_runs([() if j in failing else [u[i : i + part.m] for u in run]
+                                              for j, run in enumerate(runs)]))
             i += part.m
         return sorted(failing)
 

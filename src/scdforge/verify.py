@@ -233,12 +233,14 @@ class ProductTarget:
         """The indices, ascending, of the runs that do not ascend: a run ascends
         iff every element is a pair and each coordinate's sequence ascends in its
         own target; x <= x holds there, so a coordinate may stay put while the
-        other rises.  Each coordinate's target tests every run in one call."""
+        other rises.  Each coordinate's target tests, in one call, the runs that
+        have not failed before it."""
         runs = [tuple(run) for run in runs]
-        malformed = {i for i, run in enumerate(runs) if any(type(p) is not tuple or len(p) != 2 for p in run)}
-        kept = [() if i in malformed else run for i, run in enumerate(runs)]
-        return sorted(malformed.union(self.left.failing_runs([tuple(p[0] for p in run) for run in kept]),
-                                      self.right.failing_runs([tuple(p[1] for p in run) for run in kept])))
+        failing = {i for i, run in enumerate(runs) if any(type(p) is not tuple or len(p) != 2 for p in run)}
+        for side, target in enumerate((self.left, self.right)):
+            failing.update(target.failing_runs([() if i in failing else tuple([p[side] for p in run])
+                                                for i, run in enumerate(runs)]))
+        return sorted(failing)
 
     def expected_size(self) -> int:
         return self.left.expected_size() * self.right.expected_size()

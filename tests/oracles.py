@@ -369,8 +369,8 @@ def orbit_closure_ascends(poset: QuotientPoset, elements) -> bool:
     """QuotientPoset's test of one run by listing orbits: each element must be an int
     mask of [n] equal to the least member of its orbit, and some member of
     the previous element's orbit must lie inside it, as the group acts by
-    automorphisms.  It pins the walk that applies each generator's powers to
-    each element once."""
+    automorphisms.  It pins failing_runs, which reads the images of each
+    element under every power once, in its lane."""
     powers, limit = poset.group._powers, 1 << poset.n
     below = None
     for e in elements:
