@@ -370,15 +370,22 @@ def test_passing_certificate_tests_each_element_once_in_lanes(monkeypatch, case)
 
     monkeypatch.setattr(groups, "_members", refuse)
     monkeypatch.setattr(groups, "orbit_rep", refuse)
-    packed, images = [], [0]
+    slices, imaged = [], []  # (elements, lanes) of each packed slice; the lanes of each image taken
     pack, image = groups._packed, groups._lane_image
-    monkeypatch.setattr(groups, "_packed", lambda runs, n: packed.append([e for r in runs for e in r]) or pack(runs, n))
-    monkeypatch.setattr(groups, "_lane_image", lambda *args: images.__setitem__(0, images[0] + 1) or image(*args))
+
+    def packing(runs, n):
+        slices.append(([e for run in runs for e in run], pack(runs, n)))
+        return slices[-1][1]
+
+    monkeypatch.setattr(groups, "_packed", packing)
+    monkeypatch.setattr(groups, "_lane_image", lambda x, moves: imaged.append(x) or image(x, moves))
     monkeypatch.setattr(groups, "_SLICE", 100)  # several slices
     assert verify_decomposition(target, decomp).ok
-    assert sorted(e for elements in packed for e in elements) == claimed
-    assert len(packed) > 1 and all(len(elements) >= 100 for elements in packed[:-1])
-    assert images[0] == len(packed) * sum(f.order() - 1 for f in target.group.factors)
+    assert sorted(e for elements, _ in slices for e in elements) == claimed
+    assert len(slices) > 1 and all(len(elements) >= 100 for elements, _ in slices[:-1])
+    powers = sum(f.order() - 1 for f in target.group.factors)
+    assert len(imaged) == powers * len(slices)
+    assert [sum(y is x for y in imaged) for _, x in slices] == [powers] * len(slices)
 
 
 @pytest.mark.parametrize("case", ["gk", "reflection"])
